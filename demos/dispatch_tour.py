@@ -25,9 +25,8 @@ import nistab as ns
 
 def show(title, plant, ctrl):
     v = ns.stability_verdict(plant, ctrl, ns.VerdictOptions(run_oracle=True))
-    hurwitz = ns.direct_stability(plant, ctrl)
     print(f"{title:<46} -> {v.outcome.value:<9} "
-          f"[{v.theorem_used.value}/{v.branch.value}]  oracle Hurwitz: {hurwitz}")
+          f"[{v.theorem_used.value}/{v.branch.value}]  oracle Hurwitz: {v.oracle_hurwitz}")
     assert v.oracle_agrees in (True, None)
     return v
 

@@ -29,6 +29,7 @@ import scipy.linalg
 from .errors import (
     G2ZeroError,
     IllConditionedTransformError,
+    IllPosedError,
     JordanBlockTooLargeError,
     LimitDivergentError,
     NistabError,
@@ -40,6 +41,7 @@ from .ircsynth import make_irc
 from .ltimodel import (
     ModalModel,
     StateSpaceModel,
+    _laurent_numeric_limits,
     closed_loop,
     eval_tf,
     is_hurwitz,
@@ -56,7 +58,7 @@ from .matrixcore import (
     psd_sqrt,
     symmetrize,
 )
-from .niclass import FrequencyGrid, classify_ni, classify_sni
+from .niclass import FrequencyGrid, NiReport, SniReport, classify_ni, classify_sni
 
 __all__ = [
     "BlockDiagonalRealization",
@@ -288,9 +290,10 @@ def laurent_coefficients(model: StateSpaceModel,
     secondary route, independent of that realization, takes the contour
     integrals of G(s) s^-k around the circle |s| = radius/3, where radius is
     the modulus of the closest nonzero pole (see
-    :func:`_laurent_numeric_limits`).  The measured disagreement is stored on
-    the result (typically below 1e-12).  The secondary route raises
-    LimitDivergentError when its s^-3 and s^-4 coefficients do not vanish;
+    ``ltimodel._laurent_numeric_limits``, which :func:`classify_ni` also uses
+    for condition 4).  The measured disagreement is stored on the result
+    (typically below 1e-12).  The secondary route raises
+    LimitDivergentError when its s^-3 ... s^-16 coefficients do not vanish;
     disagreement beyond 1e-3 raises NistabError.
     """
     real = to_block_diagonal(model)
@@ -333,32 +336,6 @@ def laurent_coefficients(model: StateSpaceModel,
     return LaurentCoefficients(G0=G0, G1=G1, G2=G2,
                                method=LaurentMethod.REALIZATION,
                                numeric=numeric, agreement=agreement)
-
-
-def _laurent_numeric_limits(model: StateSpaceModel, r: float):
-    """Leading Laurent data by the trapezoidal rule on the circle |s| = r.
-
-    The coefficient of s^k is the mean of G(s) s^-k over N = 32 equispaced
-    nodes s_j = r exp(i pi (2j + 1) / N); the rule converges
-    geometrically, with error of order (r / R)^N for R the radius of
-    convergence (Trefethen & Weideman 2014, SIAM Review 56(3)).  A real model
-    has G(conj s) = conj G(s), so only the upper half of the nodes (which
-    avoid the real axis) is evaluated.  Unlike a fit extrapolated to s = 0,
-    no node comes closer than r to a pole, and noise in G(s) reaches the
-    s^k coefficient scaled by r^-k only.  Returns (G0, G1, G2, settle),
-    where settle is max(|G_-3| / r, |G_-4| / r^2), the size of the s^-3 and
-    s^-4 coefficients in the units of G2; it vanishes for a pole of order
-    two.
-    """
-    N = 32
-    nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
-    samples = np.stack([eval_tf(model, complex(s)) for s in nodes])
-
-    def coeff(k: int) -> np.ndarray:
-        return (2.0 / N) * np.real(np.tensordot(nodes ** (-k), samples, axes=1))
-
-    settle = max(np.linalg.norm(coeff(-3)) / r, np.linalg.norm(coeff(-4)) / r ** 2)
-    return coeff(0), coeff(-1), coeff(-2), float(settle)
 
 
 # --------------------------------------------------------------------------
@@ -482,6 +459,11 @@ class StabilityVerdict:
     reason: str = ""
     oracle_agrees: bool | None = None
     laurent: LaurentCoefficients | None = None
+    ni: NiReport | None = None
+    sni: SniReport | None = None
+    oracle_hurwitz: bool | None = None
+    tolerances: dict = field(default_factory=lambda: {
+        "zero_coeff_rtol": ZERO_COEFF_RTOL, "boundary_band": BOUNDARY_BAND})
 
     def to_dict(self) -> dict:
         return {
@@ -491,10 +473,7 @@ class StabilityVerdict:
             "condition_values": {k: float(v) for k, v in self.condition_values.items()},
             "reason": self.reason,
             "oracle_agrees": self.oracle_agrees,
-            "tolerances": {
-                "zero_coeff_rtol": ZERO_COEFF_RTOL,
-                "boundary_band": BOUNDARY_BAND,
-            },
+            "tolerances": dict(self.tolerances),
         }
 
 
@@ -578,19 +557,36 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     exact (necessary and sufficient) whenever the relevant reduced matrix is
     sign semidefinite; an indefinite reduction yields INCONCLUSIVE, and any
     decisive quantity inside the tolerance band yields BOUNDARY rather than a
-    guess.
+    guess.  Laurent data that cannot be extracted reliably also yield
+    INCONCLUSIVE, with the error as the reason.
+
+    The verdict carries everything the analysis computed: the NI and SNI
+    reports, the Laurent data, the tolerances used and, with
+    ``opts.run_oracle``, the closed-loop Hurwitz test of
+    :func:`direct_stability`.
     """
     opts = opts or VerdictOptions()
-
+    ni = sni = None
     if not opts.skip_ni_check:
         ni = classify_ni(G, opts.grid)
-        if not ni.is_ni:
-            return _precondition_failed(
-                "plant is not negative imaginary: " + "; ".join(ni.reasons))
         sni = classify_sni(Gbar, opts.grid)
-        if not sni.is_sni:
-            return _precondition_failed(
-                "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
+    verdict = _decide(G, Gbar, opts, ni, sni)
+    verdict.ni, verdict.sni = ni, sni
+    verdict.tolerances = {"zero_coeff_rtol": opts.zero_coeff_rtol,
+                          "boundary_band": opts.boundary_band}
+    if opts.run_oracle:
+        _attach_oracle(verdict, G, Gbar, opts.hurwitz_margin)
+    return verdict
+
+
+def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
+    """The dispatch of :func:`stability_verdict`, given its NI/SNI reports."""
+    if ni is not None and not ni.is_ni:
+        return _precondition_failed(
+            "plant is not negative imaginary: " + "; ".join(ni.reasons))
+    if sni is not None and not sni.is_sni:
+        return _precondition_failed(
+            "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
 
     Gbar0 = eval_tf(Gbar, 0.0).real
     ztol = ZERO_EIG_RTOL * max(1.0, np.linalg.norm(G.A, 2)) if G.n else 0.0
@@ -605,14 +601,20 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
             return _precondition_failed(
                 "dc gain product has non-real eigenvalues; models are not NI/SNI consistent")
         conds.less_than_one("dc_gain_lambda_max", float(np.max(eigs.real)))
-        verdict = _verdict_from(conds, Theorem.DC_GAIN, Branch.NONE, None)
-        return _attach_oracle(verdict, G, Gbar, opts)
+        return _verdict_from(conds, Theorem.DC_GAIN, Branch.NONE, None)
 
     if not G.strictly_proper():
         return _precondition_failed(
             "free-body analysis requires a strictly proper plant")
 
-    L = laurent_coefficients(G)
+    try:
+        L = laurent_coefficients(G)
+    except NistabError as exc:
+        return StabilityVerdict(
+            outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.NONE,
+            branch=Branch.NONE, condition_values={},
+            reason=f"Laurent data unavailable: {type(exc).__name__}: {exc}")
+    m = L.G0.shape[0]
     scale0 = 1.0 + np.linalg.norm(L.G0)
     g2_zero = np.linalg.norm(L.G2) <= opts.zero_coeff_rtol * scale0
     g1_zero = np.linalg.norm(L.G1) <= opts.zero_coeff_rtol * scale0
@@ -622,145 +624,102 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
             "origin pole detected but both Laurent coefficients vanish "
             "(numerically inconsistent model)", laurent=L)
 
-    if not g2_zero and g1_zero:
-        verdict = _double_pole_no_friction(L, Gbar0, opts)
-    elif not g2_zero:
-        verdict = _double_pole_general(L, Gbar0, opts)
-    else:
-        verdict = _single_pole(L, Gbar0, opts)
-    return _attach_oracle(verdict, G, Gbar, opts)
+    if g2_zero:
+        # single pole: the thin SVD factor F1 of G1 is the free-body basis
+        if numerical_rank(L.G1) == m:
+            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
+                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
+        U, sv, _Vt = np.linalg.svd(L.G1)
+        r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
+        F1 = U[:, :r] * sv[:r]
+        if nullspace_contained(L.G1.T, L.G0.T):
+            return _single_condition("f1_gram_max_eig", F1.T @ Gbar0 @ F1, opts, L,
+                                     Theorem.SINGLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT)
+        return _reduced_gain(L, Gbar0, F1, np.zeros((m, m)), Theorem.SINGLE_POLE,
+                             "f1", opts)
 
-
-def _attach_oracle(verdict: StabilityVerdict, G, Gbar, opts) -> StabilityVerdict:
-    if opts.run_oracle and verdict.outcome in (Outcome.STABLE, Outcome.UNSTABLE):
-        hurwitz = direct_stability(G, Gbar, opts.hurwitz_margin)
-        verdict.oracle_agrees = bool(hurwitz == (verdict.outcome is Outcome.STABLE))
-    return verdict
-
-
-def _double_pole_no_friction(L, Gbar0, opts) -> StabilityVerdict:
-    """G2 != 0, G1 = 0: definite, range-shortcut, or sign-split conditions."""
     J = full_rank_factor(L.G2).J
-    g2_def = classify_definiteness(L.G2)
+    if g1_zero:
+        if classify_definiteness(L.G2).is_pd:
+            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
+                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
+        if nullspace_contained(L.G2, L.G0.T):
+            return _single_condition("j_gram_max_eig", J.T @ Gbar0 @ J, opts, L,
+                                     Theorem.DOUBLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT)
+        return _reduced_gain(L, Gbar0, J, np.zeros((m, m)), Theorem.DOUBLE_POLE,
+                             "j", opts)
+
+    # G1 != 0 and G2 != 0: the Hankel subspace matrix F is the basis, and the
+    # friction coupling G1 J (J'J)^-2 J' G1' enters the branch condition
+    JtJ = J.T @ J
+    friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
+    return _reduced_gain(L, Gbar0, build_f_matrix(L), friction,
+                         Theorem.DOUBLE_POLE_GENERAL, "f", opts)
+
+
+def _attach_oracle(verdict: StabilityVerdict, G, Gbar, margin: float) -> None:
+    """Record the closed-loop Hurwitz test and whether a decisive verdict agrees.
+
+    An ill-posed loop leaves the test unset; it raises IllPosedError only when
+    the verdict is decisive.
+    """
+    decisive = verdict.outcome in (Outcome.STABLE, Outcome.UNSTABLE)
+    try:
+        verdict.oracle_hurwitz = direct_stability(G, Gbar, margin)
+    except IllPosedError:
+        if decisive:
+            raise
+        return
+    if decisive:
+        verdict.oracle_agrees = bool(
+            verdict.oracle_hurwitz == (verdict.outcome is Outcome.STABLE))
+
+
+def _single_condition(name, M, opts, L, theorem, branch) -> StabilityVerdict:
+    """Verdict from the one requirement M < 0 (a definite or range shortcut)."""
     conds = _Conditions(opts.boundary_band)
-
-    if g2_def.is_pd:
-        conds.strict_neg_definite("controller_dc_max_eig", Gbar0)
-        return _verdict_from(conds, Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
-
-    if nullspace_contained(L.G2, L.G0.T):
-        conds.strict_neg_definite("j_gram_max_eig", J.T @ Gbar0 @ J)
-        return _verdict_from(conds, Theorem.DOUBLE_POLE_RANGE,
-                             Branch.NULLSPACE_SHORTCUT, L)
-
-    inner = J.T @ Gbar0 @ J
-    smin = np.linalg.svd(inner, compute_uv=False)[-1]
-    if smin <= 1e-12 * max(1.0, np.linalg.norm(inner, 2)):
-        return _precondition_failed("J' Gbar(0) J is singular", laurent=L,
-                                    values={"j_gram_min_sv": float(smin)})
-    N2 = projector_p(Gbar0, J)
-    n2_def = classify_definiteness(N2)
-    conds.strict_neg_definite("j_gram_max_eig", inner)
-
-    if n2_def.kind.value == "zero" or n2_def.is_nsd:
-        Ntil = psd_sqrt(-N2)
-        conds.nonsingular("nsd_branch_min_sv",
-                          np.eye(L.G0.shape[0]) + Ntil @ L.G0 @ Ntil)
-        return _verdict_from(conds, Theorem.DOUBLE_POLE, Branch.NSD, L)
-    if n2_def.is_psd:
-        Nh = psd_sqrt(N2)
-        conds.strict_pos_definite("psd_branch_min_eig",
-                                  np.eye(L.G0.shape[0]) - Nh @ L.G0 @ Nh)
-        return _verdict_from(conds, Theorem.DOUBLE_POLE, Branch.PSD, L)
-    return StabilityVerdict(
-        outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.DOUBLE_POLE,
-        branch=Branch.NONE, condition_values=conds.values,
-        reason=f"reduced controller gain is indefinite "
-               f"(eigenvalues in [{n2_def.min_eig:.3e}, {n2_def.max_eig:.3e}])",
-        laurent=L)
+    conds.strict_neg_definite(name, M)
+    return _verdict_from(conds, theorem, branch, L)
 
 
-def _double_pole_general(L, Gbar0, opts) -> StabilityVerdict:
-    """G2 != 0 and G1 != 0: Hankel subspace matrix F decides."""
-    J = full_rank_factor(L.G2).J
-    F = build_f_matrix(L)
+def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
+    """Reduced-gain conditions on the free-body basis Y (J, F or F1).
+
+    Y' Gbar(0) Y < 0 is required, and the sign of the reduced gain
+    N = P(Gbar(0), Y) picks the branch: for N <= 0, I + Nt (G0 + extra) Nt
+    with Nt = (-N)^1/2 must be nonsingular; for N >= 0, I - Nh (G0 + extra) Nh
+    with Nh = N^1/2 must be positive definite; an indefinite N is INCONCLUSIVE.
+    ``extra`` is the friction coupling for Y = F and zero otherwise; ``stem``
+    names the basis in the condition keys and reasons.
+    """
     m = L.G0.shape[0]
     conds = _Conditions(opts.boundary_band)
-
-    inner = F.T @ Gbar0 @ F
+    inner = Y.T @ Gbar0 @ Y
     if inner.size:
         smin = np.linalg.svd(inner, compute_uv=False)[-1]
         if smin <= 1e-12 * max(1.0, np.linalg.norm(inner, 2)):
-            return _precondition_failed("F' Gbar(0) F is singular", laurent=L,
-                                        values={"f_gram_min_sv": float(smin)})
-    Nf = projector_p(Gbar0, F)
-    nf_def = classify_definiteness(Nf)
-    conds.strict_neg_definite("f_gram_max_eig", inner)
+            name = stem.upper()
+            return _precondition_failed(f"{name}' Gbar(0) {name} is singular", laurent=L,
+                                        values={f"{stem}_gram_min_sv": float(smin)})
+    N = projector_p(Gbar0, Y)
+    n_def = classify_definiteness(N)
+    conds.strict_neg_definite(f"{stem}_gram_max_eig", inner)
 
-    JtJ = J.T @ J
-    friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
-
-    if nf_def.kind.value == "zero" or nf_def.is_nsd:
-        Ntil = psd_sqrt(-Nf)
-        conds.nonsingular(
-            "nsd_branch_min_sv",
-            np.eye(m) + Ntil @ L.G0 @ Ntil + Ntil @ friction @ Ntil)
-        return _verdict_from(conds, Theorem.DOUBLE_POLE_GENERAL, Branch.NSD, L)
-    if nf_def.is_psd:
-        Nh = psd_sqrt(Nf)
-        conds.strict_pos_definite(
-            "psd_branch_min_eig",
-            np.eye(m) - Nh @ L.G0 @ Nh - Nh @ friction @ Nh)
-        return _verdict_from(conds, Theorem.DOUBLE_POLE_GENERAL, Branch.PSD, L)
-    return StabilityVerdict(
-        outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.DOUBLE_POLE_GENERAL,
-        branch=Branch.NONE, condition_values=conds.values,
-        reason=f"reduced controller gain is indefinite "
-               f"(eigenvalues in [{nf_def.min_eig:.3e}, {nf_def.max_eig:.3e}])",
-        laurent=L)
-
-
-def _single_pole(L, Gbar0, opts) -> StabilityVerdict:
-    """G2 = 0, G1 != 0: thin SVD factor of G1 takes the role of F."""
-    m = L.G0.shape[0]
-    conds = _Conditions(opts.boundary_band)
-
-    if numerical_rank(L.G1) == m:
-        conds.strict_neg_definite("controller_dc_max_eig", Gbar0)
-        return _verdict_from(conds, Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
-
-    U, sv, _Vt = np.linalg.svd(L.G1)
-    r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
-    F1 = U[:, :r] * sv[:r]
-
-    if nullspace_contained(L.G1.T, L.G0.T):
-        conds.strict_neg_definite("f1_gram_max_eig", F1.T @ Gbar0 @ F1)
-        return _verdict_from(conds, Theorem.SINGLE_POLE_RANGE,
-                             Branch.NULLSPACE_SHORTCUT, L)
-
-    inner = F1.T @ Gbar0 @ F1
-    smin = np.linalg.svd(inner, compute_uv=False)[-1]
-    if smin <= 1e-12 * max(1.0, np.linalg.norm(inner, 2)):
-        return _precondition_failed("F1' Gbar(0) F1 is singular", laurent=L,
-                                    values={"f1_gram_min_sv": float(smin)})
-    N1 = projector_p(Gbar0, F1)
-    n1_def = classify_definiteness(N1)
-    conds.strict_neg_definite("f1_gram_max_eig", inner)
-
-    if n1_def.kind.value == "zero" or n1_def.is_nsd:
-        Ntil = psd_sqrt(-N1)
-        conds.nonsingular("nsd_branch_min_sv", np.eye(m) + Ntil @ L.G0 @ Ntil)
-        return _verdict_from(conds, Theorem.SINGLE_POLE, Branch.NSD, L)
-    if n1_def.is_psd:
-        Nh = psd_sqrt(N1)
+    if n_def.kind.value == "zero" or n_def.is_nsd:
+        Ntil = psd_sqrt(-N)
+        conds.nonsingular("nsd_branch_min_sv",
+                          np.eye(m) + Ntil @ L.G0 @ Ntil + Ntil @ extra @ Ntil)
+        return _verdict_from(conds, theorem, Branch.NSD, L)
+    if n_def.is_psd:
+        Nh = psd_sqrt(N)
         conds.strict_pos_definite("psd_branch_min_eig",
-                                  np.eye(m) - Nh @ L.G0 @ Nh)
-        return _verdict_from(conds, Theorem.SINGLE_POLE, Branch.PSD, L)
+                                  np.eye(m) - Nh @ L.G0 @ Nh - Nh @ extra @ Nh)
+        return _verdict_from(conds, theorem, Branch.PSD, L)
     return StabilityVerdict(
-        outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.SINGLE_POLE,
+        outcome=Outcome.INCONCLUSIVE, theorem_used=theorem,
         branch=Branch.NONE, condition_values=conds.values,
         reason=f"reduced controller gain is indefinite "
-               f"(eigenvalues in [{n1_def.min_eig:.3e}, {n1_def.max_eig:.3e}])",
+               f"(eigenvalues in [{n_def.min_eig:.3e}, {n_def.max_eig:.3e}])",
         laurent=L)
 
 

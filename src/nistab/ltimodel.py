@@ -176,6 +176,36 @@ def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
     return model.C @ X + model.D
 
 
+def _laurent_numeric_limits(model: StateSpaceModel, r: float):
+    """Leading Laurent data about s = 0 by the trapezoidal rule on |s| = r.
+
+    The coefficient of s^k is the mean of G(s) s^-k over N = 32 equispaced
+    nodes s_j = r exp(i pi (2j + 1) / N); the rule converges
+    geometrically, with error of order (r / R)^N for R the radius of
+    convergence (Trefethen & Weideman 2014, SIAM Review 56(3)).  A real model
+    has G(conj s) = conj G(s), so only the upper half of the nodes (which
+    avoid the real axis) is evaluated.  Unlike a fit extrapolated to s = 0,
+    no node comes closer than r to a pole, and noise in G(s) reaches the
+    s^k coefficient scaled by r^-k only.  Returns (G0, G1, G2, settle),
+    where settle is the largest |G_-k| / r^(k-2) for 3 <= k <= N/2, the size
+    of the s^-3 ... s^-16 coefficients in the units of G2; it vanishes for a
+    pole of order at most two.
+    """
+    N = 32
+    nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
+    samples = np.stack([eval_tf(model, complex(s)) for s in nodes])
+
+    def coeff(k: int) -> np.ndarray:
+        return (2.0 / N) * np.real(np.tensordot(nodes ** (-k), samples, axes=1))
+
+    # |G_-k| / r^(k-2) = r^2 |mean of G(s) (s / r)^k|, for all k at once
+    k = np.arange(3, N // 2 + 1)
+    phases = np.exp(1j * np.pi * np.outer(k, 2 * np.arange(N // 2) + 1) / N)
+    tail = np.real(phases @ samples.reshape(N // 2, -1))
+    settle = (2.0 / N) * r * r * np.max(np.linalg.norm(tail, axis=1))
+    return coeff(0), coeff(-1), coeff(-2), float(settle)
+
+
 def minimality_margin(model: StateSpaceModel) -> float:
     """Smallest eigenvalue-test singular value over its rank cutoff.
 

@@ -2,11 +2,11 @@
 
 ``step_response`` simulates the positive-feedback loop under a reference
 step using exact zero-order-hold discretization of the combined LTI system,
-so samples are exact at the grid points for any dt.  ``run_analysis`` chains
-classification, Laurent extraction, the stability verdict and the eigenvalue
-oracle into one serializable report.  ``main`` exposes everything as the
-``nistab`` command with subcommands classify, laurent, stability, verify,
-beam and simulate.
+so samples are exact at the grid points for any dt.  ``run_analysis`` turns
+one stability verdict (classification, Laurent extraction, decision and
+eigenvalue oracle) into one serializable report.  ``main`` exposes
+everything as the ``nistab`` command with subcommands classify, laurent,
+stability, verify, beam and simulate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,6 @@ from .errors import IllPosedError, NistabError, PreconditionFailedError
 from .freebody import (
     Outcome,
     VerdictOptions,
-    direct_stability,
     laurent_coefficients,
     montecarlo_agreement,
     stability_verdict,
@@ -202,31 +201,29 @@ def load_model(source) -> StateSpaceModel:
 
 def run_analysis(plant_source, controller_source,
                  opts: VerdictOptions | None = None) -> AnalysisReport:
-    """Classify both systems, extract Laurent data, decide, and cross-check."""
+    """Decide stability once and report everything the decision computed.
+
+    The eigenvalue oracle always runs.  The verdict reads no Laurent data for
+    a plant without origin poles or a controller that is not SNI; for a
+    strictly proper NI plant the report extracts them anyway.
+    """
     G = load_model(plant_source)
     Gbar = load_model(controller_source)
-    opts = opts or VerdictOptions(run_oracle=True)
+    opts = replace(opts or VerdictOptions(), run_oracle=True)
 
-    ni = classify_ni(G, opts.grid)
-    sni = classify_sni(Gbar, opts.grid)
-    laurent = None
-    if G.strictly_proper() and ni.is_ni:
+    verdict = stability_verdict(G, Gbar, opts)
+    ni = verdict.ni or classify_ni(G, opts.grid)
+    sni = verdict.sni or classify_sni(Gbar, opts.grid)
+    laurent = verdict.laurent
+    if laurent is None and G.strictly_proper() and ni.is_ni and (
+            ni.cond4_G2 is None or not sni.is_sni):
         try:
             laurent = laurent_coefficients(G)
         except NistabError:
-            laurent = None
-    verdict = stability_verdict(G, Gbar, opts)
-    oracle = None
-    try:
-        oracle = direct_stability(G, Gbar, opts.hurwitz_margin)
-        if verdict.outcome in (Outcome.STABLE, Outcome.UNSTABLE):
-            verdict.oracle_agrees = bool(
-                oracle == (verdict.outcome is Outcome.STABLE))
-    except IllPosedError:
-        oracle = None
+            pass
     return AnalysisReport(
         ni_report=ni, sni_report=sni, laurent=laurent, verdict=verdict,
-        oracle_hurwitz=oracle,
+        oracle_hurwitz=verdict.oracle_hurwitz,
         tolerances={
             "boundary_band": opts.boundary_band,
             "zero_coeff_rtol": opts.zero_coeff_rtol,

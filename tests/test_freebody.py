@@ -5,19 +5,19 @@ import nistab as ns
 from nistab.errors import (
     G2ZeroError,
     JordanBlockTooLargeError,
+    LimitDivergentError,
     NotMinimalError,
     NotStrictlyProperError,
     SingularInnerError,
 )
 from nistab.freebody import (
     _FAMILIES,
-    _double_pole_general,
-    _double_pole_no_friction,
-    _laurent_numeric_limits,
+    _reduced_gain,
     VerdictOptions,
     random_ni_plant,
     random_sni_controller,
 )
+from nistab.ltimodel import _laurent_numeric_limits
 
 from conftest import double_integrator, first_order_lag_minus
 
@@ -253,6 +253,17 @@ class TestStabilityVerdict:
         assert v.outcome is ns.Outcome.PRECONDITION_FAILED
         assert "strictly negative imaginary" in v.reason
 
+    def test_laurent_failure_is_inconclusive(self, monkeypatch):
+        def fail(model):
+            raise LimitDivergentError("numeric Laurent limits failed to settle")
+
+        monkeypatch.setattr(ns.freebody, "laurent_coefficients", fail)
+        v = ns.stability_verdict(double_integrator(), first_order_lag_minus(2.0),
+                                 VerdictOptions(run_oracle=True))
+        assert v.outcome is ns.Outcome.INCONCLUSIVE
+        assert "LimitDivergentError" in v.reason and "failed to settle" in v.reason
+        assert v.oracle_agrees is None and v.oracle_hurwitz is True
+
     def test_general_and_reduced_paths_agree_when_g1_zero(self, rng):
         """The Hankel-subspace route must reduce to the factor-of-G2 route."""
         for trial in range(12):
@@ -262,9 +273,14 @@ class TestStabilityVerdict:
             L = ns.laurent_coefficients(plant)
             Gbar0 = ns.eval_tf(ctrl.realization, 0.0).real
             opts = VerdictOptions()
-            va = _double_pole_no_friction(L, Gbar0, opts)
-            vb = _double_pole_general(L, Gbar0, opts)
-            assert va.outcome == vb.outcome
+            J = ns.full_rank_factor(L.G2).J
+            JtJ = J.T @ J
+            friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
+            va = _reduced_gain(L, Gbar0, J, np.zeros_like(L.G0),
+                               ns.Theorem.DOUBLE_POLE, "j", opts)
+            vb = _reduced_gain(L, Gbar0, ns.build_f_matrix(L), friction,
+                               ns.Theorem.DOUBLE_POLE_GENERAL, "f", opts)
+            assert (va.outcome, va.branch) == (vb.outcome, vb.branch)
 
     def test_gauge_invariance_of_conditions(self, rng, paper_irc):
         """Definiteness of Y' Gbar(0) Y and the projector reduction only

@@ -36,6 +36,18 @@ class TestClassifyNi:
         assert not rep.is_ni
         assert not rep.cond4_higher_order
 
+    def test_higher_order_origin_chains_fail(self):
+        # 1/s^5 passes conditions 1-3 (j(G - G*) = 2/w^5 > 0), so condition
+        # 4 must see s^-k coefficients beyond s^-3 and s^-4
+        for k in (4, 5, 6):
+            A = np.diag(np.ones(k - 1), 1)
+            B = np.zeros((k, 1))
+            B[-1, 0] = 1.0
+            C = np.zeros((1, k))
+            C[0, 0] = 1.0
+            rep = ns.classify_ni(ns.StateSpaceModel(A, B, C, [[0.0]]))
+            assert not rep.is_ni and not rep.cond4_higher_order, k
+
     def test_requires_minimal(self):
         m = ns.StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
                                [[1.0, 0.0]], [[0.0]])

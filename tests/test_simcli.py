@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ class TestRunAnalysis:
         json.dumps(out)
         assert out["schema_version"] == 1
 
+    def test_one_pass(self, arm_plant, paper_irc, monkeypatch):
+        """Each stage of the analysis runs once per report."""
+        names = ("classify_ni", "classify_sni", "laurent_coefficients",
+                 "direct_stability")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [mod for key, mod in sys.modules.items() if key.startswith("nistab.")]
+        for name in names:
+            fn = getattr(ns, name)
+            for mod in modules:
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+        rep = ns.run_analysis(arm_plant, paper_irc.realization)
+        assert rep.verdict.outcome is ns.Outcome.STABLE
+        assert calls == dict.fromkeys(names, 1)
+
     def test_ni_violating_plant_reported(self):
         plant = {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
         ctrl = {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}}
@@ -92,6 +115,15 @@ class TestCli:
         assert main(["stability", plant, ctrl]) == EXIT_OK
         out = capsys.readouterr().out
         assert "stable" in out
+
+    def test_printed_tolerances_are_those_used(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        assert main(["--json", "--tol", "1e-3", "stability", plant, ctrl]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"]["tolerances"]["boundary_band"] == 1e-3
+        assert data["tolerances"]["boundary_band"] == 1e-3
 
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
