@@ -187,9 +187,11 @@ def _laurent_numeric_limits(model: StateSpaceModel, r: float):
     avoid the real axis) is evaluated.  Unlike a fit extrapolated to s = 0,
     no node comes closer than r to a pole, and noise in G(s) reaches the
     s^k coefficient scaled by r^-k only.  Returns (G0, G1, G2, settle),
-    where settle is the largest |G_-k| / r^(k-2) for 3 <= k <= N/2, the size
-    of the s^-3 ... s^-16 coefficients in the units of G2; it vanishes for a
-    pole of order at most two.
+    where settle is max(|G_-3| r^-3, |G_-4| r^-4) over the largest |G(s_j)|:
+    the share of G on the circle that the s^-3 and s^-4 terms carry.  It
+    vanishes for a pole of order at most two, up to aliased terms of order
+    (r / R)^(N-4), and does not change when G is scaled in gain or
+    frequency.
     """
     N = 32
     nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
@@ -198,11 +200,9 @@ def _laurent_numeric_limits(model: StateSpaceModel, r: float):
     def coeff(k: int) -> np.ndarray:
         return (2.0 / N) * np.real(np.tensordot(nodes ** (-k), samples, axes=1))
 
-    # |G_-k| / r^(k-2) = r^2 |mean of G(s) (s / r)^k|, for all k at once
-    k = np.arange(3, N // 2 + 1)
-    phases = np.exp(1j * np.pi * np.outer(k, 2 * np.arange(N // 2) + 1) / N)
-    tail = np.real(phases @ samples.reshape(N // 2, -1))
-    settle = (2.0 / N) * r * r * np.max(np.linalg.norm(tail, axis=1))
+    size = max(np.linalg.norm(G) for G in samples)
+    tail = max(np.linalg.norm(coeff(-3)) / r ** 3, np.linalg.norm(coeff(-4)) / r ** 4)
+    settle = tail / size if size > 0 else 0.0
     return coeff(0), coeff(-1), coeff(-2), float(settle)
 
 

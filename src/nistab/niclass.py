@@ -13,10 +13,11 @@ admits free body motion) when
 Strictly negative imaginary (SNI) means no pole in Re(s) >= 0 and the strict
 inequality in 2.  Condition 2 is checked on a frequency grid, so the verdict
 is conservative: a grid can refute the property or support it, never prove
-the universally quantified statement.  Condition 4 reads the coefficients
-of s^-2 ... s^-16 in the Laurent series of G about the origin from
-trapezoidal contour integrals (``ltimodel._laurent_numeric_limits``, the
-cross-check route of ``freebody.laurent_coefficients``).
+the universally quantified statement.  Condition 4 reads the order of an
+origin pole off the Schur form of A restricted to its zero cluster, and
+lim s^2 G(s) from trapezoidal contour integrals of G about the origin
+(``ltimodel._laurent_numeric_limits``, the cross-check route of
+``freebody.laurent_coefficients``).
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, int]]
         else:
             clusters.append([w])
     return [(float(np.mean(c)), len(c)) for c in clusters]
+
+
+def _zero_cluster_block(A: np.ndarray, tol: float):
+    """Schur-based restriction of A to its near-zero eigenvalue cluster."""
+    if A.shape[0] == 0:
+        return np.zeros((0, 0)), 0
+    T, _Z, sdim = scipy.linalg.schur(
+        A, output="real", sort=lambda re, im: re * re + im * im > tol * tol
+    )
+    S0 = T[sdim:, sdim:]
+    return S0, A.shape[0] - sdim
 
 
 def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
@@ -289,24 +301,26 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
             reasons.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
 
     # condition 4: origin pole of order at most two with PSD s^2 G limit.
-    # The Laurent data come from the contour route of laurent_coefficients,
-    # on a third of the distance to the closest nonzero pole; its s^-3 ...
-    # s^-16 coefficients are the evidence of a higher-order origin pole.
+    # The order is structural: A restricted to its zero cluster must square
+    # to zero.  G2 comes from the contour route of laurent_coefficients, on
+    # a tenth of the distance R to the closest nonzero pole: only G2 is read
+    # here, and its error, aliased Taylor terms of G of relative size
+    # (r / R)^30 and rounding of size r^2 |G(s)|, falls with the radius r.
     G2 = None
     G2_def = None
     higher_ok = True
     ok4 = True
     if n_zero > 0:
-        nonzero = np.abs(eigs[np.abs(eigs) > atol])
-        radius = float(np.min(nonzero)) if nonzero.size else 10.0
-        G0n, G1n, G2n, settle = _laurent_numeric_limits(model, radius / 3.0)
-        scale = 1.0 + max(np.linalg.norm(M) for M in (G0n, G1n, G2n))
-        higher_ok = settle <= 1e-4 * scale
+        S0, n0 = _zero_cluster_block(model.A, atol)
+        nil_norm = np.linalg.norm(S0 @ S0, 2)
+        higher_ok = nil_norm <= atol * max(1.0, np.linalg.norm(S0, 2)) ** 2
         if not higher_ok:
             ok4 = False
             reasons.append("zero eigenvalue has a Jordan block of order >= 3")
         else:
-            G2 = G2n
+            nonzero = np.abs(eigs[np.abs(eigs) > atol])
+            radius = float(np.min(nonzero)) if nonzero.size else 10.0
+            G2 = _laurent_numeric_limits(model, radius / 10.0)[2]
             herm_defect = np.linalg.norm(G2 - G2.conj().T)
             G2r = 0.5 * np.real(G2 + G2.conj().T)
             G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))

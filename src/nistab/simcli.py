@@ -215,8 +215,7 @@ def run_analysis(plant_source, controller_source,
     ni = verdict.ni or classify_ni(G, opts.grid)
     sni = verdict.sni or classify_sni(Gbar, opts.grid)
     laurent = verdict.laurent
-    if laurent is None and G.strictly_proper() and ni.is_ni and (
-            ni.cond4_G2 is None or not sni.is_sni):
+    if laurent is None and G.strictly_proper() and ni.is_ni:
         try:
             laurent = laurent_coefficients(G)
         except NistabError:

@@ -116,11 +116,12 @@ class TestLaurent:
         np.testing.assert_allclose(L.G0, base.G0, atol=1e-8)
 
     def test_numeric_route_flags_triple_pole(self):
-        # G = 1/s^3: the s^-3 coefficient is 1, so the settle measure is 1/r
+        # G = 1/s^3: the s^-3 term is all of G on the circle, so the settle
+        # measure is 1
         triple = ns.StateSpaceModel(np.diag(np.ones(2), 1), [[0.0], [0.0], [1.0]],
                                     [[1.0, 0.0, 0.0]], [[0.0]])
         G0, G1, G2, settle = _laurent_numeric_limits(triple, 0.5)
-        assert settle == pytest.approx(2.0, rel=1e-12)
+        assert settle == pytest.approx(1.0, rel=1e-12)
         assert max(abs(G0[0, 0]), abs(G1[0, 0]), abs(G2[0, 0])) <= 1e-12
 
     def test_case_study_range_shortcut_not_applicable(self, arm_plant):
@@ -263,6 +264,28 @@ class TestStabilityVerdict:
         assert v.outcome is ns.Outcome.INCONCLUSIVE
         assert "LimitDivergentError" in v.reason and "failed to settle" in v.reason
         assert v.oracle_agrees is None and v.oracle_hurwitz is True
+
+    def test_fast_mode_beside_double_integrator_is_decisive(self):
+        # 1/s^2 + w^2/(s^2 + w^2): the contour route must not mistake the
+        # mode's aliased Taylor terms for a higher-order origin pole
+        for w in (1e3, 1e5):
+            A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, w], [0.0, 0.0, -w, 0.0]])
+            plant = ns.StateSpaceModel(A, [[0.0], [1.0], [0.0], [w]],
+                                       [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
+            L = ns.laurent_coefficients(plant)
+            np.testing.assert_allclose([L.G2[0, 0], L.G1[0, 0], L.G0[0, 0]],
+                                       [1.0, 0.0, 1.0], atol=1e-9)
+            v = ns.stability_verdict(plant, first_order_lag_minus(2.0),
+                                     VerdictOptions(run_oracle=True))
+            assert v.outcome is ns.Outcome.STABLE and v.oracle_agrees is True, w
+
+    def test_oracle_skipped_when_channel_counts_differ(self):
+        plant = ns.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])
+        ctrl = ns.StateSpaceModel(-np.eye(2), np.eye(2), np.eye(2), -2.0 * np.eye(2))
+        v = ns.stability_verdict(plant, ctrl, VerdictOptions(run_oracle=True))
+        assert v.outcome is ns.Outcome.PRECONDITION_FAILED
+        assert v.oracle_hurwitz is None and v.oracle_agrees is None
 
     def test_general_and_reduced_paths_agree_when_g1_zero(self, rng):
         """The Hankel-subspace route must reduce to the factor-of-G2 route."""

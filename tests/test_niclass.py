@@ -48,6 +48,30 @@ class TestClassifyNi:
             rep = ns.classify_ni(ns.StateSpaceModel(A, B, C, [[0.0]]))
             assert not rep.is_ni and not rep.cond4_higher_order, k
 
+    def test_higher_order_origin_pole_beside_fast_mode_fails(self):
+        # 1/s^5 + w^2/(s^2 + w^2): on the contour |s| = w/3 the s^-5 term is
+        # a share of about 3^5 / w^5 = 2e-8 of G, so the order must be read
+        # from the realization
+        w = 100.0
+        A = np.zeros((7, 7))
+        A[:4, 1:5] = np.eye(4)
+        A[5, 6], A[6, 5] = w, -w
+        B = np.zeros((7, 1))
+        B[4, 0], B[6, 0] = 1.0, w
+        C = np.zeros((1, 7))
+        C[0, 0] = C[0, 5] = 1.0
+        rep = ns.classify_ni(ns.StateSpaceModel(A, B, C, [[0.0]]))
+        assert not rep.is_ni and not rep.cond4_higher_order
+
+    def test_fast_mode_beside_double_integrator_is_ni(self):
+        for w in (1e3, 1e5):
+            A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, w], [0.0, 0.0, -w, 0.0]])
+            rep = ns.classify_ni(ns.StateSpaceModel(
+                A, [[0.0], [1.0], [0.0], [w]], [[1.0, 0.0, 1.0, 0.0]], [[0.0]]))
+            assert rep.is_ni and rep.cond4_higher_order, w
+            assert rep.cond4_G2[0, 0] == pytest.approx(1.0, rel=1e-6)
+
     def test_requires_minimal(self):
         m = ns.StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
                                [[1.0, 0.0]], [[0.0]])
