@@ -47,6 +47,7 @@ from .ltimodel import (            # noqa: F401
     StateSpaceModel,
     closed_loop,
     eval_tf,
+    freq_response,
     is_hurwitz,
     is_minimal,
     modal_to_ss,

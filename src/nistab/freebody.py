@@ -41,6 +41,7 @@ from .ircsynth import make_irc
 from .ltimodel import (
     ModalModel,
     StateSpaceModel,
+    _balance_radius,
     _laurent_numeric_limits,
     closed_loop,
     eval_tf,
@@ -48,7 +49,9 @@ from .ltimodel import (
     is_minimal,
     minimality_margin,
     modal_to_ss,
+    origin_pole_count,
     spectral_abscissa,
+    zero_eig_tol,
 )
 from .matrixcore import (
     classify_definiteness,
@@ -80,9 +83,6 @@ __all__ = [
     "random_ni_plant",
     "random_sni_controller",
 ]
-
-#: relative cutoff treating an eigenvalue of A as zero
-ZERO_EIG_RTOL = 1e-7
 
 #: ||Gi|| <= ZERO_COEFF_RTOL * (1 + ||G0||) counts as a vanishing coefficient
 ZERO_COEFF_RTOL = 1e-8
@@ -189,7 +189,7 @@ def to_block_diagonal(model: StateSpaceModel) -> BlockDiagonalRealization:
 
     n = model.n
     A = np.asarray(model.A)
-    ztol = ZERO_EIG_RTOL * max(1.0, np.linalg.norm(A, 2))
+    ztol = zero_eig_tol(A)
 
     S, Z, n1 = scipy.linalg.schur(
         A, output="real", sort=lambda re, im: re * re + im * im > ztol * ztol
@@ -293,9 +293,10 @@ def laurent_coefficients(model: StateSpaceModel,
     (G2 = C3a B3b, G1 = C2 B2 + C3a B3a + C3b B3b, G0 = -C1 A1^-1 B1); the
     secondary route, independent of that realization, takes the contour
     integrals of G(s) s^-k around the circle |s| = radius/3, where radius is
-    the modulus of the closest nonzero pole (see
-    ``ltimodel._laurent_numeric_limits``, which :func:`classify_ni` also uses
-    for condition 4).  The measured disagreement is stored on the result
+    the modulus of the closest nonzero pole, or on the smaller circle where
+    the G2/s^2 and G0 terms balance (see ``ltimodel._laurent_numeric_limits``
+    and ``_balance_radius``, which :func:`classify_ni` also uses for
+    condition 4).  The measured disagreement is stored on the result
     (typically below 1e-12).  The secondary route raises
     LimitDivergentError when its s^-3 and s^-4 terms carry more than
     ``SETTLE_RTOL`` of G on the circle; disagreement beyond 1e-3 raises
@@ -314,12 +315,15 @@ def laurent_coefficients(model: StateSpaceModel,
     if cross_check:
         # the Laurent series converges out to the closest nonzero pole; on a
         # third of that radius G0 ... G2 alias with terms of relative size
-        # 3^-30 or less, and the s^-3, s^-4 settle measure with 3^-28
+        # 3^-30 or less, and the s^-3, s^-4 settle measure with 3^-28.  A
+        # fast mode puts that circle where rounding of size eps r^2 ||G0||
+        # swamps G2, so the radius is capped at the balance point.
         if real.n1:
             radius = float(np.min(np.abs(np.linalg.eigvals(real.A1))))
         else:
             radius = 10.0
-        G0n, G1n, G2n, settle = _laurent_numeric_limits(model, radius / 3.0)
+        radius = min(radius / 3.0, _balance_radius(G2, G0))
+        G0n, G1n, G2n, settle = _laurent_numeric_limits(model, radius)
         if settle > SETTLE_RTOL:
             raise LimitDivergentError(
                 "numeric Laurent limits failed to settle (s^-3, s^-4 terms "
@@ -596,11 +600,9 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
             "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
 
     Gbar0 = eval_tf(Gbar, 0.0).real
-    ztol = ZERO_EIG_RTOL * max(1.0, np.linalg.norm(G.A, 2)) if G.n else 0.0
-    has_origin_pole = G.n > 0 and bool(
-        np.any(np.abs(np.linalg.eigvals(G.A)) <= ztol))
+    origin_poles = ni.origin_poles if ni is not None else origin_pole_count(G.A)
 
-    if not has_origin_pole:
+    if not origin_poles:
         G0 = eval_tf(G, 0.0).real
         conds = _Conditions(opts.boundary_band)
         eigs = np.linalg.eigvals(G0 @ Gbar0)

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import block_diag
 
 from .errors import DimensionError, IllPosedError, SingularAtSError
@@ -27,6 +28,7 @@ __all__ = [
     "ModalModel",
     "ClosedLoop",
     "eval_tf",
+    "freq_response",
     "is_minimal",
     "closed_loop",
     "is_hurwitz",
@@ -43,6 +45,9 @@ HURWITZ_MARGIN = 1e-8
 
 #: ||D|| at or below this counts as strictly proper
 STRICT_PROPER_TOL = 1e-10
+
+#: relative cutoff treating an eigenvalue of A, or its real part, as zero
+ZERO_EIG_RTOL = 1e-7
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -159,6 +164,27 @@ class ModalModel:
         return G
 
 
+def zero_eig_tol(A: np.ndarray) -> float:
+    """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
+
+    The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
+    ``freebody.to_block_diagonal``) and "a pole lies on the imaginary axis"
+    (``niclass``).
+    """
+    return ZERO_EIG_RTOL * max(1.0, np.linalg.norm(A, 2)) if A.size else ZERO_EIG_RTOL
+
+
+def origin_pole_count(A: np.ndarray, eigs: np.ndarray | None = None) -> int:
+    """Number of eigenvalues of A within :func:`zero_eig_tol` of the origin.
+
+    ``eigs`` may pass eigenvalues of A already computed by the caller.
+    """
+    if A.size == 0:
+        return 0
+    eigs = np.linalg.eigvals(A) if eigs is None else eigs
+    return int(np.sum(np.abs(eigs) <= zero_eig_tol(A)))
+
+
 def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
     """Evaluate G(s) = C (sI - A)^-1 B + D by linear solve.
 
@@ -174,6 +200,41 @@ def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularAtSError(f"sI - A singular at s = {s}") from exc
     return model.C @ X + model.D
+
+
+def freq_response(model: StateSpaceModel, s) -> np.ndarray:
+    """G(s_k) = C (s_k I - A)^-1 B + D at every point of ``s``, shape (K, m, m).
+
+    One complex Schur form A = Z T Z^H is taken per call; each point then
+    costs an O(n^2) back substitution with s_k I - T, done for all points at
+    once, row by row of T.  This is Laub's scheme (1981, IEEE TAC, "Efficient
+    multivariable frequency response computations") with the triangular
+    Schur factor in place of the Hessenberg one, which makes the per-point
+    solve a plain back substitution.
+
+    Raises
+    ------
+    SingularAtSError
+        If s_k I - T has an exactly zero pivot (s_k is an eigenvalue of A).
+    """
+    s = np.asarray(s, dtype=complex).ravel()
+    n, m, K = model.n, model.m, s.size
+    G = np.repeat(model.D.astype(complex)[None], K, axis=0)
+    if n == 0 or K == 0:
+        return G
+    T, Z = scipy.linalg.schur(model.A, output="complex")
+    Bt = Z.conj().T @ model.B
+    pivots = s[None, :] - np.diag(T)[:, None]
+    if not np.all(pivots):
+        k = int(np.flatnonzero(~np.all(pivots, axis=0))[0])
+        raise SingularAtSError(f"sI - A singular at s = {s[k]}")
+    # X[i] = (Bt[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]), one row per step
+    X = np.empty((n, K * m), dtype=complex)
+    for i in range(n - 1, -1, -1):
+        rhs = np.tile(Bt[i], K) + T[i, i + 1:] @ X[i + 1:]
+        X[i] = rhs / np.repeat(pivots[i], m)
+    G += np.tensordot(model.C @ Z, X.reshape(n, K, m), axes=(1, 0)).transpose(1, 0, 2)
+    return G
 
 
 def _laurent_numeric_limits(model: StateSpaceModel, r: float):
@@ -195,7 +256,7 @@ def _laurent_numeric_limits(model: StateSpaceModel, r: float):
     """
     N = 32
     nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
-    samples = np.stack([eval_tf(model, complex(s)) for s in nodes])
+    samples = freq_response(model, nodes)
 
     def coeff(k: int) -> np.ndarray:
         return (2.0 / N) * np.real(np.tensordot(nodes ** (-k), samples, axes=1))
@@ -206,21 +267,36 @@ def _laurent_numeric_limits(model: StateSpaceModel, r: float):
     return coeff(0), coeff(-1), coeff(-2), float(settle)
 
 
+def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
+    """sqrt(||G2|| / ||G0||), where the s^-2 and s^0 terms of G are equal.
+
+    Read on |s| = r, the contour G2 carries rounding of about
+    eps r^2 max |G(s)|, i.e. eps (||G2|| + r^2 ||G0||): beyond this radius
+    the second term wins and the error grows as r^2.  Infinite when G2 or G0
+    vanishes.
+    """
+    g2, g0 = np.linalg.norm(G2), np.linalg.norm(G0)
+    return float(np.sqrt(g2 / g0)) if g2 > 0.0 and g0 > 0.0 else np.inf
+
+
 def minimality_margin(model: StateSpaceModel) -> float:
     """Smallest eigenvalue-test singular value over its rank cutoff.
 
     Controllability and observability are checked per eigenvalue:
     rank [A - lambda I, B] = n and rank [A - lambda I; C'] = n for every
-    eigenvalue lambda.  This is numerically far better behaved than ranks of
-    the stacked Kalman matrices, whose high powers of A swamp the cutoff.
-    Values above 1 mean minimal.
+    eigenvalue lambda, taking one of each conjugate pair.  This is
+    numerically far better behaved than ranks of the stacked Kalman
+    matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
+    minimal.
     """
     n = model.n
     if n == 0:
         return np.inf
+    # A, B, C are real, so the test matrices at conj(lambda) are the complex
+    # conjugates of those at lambda and have the same singular values
     eigs = np.linalg.eigvals(model.A)
     margin = np.inf
-    for lam in eigs:
+    for lam in eigs[eigs.imag >= 0.0]:
         shifted = model.A - lam * np.eye(n)
         for M in (np.hstack([shifted, model.B]),
                   np.vstack([shifted, model.C])):

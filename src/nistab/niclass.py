@@ -13,11 +13,18 @@ admits free body motion) when
 Strictly negative imaginary (SNI) means no pole in Re(s) >= 0 and the strict
 inequality in 2.  Condition 2 is checked on a frequency grid, so the verdict
 is conservative: a grid can refute the property or support it, never prove
-the universally quantified statement.  Condition 4 reads the order of an
-origin pole off the Schur form of A restricted to its zero cluster, and
-lim s^2 G(s) from trapezoidal contour integrals of G about the origin
-(``ltimodel._laurent_numeric_limits``, the cross-check route of
-``freebody.laurent_coefficients``).
+the universally quantified statement.  G is evaluated on the whole grid from
+one Schur form of A (``ltimodel.freq_response``).  A point refutes the
+property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||); the
+floor costs an n x n SVD per point, so it is computed lazily, only at the
+points where it can change the test: for NI where min_eig is already below
+-COND2_RTOL (1 + ||G||), for SNI where it is already above the strict floor.
+Condition 4 reads the order of an origin pole off the Schur form of A
+restricted to its zero cluster, and lim s^2 G(s) from trapezoidal contour
+integrals of G about the origin (``ltimodel._laurent_numeric_limits``, the
+cross-check route of ``freebody.laurent_coefficients``).  Whether a pole is
+at the origin or on the imaginary axis is decided with the one tolerance
+``ltimodel.zero_eig_tol`` that ``freebody`` uses too.
 """
 
 from __future__ import annotations
@@ -28,7 +35,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
-from .ltimodel import StateSpaceModel, _laurent_numeric_limits, eval_tf, is_minimal
+from .ltimodel import (
+    StateSpaceModel,
+    _balance_radius,
+    _laurent_numeric_limits,
+    freq_response,
+    is_minimal,
+    origin_pole_count,
+    zero_eig_tol,
+)
 from .matrixcore import Definiteness, classify_definiteness
 
 __all__ = [
@@ -42,6 +57,9 @@ __all__ = [
 
 #: relative radius used to cluster eigenvalues onto a target imaginary pole
 POLE_CLUSTER_RTOL = 1e-7
+
+#: sweep points whose noise floor is found by one stacked SVD
+FLOOR_CHUNK = 64
 
 #: relative tolerance on the condition-2 eigenvalue sweep (NI, ">= 0")
 COND2_RTOL = 1e-7
@@ -97,6 +115,8 @@ class NiReport:
     cond4_definiteness: Definiteness | None
     cond4_higher_order: bool
     reasons: list = field(default_factory=list)
+    #: eigenvalues of A at the origin (``ltimodel.origin_pole_count``)
+    origin_poles: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -134,12 +154,6 @@ class SniReport:
         }
 
 
-def _axis_tol(A: np.ndarray) -> float:
-    if A.size == 0:
-        return POLE_CLUSTER_RTOL
-    return POLE_CLUSTER_RTOL * max(1.0, np.linalg.norm(A, 2))
-
-
 def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Positive-frequency imaginary-axis eigenvalue clusters (w0, count)."""
     axis = sorted(z.imag for z in eigs if abs(z.real) <= tol and z.imag > tol)
@@ -164,29 +178,37 @@ def _zero_cluster_block(A: np.ndarray, tol: float):
 
 
 def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
-    """Per-frequency minimum eigenvalue of j(G - G*), with a noise floor.
+    """Minimum eigenvalue of j(G - G*) and ||G||_2 at every sweep frequency.
 
-    The floor is the forward-error bound of the resolvent solve,
-    ~ eps * cond(jwI - A) * ||G||: near a pole of an ill-conditioned
-    realization the asymmetric part of the evaluated G is dominated by that
-    noise, and only violations above it are evidence against the property.
+    G comes from one :func:`ltimodel.freq_response` call over the whole
+    grid, and the eigenvalues and norms are taken for all points at once.
+    The noise floor that a violation must clear is not computed here but by
+    :func:`_noise_floor`, and only at the points where it can change the
+    caller's test.
     """
-    eps = np.finfo(float).eps
-    out = []
-    for w in omegas:
-        G = eval_tf(model, 1j * w)
-        M = 1j * (G - G.conj().T)
-        me = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
-        if model.n:
-            sv = np.linalg.svd(1j * w * np.eye(model.n) - model.A,
-                               compute_uv=False)
-            kappa = sv[0] / max(sv[-1], 1e-300)
-        else:
-            kappa = 1.0
-        norm = float(np.linalg.norm(G, 2))
-        floor = 200.0 * eps * kappa * (1.0 + norm)
-        out.append((float(w), me, norm, floor))
-    return out
+    G = freq_response(model, 1j * omegas)
+    M = 1j * (G - G.conj().transpose(0, 2, 1))
+    min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
+    norm = np.linalg.svd(G, compute_uv=False)[:, 0]
+    return min_eig, norm
+
+
+def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
+    """200 eps cond2(jwI - A) (1 + ||G||), the sweep's noise floor, at ``omegas``.
+
+    It bounds the forward error of the resolvent solve: near a pole of an
+    ill-conditioned realization the asymmetric part of the evaluated G is
+    dominated by that noise, and only violations above it are evidence
+    against the property.  The condition numbers come from stacked SVDs of
+    FLOOR_CHUNK points each.
+    """
+    kappa = np.ones(omegas.size)
+    if model.n:
+        for k in range(0, omegas.size, FLOOR_CHUNK):
+            jw = 1j * omegas[k:k + FLOOR_CHUNK, None, None]
+            sv = np.linalg.svd(jw * np.eye(model.n) - model.A, compute_uv=False)
+            kappa[k:k + FLOOR_CHUNK] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
+    return 200.0 * np.finfo(float).eps * kappa * (1.0 + norms)
 
 
 def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
@@ -252,7 +274,7 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         raise NotMinimalError("classify_ni requires a minimal realization")
     grid = grid or FrequencyGrid()
     reasons: list[str] = []
-    atol = _axis_tol(model.A)
+    atol = zero_eig_tol(model.A)
     eigs = np.linalg.eigvals(model.A)
 
     # condition 1: no pole in the open right half plane
@@ -262,13 +284,17 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         reasons.append(f"{len(rhp)} pole(s) with positive real part")
 
     clusters = _axis_pole_clusters(eigs, atol)
-    n_zero = int(np.sum(np.abs(eigs) <= atol))
+    n_zero = origin_pole_count(model.A, eigs)
 
-    # condition 2: frequency sweep
-    sweep = _sweep_min_eigs(model, grid.build(tuple(w for w, _ in clusters)))
-    cond2 = [(w, me) for (w, me, _n, _f) in sweep]
-    viol = [(w, me) for (w, me, nrm, floor) in sweep
-            if me < -max(COND2_RTOL * (1.0 + nrm), floor)]
+    # condition 2: frequency sweep; a point violates it when min_eig is below
+    # both -COND2_RTOL (1 + ||G||) and minus the noise floor, so the floor is
+    # needed only where the first test fails
+    omegas = grid.build(tuple(w for w, _ in clusters))
+    min_eig, norm = _sweep_min_eigs(model, omegas)
+    cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
+    cand = np.flatnonzero(min_eig < -COND2_RTOL * (1.0 + norm))
+    floor = _noise_floor(model, omegas[cand], norm[cand])
+    viol = [cond2[k] for k, f in zip(cand, floor) if cond2[k][1] < -f]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
     if not ok2:
@@ -305,7 +331,10 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     # to zero.  G2 comes from the contour route of laurent_coefficients, on
     # a tenth of the distance R to the closest nonzero pole: only G2 is read
     # here, and its error, aliased Taylor terms of G of relative size
-    # (r / R)^30 and rounding of size r^2 |G(s)|, falls with the radius r.
+    # (r / R)^30 and rounding of size eps r^2 max |G(s)|, falls with the
+    # radius r.  Past the balance point r^2 = ||G2|| / ||G0|| the rounding
+    # is eps ||G0|| r^2 and no longer eps ||G2||, so when a fast mode puts
+    # R / 10 beyond it, G2 is read again at the balance point.
     G2 = None
     G2_def = None
     higher_ok = True
@@ -319,8 +348,11 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
             reasons.append("zero eigenvalue has a Jordan block of order >= 3")
         else:
             nonzero = np.abs(eigs[np.abs(eigs) > atol])
-            radius = float(np.min(nonzero)) if nonzero.size else 10.0
-            G2 = _laurent_numeric_limits(model, radius / 10.0)[2]
+            radius = float(np.min(nonzero)) / 10.0 if nonzero.size else 1.0
+            G0, _G1, G2, _settle = _laurent_numeric_limits(model, radius)
+            balance = _balance_radius(G2, G0)
+            if balance < radius:
+                G2 = _laurent_numeric_limits(model, balance)[2]
             herm_defect = np.linalg.norm(G2 - G2.conj().T)
             G2r = 0.5 * np.real(G2 + G2.conj().T)
             G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))
@@ -341,6 +373,7 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         cond4_definiteness=G2_def,
         cond4_higher_order=bool(higher_ok),
         reasons=reasons,
+        origin_poles=n_zero,
     )
 
 
@@ -348,7 +381,7 @@ def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> S
     """Test the SNI conditions: Hurwitz poles and strict positivity on the sweep."""
     grid = grid or FrequencyGrid()
     reasons: list[str] = []
-    atol = _axis_tol(model.A)
+    atol = zero_eig_tol(model.A)
     eigs = np.linalg.eigvals(model.A) if model.n else np.array([])
 
     closed_rhp = [z for z in eigs if z.real >= -atol]
@@ -360,11 +393,16 @@ def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> S
     worst = None
     ok2 = True
     if ok1:
-        sweep = _sweep_min_eigs(model, grid.build())
-        cond2 = [(w, me) for (w, me, _n, _f) in sweep]
+        # a point fails when min_eig is at or below the strict floor or the
+        # noise floor, so the noise floor is needed only above the first
+        omegas = grid.build()
+        min_eig, norm = _sweep_min_eigs(model, omegas)
+        cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-        bad = [(w, me) for (w, me, nrm, floor) in sweep
-               if me <= max(SNI_STRICT_FLOOR * (1.0 + nrm), floor)]
+        fails = min_eig <= SNI_STRICT_FLOOR * (1.0 + norm)
+        rest = np.flatnonzero(~fails)
+        fails[rest] = min_eig[rest] <= _noise_floor(model, omegas[rest], norm[rest])
+        bad = [cond2[k] for k in np.flatnonzero(fails)]
         ok2 = not bad
         if not ok2:
             w, me = min(bad, key=lambda t: t[1])

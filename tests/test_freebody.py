@@ -280,6 +280,39 @@ class TestStabilityVerdict:
                                      VerdictOptions(run_oracle=True))
             assert v.outcome is ns.Outcome.STABLE and v.oracle_agrees is True, w
 
+    def test_faster_modes_beside_double_integrator_are_decisive(self):
+        # read on a third of w, the contour G2 carried rounding of size
+        # eps (w / 3)^2 |G0| and disagreed with the realization by 1e-3
+        for w in (2e6, 3e6):
+            mm = ns.ModalModel(m=1, terms=((w, [[w * w]]),), g2=[[1.0]])
+            plant = ns.modal_to_ss(mm)
+            L = ns.laurent_coefficients(plant)
+            assert L.agreement <= 1e-9, w
+            v = ns.stability_verdict(plant, first_order_lag_minus(2.0),
+                                     VerdictOptions(run_oracle=True))
+            assert v.outcome is ns.Outcome.STABLE and v.oracle_agrees is True, w
+
+    def test_ni_report_and_verdict_agree_on_free_body_motion(self, rng, monkeypatch):
+        reports = []
+        for trial in range(2 * len(_FAMILIES)):
+            family = _FAMILIES[trial % len(_FAMILIES)]
+            trng = np.random.default_rng(rng.integers(0, 2 ** 63))
+            plant, _ = random_ni_plant(trng, family)
+            ctrl = random_sni_controller(trng, plant.m).realization
+            unchecked = ns.stability_verdict(plant, ctrl, VerdictOptions(skip_ni_check=True))
+            reports.append((family, plant, ctrl, unchecked))
+        # with an NI report at hand the verdict reads the origin poles off it
+        monkeypatch.setattr(ns.freebody, "origin_pole_count", None)
+        for family, plant, ctrl, unchecked in reports:
+            v = ns.stability_verdict(plant, ctrl)
+            free_body = v.ni.origin_poles > 0
+            assert free_body == (family != "dc_gain")
+            assert free_body == (v.ni.cond4_G2 is not None)
+            for verdict in (v, unchecked):
+                if verdict.theorem_used is not ns.Theorem.NONE:
+                    assert free_body == (verdict.theorem_used is not ns.Theorem.DC_GAIN)
+            assert v.to_dict() == unchecked.to_dict()
+
     def test_oracle_skipped_when_channel_counts_differ(self):
         plant = ns.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])
         ctrl = ns.StateSpaceModel(-np.eye(2), np.eye(2), np.eye(2), -2.0 * np.eye(2))

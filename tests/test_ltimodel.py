@@ -165,3 +165,105 @@ class TestJsonFormat:
     def test_rejects_bool_entries(self):
         with pytest.raises(DimensionError):
             ns.model_from_dict({"A": [[True]], "B": [[1.0]], "C": [[1.0]]})
+
+
+def _conditioned_transform(rng, n, cond):
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ V.T
+
+
+def _assert_matches_eval_tf(model, s, rtol=1e-9):
+    got = ns.freq_response(model, s)
+    assert got.shape == (len(s), model.m, model.m)
+    for Gk, sk in zip(got, s):
+        ref = ns.eval_tf(model, sk)
+        assert np.linalg.norm(Gk - ref) <= rtol * max(1.0, np.linalg.norm(ref)), sk
+
+
+class TestFreqResponse:
+    def test_static_model(self):
+        D = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D)
+        np.testing.assert_array_equal(ns.freq_response(m, [1j, 2.0, -3.0]),
+                                      np.stack([D, D, D]))
+
+    def test_jordan_origin_blocks(self, rng, arm_plant):
+        s = np.concatenate([1j * np.geomspace(1e-3, 1e4, 50),
+                            rng.normal(size=10) + 1j * rng.normal(size=10)])
+        _assert_matches_eval_tf(double_integrator(), s)
+        _assert_matches_eval_tf(arm_plant, s)
+        for family in ("double", "mixed", "single"):
+            model, _ = ns.random_ni_plant(np.random.default_rng(3), family)
+            _assert_matches_eval_tf(model, s)
+
+    def test_ill_conditioned_similarity(self, rng, arm_plant):
+        # below 0.5 rad/s the arm's double pole leaves both evaluations of
+        # the transformed model off the exact value by up to 3e-8
+        lossless, _ = ns.random_ni_plant(np.random.default_rng(5), "dc_gain")
+        for model, wmin in ((arm_plant, 0.5), (lossless, 1e-3)):
+            s = 1j * np.geomspace(wmin, 1e3, 40)
+            for _ in range(5):
+                T = _conditioned_transform(rng, model.n, 1e3)
+                _assert_matches_eval_tf(ns.similarity_transform(model, T), s)
+
+    def test_bracket_points_beside_axis_poles(self, arm_plant):
+        grid = ns.FrequencyGrid()
+        eigs = np.linalg.eigvals(arm_plant.A)
+        poles = tuple(sorted({round(z.imag, 9) for z in eigs if z.imag > 1e-6}))
+        w = grid.build(poles)
+        near = [x for x in w
+                if any(abs(x - p) <= 2.0 * grid.guard * max(1.0, p) * 1.0001 for p in poles)]
+        assert len(near) >= 2 * len(poles)
+        _assert_matches_eval_tf(arm_plant, 1j * np.array(near))
+
+    def test_singular_at_eigenvalue(self):
+        with pytest.raises(SingularAtSError):
+            ns.freq_response(double_integrator(), [1j, 0.0])
+        lag = ns.StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [1.0]],
+                                 [[1.0, 1.0]], [[0.0]])
+        with pytest.raises(SingularAtSError):
+            ns.freq_response(lag, [-2.0])
+
+
+def _margin_every_eigenvalue(model):
+    """The PBH margin taken at every eigenvalue, conjugates included."""
+    n = model.n
+    margin = np.inf
+    for lam in np.linalg.eigvals(model.A):
+        shifted = model.A - lam * np.eye(n)
+        for M in (np.hstack([shifted, model.B]), np.vstack([shifted, model.C])):
+            sv = np.linalg.svd(M, compute_uv=False)
+            cutoff = max(M.shape) * np.finfo(float).eps * max(sv[0], 1e-300)
+            margin = min(margin, sv[n - 1] / cutoff)
+    return float(margin)
+
+
+class TestMinimalityMargin:
+    def test_conjugate_pairs_skipped_without_changing_margin(self, rng):
+        from nistab.freebody import _FAMILIES
+        from nistab.ltimodel import minimality_margin
+
+        for trial in range(48):
+            model, _ = ns.random_ni_plant(
+                np.random.default_rng(rng.integers(0, 2 ** 63)),
+                _FAMILIES[trial % len(_FAMILIES)])
+            if trial % 3 == 0:
+                T = np.eye(model.n) + 0.3 * rng.normal(size=(model.n,) * 2)
+                model = ns.similarity_transform(model, T)
+            assert minimality_margin(model) == pytest.approx(
+                _margin_every_eigenvalue(model), rel=1e-9)
+
+    def test_random_plant_draws_unchanged(self):
+        from nistab.freebody import _FAMILIES, _draw_ni_plant
+
+        for seed in range(40):
+            family = _FAMILIES[seed % len(_FAMILIES)]
+            ref_rng = np.random.default_rng(seed)
+            for _ in range(50):
+                ref, _mm = _draw_ni_plant(ref_rng, family)
+                if _margin_every_eigenvalue(ref) > 50.0:
+                    break
+            got, _mm = ns.random_ni_plant(np.random.default_rng(seed), family)
+            for M, R in ((got.A, ref.A), (got.B, ref.B), (got.C, ref.C)):
+                np.testing.assert_array_equal(M, R)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nistab as ns
 from nistab.errors import NotAPoleError, NotMinimalError, NotSimplePoleError
@@ -71,6 +72,44 @@ class TestClassifyNi:
                 A, [[0.0], [1.0], [0.0], [w]], [[1.0, 0.0, 1.0, 0.0]], [[0.0]]))
             assert rep.is_ni and rep.cond4_higher_order, w
             assert rep.cond4_G2[0, 0] == pytest.approx(1.0, rel=1e-6)
+
+    def test_fast_mode_beside_partial_double_integrator_is_ni(self):
+        # diag(1, 0)/s^2 + [1 1; 1 1] w^2/(s^2 + w^2): minimal and NI; read on
+        # a tenth of w, the contour G2 drowned in rounding of size eps r^2 |G0|
+        for w in (3e6, 1e7):
+            mm = ns.ModalModel(m=2, terms=((w, w * w * np.ones((2, 2))),),
+                               g2=np.diag([1.0, 0.0]))
+            rep = ns.classify_ni(ns.modal_to_ss(mm))
+            assert rep.is_ni, (w, rep.reasons)
+            np.testing.assert_allclose(np.real(rep.cond4_G2), np.diag([1.0, 0.0]),
+                                       atol=1e-9)
+
+    def test_sweep_noise_under_floor_is_not_a_violation(self):
+        # a lossless plant has j(G - G*) = 0 off its poles; in a realization
+        # with cond(T) = 1e4 the evaluated value falls below
+        # -COND2_RTOL (1 + ||G||) beside the poles, but not below the floor
+        from nistab.niclass import COND2_RTOL
+
+        mm = ns.ModalModel(m=1, terms=((1.0, [[1.0]]), (3.0, [[2.0]]), (10.0, [[5.0]])))
+        lossless = ns.modal_to_ss(mm)
+        # the same modes beside -0.1/(s + 1), a genuine violation of condition 2
+        lossy = ns.StateSpaceModel(
+            scipy.linalg.block_diag(lossless.A, [[-1.0]]),
+            np.vstack([lossless.B, [[1.0]]]), np.hstack([lossless.C, [[-0.1]]]),
+            [[0.0]])
+        rng = np.random.default_rng(0)
+        for model, is_ni in ((lossless, True), (lossy, False)):
+            n = model.n
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            T = U @ np.diag(np.geomspace(1.0, 1e-4, n)) @ V.T
+            scrambled = ns.similarity_transform(model, T)
+            rep = ns.classify_ni(scrambled)
+            assert rep.is_ni is is_ni, rep.reasons
+            under = [me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(scrambled, 1j * w), 2))
+                     for w, me in rep.cond2_min_eig_by_freq]
+            assert min(under) < 0.0
+        assert any("j(G - G*) has eigenvalue" in r for r in rep.reasons)
 
     def test_requires_minimal(self):
         m = ns.StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
