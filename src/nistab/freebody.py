@@ -43,15 +43,14 @@ from .ltimodel import (
     StateSpaceModel,
     _balance_radius,
     _laurent_numeric_limits,
+    _spectral,
     closed_loop,
     eval_tf,
     is_hurwitz,
-    is_minimal,
     minimality_margin,
     modal_to_ss,
     origin_pole_count,
     spectral_abscissa,
-    zero_eig_tol,
 )
 from .matrixcore import (
     classify_definiteness,
@@ -184,16 +183,13 @@ def to_block_diagonal(model: StateSpaceModel) -> BlockDiagonalRealization:
     """
     if not model.strictly_proper():
         raise NotStrictlyProperError("block-diagonal form requires D = 0")
-    if not is_minimal(model):
+    spec = _spectral(model)
+    if not spec.minimal:
         raise NotMinimalError("block-diagonal form requires a minimal realization")
 
     n = model.n
-    A = np.asarray(model.A)
-    ztol = zero_eig_tol(A)
-
-    S, Z, n1 = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: re * re + im * im > ztol * ztol
-    )
+    ztol = spec.ztol
+    S, Z, n1 = spec.zero_split
     n0 = n - n1
     S1, S12, S0 = S[:n1, :n1], S[:n1, n1:], S[n1:, n1:]
 
@@ -246,7 +242,7 @@ def to_block_diagonal(model: StateSpaceModel) -> BlockDiagonalRealization:
 
     # the exact-zero clipping above must not have moved the transfer matrix
     rng = np.random.default_rng(0)
-    scale = max(1.0, np.linalg.norm(A, 2))
+    scale = max(1.0, spec.norm2)
     clipped = real.to_model()
     for _ in range(4):
         s = complex(rng.normal(), rng.normal()) * scale + 0.5 * scale * (1 + 1j)
@@ -302,7 +298,8 @@ def laurent_coefficients(model: StateSpaceModel,
     ``SETTLE_RTOL`` of G on the circle; disagreement beyond 1e-3 raises
     NistabError.
     """
-    real = to_block_diagonal(model)
+    spec = _spectral(model)
+    real = to_block_diagonal(spec)
     G2 = real.C3a @ real.B3b
     G1 = real.C2 @ real.B2 + real.C3a @ real.B3a + real.C3b @ real.B3b
     if real.n1 > 0:
@@ -318,12 +315,10 @@ def laurent_coefficients(model: StateSpaceModel,
         # 3^-30 or less, and the s^-3, s^-4 settle measure with 3^-28.  A
         # fast mode puts that circle where rounding of size eps r^2 ||G0||
         # swamps G2, so the radius is capped at the balance point.
-        if real.n1:
-            radius = float(np.min(np.abs(np.linalg.eigvals(real.A1))))
-        else:
-            radius = 10.0
+        nonzero = np.abs(spec.eigs[np.abs(spec.eigs) > spec.ztol])
+        radius = float(np.min(nonzero)) if nonzero.size else 10.0
         radius = min(radius / 3.0, _balance_radius(G2, G0))
-        G0n, G1n, G2n, settle = _laurent_numeric_limits(model, radius)
+        G0n, G1n, G2n, settle = _laurent_numeric_limits(spec, radius)
         if settle > SETTLE_RTOL:
             raise LimitDivergentError(
                 "numeric Laurent limits failed to settle (s^-3, s^-4 terms "
@@ -577,6 +572,8 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     :func:`direct_stability`.
     """
     opts = opts or VerdictOptions()
+    # one record of the plant's spectral data, shared by every stage below
+    G = _spectral(G)
     ni = sni = None
     if not opts.skip_ni_check:
         ni = classify_ni(G, opts.grid)
@@ -600,7 +597,7 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
             "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
 
     Gbar0 = eval_tf(Gbar, 0.0).real
-    origin_poles = ni.origin_poles if ni is not None else origin_pole_count(G.A)
+    origin_poles = ni.origin_poles if ni is not None else origin_pole_count(G)
 
     if not origin_poles:
         G0 = eval_tf(G, 0.0).real

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +52,8 @@ ZERO_EIG_RTOL = 1e-7
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    M = np.asarray(x, dtype=float)
+    """A float64 copy of ``x``: a model owns its arrays and may freeze them."""
+    M = np.array(x, dtype=float)
     if M.ndim == 1:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
@@ -164,25 +166,70 @@ class ModalModel:
         return G
 
 
-def zero_eig_tol(A: np.ndarray) -> float:
-    """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
+class _Spectral(StateSpaceModel):
+    """A model with the spectral data of its A, each part taken on first need.
 
-    The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
-    ``freebody.to_block_diagonal``) and "a pole lies on the imaginary axis"
-    (``niclass``).
+    A record lives for one public call: ``freebody.stability_verdict`` builds
+    one for the plant and passes it, as the model, to every stage, so the NI
+    test, the Laurent routes and the sweep share one complex Schur form, one
+    ||A||_2, one zero split and one PBH test.  A public function handed a
+    plain model builds a record of its own (:func:`_spectral`); nothing is
+    kept on the caller's model.
     """
-    return ZERO_EIG_RTOL * max(1.0, np.linalg.norm(A, 2)) if A.size else ZERO_EIG_RTOL
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur form (T, Z), A = Z T Z^H."""
+        return scipy.linalg.schur(self.A, output="complex")
+
+    @cached_property
+    def eigs(self) -> np.ndarray:
+        """Eigenvalues of A, the diagonal of T: the one eigenvalue source of the
+        NI tests and the Laurent routes (the PBH test takes its own, see
+        :func:`minimality_margin`)."""
+        return np.diag(self.schur[0])
+
+    @cached_property
+    def norm2(self) -> float:
+        return float(np.linalg.norm(self.A, 2))
+
+    @cached_property
+    def ztol(self) -> float:
+        """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
+
+        The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
+        :attr:`zero_split`) and "a pole lies on the imaginary axis"
+        (``niclass``).
+        """
+        return ZERO_EIG_RTOL * max(1.0, self.norm2)
+
+    @cached_property
+    def zero_split(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Real Schur form (S, Z, n1) with the n1 eigenvalues beyond ``ztol`` first.
+
+        S[n1:, n1:] is A restricted to its zero cluster, whose order tests
+        ``niclass`` condition 4 and ``freebody.to_block_diagonal`` read.
+        """
+        tol2 = self.ztol * self.ztol
+        return scipy.linalg.schur(self.A, output="real",
+                                  sort=lambda re, im: re * re + im * im > tol2)
+
+    @cached_property
+    def minimal(self) -> bool:
+        return is_minimal(self)
 
 
-def origin_pole_count(A: np.ndarray, eigs: np.ndarray | None = None) -> int:
-    """Number of eigenvalues of A within :func:`zero_eig_tol` of the origin.
+def _spectral(model: StateSpaceModel) -> _Spectral:
+    """``model`` itself if it is a record already, else a new record of it."""
+    if isinstance(model, _Spectral):
+        return model
+    return _Spectral(model.A, model.B, model.C, model.D, model.name)
 
-    ``eigs`` may pass eigenvalues of A already computed by the caller.
-    """
-    if A.size == 0:
-        return 0
-    eigs = np.linalg.eigvals(A) if eigs is None else eigs
-    return int(np.sum(np.abs(eigs) <= zero_eig_tol(A)))
+
+def origin_pole_count(model: StateSpaceModel) -> int:
+    """Number of eigenvalues of A within ``ztol`` of the origin."""
+    spec = _spectral(model)
+    return int(np.sum(np.abs(spec.eigs) <= spec.ztol))
 
 
 def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
@@ -222,7 +269,7 @@ def freq_response(model: StateSpaceModel, s) -> np.ndarray:
     G = np.repeat(model.D.astype(complex)[None], K, axis=0)
     if n == 0 or K == 0:
         return G
-    T, Z = scipy.linalg.schur(model.A, output="complex")
+    T, Z = _spectral(model).schur
     Bt = Z.conj().T @ model.B
     pivots = s[None, :] - np.diag(T)[:, None]
     if not np.all(pivots):
@@ -293,7 +340,9 @@ def minimality_margin(model: StateSpaceModel) -> float:
     if n == 0:
         return np.inf
     # A, B, C are real, so the test matrices at conj(lambda) are the complex
-    # conjugates of those at lambda and have the same singular values
+    # conjugates of those at lambda and have the same singular values.  The
+    # eigenvalues come from a real eigensolver, not from a complex Schur
+    # diagonal, so that each conjugate pair is exact and tested once
     eigs = np.linalg.eigvals(model.A)
     margin = np.inf
     for lam in eigs[eigs.imag >= 0.0]:

@@ -19,12 +19,19 @@ property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||); the
 floor costs an n x n SVD per point, so it is computed lazily, only at the
 points where it can change the test: for NI where min_eig is already below
 -COND2_RTOL (1 + ||G||), for SNI where it is already above the strict floor.
-Condition 4 reads the order of an origin pole off the Schur form of A
-restricted to its zero cluster, and lim s^2 G(s) from trapezoidal contour
-integrals of G about the origin (``ltimodel._laurent_numeric_limits``, the
-cross-check route of ``freebody.laurent_coefficients``).  Whether a pole is
-at the origin or on the imaginary axis is decided with the one tolerance
-``ltimodel.zero_eig_tol`` that ``freebody`` uses too.
+
+Every eigenvalue of A is read off the diagonal of that one complex Schur
+form A = Z T Z^H, held with the rest of A's spectral data by the per-call
+record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
+an index set on diag(T): the cluster is moved to the top of T and decoupled
+by a triangular Sylvester solve, O(n^2) per cluster.  Condition 4 reads the
+order of an origin pole off the record's real Schur split of the zero
+cluster (the split ``freebody.to_block_diagonal`` uses), and lim s^2 G(s)
+from trapezoidal contour integrals of G about the origin
+(``ltimodel._laurent_numeric_limits``, the cross-check route of
+``freebody.laurent_coefficients``).  Whether a pole is at the origin or on
+the imaginary axis is decided with the one tolerance ``_Spectral.ztol`` that
+``freebody`` uses too.
 """
 
 from __future__ import annotations
@@ -32,17 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
 from .ltimodel import (
     StateSpaceModel,
     _balance_radius,
     _laurent_numeric_limits,
+    _spectral,
+    _Spectral,
     freq_response,
-    is_minimal,
     origin_pole_count,
-    zero_eig_tol,
 )
 from .matrixcore import Definiteness, classify_definiteness
 
@@ -154,27 +161,18 @@ class SniReport:
         }
 
 
-def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Positive-frequency imaginary-axis eigenvalue clusters (w0, count)."""
-    axis = sorted(z.imag for z in eigs if abs(z.real) <= tol and z.imag > tol)
-    clusters: list[list[float]] = []
-    for w in axis:
-        if clusters and abs(w - clusters[-1][-1]) <= POLE_CLUSTER_RTOL * max(1.0, w):
-            clusters[-1].append(w)
+def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
+    """Positive-frequency imaginary-axis eigenvalue clusters (w0, indices into eigs)."""
+    axis = np.flatnonzero((np.abs(eigs.real) <= tol) & (eigs.imag > tol))
+    axis = axis[np.argsort(eigs.imag[axis], kind="stable")]
+    clusters: list[list[int]] = []
+    for i in axis:
+        w = eigs.imag[i]
+        if clusters and abs(w - eigs.imag[clusters[-1][-1]]) <= POLE_CLUSTER_RTOL * max(1.0, w):
+            clusters[-1].append(i)
         else:
-            clusters.append([w])
-    return [(float(np.mean(c)), len(c)) for c in clusters]
-
-
-def _zero_cluster_block(A: np.ndarray, tol: float):
-    """Schur-based restriction of A to its near-zero eigenvalue cluster."""
-    if A.shape[0] == 0:
-        return np.zeros((0, 0)), 0
-    T, _Z, sdim = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: re * re + im * im > tol * tol
-    )
-    S0 = T[sdim:, sdim:]
-    return S0, A.shape[0] - sdim
+            clusters.append([i])
+    return [(float(np.mean(eigs.imag[c])), np.array(c)) for c in clusters]
 
 
 def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
@@ -211,15 +209,46 @@ def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
     return 200.0 * np.finfo(float).eps * kappa * (1.0 + norms)
 
 
+def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndarray:
+    """K = j C P B, P the spectral projector of the eigenvalues diag(T)[idx] near jw0.
+
+    The cluster is moved to the top of the one Schur form A = Z T Z^H
+    (LAPACK ztrsen), T = [[T11, T12], [0, T22]], and decoupled by the
+    triangular Sylvester solve T11 X - X T22 = T12 (ztrsyl), which gives
+    P = Z1 [I X] Z^H with Z1 the leading columns of the reordered Z: O(n^2)
+    work beside the shared O(n^3) Schur form.
+
+    Raises
+    ------
+    NotSimplePoleError
+        If the cluster is defective (a Jordan block of size two or more).
+    """
+    T, Z = spec.schur
+    k = idx.size
+    select = np.zeros(spec.n, dtype=np.int32)
+    select[idx] = 1
+    T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    # semisimple cluster of one eigenvalue <=> T11 is (numerically) scalar
+    lam_bar = np.trace(T11) / k
+    defect = np.linalg.norm(T11 - lam_bar * np.eye(k))
+    if defect > 1e-6 * max(1.0, spec.norm2):
+        raise NotSimplePoleError(
+            f"pole at j*{omega0} is defective (Jordan structure of size >= 2)")
+    Bt = Z.conj().T @ spec.B
+    X, scale, _info = lapack.ztrsyl(T11, T22, T12, isgn=-1)
+    return 1j * (spec.C @ Z[:, :k]) @ (Bt[:k] + (X / scale) @ Bt[k:])
+
+
 def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     """Residue K = lim_{s->jw0} (s - jw0) j G(s) at a simple pole jw0, w0 > 0.
 
     The pole is simple when the eigenvalue cluster of A at jw0 is semisimple
     (algebraic multiplicity equals geometric multiplicity); the cluster may
     hold several eigenvalues, as happens for modal systems whose coefficient
-    matrix at that mode has rank above one.  K = j C P B with P the spectral
-    projector of the whole cluster, obtained from a sorted complex Schur form
-    and one Sylvester solve.
+    matrix at that mode has rank above one.  The cluster is every eigenvalue
+    on the Schur diagonal of A within POLE_CLUSTER_RTOL max(1, w0) of jw0,
+    and K = j C P B with P its spectral projector (:func:`_cluster_residue`).
 
     Raises
     ------
@@ -231,34 +260,13 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     if omega0 <= 0.0:
         raise NotAPoleError("omega0 must be positive")
     radius = POLE_CLUSTER_RTOL * max(1.0, abs(omega0))
-    target = 1j * omega0
-
-    lam = np.linalg.eigvals(model.A)
-    dist = np.abs(lam - target)
+    spec = _spectral(model)
+    dist = np.abs(spec.eigs - 1j * omega0)
     if dist.min() > radius:
         raise NotAPoleError(
             f"no pole within {radius:.2e} of j*{omega0}; nearest at distance {dist.min():.2e}"
         )
-    T, Z, sdim = scipy.linalg.schur(
-        model.A.astype(complex), output="complex",
-        sort=lambda z: abs(z - target) <= radius,
-    )
-    if sdim == 0:
-        raise NotAPoleError(f"no pole within {radius:.2e} of j*{omega0}")
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    # semisimple cluster of one eigenvalue <=> T11 is (numerically) scalar
-    lam_bar = np.trace(T11) / sdim
-    defect = np.linalg.norm(T11 - lam_bar * np.eye(sdim))
-    if defect > 1e-6 * max(1.0, np.linalg.norm(model.A, 2)):
-        raise NotSimplePoleError(
-            f"pole at j*{omega0} is defective (Jordan structure of size >= 2)")
-    if T22.shape[0]:
-        X = scipy.linalg.solve_sylvester(T11, -T22, T12)
-        P = Z[:, :sdim] @ np.hstack([np.eye(sdim), X]) @ Z.conj().T
-    else:
-        P = np.eye(model.n, dtype=complex)
-    K = 1j * (model.C @ P @ model.B)
-    return K
+    return _cluster_residue(spec, np.flatnonzero(dist <= radius), omega0)
 
 
 def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> NiReport:
@@ -270,12 +278,13 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         The residue-multiplicity logic assumes minimality, so non-minimal
         models are rejected rather than silently misclassified.
     """
-    if not is_minimal(model):
+    spec = _spectral(model)
+    if not spec.minimal:
         raise NotMinimalError("classify_ni requires a minimal realization")
     grid = grid or FrequencyGrid()
     reasons: list[str] = []
-    atol = zero_eig_tol(model.A)
-    eigs = np.linalg.eigvals(model.A)
+    atol = spec.ztol
+    eigs = spec.eigs
 
     # condition 1: no pole in the open right half plane
     rhp = [z for z in eigs if z.real > atol]
@@ -284,16 +293,16 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         reasons.append(f"{len(rhp)} pole(s) with positive real part")
 
     clusters = _axis_pole_clusters(eigs, atol)
-    n_zero = origin_pole_count(model.A, eigs)
+    n_zero = origin_pole_count(spec)
 
     # condition 2: frequency sweep; a point violates it when min_eig is below
     # both -COND2_RTOL (1 + ||G||) and minus the noise floor, so the floor is
     # needed only where the first test fails
     omegas = grid.build(tuple(w for w, _ in clusters))
-    min_eig, norm = _sweep_min_eigs(model, omegas)
+    min_eig, norm = _sweep_min_eigs(spec, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
     cand = np.flatnonzero(min_eig < -COND2_RTOL * (1.0 + norm))
-    floor = _noise_floor(model, omegas[cand], norm[cand])
+    floor = _noise_floor(spec, omegas[cand], norm[cand])
     viol = [cond2[k] for k, f in zip(cand, floor) if cond2[k][1] < -f]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
@@ -304,9 +313,9 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     # condition 3: simple (semisimple-cluster) PSD residues at axis poles
     residues = []
     ok3 = True
-    for w0, _count in clusters:
+    for w0, idx in clusters:
         try:
-            K = imaginary_axis_residue(model, w0)
+            K = _cluster_residue(spec, idx, w0)
         except NotSimplePoleError as exc:
             residues.append((w0, None, None, None, False))
             ok3 = False
@@ -340,7 +349,8 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     higher_ok = True
     ok4 = True
     if n_zero > 0:
-        S0, n0 = _zero_cluster_block(model.A, atol)
+        S, _Z, n1 = spec.zero_split
+        S0 = S[n1:, n1:]
         nil_norm = np.linalg.norm(S0 @ S0, 2)
         higher_ok = nil_norm <= atol * max(1.0, np.linalg.norm(S0, 2)) ** 2
         if not higher_ok:
@@ -349,10 +359,10 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
         else:
             nonzero = np.abs(eigs[np.abs(eigs) > atol])
             radius = float(np.min(nonzero)) / 10.0 if nonzero.size else 1.0
-            G0, _G1, G2, _settle = _laurent_numeric_limits(model, radius)
+            G0, _G1, G2, _settle = _laurent_numeric_limits(spec, radius)
             balance = _balance_radius(G2, G0)
             if balance < radius:
-                G2 = _laurent_numeric_limits(model, balance)[2]
+                G2 = _laurent_numeric_limits(spec, balance)[2]
             herm_defect = np.linalg.norm(G2 - G2.conj().T)
             G2r = 0.5 * np.real(G2 + G2.conj().T)
             G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))
@@ -381,8 +391,9 @@ def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> S
     """Test the SNI conditions: Hurwitz poles and strict positivity on the sweep."""
     grid = grid or FrequencyGrid()
     reasons: list[str] = []
-    atol = zero_eig_tol(model.A)
-    eigs = np.linalg.eigvals(model.A) if model.n else np.array([])
+    spec = _spectral(model)
+    atol = spec.ztol
+    eigs = spec.eigs
 
     closed_rhp = [z for z in eigs if z.real >= -atol]
     ok1 = not closed_rhp
@@ -396,12 +407,12 @@ def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> S
         # a point fails when min_eig is at or below the strict floor or the
         # noise floor, so the noise floor is needed only above the first
         omegas = grid.build()
-        min_eig, norm = _sweep_min_eigs(model, omegas)
+        min_eig, norm = _sweep_min_eigs(spec, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
         fails = min_eig <= SNI_STRICT_FLOOR * (1.0 + norm)
         rest = np.flatnonzero(~fails)
-        fails[rest] = min_eig[rest] <= _noise_floor(model, omegas[rest], norm[rest])
+        fails[rest] = min_eig[rest] <= _noise_floor(spec, omegas[rest], norm[rest])
         bad = [cond2[k] for k in np.flatnonzero(fails)]
         ok2 = not bad
         if not ok2:

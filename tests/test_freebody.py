@@ -313,6 +313,22 @@ class TestStabilityVerdict:
                     assert free_body == (verdict.theorem_used is not ns.Theorem.DC_GAIN)
             assert v.to_dict() == unchecked.to_dict()
 
+    def test_no_spectral_data_outlives_a_call(self, arm_plant, paper_irc, monkeypatch):
+        # one PBH test per verdict, and none saved for the next call on the
+        # same model
+        calls = []
+        margin = ns.ltimodel.minimality_margin
+
+        def counted(model):
+            calls.append(model)
+            return margin(model)
+
+        monkeypatch.setattr(ns.ltimodel, "minimality_margin", counted)
+        for _ in range(2):
+            v = ns.stability_verdict(arm_plant, paper_irc.realization)
+            assert v.outcome is ns.Outcome.STABLE
+        assert len(calls) == 2
+
     def test_oracle_skipped_when_channel_counts_differ(self):
         plant = ns.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])
         ctrl = ns.StateSpaceModel(-np.eye(2), np.eye(2), np.eye(2), -2.0 * np.eye(2))

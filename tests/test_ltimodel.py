@@ -9,6 +9,23 @@ from nistab.errors import DimensionError, IllPosedError, SingularAtSError
 from conftest import double_integrator, first_order_lag_minus
 
 
+class TestStateSpaceModel:
+    def test_model_owns_its_arrays(self):
+        # the model froze the caller's float64 arrays in place, so the
+        # caller's next write raised "assignment destination is read-only"
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        B = np.array([[0.0], [1.0]])
+        C = np.array([[1.0, 0.0]])
+        model = ns.StateSpaceModel(A, B, C)
+        A[0, 0] = 5.0
+        B[0, 0] = 5.0
+        C[0, 0] = 5.0
+        np.testing.assert_array_equal(model.A, [[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(model.B, [[0.0], [1.0]])
+        np.testing.assert_array_equal(model.C, [[1.0, 0.0]])
+        assert not model.A.flags.writeable
+
+
 class TestEvalTf:
     def test_double_integrator(self):
         G = ns.eval_tf(double_integrator(), 2j)

@@ -111,6 +111,26 @@ class TestClassifyNi:
             assert min(under) < 0.0
         assert any("j(G - G*) has eigenvalue" in r for r in rep.reasons)
 
+    def test_axis_residues_on_ill_conditioned_realization(self):
+        # with cond(T) = 1e5, eigvals(A) put the pole near j within the
+        # cluster radius and a sorted Schur form of its own put it outside,
+        # so classify_ni and stability_verdict raised NotAPoleError
+        mm = ns.ModalModel(m=1, terms=((1.0, [[1.0]]), (3.0, [[2.0]]), (10.0, [[5.0]])))
+        model = ns.modal_to_ss(mm)
+        n = model.n
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        T = U @ np.diag(np.geomspace(1.0, 1e-5, n)) @ V.T
+        scrambled = ns.similarity_transform(model, T)
+        rep = ns.classify_ni(scrambled)
+        assert rep.is_ni, rep.reasons
+        got = [K for (_w0, K, *_rest) in rep.cond3_residues]
+        np.testing.assert_allclose(np.real(got), [[[0.5]], [[1 / 3]], [[0.25]]], rtol=1e-5)
+        v = ns.stability_verdict(scrambled, first_order_lag_minus(2.0),
+                                 ns.VerdictOptions(run_oracle=True))
+        assert v.outcome is ns.Outcome.STABLE and v.oracle_agrees is True
+
     def test_requires_minimal(self):
         m = ns.StateSpaceModel(np.diag([-1.0, -2.0]), [[1.0], [0.0]],
                                [[1.0, 0.0]], [[0.0]])
@@ -174,6 +194,30 @@ class TestImaginaryAxisResidue:
         model = ns.modal_to_ss(mm)
         K = ns.imaginary_axis_residue(model, 2.0)
         np.testing.assert_allclose(K, np.diag([0.25, 0.75]), atol=1e-10)
+
+    def test_ladder_rung_exact_residues(self):
+        # 25 rank-one modes, one of them made rank two (a repeated semisimple
+        # cluster), beside a full-rank double pole: every residue, from the
+        # one Schur form of classify_ni and from imaginary_axis_residue, is
+        # the exact modal residue C_i / (2 p_i)
+        rng = np.random.default_rng(7)
+        freqs = np.sort(rng.uniform(0.5, 50.0, 25)) + 0.25 * np.arange(25)
+        terms = []
+        for i, p in enumerate(freqs):
+            V = rng.normal(size=(2, 2 if i == 12 else 1))
+            terms.append((p, V @ V.T))
+        W = rng.normal(size=(2, 2))
+        model = ns.modal_to_ss(ns.ModalModel(m=2, terms=tuple(terms),
+                                             g2=W @ W.T + 0.1 * np.eye(2)))
+        rep = ns.classify_ni(model)
+        assert rep.is_ni, rep.reasons
+        assert len(rep.cond3_residues) == len(terms)
+        for (w0, K, *_rest), (p, Ci) in zip(rep.cond3_residues, terms):
+            exact = Ci / (2.0 * p)
+            assert w0 == pytest.approx(p, rel=1e-12)
+            for got in (K, ns.imaginary_axis_residue(model, p)):
+                assert np.linalg.norm(got - exact) <= 1e-10 * np.linalg.norm(exact), p
+        assert np.linalg.matrix_rank(terms[12][1]) == 2
 
     def test_defective_pole_rejected(self):
         # real Jordan pair at +-j: minimal SISO model with a double pole at j

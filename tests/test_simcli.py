@@ -74,9 +74,9 @@ class TestRunAnalysis:
         assert out["schema_version"] == 1
 
     def test_one_pass(self, arm_plant, paper_irc, monkeypatch):
-        """Each stage of the analysis runs once per report."""
+        """Each stage of the analysis, the PBH test included, runs once per report."""
         names = ("classify_ni", "classify_sni", "laurent_coefficients",
-                 "direct_stability")
+                 "direct_stability", "minimality_margin")
         calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -87,7 +87,7 @@ class TestRunAnalysis:
 
         modules = [mod for key, mod in sys.modules.items() if key.startswith("nistab.")]
         for name in names:
-            fn = getattr(ns, name)
+            fn = getattr(ns.ltimodel if name == "minimality_margin" else ns, name)
             for mod in modules:
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
