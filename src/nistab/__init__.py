@@ -22,7 +22,6 @@ from .beamcase import (            # noqa: F401
 )
 from .errors import NistabError    # noqa: F401
 from .freebody import (            # noqa: F401
-    BlockDiagonalRealization,
     Branch,
     LaurentCoefficients,
     MonteCarloReport,
@@ -44,6 +43,7 @@ from .ircsynth import IrcController, make_irc  # noqa: F401
 from .ltimodel import (            # noqa: F401
     ClosedLoop,
     ModalModel,
+    SchurSplit,
     StateSpaceModel,
     closed_loop,
     eval_tf,

@@ -47,7 +47,7 @@ class JordanBlockTooLargeError(NistabError):
 
 
 class IllConditionedTransformError(NistabError):
-    """Similarity transform too ill conditioned to trust."""
+    """Decoupling of the origin split too ill conditioned to trust."""
 
 
 class NotAPoleError(NistabError):

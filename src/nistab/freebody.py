@@ -1,4 +1,4 @@
-"""Free-body stability machinery: block realizations, Laurent data, verdicts.
+"""Free-body stability machinery: origin split, Laurent data, verdicts.
 
 This is the analytical core of the package.  For a strictly proper NI plant
 G(s) interconnected in positive feedback with an SNI controller Gbar(s), the
@@ -40,6 +40,7 @@ from .errors import (
 from .ircsynth import make_irc
 from .ltimodel import (
     ModalModel,
+    SchurSplit,
     StateSpaceModel,
     _balance_radius,
     _laurent_numeric_limits,
@@ -63,9 +64,7 @@ from .matrixcore import (
 from .niclass import FrequencyGrid, NiReport, SniReport, classify_ni, classify_sni
 
 __all__ = [
-    "BlockDiagonalRealization",
     "LaurentCoefficients",
-    "LaurentMethod",
     "Outcome",
     "Theorem",
     "Branch",
@@ -89,7 +88,7 @@ ZERO_COEFF_RTOL = 1e-8
 #: strict inequalities satisfied by less than this (relative) are "boundary"
 BOUNDARY_BAND = 1e-7
 
-#: similarity transforms with condition number above this are rejected
+#: origin splits whose decoupling has a condition number above this are rejected
 TRANSFORM_COND_LIMIT = 1e8
 
 #: largest share of G on the Laurent contour its s^-3 and s^-4 terms may
@@ -98,185 +97,58 @@ SETTLE_RTOL = 1e-4
 
 
 # --------------------------------------------------------------------------
-# block-diagonal realization
+# origin split and Laurent coefficients
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockDiagonalRealization:
-    """Realization split as A = diag(A1, 0, A3) with A3 = [[0, I], [0, 0]].
+def to_block_diagonal(model: StateSpaceModel) -> SchurSplit:
+    """Origin split of a minimal strictly proper model: A = W diag(S0, T1) W^-1.
 
-    A1 (n1 x n1) is nonsingular and carries the oscillatory/decaying part;
-    the n2 zero states carry simple origin poles; the k Jordan pairs carry
-    double origin poles.  T is the similarity transform from the original
-    state basis into this one.
-    """
-
-    A1: np.ndarray
-    B1: np.ndarray
-    C1: np.ndarray
-    B2: np.ndarray
-    C2: np.ndarray
-    B3a: np.ndarray
-    B3b: np.ndarray
-    C3a: np.ndarray
-    C3b: np.ndarray
-    T: np.ndarray
-    original: StateSpaceModel
-
-    @property
-    def n1(self) -> int:
-        return self.A1.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.B2.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.B3b.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.original.m
-
-    def to_model(self) -> StateSpaceModel:
-        n1, n2, k, m = self.n1, self.n2, self.k, self.m
-        A = np.zeros((n1 + n2 + 2 * k, n1 + n2 + 2 * k))
-        A[:n1, :n1] = self.A1
-        A[n1 + n2:n1 + n2 + k, n1 + n2 + k:] = np.eye(k)
-        B = np.vstack([self.B1, self.B2, self.B3a, self.B3b])
-        C = np.hstack([self.C1, self.C2, self.C3a, self.C3b])
-        return StateSpaceModel(A, B, C, np.zeros((m, m)))
-
-
-def _orth_complement_within(null_basis: np.ndarray, spanned: np.ndarray,
-                            want: int) -> np.ndarray:
-    """`want` directions of span(null_basis) orthogonal to span(spanned)."""
-    if want == 0:
-        return np.zeros((null_basis.shape[0], 0))
-    if spanned.shape[1] == 0:
-        return null_basis[:, :want]
-    Q, _ = np.linalg.qr(spanned)
-    proj = null_basis - Q @ (Q.T @ null_basis)
-    U, s, _ = np.linalg.svd(proj, full_matrices=False)
-    return U[:, :want]
-
-
-def to_block_diagonal(model: StateSpaceModel) -> BlockDiagonalRealization:
-    """Transform a minimal strictly proper model into free-body block form.
-
-    The nonzero-eigenvalue invariant subspace is split off with a sorted real
-    Schur form plus a Sylvester decoupling; the remaining (numerically
-    nilpotent) block is reduced to exact Jordan structure of orders one and
-    two.  Zero eigenvalues with Jordan blocks of order three or more are
-    rejected, since no NI transfer matrix can produce them.
+    The record's origin split (``_Spectral.origin_split``): the eigenvalues
+    within ``ztol`` of the origin are moved to the top of the one complex
+    Schur form and decoupled from the rest by a triangular Sylvester solve.
+    S0 (the record's ``T0``) carries the k = rank S0 double and the
+    n2 = n0 - 2k simple origin poles; T1 (n1 x n1) is nonsingular.  Zero eigenvalues with Jordan blocks
+    of order three or more are rejected, since no NI transfer matrix can
+    produce them.
 
     Raises
     ------
     NotMinimalError, NotStrictlyProperError
     JordanBlockTooLargeError
-        Origin pole of order three or more.
+        Origin pole of order three or more (S0^2 != 0).
     IllConditionedTransformError
-        Transform condition number above 1e8, or the transformed model fails
-        to reproduce the original transfer matrix.
+        The decoupling [[I, X], [0, I]] has condition number above 1e8.
     """
     if not model.strictly_proper():
         raise NotStrictlyProperError("block-diagonal form requires D = 0")
     spec = _spectral(model)
     if not spec.minimal:
         raise NotMinimalError("block-diagonal form requires a minimal realization")
-
-    n = model.n
-    ztol = spec.ztol
-    S, Z, n1 = spec.zero_split
-    n0 = n - n1
-    S1, S12, S0 = S[:n1, :n1], S[:n1, n1:], S[n1:, n1:]
-
-    if n0 == 0:
-        W = Z
-        Ablocks = (S1, np.zeros((0, 0)), np.zeros((0, 0)))
-        k = n2 = 0
-    else:
-        if np.linalg.norm(S0 @ S0, 2) > ztol * max(1.0, np.linalg.norm(S0, 2)) ** 2 * 10.0:
-            raise JordanBlockTooLargeError(
-                "origin pole of order >= 3: not realizable by an NI system"
-            )
-        if n1 > 0:
-            X = scipy.linalg.solve_sylvester(S1, -S0, -S12)
-        else:
-            X = np.zeros((0, n0))
-        # rank of the nilpotent block = number of order-two Jordan pairs
-        U, sv, Vt = np.linalg.svd(S0)
-        k = int(np.sum(sv > ztol))
-        n2 = n0 - 2 * k
-        if n2 < 0:
-            raise JordanBlockTooLargeError("inconsistent nilpotent structure")
-        chain_b = Vt[:k].T                      # S0 maps these ...
-        chain_a = S0 @ chain_b                  # ... onto these (exactly)
-        null_basis = Vt[k:].T                   # null space of S0
-        singles = _orth_complement_within(null_basis, chain_a, n2)
-        Z0 = np.hstack([singles, chain_a, chain_b])
-        T2 = np.block([[np.eye(n1), X], [np.zeros((n0, n1)), np.eye(n0)]])
-        W = Z @ T2 @ scipy.linalg.block_diag(np.eye(n1), Z0)
-        Ablocks = (S1, np.zeros((n2, n2)), None)
-
-    condW = np.linalg.cond(W)
-    if not np.isfinite(condW) or condW > TRANSFORM_COND_LIMIT:
-        raise IllConditionedTransformError(
-            f"transform condition number {condW:.2e} exceeds {TRANSFORM_COND_LIMIT:.0e}"
+    split = spec.origin_split
+    if split.order_excess > 10.0:
+        raise JordanBlockTooLargeError(
+            "origin pole of order >= 3: not realizable by an NI system"
         )
-
-    Bt = np.linalg.solve(W, model.B)
-    Ct = model.C @ W
-
-    B1, B2 = Bt[:n1], Bt[n1:n1 + n2]
-    B3a, B3b = Bt[n1 + n2:n1 + n2 + k], Bt[n1 + n2 + k:]
-    C1, C2 = Ct[:, :n1], Ct[:, n1:n1 + n2]
-    C3a, C3b = Ct[:, n1 + n2:n1 + n2 + k], Ct[:, n1 + n2 + k:]
-
-    real = BlockDiagonalRealization(
-        A1=S[:n1, :n1], B1=B1, C1=C1, B2=B2, C2=C2,
-        B3a=B3a, B3b=B3b, C3a=C3a, C3b=C3b, T=W, original=model,
-    )
-
-    # the exact-zero clipping above must not have moved the transfer matrix
-    rng = np.random.default_rng(0)
-    scale = max(1.0, spec.norm2)
-    clipped = real.to_model()
-    for _ in range(4):
-        s = complex(rng.normal(), rng.normal()) * scale + 0.5 * scale * (1 + 1j)
-        ref = eval_tf(model, s)
-        got = eval_tf(clipped, s)
-        if np.linalg.norm(got - ref) > 1e-8 * max(1.0, np.linalg.norm(ref)):
-            raise IllConditionedTransformError(
-                "transformed realization failed transfer-matrix round trip"
-            )
-    return real
-
-
-# --------------------------------------------------------------------------
-# Laurent coefficients
-# --------------------------------------------------------------------------
-
-
-class LaurentMethod(enum.Enum):
-    REALIZATION = "realization"
-    NUMERIC_LIMIT = "numeric_limit"
+    cond = split.cond
+    if not np.isfinite(cond) or cond > TRANSFORM_COND_LIMIT:
+        raise IllConditionedTransformError(
+            f"decoupling condition number {cond:.2e} exceeds {TRANSFORM_COND_LIMIT:.0e}"
+        )
+    return split
 
 
 @dataclass(frozen=True)
 class LaurentCoefficients:
     """Leading coefficients G(s) = G2/s^2 + G1/s + G0 + O(s) near the origin.
 
-    ``method`` identifies the primary route; the numeric-limit values are
-    retained for cross-checking along with their mutual disagreement.
+    The contour-route values are retained for cross-checking along with
+    their disagreement with the primary route.
     """
 
     G0: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
-    method: LaurentMethod
     numeric: tuple | None = None
     agreement: float | None = None
 
@@ -285,9 +157,13 @@ def laurent_coefficients(model: StateSpaceModel,
                          cross_check: bool = True) -> LaurentCoefficients:
     """Laurent data of a minimal strictly proper model about s = 0.
 
-    Primary route reads the coefficients off the block-diagonal realization
-    (G2 = C3a B3b, G1 = C2 B2 + C3a B3a + C3b B3b, G0 = -C1 A1^-1 B1); the
-    secondary route, independent of that realization, takes the contour
+    The primary route reads the coefficients off the origin split
+    (:func:`to_block_diagonal`).  With S0 = T0 the origin block, B0 and C0 its
+    decoupled maps and T1, B1, C1 those of the rest, S0^2 = 0 gives
+    C0 (sI - S0)^-1 B0 = C0 B0 / s + C0 S0 B0 / s^2, so G2 = Re C0 S0 B0,
+    with S0 truncated to its rank k at ``ztol``, G1 = Re C0 B0 and
+    G0 = -Re C1 T1^-1 B1 (a triangular solve).  The
+    secondary route, independent of that split, takes the contour
     integrals of G(s) s^-k around the circle |s| = radius/3, where radius is
     the modulus of the closest nonzero pole, or on the smaller circle where
     the G2/s^2 and G0 terms balance (see ``ltimodel._laurent_numeric_limits``
@@ -299,11 +175,16 @@ def laurent_coefficients(model: StateSpaceModel,
     NistabError.
     """
     spec = _spectral(model)
-    real = to_block_diagonal(spec)
-    G2 = real.C3a @ real.B3b
-    G1 = real.C2 @ real.B2 + real.C3a @ real.B3a + real.C3b @ real.B3b
-    if real.n1 > 0:
-        G0 = -real.C1 @ np.linalg.solve(real.A1, real.B1)
+    split = to_block_diagonal(spec)
+    # S0 at its numerical rank k: the part at or below ztol is rounding, and
+    # must not leave a G2 of pure rounding where k = 0 (its contour radius,
+    # the balance point below, would collapse towards the origin)
+    U, sv, Vh = np.linalg.svd(split.T0)
+    keep = sv > split.tol
+    G2 = np.real(split.C0 @ (U[:, keep] * sv[keep]) @ Vh[keep] @ split.B0)
+    G1 = np.real(split.C0 @ split.B0)
+    if split.n1 > 0:
+        G0 = -np.real(split.C1 @ scipy.linalg.solve_triangular(split.T1, split.B1))
     else:
         G0 = np.zeros((model.m, model.m))
 
@@ -340,7 +221,6 @@ def laurent_coefficients(model: StateSpaceModel,
                 "realization or limits are unreliable for this model"
             )
     return LaurentCoefficients(G0=G0, G1=G1, G2=G2,
-                               method=LaurentMethod.REALIZATION,
                                numeric=numeric, agreement=agreement)
 
 
@@ -546,10 +426,10 @@ def _verdict_from(conds: _Conditions, theorem: Theorem, branch: Branch,
                             laurent=laurent)
 
 
-def _precondition_failed(reason: str, laurent=None, values=None) -> StabilityVerdict:
+def _precondition_failed(reason: str, laurent=None) -> StabilityVerdict:
     return StabilityVerdict(
         outcome=Outcome.PRECONDITION_FAILED, theorem_used=Theorem.NONE,
-        branch=Branch.NONE, condition_values=values or {}, reason=reason,
+        branch=Branch.NONE, condition_values={}, reason=reason,
         laurent=laurent,
     )
 
@@ -694,7 +574,9 @@ def _single_condition(name, M, opts, L, theorem, branch) -> StabilityVerdict:
 def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     """Reduced-gain conditions on the free-body basis Y (J, F or F1).
 
-    Y' Gbar(0) Y < 0 is required, and the sign of the reduced gain
+    Y' Gbar(0) Y < 0 is required, and decided first: a Gram matrix that
+    fails it (or sits in the band) and is singular ends the test there,
+    with no branch.  Otherwise the sign of the reduced gain
     N = P(Gbar(0), Y) picks the branch: for N <= 0, I + Nt (G0 + extra) Nt
     with Nt = (-N)^1/2 must be nonsingular; for N >= 0, I - Nh (G0 + extra) Nh
     with Nh = N^1/2 must be positive definite; an indefinite N is INCONCLUSIVE.
@@ -704,15 +586,15 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     m = L.G0.shape[0]
     conds = _Conditions(opts.boundary_band)
     inner = Y.T @ Gbar0 @ Y
+    conds.strict_neg_definite(f"{stem}_gram_max_eig", inner)
+    # a Gram matrix that holds the condition is nonsingular, so a singular
+    # one has already failed it or sits in the band: UNSTABLE or BOUNDARY
     if inner.size:
         smin = np.linalg.svd(inner, compute_uv=False)[-1]
         if smin <= 1e-12 * max(1.0, np.linalg.norm(inner, 2)):
-            name = stem.upper()
-            return _precondition_failed(f"{name}' Gbar(0) {name} is singular", laurent=L,
-                                        values={f"{stem}_gram_min_sv": float(smin)})
+            return _verdict_from(conds, theorem, Branch.NONE, L)
     N = projector_p(Gbar0, Y)
     n_def = classify_definiteness(N)
-    conds.strict_neg_definite(f"{stem}_gram_max_eig", inner)
 
     if n_def.kind.value == "zero" or n_def.is_nsd:
         Ntil = psd_sqrt(-N)

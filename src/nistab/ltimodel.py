@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from .errors import DimensionError, IllPosedError, SingularAtSError
 from .matrixcore import full_rank_factor, symmetrize
@@ -28,6 +28,7 @@ __all__ = [
     "StateSpaceModel",
     "ModalModel",
     "ClosedLoop",
+    "SchurSplit",
     "eval_tf",
     "freq_response",
     "is_minimal",
@@ -166,13 +167,71 @@ class ModalModel:
         return G
 
 
+@dataclass(frozen=True)
+class SchurSplit:
+    """A cluster of eigenvalues of A split off the rest: G(s) is the sum
+
+        C0 (sI - T0)^-1 B0  +  C1 (sI - T1)^-1 B1  +  D
+
+    with T0 (n0 x n0) holding the cluster and T1 (n1 x n1) the rest, both
+    upper triangular.  For the reordered Schur vectors Z and the coupling X,
+    A = W diag(T0, T1) W^-1 with W = Z [[I, -X], [0, I]]; B0 = (Z^H B)_0 +
+    X (Z^H B)_1 and C1 = (C Z)_1 - (C Z)_0 X are the decoupled maps.
+
+    Of the origin split (``_Spectral.origin_split``), T0 = S0 is A on its
+    origin cluster: ``k`` = rank S0 counts the double poles at s = 0 and
+    ``n2`` = n0 - 2k the simple ones, and ``order_excess`` tests S0^2 = 0.
+    """
+
+    T0: np.ndarray
+    T1: np.ndarray
+    B0: np.ndarray
+    B1: np.ndarray
+    C0: np.ndarray
+    C1: np.ndarray
+    X: np.ndarray
+    #: the record's ``ztol``, the rank cutoff of ``k`` and ``order_excess``
+    tol: float
+
+    @property
+    def n0(self) -> int:
+        return self.T0.shape[0]
+
+    @property
+    def n1(self) -> int:
+        return self.T1.shape[0]
+
+    @property
+    def k(self) -> int:
+        return int(np.sum(np.linalg.svd(self.T0, compute_uv=False) > self.tol))
+
+    @property
+    def n2(self) -> int:
+        return self.n0 - 2 * self.k
+
+    @property
+    def order_excess(self) -> float:
+        """||T0^2||_2 / (tol max(1, ||T0||_2)^2); above one, a pole of order >= 3."""
+        if not self.n0:
+            return 0.0
+        top = np.linalg.norm(self.T0 @ self.T0, 2)
+        return float(top / (self.tol * max(1.0, np.linalg.norm(self.T0, 2)) ** 2))
+
+    @property
+    def cond(self) -> float:
+        """Condition number of the decoupling [[I, X], [0, I]], ((x + (x^2 + 4)^1/2) / 2)^2
+        for x = ||X||_2."""
+        x = float(np.linalg.norm(self.X, 2)) if self.X.size else 0.0
+        return ((x + np.sqrt(x * x + 4.0)) / 2.0) ** 2
+
+
 class _Spectral(StateSpaceModel):
     """A model with the spectral data of its A, each part taken on first need.
 
     A record lives for one public call: ``freebody.stability_verdict`` builds
     one for the plant and passes it, as the model, to every stage, so the NI
     test, the Laurent routes and the sweep share one complex Schur form, one
-    ||A||_2, one zero split and one PBH test.  A public function handed a
+    ||A||_2, one origin split and one PBH test.  A public function handed a
     plain model builds a record of its own (:func:`_spectral`); nothing is
     kept on the caller's model.
     """
@@ -198,21 +257,43 @@ class _Spectral(StateSpaceModel):
         """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
 
         The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
-        :attr:`zero_split`) and "a pole lies on the imaginary axis"
+        :attr:`origin_split`) and "a pole lies on the imaginary axis"
         (``niclass``).
         """
         return ZERO_EIG_RTOL * max(1.0, self.norm2)
 
-    @cached_property
-    def zero_split(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Real Schur form (S, Z, n1) with the n1 eigenvalues beyond ``ztol`` first.
+    def split(self, idx: np.ndarray) -> SchurSplit:
+        """The eigenvalues diag(T)[idx] of the Schur form split off the rest.
 
-        S[n1:, n1:] is A restricted to its zero cluster, whose order tests
-        ``niclass`` condition 4 and ``freebody.to_block_diagonal`` read.
+        The cluster is moved to the top of the one Schur form A = Z T Z^H
+        (LAPACK ztrsen), T = [[T0, T01], [0, T1]], and decoupled by the
+        triangular Sylvester solve T0 X - X T1 = T01 (ztrsyl): O(n^2 m) work
+        beside the shared O(n^3) Schur form.  See :class:`SchurSplit`.
         """
-        tol2 = self.ztol * self.ztol
-        return scipy.linalg.schur(self.A, output="real",
-                                  sort=lambda re, im: re * re + im * im > tol2)
+        T, Z = self.schur
+        k = idx.size
+        if 0 < k < self.n:
+            select = np.zeros(self.n, dtype=np.int32)
+            select[idx] = 1
+            T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
+            X, scale, _info = lapack.ztrsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+            X = X / scale
+        else:
+            X = np.zeros((k, self.n - k), dtype=complex)
+        Bt = Z.conj().T @ self.B
+        CZ = self.C @ Z
+        return SchurSplit(T0=T[:k, :k], T1=T[k:, k:], B0=Bt[:k] + X @ Bt[k:],
+                          B1=Bt[k:], C0=CZ[:, :k], C1=CZ[:, k:] - CZ[:, :k] @ X,
+                          X=X, tol=self.ztol)
+
+    @cached_property
+    def origin_split(self) -> SchurSplit:
+        """The origin cluster, the eigenvalues within ``ztol`` of 0, split off.
+
+        ``niclass`` condition 4 reads its order test here and
+        ``freebody.to_block_diagonal`` the Laurent data about s = 0.
+        """
+        return self.split(np.flatnonzero(np.abs(self.eigs) <= self.ztol))
 
     @cached_property
     def minimal(self) -> bool:

@@ -25,13 +25,13 @@ form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
 an index set on diag(T): the cluster is moved to the top of T and decoupled
 by a triangular Sylvester solve, O(n^2) per cluster.  Condition 4 reads the
-order of an origin pole off the record's real Schur split of the zero
-cluster (the split ``freebody.to_block_diagonal`` uses), and lim s^2 G(s)
-from trapezoidal contour integrals of G about the origin
-(``ltimodel._laurent_numeric_limits``, the cross-check route of
-``freebody.laurent_coefficients``).  Whether a pole is at the origin or on
-the imaginary axis is decided with the one tolerance ``_Spectral.ztol`` that
-``freebody`` uses too.
+order of an origin pole off the record's origin split, the same move and
+solve for the cluster at s = 0 (``freebody.to_block_diagonal`` reads the
+Laurent data off that split), and lim s^2 G(s) from trapezoidal contour
+integrals of G about the origin (``ltimodel._laurent_numeric_limits``, the
+cross-check route of ``freebody.laurent_coefficients``).  Whether a pole is
+at the origin or on the imaginary axis is decided with the one tolerance
+``_Spectral.ztol`` that ``freebody`` uses too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
 from .ltimodel import (
@@ -212,32 +211,25 @@ def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
 def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndarray:
     """K = j C P B, P the spectral projector of the eigenvalues diag(T)[idx] near jw0.
 
-    The cluster is moved to the top of the one Schur form A = Z T Z^H
-    (LAPACK ztrsen), T = [[T11, T12], [0, T22]], and decoupled by the
-    triangular Sylvester solve T11 X - X T22 = T12 (ztrsyl), which gives
-    P = Z1 [I X] Z^H with Z1 the leading columns of the reordered Z: O(n^2)
-    work beside the shared O(n^3) Schur form.
+    The cluster is split off the one Schur form A = Z T Z^H by
+    ``_Spectral.split`` (ztrsen, then ztrsyl), so K = j C0 B0, the cluster's
+    decoupled output and input maps: O(n^2 m) work beside the shared O(n^3)
+    Schur form.
 
     Raises
     ------
     NotSimplePoleError
         If the cluster is defective (a Jordan block of size two or more).
     """
-    T, Z = spec.schur
+    split = spec.split(idx)
     k = idx.size
-    select = np.zeros(spec.n, dtype=np.int32)
-    select[idx] = 1
-    T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
-    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    # semisimple cluster of one eigenvalue <=> T11 is (numerically) scalar
-    lam_bar = np.trace(T11) / k
-    defect = np.linalg.norm(T11 - lam_bar * np.eye(k))
+    # semisimple cluster of one eigenvalue <=> T0 is (numerically) scalar
+    lam_bar = np.trace(split.T0) / k
+    defect = np.linalg.norm(split.T0 - lam_bar * np.eye(k))
     if defect > 1e-6 * max(1.0, spec.norm2):
         raise NotSimplePoleError(
             f"pole at j*{omega0} is defective (Jordan structure of size >= 2)")
-    Bt = Z.conj().T @ spec.B
-    X, scale, _info = lapack.ztrsyl(T11, T22, T12, isgn=-1)
-    return 1j * (spec.C @ Z[:, :k]) @ (Bt[:k] + (X / scale) @ Bt[k:])
+    return 1j * split.C0 @ split.B0
 
 
 def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
@@ -336,23 +328,21 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
             reasons.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
 
     # condition 4: origin pole of order at most two with PSD s^2 G limit.
-    # The order is structural: A restricted to its zero cluster must square
-    # to zero.  G2 comes from the contour route of laurent_coefficients, on
-    # a tenth of the distance R to the closest nonzero pole: only G2 is read
-    # here, and its error, aliased Taylor terms of G of relative size
-    # (r / R)^30 and rounding of size eps r^2 max |G(s)|, falls with the
-    # radius r.  Past the balance point r^2 = ||G2|| / ||G0|| the rounding
-    # is eps ||G0|| r^2 and no longer eps ||G2||, so when a fast mode puts
-    # R / 10 beyond it, G2 is read again at the balance point.
+    # The order is structural: A restricted to its origin cluster, S0 of the
+    # record's origin split, must square to zero.  G2 comes from the contour
+    # route of laurent_coefficients, on a tenth of the distance R to the
+    # closest nonzero pole: only G2 is read here, and its error, aliased
+    # Taylor terms of G of relative size (r / R)^30 and rounding of size
+    # eps r^2 max |G(s)|, falls with the radius r.  Past the balance point
+    # r^2 = ||G2|| / ||G0|| the rounding is eps ||G0|| r^2 and no longer
+    # eps ||G2||, so when a fast mode puts R / 10 beyond it, G2 is read
+    # again at the balance point.
     G2 = None
     G2_def = None
     higher_ok = True
     ok4 = True
     if n_zero > 0:
-        S, _Z, n1 = spec.zero_split
-        S0 = S[n1:, n1:]
-        nil_norm = np.linalg.norm(S0 @ S0, 2)
-        higher_ok = nil_norm <= atol * max(1.0, np.linalg.norm(S0, 2)) ** 2
+        higher_ok = spec.origin_split.order_excess <= 1.0
         if not higher_ok:
             ok4 = False
             reasons.append("zero eigenvalue has a Jordan block of order >= 3")

@@ -43,7 +43,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: state norm beyond which a trajectory is flagged divergent
 DIVERGENCE_LIMIT = 1e12
@@ -163,7 +163,6 @@ class AnalysisReport:
                 "G0": np.asarray(self.laurent.G0).tolist(),
                 "G1": np.asarray(self.laurent.G1).tolist(),
                 "G2": np.asarray(self.laurent.G2).tolist(),
-                "method": self.laurent.method.value,
                 "cross_check_disagreement": self.laurent.agreement,
             }
         return {
@@ -236,6 +235,7 @@ def run_analysis(plant_source, controller_source,
 # --------------------------------------------------------------------------
 
 EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
@@ -275,7 +275,7 @@ def _cmd_laurent(args) -> int:
     if args.json:
         print(json.dumps({
             "G0": L.G0.tolist(), "G1": L.G1.tolist(), "G2": L.G2.tolist(),
-            "method": L.method.value, "cross_check_disagreement": L.agreement,
+            "cross_check_disagreement": L.agreement,
         }, indent=2))
     else:
         print("G2 =", _matrix_str(L.G2))
@@ -310,8 +310,12 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Every trial pair is NI/SNI by construction, so a decisive verdict that
+    the oracle contradicts and a PRECONDITION_FAILED trial are both failures."""
     rep = montecarlo_agreement(args.count, seed=args.seed)
     _emit(rep.to_dict(), args)
+    if rep.disagreements or rep.precondition_failed:
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import pytest
 import nistab as ns
 from nistab.errors import (
     G2ZeroError,
+    IllConditionedTransformError,
     JordanBlockTooLargeError,
     LimitDivergentError,
     NotMinimalError,
@@ -22,28 +23,34 @@ from nistab.ltimodel import _laurent_numeric_limits
 from conftest import double_integrator, first_order_lag_minus
 
 
+def _rebuilt(split, s):
+    """G(s) from the blocks of an origin split, C1 (sI - T1)^-1 B1 + C0 (I/s + S0/s^2) B0."""
+    G = split.C0 @ (np.eye(split.n0) / s + split.T0 / s ** 2) @ split.B0
+    if split.n1:
+        G = G + split.C1 @ np.linalg.solve(s * np.eye(split.n1) - split.T1, split.B1)
+    return G
+
+
 class TestBlockDiagonal:
     def test_double_integrator_structure(self):
-        real = ns.to_block_diagonal(double_integrator())
-        assert (real.n1, real.n2, real.k) == (0, 0, 1)
-        model = real.to_model()
-        np.testing.assert_array_equal(model.A, [[0.0, 1.0], [0.0, 0.0]])
+        split = ns.to_block_diagonal(double_integrator())
+        assert (split.n1, split.n2, split.k) == (0, 0, 1)
+        np.testing.assert_array_equal(np.abs(split.T0), [[0.0, 1.0], [0.0, 0.0]])
         s = 1.0 + 1.0j
-        np.testing.assert_allclose(ns.eval_tf(model, s), [[1.0 / s ** 2]], atol=1e-12)
+        np.testing.assert_allclose(_rebuilt(split, s), [[1.0 / s ** 2]], atol=1e-12)
 
     def test_scrambled_double_integrator_recovered(self):
         T = np.array([[2.0, -1.0], [0.5, 3.0]])
         scrambled = ns.similarity_transform(double_integrator(), T)
-        real = ns.to_block_diagonal(scrambled)
-        assert (real.n1, real.n2, real.k) == (0, 0, 1)
+        split = ns.to_block_diagonal(scrambled)
+        assert (split.n1, split.n2, split.k) == (0, 0, 1)
         s = 1.0 + 1.0j
-        np.testing.assert_allclose(
-            ns.eval_tf(real.to_model(), s), [[1.0 / s ** 2]], atol=1e-10)
+        np.testing.assert_allclose(_rebuilt(split, s), [[1.0 / s ** 2]], atol=1e-10)
 
     def test_case_study_structure(self, arm_plant):
-        real = ns.to_block_diagonal(arm_plant)
-        assert (real.n1, real.n2, real.k) == (2, 0, 1)
-        ev = np.linalg.eigvals(real.A1)
+        split = ns.to_block_diagonal(arm_plant)
+        assert (split.n1, split.n2, split.k) == (2, 0, 1)
+        ev = np.diag(split.T1)
         assert np.allclose(sorted(np.abs(ev.imag)), [3.3953264] * 2, atol=1e-5)
 
     def test_transfer_matrix_preserved(self, rng):
@@ -51,13 +58,43 @@ class TestBlockDiagonal:
             model, _ = random_ni_plant(
                 np.random.default_rng(rng.integers(0, 2 ** 63)),
                 _FAMILIES[trial % len(_FAMILIES)])
-            real = ns.to_block_diagonal(model)
-            back = real.to_model()
+            split = ns.to_block_diagonal(model)
             for _ in range(10):
                 s = complex(rng.normal(), rng.normal()) * 2 + 1.0
                 ref = ns.eval_tf(model, s)
-                got = ns.eval_tf(back, s)
+                got = _rebuilt(split, s)
                 assert np.linalg.norm(got - ref) <= 1e-8 * max(1.0, np.linalg.norm(ref))
+
+    def test_ill_conditioned_decoupling_is_inconclusive(self):
+        # 1/s^2 + 1/(s + p) in companion form, with the slow pole p just
+        # outside the origin tolerance (1e-7 here): its eigenvector is nearly
+        # in the origin cluster's invariant subspace, so the decoupling has
+        # condition number about p^-4
+        p = 2e-7
+        plant = ns.StateSpaceModel([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -p]],
+                                   [[0.0], [0.0], [1.0]], [[p, 1.0, 1.0]], [[0.0]])
+        with pytest.raises(IllConditionedTransformError):
+            ns.to_block_diagonal(plant)
+        ctrl = ns.make_irc([[1.0]], [[1.0]], [[2.0]]).realization
+        verdict = ns.stability_verdict(plant, ctrl)
+        assert verdict.outcome is ns.Outcome.INCONCLUSIVE
+        assert verdict.reason.startswith(
+            "Laurent data unavailable: IllConditionedTransformError")
+
+    def test_exact_modal_data_under_ill_conditioned_transform(self):
+        rng = np.random.default_rng(3)
+        plant, mm = random_ni_plant(rng, "double")
+        n = plant.n
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        T = U @ np.diag(np.geomspace(1.0, 1e-3, n)) @ V.T
+        assert np.linalg.cond(T) == pytest.approx(1e3)
+        L = ns.laurent_coefficients(ns.similarity_transform(plant, T))
+        G0 = sum(C / p ** 2 for p, C in mm.terms)
+        assert mm.g1 is None
+        np.testing.assert_allclose(L.G2, mm.g2, rtol=0, atol=1e-9 * np.linalg.norm(mm.g2))
+        np.testing.assert_allclose(L.G1, 0.0, rtol=0, atol=1e-9 * np.linalg.norm(mm.g2))
+        np.testing.assert_allclose(L.G0, G0, rtol=0, atol=1e-9 * np.linalg.norm(G0))
 
     def test_rejects_non_strictly_proper(self, paper_irc):
         with pytest.raises(NotStrictlyProperError):
@@ -179,8 +216,7 @@ class TestProjector:
 class TestBuildF:
     def _laurent(self, G1, G2):
         G1, G2 = np.atleast_2d(G1), np.atleast_2d(G2)
-        return ns.LaurentCoefficients(G0=np.zeros_like(G1), G1=G1, G2=G2,
-                                      method=ns.freebody.LaurentMethod.REALIZATION)
+        return ns.LaurentCoefficients(G0=np.zeros_like(G1), G1=G1, G2=G2)
 
     def test_scalar_pure_double_pole(self):
         F = ns.build_f_matrix(self._laurent([[0.0]], [[1.0]]))
@@ -353,6 +389,24 @@ class TestStabilityVerdict:
             vb = _reduced_gain(L, Gbar0, ns.build_f_matrix(L), friction,
                                ns.Theorem.DOUBLE_POLE_GENERAL, "f", opts)
             assert (va.outcome, va.branch) == (vb.outcome, vb.branch)
+
+    def test_singular_failing_gram_is_unstable(self):
+        # trial 4 of montecarlo_agreement(200, seed=8), a mixed plant (n = 11,
+        # m = 2): F' Gbar(0) F has eigenvalues 1.1e-13 and 3.44, so the
+        # necessary condition F' Gbar(0) F < 0 fails although the Gram matrix
+        # is singular; the loop's spectral abscissa is +2.16
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            trng = np.random.default_rng(rng.integers(0, 2 ** 63))
+        plant, _ = random_ni_plant(trng, _FAMILIES[4])
+        ctrl = random_sni_controller(trng, plant.m).realization
+        assert (_FAMILIES[4], plant.n, plant.m) == ("mixed", 11, 2)
+        v = ns.stability_verdict(plant, ctrl,
+                                 VerdictOptions(skip_ni_check=True, run_oracle=True))
+        assert v.outcome is ns.Outcome.UNSTABLE
+        assert (v.theorem_used, v.branch) == (ns.Theorem.DOUBLE_POLE_GENERAL, ns.Branch.NONE)
+        assert v.condition_values["f_gram_max_eig"] == pytest.approx(3.44, abs=0.01)
+        assert v.oracle_agrees is True
 
     def test_gauge_invariance_of_conditions(self, rng, paper_irc):
         """Definiteness of Y' Gbar(0) Y and the projector reduction only

@@ -86,6 +86,7 @@ def test_laurent_routes_agree(seed):
 @given(SEEDS)
 @settings(max_examples=10, deadline=None)
 @example(seed=28)  # second transform has cond(T) ~ 980
+@example(seed=288223)  # G2 = 0: a G2 of rounding put the contour at |s| ~ 1e-7
 def test_verdict_invariant_under_similarity(seed):
     rng = np.random.default_rng(seed)
     family = _FAMILIES[seed % len(_FAMILIES)]

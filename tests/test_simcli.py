@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import nistab as ns
-from nistab.simcli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PRECONDITION, main
+from nistab.simcli import (
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 
 from conftest import double_integrator, first_order_lag_minus
 
@@ -71,7 +77,7 @@ class TestRunAnalysis:
         assert rep.oracle_hurwitz is True
         out = rep.to_dict()
         json.dumps(out)
-        assert out["schema_version"] == 1
+        assert out["schema_version"] == 2
 
     def test_one_pass(self, arm_plant, paper_irc, monkeypatch):
         """Each stage of the analysis, the PBH test included, runs once per report."""
@@ -156,6 +162,22 @@ class TestCli:
         assert main(["--json", "verify", "--count", "16", "--seed", "5"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["agreement_fraction"] == 1.0
+
+    def test_verify_fails_on_disagreement_or_precondition(self, monkeypatch, capsys):
+        def report(disagreements, precondition_failed):
+            return ns.MonteCarloReport(
+                count=4, applicable=4 - precondition_failed,
+                agreements=4 - precondition_failed - len(disagreements), boundary=0,
+                inconclusive=0, precondition_failed=precondition_failed,
+                disagreements=disagreements, by_theorem={})
+
+        for rep, code in ((report([], 0), EXIT_OK),
+                          (report([(2, "mixed", "stable")], 0), EXIT_VERIFY_FAILED),
+                          (report([], 1), EXIT_VERIFY_FAILED)):
+            monkeypatch.setattr(ns.simcli, "montecarlo_agreement",
+                                lambda count, seed, rep=rep: rep)
+            assert main(["--json", "verify", "--count", "4"]) == code
+            capsys.readouterr()
 
     def test_beam_scan_csv(self, capsys):
         assert main(["beam", "scan", "--wmin", "1.0", "--wmax", "5.0",
