@@ -244,8 +244,9 @@ class _Spectral(StateSpaceModel):
     @cached_property
     def eigs(self) -> np.ndarray:
         """Eigenvalues of A, the diagonal of T: the one eigenvalue source of the
-        NI tests and the Laurent routes (the PBH test takes its own, see
-        :func:`minimality_margin`)."""
+        NI tests and the Laurent routes.  The PBH test shifts by the exact
+        conjugate pairs of a real eigensolver instead (:func:`_pbh_shifts`),
+        but triangularizes on this Schur form (:func:`_pbh_bound`)."""
         return np.diag(self.schur[0])
 
     @cached_property
@@ -297,6 +298,7 @@ class _Spectral(StateSpaceModel):
 
     @cached_property
     def minimal(self) -> bool:
+        """The PBH verdict, :func:`is_minimal` on this record's Schur form."""
         return is_minimal(self)
 
 
@@ -407,26 +409,34 @@ def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
     return float(np.sqrt(g2 / g0)) if g2 > 0.0 and g0 > 0.0 else np.inf
 
 
+def _pbh_shifts(A: np.ndarray) -> np.ndarray:
+    """The eigenvalues the PBH test is taken at, one of each conjugate pair.
+
+    A, B, C are real, so the test matrices at conj(lambda) are the complex
+    conjugates of those at lambda and have the same singular values.  The
+    eigenvalues come from a real eigensolver, not from a complex Schur
+    diagonal, so that each conjugate pair is exact and tested once.
+    """
+    eigs = np.linalg.eigvals(A)
+    return eigs[eigs.imag >= 0.0]
+
+
 def minimality_margin(model: StateSpaceModel) -> float:
     """Smallest eigenvalue-test singular value over its rank cutoff.
 
     Controllability and observability are checked per eigenvalue:
     rank [A - lambda I, B] = n and rank [A - lambda I; C'] = n for every
-    eigenvalue lambda, taking one of each conjugate pair.  This is
-    numerically far better behaved than ranks of the stacked Kalman
-    matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
-    minimal.
+    eigenvalue lambda (:func:`_pbh_shifts`).  This is numerically far better
+    behaved than ranks of the stacked Kalman matrices, whose high powers of
+    A swamp the cutoff.  Values above 1 mean minimal.  Two dense SVDs per
+    eigenvalue, O(n^4) in all: :func:`is_minimal` runs it only where the
+    bound of :func:`_pbh_bound` cannot decide.
     """
     n = model.n
     if n == 0:
         return np.inf
-    # A, B, C are real, so the test matrices at conj(lambda) are the complex
-    # conjugates of those at lambda and have the same singular values.  The
-    # eigenvalues come from a real eigensolver, not from a complex Schur
-    # diagonal, so that each conjugate pair is exact and tested once
-    eigs = np.linalg.eigvals(model.A)
     margin = np.inf
-    for lam in eigs[eigs.imag >= 0.0]:
+    for lam in _pbh_shifts(model.A):
         shifted = model.A - lam * np.eye(n)
         for M in (np.hstack([shifted, model.B]),
                   np.vstack([shifted, model.C])):
@@ -436,9 +446,58 @@ def minimality_margin(model: StateSpaceModel) -> float:
     return float(margin)
 
 
+#: :func:`is_minimal` takes "minimal" from :func:`_pbh_bound` only above
+#: this; near the cutoff 1 the bound is rounding, and the SVD decides
+PBH_CLEARANCE = 100.0
+
+
+def _pbh_bound(spec: _Spectral) -> float:
+    """A lower bound on :func:`minimality_margin`, from the record's Schur form.
+
+    With A = Z T Z^H, [A - lambda I; C] has the singular values of
+    [T - lambda I; C Z], and [A - lambda I, B] those of [T^H - conj(lambda) I;
+    B' Z] with rows and columns reversed: each an upper triangle with m rows
+    below it.  LAPACK ztpqrt folds the m rows into the triangle, R, in
+    O(n^2 m).  Then sigma_min >= 1 / ||R^-1||_F (ztrtri) and
+    sigma_max <= ||M||_F, so sigma_min / ((n + m) eps sigma_max), the margin,
+    is at least 1 / (||R^-1||_F ||M||_F (n + m) eps).  The bound is within a
+    small factor of the margin on well-separated plants but, like the SVD,
+    is rounding near the cutoff; 0 when an R is exactly singular.
+    """
+    n, m = spec.n, spec.m
+    if n == 0:
+        return np.inf
+    T, Z = spec.schur
+    lams = _pbh_shifts(spec.A)
+    # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
+    tri = (np.linalg.norm(np.triu(T, 1)) ** 2
+           + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
+    eye = np.eye(n)
+    bounds = []
+    for upper, rows, shifts in ((T, spec.C @ Z, lams),
+                                (T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1],
+                                 lams.conj())):
+        fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
+        for lam, f in zip(shifts, fro):
+            # LAPACK block size 8 (at most n): the fastest at n = 104
+            R = lapack.ztpqrt(0, min(8, n), upper - lam * eye, rows, overwrite_a=1)[0]
+            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
+            bounds.append(0.0 if info else 1.0 / (np.linalg.norm(Rinv) * f))
+    # np.min, not min: a NaN must reach the caller and fail its test
+    return float(np.min(bounds, initial=np.inf) / ((n + m) * np.finfo(float).eps))
+
+
 def is_minimal(model: StateSpaceModel) -> bool:
-    """Controllability and observability at every eigenvalue (numerical)."""
-    return minimality_margin(model) > 1.0
+    """Controllability and observability at every eigenvalue (numerical).
+
+    The decision is ``minimality_margin(model) > 1``.  The lower bound of
+    :func:`_pbh_bound`, on the Schur form of the model's record, decides it
+    when it exceeds ``PBH_CLEARANCE``; otherwise the SVDs of
+    :func:`minimality_margin` do.  The bound never says "not minimal", so
+    the decision is the margin's.
+    """
+    return (_pbh_bound(_spectral(model)) > PBH_CLEARANCE
+            or minimality_margin(model) > 1.0)
 
 
 def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,

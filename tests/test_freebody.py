@@ -353,17 +353,33 @@ class TestStabilityVerdict:
         # one PBH test per verdict, and none saved for the next call on the
         # same model
         calls = []
-        margin = ns.ltimodel.minimality_margin
+        is_minimal = ns.ltimodel.is_minimal
 
         def counted(model):
             calls.append(model)
-            return margin(model)
+            return is_minimal(model)
 
-        monkeypatch.setattr(ns.ltimodel, "minimality_margin", counted)
+        monkeypatch.setattr(ns.ltimodel, "is_minimal", counted)
         for _ in range(2):
             v = ns.stability_verdict(arm_plant, paper_irc.realization)
             assert v.outcome is ns.Outcome.STABLE
         assert len(calls) == 2
+
+    def test_one_schur_form_of_the_plant(self, arm_plant, paper_irc, monkeypatch):
+        # the PBH test, the NI test and the Laurent routes share it
+        import scipy.linalg
+
+        schur = scipy.linalg.schur
+        plant_forms = []
+
+        def counted(a, *args, **kwargs):
+            plant_forms.append(np.array_equal(a, arm_plant.A))
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        v = ns.stability_verdict(arm_plant, paper_irc.realization)
+        assert v.outcome is ns.Outcome.STABLE
+        assert sum(plant_forms) == 1
 
     def test_oracle_skipped_when_channel_counts_differ(self):
         plant = ns.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import nistab as ns
 from nistab.errors import DimensionError, IllPosedError, SingularAtSError
@@ -63,6 +64,106 @@ class TestMinimal:
         for _ in range(10):
             T = np.eye(arm_plant.n) + 0.4 * rng.normal(size=(arm_plant.n,) * 2)
             assert ns.is_minimal(ns.similarity_transform(arm_plant, T))
+
+
+def _transform(rng, n, cond):
+    """U diag(1 ... 1/cond) V' for random orthogonal U, V: cond(T) = cond."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ V.T
+
+
+def _split_mode(turn):
+    """One lossless mode at 2 rad/s realized as two copies, with 0.3 and 0.7
+    of its rank-one coefficient; the second copy's direction is turned by
+    ``turn`` rad.  At turn = 0 the mode is split in two: not minimal."""
+    def copy(gain, angle):
+        w = np.hypot(1.0, 0.5) * np.array([np.cos(angle), np.sin(angle)])
+        return ns.modal_to_ss(ns.ModalModel(2, terms=((2.0, gain * np.outer(w, w)),)))
+
+    a = copy(0.3, np.arctan2(0.5, 1.0))
+    b = copy(0.7, np.arctan2(0.5, 1.0) + turn)
+    return ns.StateSpaceModel(block_diag(a.A, b.A), np.vstack([a.B, b.B]),
+                              np.hstack([a.C, b.C]))
+
+
+def _zeroed_b_row(model):
+    """``model`` with its last nonzero row of B zeroed."""
+    B = model.B.copy()
+    B[np.flatnonzero(np.any(B != 0.0, axis=1))[-1]] = 0.0
+    return ns.StateSpaceModel(model.A, B, model.C, model.D)
+
+
+class TestIsMinimal:
+    """``is_minimal`` decides from the Schur-form bound or, near the cutoff,
+    from the SVD margin; either way it is ``minimality_margin > 1`` (on the
+    48 plants of TestMinimalityMargin too)."""
+
+    @staticmethod
+    def _plants(rng, count, families=None):
+        from nistab.freebody import _FAMILIES
+
+        families = families or _FAMILIES
+        for trial in range(count):
+            model, _ = ns.random_ni_plant(
+                np.random.default_rng(rng.integers(0, 2 ** 63)),
+                families[trial % len(families)])
+            yield trial, model
+
+    @staticmethod
+    def _agrees(model):
+        from nistab.ltimodel import minimality_margin
+
+        margin = minimality_margin(model)
+        assert ns.is_minimal(model) == (margin > 1.0)
+        return margin
+
+    def test_decision_under_ill_conditioned_similarity(self, rng):
+        # cond(T) = 1 ... 1e7 takes the margins from ~1e12 down through the
+        # cutoff, so the bound, the fallback and both answers all occur
+        margins = [self._agrees(ns.similarity_transform(
+                       model, _transform(rng, model.n, 10.0 ** (trial % 8))))
+                   for trial, model in self._plants(rng, 64)]
+        assert min(margins) < 1.0 < max(margins)
+        assert any(1.0 < m < 1e3 for m in margins)
+
+    def test_decision_on_non_minimal_plants(self, rng):
+        # families without a double pole at the origin: at a defective
+        # eigenvalue the computed shift is off by ~eps^1/2, and the margin
+        # there can read "minimal" on a plant that is not
+        plants = [_split_mode(0.0)]
+        plants += [_zeroed_b_row(model) for _, model in self._plants(
+            rng, 16, ("dc_gain", "single", "single_inv", "single_range"))]
+        for model in plants:
+            for cond in (1.0, 1e2):
+                moved = ns.similarity_transform(model, _transform(rng, model.n, cond))
+                assert self._agrees(moved) < 1.0
+
+    def test_bound_is_below_margin(self, rng):
+        # up to rounding, which is of the order of one cutoff: the rank
+        # test's own unit
+        from nistab.ltimodel import _pbh_bound, _spectral, minimality_margin
+
+        for trial, model in self._plants(rng, 64):
+            model = ns.similarity_transform(
+                model, _transform(rng, model.n, 10.0 ** (trial % 8)))
+            assert _pbh_bound(_spectral(model)) <= minimality_margin(model) + 1.0
+
+    def test_near_cutoff_plant_takes_the_fallback(self, monkeypatch):
+        from nistab import ltimodel
+
+        calls = []
+        margin = ltimodel.minimality_margin
+        monkeypatch.setattr(ltimodel, "minimality_margin",
+                            lambda model: calls.append(margin(model)) or calls[-1])
+        # margin ~34: minimal, but the bound (~24) is under PBH_CLEARANCE
+        near = _split_mode(1e-12)
+        assert ltimodel._pbh_bound(ltimodel._spectral(near)) < ltimodel.PBH_CLEARANCE
+        assert ns.is_minimal(near)
+        assert len(calls) == 1 and 1.0 < calls[0] < ltimodel.PBH_CLEARANCE
+        # a thousand times further from the cutoff, the bound decides alone
+        assert ns.is_minimal(_split_mode(1e-9))
+        assert len(calls) == 1
 
 
 class TestClosedLoop:
@@ -268,8 +369,9 @@ class TestMinimalityMargin:
             if trial % 3 == 0:
                 T = np.eye(model.n) + 0.3 * rng.normal(size=(model.n,) * 2)
                 model = ns.similarity_transform(model, T)
-            assert minimality_margin(model) == pytest.approx(
-                _margin_every_eigenvalue(model), rel=1e-9)
+            margin = minimality_margin(model)
+            assert margin == pytest.approx(_margin_every_eigenvalue(model), rel=1e-9)
+            assert ns.is_minimal(model) == (margin > 1.0)
 
     def test_random_plant_draws_unchanged(self):
         from nistab.freebody import _FAMILIES, _draw_ni_plant

@@ -83,24 +83,67 @@ def test_laurent_routes_agree(seed):
     assert L.agreement <= 1e-6
 
 
+#: the domain of the similarity property: a T with a larger condition number
+#: is redrawn.  It holds seed 28's cond(T) ~ 980 transform; it excludes seed
+#: 1042's cond 1.4e7 one, which leaves the plant not minimal to working
+#: precision (see test_ill_conditioned_transform_is_not_minimal)
+SIMILARITY_COND_LIMIT = 1e4
+
+
+def _similarity_case(seed):
+    """(rng, plant, controller) of the similarity property at ``seed``."""
+    rng = np.random.default_rng(seed)
+    family = _FAMILIES[seed % len(_FAMILIES)]
+    plant, _ = random_ni_plant(rng, family)
+    return rng, plant, random_sni_controller(rng, plant.m)
+
+
+def _draw_transform(rng, n):
+    return np.eye(n) + 0.25 * rng.normal(size=(n, n))
+
+
 @given(SEEDS)
 @settings(max_examples=10, deadline=None)
 @example(seed=28)  # second transform has cond(T) ~ 980
 @example(seed=288223)  # G2 = 0: a G2 of rounding put the contour at |s| ~ 1e-7
 def test_verdict_invariant_under_similarity(seed):
-    rng = np.random.default_rng(seed)
-    family = _FAMILIES[seed % len(_FAMILIES)]
-    plant, _ = random_ni_plant(rng, family)
-    ctrl = random_sni_controller(rng, plant.m)
+    rng, plant, ctrl = _similarity_case(seed)
     opts = ns.VerdictOptions(skip_ni_check=True)
     base = ns.stability_verdict(plant, ctrl.realization, opts).outcome
     for _ in range(3):
-        T = np.eye(plant.n) + 0.25 * rng.normal(size=(plant.n,) * 2)
+        T = _draw_transform(rng, plant.n)
+        while np.linalg.cond(T) > SIMILARITY_COND_LIMIT:
+            T = _draw_transform(rng, plant.n)
         moved = ns.stability_verdict(ns.similarity_transform(plant, T),
                                      ctrl.realization, opts).outcome
         if base in (ns.Outcome.BOUNDARY, ns.Outcome.INCONCLUSIVE):
             continue
         assert moved == base
+
+
+def test_ill_conditioned_transform_is_not_minimal(monkeypatch):
+    """Seed 1042's third transform, outside the property's domain.
+
+    The plant (``double`` family, n = 16) is UNSTABLE with its controller.
+    Under T with cond(T) ~ 1.4e7 its PBH margin is 0.06, so the verdict is
+    INCONCLUSIVE with NotMinimalError.  The Schur-form bound cannot clear
+    the cutoff there, and the SVD margin decides.
+    """
+    rng, plant, ctrl = _similarity_case(1042)
+    opts = ns.VerdictOptions(skip_ni_check=True)
+    assert ns.stability_verdict(plant, ctrl.realization, opts).outcome \
+        is ns.Outcome.UNSTABLE
+    for _ in range(3):
+        T = _draw_transform(rng, plant.n)
+    assert np.linalg.cond(T) > 1e3 * SIMILARITY_COND_LIMIT
+    margins = []
+    margin = ns.ltimodel.minimality_margin
+    monkeypatch.setattr(ns.ltimodel, "minimality_margin",
+                        lambda model: margins.append(margin(model)) or margins[-1])
+    v = ns.stability_verdict(ns.similarity_transform(plant, T), ctrl.realization, opts)
+    assert v.outcome is ns.Outcome.INCONCLUSIVE
+    assert "NotMinimalError" in v.reason
+    assert len(margins) == 1 and 0.01 < margins[0] < 1.0
 
 
 @given(SEEDS)

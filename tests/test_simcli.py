@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +85,7 @@ class TestRunAnalysis:
     def test_one_pass(self, arm_plant, paper_irc, monkeypatch):
         """Each stage of the analysis, the PBH test included, runs once per report."""
         names = ("classify_ni", "classify_sni", "laurent_coefficients",
-                 "direct_stability", "minimality_margin")
+                 "direct_stability", "is_minimal")
         calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -93,7 +96,7 @@ class TestRunAnalysis:
 
         modules = [mod for key, mod in sys.modules.items() if key.startswith("nistab.")]
         for name in names:
-            fn = getattr(ns.ltimodel if name == "minimality_margin" else ns, name)
+            fn = getattr(ns, name)
             for mod in modules:
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
@@ -162,6 +165,20 @@ class TestCli:
         assert main(["--json", "verify", "--count", "16", "--seed", "5"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["agreement_fraction"] == 1.0
+
+    def test_python_m_nistab(self):
+        # `python -m nistab.simcli` ran a second copy of the CLI module, with
+        # runpy's "found in sys.modules" RuntimeWarning
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONWARNINGS="default",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-m", "nistab", "--json", "verify", "--count", "4", "--seed", "8"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        assert "Warning" not in run.stderr
+        assert json.loads(run.stdout)["agreement_fraction"] == 1.0
 
     def test_verify_fails_on_disagreement_or_precondition(self, monkeypatch, capsys):
         def report(disagreements, precondition_failed):
