@@ -258,8 +258,8 @@ class _Spectral(StateSpaceModel):
         """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
 
         The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
-        :attr:`origin_split`) and "a pole lies on the imaginary axis"
-        (``niclass``).
+        :attr:`origin_split`), "a pole lies on the imaginary axis"
+        (``niclass``) and "two eigenvalues are one cluster" (:func:`_pbh_shifts`).
         """
         return ZERO_EIG_RTOL * max(1.0, self.norm2)
 
@@ -409,16 +409,43 @@ def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
     return float(np.sqrt(g2 / g0)) if g2 > 0.0 and g0 > 0.0 else np.inf
 
 
-def _pbh_shifts(A: np.ndarray) -> np.ndarray:
-    """The eigenvalues the PBH test is taken at, one of each conjugate pair.
+def _pbh_shifts(A: np.ndarray, ztol: float) -> np.ndarray:
+    """The eigenvalues the PBH test is taken at, one of each conjugate pair,
+    and one shift at the mean of each cluster.
 
     A, B, C are real, so the test matrices at conj(lambda) are the complex
     conjugates of those at lambda and have the same singular values.  The
     eigenvalues come from a real eigensolver, not from a complex Schur
-    diagonal, so that each conjugate pair is exact and tested once.
+    diagonal, so that each conjugate pair is exact and tested once.  A
+    defective eigenvalue comes back as a cluster about eps^1/2 ||A|| wide,
+    and the test at each computed member can clear the cutoff by 1e6 though
+    a mode is lost; the mean of the cluster, the distinct eigenvalues linked
+    pairwise within ``ztol``, is within rounding of the exact eigenvalue.
+    (Equal eigenvalues count once: the test at their value is taken
+    already.)  A cluster that meets the real axis is its own conjugate, and
+    its mean is real.
     """
     eigs = np.linalg.eigvals(A)
-    return eigs[eigs.imag >= 0.0]
+    shifts = [eigs[eigs.imag >= 0.0]]
+    eigs = np.unique(eigs)
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= ztol
+    linked = np.flatnonzero(near.sum(axis=1) > 1)
+    if linked.size:
+        eigs, near = eigs[linked], near[np.ix_(linked, linked)]
+        # each eigenvalue takes the least index in its cluster
+        label = np.arange(linked.size)
+        while True:
+            least = np.where(near, label[None, :], linked.size).min(axis=1)
+            if np.array_equal(least, label):
+                break
+            label = least
+        for root in np.unique(label):
+            members = eigs[label == root]
+            # the conjugate of a cluster above the axis is not tested
+            if members.imag.max() >= 0.0:
+                mean = members.mean()
+                shifts.append([mean.real if members.imag.min() <= 0.0 else mean])
+    return np.concatenate(shifts)
 
 
 def minimality_margin(model: StateSpaceModel) -> float:
@@ -426,17 +453,17 @@ def minimality_margin(model: StateSpaceModel) -> float:
 
     Controllability and observability are checked per eigenvalue:
     rank [A - lambda I, B] = n and rank [A - lambda I; C'] = n for every
-    eigenvalue lambda (:func:`_pbh_shifts`).  This is numerically far better
-    behaved than ranks of the stacked Kalman matrices, whose high powers of
-    A swamp the cutoff.  Values above 1 mean minimal.  Two dense SVDs per
-    eigenvalue, O(n^4) in all: :func:`is_minimal` runs it only where the
-    bound of :func:`_pbh_bound` cannot decide.
+    eigenvalue lambda and cluster mean (:func:`_pbh_shifts`).  This is
+    numerically far better behaved than ranks of the stacked Kalman
+    matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
+    minimal.  Two dense SVDs per shift, O(n^4) in all: :func:`is_minimal`
+    runs it only where the bound of :func:`_pbh_bound` cannot decide.
     """
     n = model.n
     if n == 0:
         return np.inf
     margin = np.inf
-    for lam in _pbh_shifts(model.A):
+    for lam in _pbh_shifts(model.A, _spectral(model).ztol):
         shifted = model.A - lam * np.eye(n)
         for M in (np.hstack([shifted, model.B]),
                   np.vstack([shifted, model.C])):
@@ -468,7 +495,7 @@ def _pbh_bound(spec: _Spectral) -> float:
     if n == 0:
         return np.inf
     T, Z = spec.schur
-    lams = _pbh_shifts(spec.A)
+    lams = _pbh_shifts(spec.A, spec.ztol)
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
     tri = (np.linalg.norm(np.triu(T, 1)) ** 2
            + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
@@ -496,8 +523,8 @@ def is_minimal(model: StateSpaceModel) -> bool:
     :func:`minimality_margin` do.  The bound never says "not minimal", so
     the decision is the margin's.
     """
-    return (_pbh_bound(_spectral(model)) > PBH_CLEARANCE
-            or minimality_margin(model) > 1.0)
+    spec = _spectral(model)
+    return _pbh_bound(spec) > PBH_CLEARANCE or minimality_margin(spec) > 1.0
 
 
 def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,

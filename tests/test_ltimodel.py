@@ -128,16 +128,28 @@ class TestIsMinimal:
         assert any(1.0 < m < 1e3 for m in margins)
 
     def test_decision_on_non_minimal_plants(self, rng):
-        # families without a double pole at the origin: at a defective
-        # eigenvalue the computed shift is off by ~eps^1/2, and the margin
-        # there can read "minimal" on a plant that is not
+        # every family, those with a double pole at the origin too
         plants = [_split_mode(0.0)]
-        plants += [_zeroed_b_row(model) for _, model in self._plants(
-            rng, 16, ("dc_gain", "single", "single_inv", "single_range"))]
+        plants += [_zeroed_b_row(model) for _, model in self._plants(rng, 32)]
         for model in plants:
             for cond in (1.0, 1e2):
                 moved = ns.similarity_transform(model, _transform(rng, model.n, cond))
                 assert self._agrees(moved) < 1.0
+
+    def test_lost_mode_at_a_defective_eigenvalue(self):
+        # no input reaches the driving state of the Jordan pair at the
+        # origin.  eigvals puts the pair ~1e-8 off zero under a change of
+        # coordinates, and there the test cleared the cutoff by 1e6; the
+        # pair's mean is within rounding of the exact eigenvalue
+        A = block_diag([[0.0, 1.0], [0.0, 0.0]], -1.0, -2.0)
+        B = [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        C = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+        model = ns.StateSpaceModel(A, B, C)
+        assert self._agrees(model) < 1.0
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            assert self._agrees(ns.similarity_transform(model, Q)) < 1.0
 
     def test_bound_is_below_margin(self, rng):
         # up to rounding, which is of the order of one cutoff: the rank

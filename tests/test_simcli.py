@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nistab as ns
 from nistab.simcli import (
@@ -13,10 +16,114 @@ from nistab.simcli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VERIFY_FAILED,
+    WINDOW,
+    _reference_wiring,
     main,
 )
 
 from conftest import double_integrator, first_order_lag_minus
+
+
+def _per_step(G, Gbar, wiring, dt, steps, r=1.0):
+    """Reference step response: the recursion x <- Ad x + Bd r, one sample at
+    a time, on the zero-order-hold pair of ``step_response``; stops after the
+    first sample whose state is non-finite or above the divergence limit."""
+    A_cl, B_cl, C_cl = _reference_wiring(G, Gbar, wiring)
+    n = A_cl.shape[0]
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = A_cl * dt
+    aug[:n, n:] = B_cl * dt
+    E = scipy.linalg.expm(aug)
+    Ad, Bd = E[:n, :n], E[:n, n:]
+    x = np.zeros((n, 1))
+    y = []
+    for _ in range(steps):
+        y.append((C_cl @ x).ravel())
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > ns.simcli.DIVERGENCE_LIMIT:
+            return np.array(y), True
+        x = Ad @ x + Bd * r
+    return np.array(y), False
+
+
+def _assert_matches_per_step(res, G, Gbar, wiring, dt, steps, r=1.0):
+    y, diverged = _per_step(G, Gbar, wiring, dt, steps, r)
+    assert len(res.t) == len(res.y) == len(y)
+    assert res.diverged == diverged
+    np.testing.assert_allclose(res.y, y, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
+    np.testing.assert_allclose(res.t, np.arange(len(y)) * dt, rtol=0.0, atol=0.0)
+
+
+@pytest.fixture(scope="module")
+def arm_plants(beam_params):
+    return {modes: ns.modal_to_ss(ns.finite_dim_approx(beam_params, modes))
+            for modes in (1, 2, 5, 10)}
+
+
+class TestStepResponseBlocks:
+    """The samples come from block products with powers of the one ZOH matrix;
+    the per-step recursion is the reference."""
+
+    @pytest.mark.parametrize("wiring", ["additive", "replace"])
+    @pytest.mark.parametrize("T_end, dt", [(10.0, 1e-3), (40.0, 0.02), (400.0, 0.1)])
+    @pytest.mark.parametrize("modes", [1, 2, 5, 10])
+    def test_agrees_with_per_step_recursion(self, arm_plants, paper_irc,
+                                            modes, T_end, dt, wiring):
+        G = arm_plants[modes]
+        res = ns.step_response(G, paper_irc.realization, wiring=wiring,
+                               T_end=T_end, dt=dt)
+        assert not res.diverged
+        _assert_matches_per_step(res, G, paper_irc.realization, wiring, dt,
+                                 round(T_end / dt) + 1)
+
+    @pytest.mark.parametrize("T_end, dt, steps", [
+        (1e-4, 1e-3, 2), (0.006, 1e-3, 7), (0.999, 1e-3, 1000),
+        (WINDOW - 1, 1.0, WINDOW), (WINDOW, 1.0, WINDOW + 1),
+        (2 * WINDOW, 1.0, 2 * WINDOW + 1), (3.0, 1e-3, 3001)])
+    def test_step_counts_around_the_window(self, arm_plants, paper_irc, T_end, dt, steps):
+        res = ns.step_response(arm_plants[2], paper_irc.realization,
+                               T_end=T_end, dt=dt)
+        _assert_matches_per_step(res, arm_plants[2], paper_irc.realization,
+                                 "additive", dt, steps)
+
+    def test_divergence_at_the_same_sample(self):
+        G, Gbar = double_integrator(), first_order_lag_minus(0.5)
+        res = ns.step_response(G, Gbar, T_end=200.0, dt=0.05)
+        assert res.diverged
+        # the trajectory crosses the limit well inside the run, past one window
+        assert WINDOW < len(res.t) < 4001
+        _assert_matches_per_step(res, G, Gbar, "additive", 0.05, 4001)
+
+    def test_zero_reference_exact_zeros_past_the_window(self, arm_plants, paper_irc):
+        res = ns.step_response(arm_plants[5], paper_irc.realization, r=0.0,
+                               T_end=10.0, dt=1e-3)
+        assert not res.diverged and len(res.t) == 10001
+        np.testing.assert_array_equal(res.y, np.zeros_like(res.y))
+
+    def test_power_overflow_on_an_undriven_unstable_state(self):
+        # the controller's state at +20 is never reached by the reference, so
+        # it stays exactly 0; E^1024 overflows, and inf * 0 would be NaN
+        G = ns.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        Gbar = ns.StateSpaceModel(np.diag([-1.0, 20.0]), [[1.0], [0.0]],
+                                  [[0.1, 0.0]], [[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ns.step_response(G, Gbar, T_end=300.0, dt=0.05)
+        assert not res.diverged and len(res.t) == 6001
+        _assert_matches_per_step(res, G, Gbar, "additive", 0.05, 6001)
+
+    def test_keeps_only_one_window_of_states(self, arm_plants, paper_irc):
+        # all 100,001 states of the 10-mode loop (n = 24) would take 19 MB;
+        # y is 1.6 MB and one window of states 0.2 MB
+        G = arm_plants[10]
+        ns.step_response(G, paper_irc.realization, T_end=0.01, dt=1e-3)
+        tracemalloc.start()
+        try:
+            res = ns.step_response(G, paper_irc.realization, T_end=100.0, dt=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.t) == 100001
+        assert peak < 8e6
 
 
 class TestStepResponse:
@@ -44,6 +151,17 @@ class TestStepResponse:
     def test_exact_discretization_consistent_across_dt(self, arm_plant, paper_irc):
         r1 = ns.step_response(arm_plant, paper_irc.realization, T_end=2.0, dt=0.02)
         r2 = ns.step_response(arm_plant, paper_irc.realization, T_end=2.0, dt=0.01)
+        np.testing.assert_allclose(r1.theta, r2.theta[::2], atol=1e-10)
+
+    def test_sample_count_does_not_pass_t_end(self, arm_plant, paper_irc):
+        # 0.07 / 0.01 = 7.000000000000001: ceil gave a ninth sample at t = 0.08
+        res = ns.step_response(arm_plant, paper_irc.realization, T_end=0.07, dt=0.01)
+        assert len(res.t) == 8
+        assert res.t[-1] == pytest.approx(0.07)
+        # 0.14 / 0.02 and 0.14 / 0.01 both land just above an integer
+        r1 = ns.step_response(arm_plant, paper_irc.realization, T_end=0.14, dt=0.02)
+        r2 = ns.step_response(arm_plant, paper_irc.realization, T_end=0.14, dt=0.01)
+        assert len(r1.t) == 8 and len(r2.t) == 15
         np.testing.assert_allclose(r1.theta, r2.theta[::2], atol=1e-10)
 
     def test_unstable_pair_flagged_divergent(self):
