@@ -233,7 +233,9 @@ class _Spectral(StateSpaceModel):
     test, the Laurent routes and the sweep share one complex Schur form, one
     ||A||_2, one origin split and one PBH test.  A public function handed a
     plain model builds a record of its own (:func:`_spectral`); nothing is
-    kept on the caller's model.
+    kept on the caller's model.  Inside ``freebody.montecarlo_agreement``,
+    still one public call, a record spans one trial: the draw filter's PBH
+    bound is the verdict's minimality test.
     """
 
     @cached_property
@@ -295,6 +297,11 @@ class _Spectral(StateSpaceModel):
         ``freebody.to_block_diagonal`` the Laurent data about s = 0.
         """
         return self.split(np.flatnonzero(np.abs(self.eigs) <= self.ztol))
+
+    @cached_property
+    def pbh_bound(self) -> float:
+        """:func:`_pbh_bound` on this record's Schur form."""
+        return _pbh_bound(self)
 
     @cached_property
     def minimal(self) -> bool:
@@ -524,7 +531,7 @@ def is_minimal(model: StateSpaceModel) -> bool:
     the decision is the margin's.
     """
     spec = _spectral(model)
-    return _pbh_bound(spec) > PBH_CLEARANCE or minimality_margin(spec) > 1.0
+    return spec.pbh_bound > PBH_CLEARANCE or minimality_margin(spec) > 1.0
 
 
 def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,

@@ -149,8 +149,9 @@ def classify_definiteness(M: np.ndarray, tol: float | None = None) -> Definitene
     Ms = symmetrize(M, rtol=sym_rtol)
     w = np.linalg.eigvalsh(Ms)
     lo, hi = float(w[0]), float(w[-1])
-    t = _eig_tol(np.linalg.norm(Ms, 2), tol)
-    if max(abs(lo), abs(hi)) <= t:
+    size = max(abs(lo), abs(hi))  # ||Ms||_2, Ms being symmetric
+    t = _eig_tol(size, tol)
+    if size <= t:
         kind = DefinitenessKind.ZERO
     elif lo > t:
         kind = DefinitenessKind.POSITIVE_DEFINITE

@@ -13,12 +13,13 @@ from nistab.errors import (
 )
 from nistab.freebody import (
     _FAMILIES,
+    _draw_ni_plant,
     _reduced_gain,
     VerdictOptions,
     random_ni_plant,
     random_sni_controller,
 )
-from nistab.ltimodel import _laurent_numeric_limits
+from nistab.ltimodel import _laurent_numeric_limits, minimality_margin
 
 from conftest import double_integrator, first_order_lag_minus
 
@@ -476,3 +477,60 @@ class TestMonteCarlo:
 
         rep = ns.montecarlo_agreement(10, seed=0)
         json.dumps(rep.to_dict())
+
+    def test_one_spectral_pass_per_trial(self, monkeypatch):
+        # the draw filter's record serves the verdict: one Schur form and one
+        # PBH bound per plant, and no SVD margin when every bound clears
+        import scipy.linalg
+
+        from nistab import freebody, ltimodel
+
+        plants, forms, bounds, margins = [], [], [], []
+        draw, schur, bound = freebody._draw_ni_plant, scipy.linalg.schur, ltimodel._pbh_bound
+
+        def drawn(*args, **kwargs):
+            model, mm = draw(*args, **kwargs)
+            plants.append(model.A)
+            return model, mm
+
+        def counted_schur(a, *args, **kwargs):
+            forms.append(next((i for i, A in enumerate(plants) if np.array_equal(a, A)), None))
+            return schur(a, *args, **kwargs)
+
+        def counted_bound(spec):
+            bounds.append(spec)
+            return bound(spec)
+
+        def no_margin(model):
+            margins.append(model)
+            return np.inf
+
+        monkeypatch.setattr(freebody, "_draw_ni_plant", drawn)
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(ltimodel, "_pbh_bound", counted_bound)
+        monkeypatch.setattr(ltimodel, "minimality_margin", no_margin)
+        monkeypatch.setattr(freebody, "minimality_margin", no_margin)
+        rep = ns.montecarlo_agreement(16, seed=0)
+        assert rep.count == 16 and not rep.disagreements
+        assert len(plants) == 16
+        assert sorted(i for i in forms if i is not None) == list(range(16))
+        assert len(bounds) == 16
+        assert not margins
+
+    def test_filter_keeps_the_margin_draws(self):
+        # the bound-first filter keeps exactly the draws of "margin > 50"
+        def reference(rng, family):
+            for _ in range(50):
+                model, mm = _draw_ni_plant(rng, family)
+                if minimality_margin(model) > 50.0:
+                    return model, mm
+
+        for family in _FAMILIES:
+            for seed in range(4):
+                model, mm = random_ni_plant(np.random.default_rng(seed), family)
+                ref, ref_mm = reference(np.random.default_rng(seed), family)
+                assert type(model) is ns.StateSpaceModel
+                for got, want in zip((model.A, model.B, model.C, model.D),
+                                     (ref.A, ref.B, ref.C, ref.D)):
+                    assert got.tobytes() == want.tobytes()
+                assert mm.meta == ref_mm.meta and len(mm.terms) == len(ref_mm.terms)
