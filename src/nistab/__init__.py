@@ -67,7 +67,6 @@ from .matrixcore import (          # noqa: F401
     psd_sqrt,
 )
 from .niclass import (             # noqa: F401
-    FrequencyGrid,
     NiReport,
     SniReport,
     classify_ni,

@@ -40,7 +40,6 @@ import scipy.linalg
 from .errors import (
     DimensionError,
     InsufficientRangeError,
-    NistabError,
     NotARootError,
     SingularAtSError,
 )
@@ -68,6 +67,9 @@ VOLTAGE_GAIN = 0.5481628
 
 #: |beta*L| above which the propagation basis switches to decaying exponentials
 _BASIS_SWITCH = 6.0
+
+#: step (rad/s) of the uniform grid on which modal roots are bracketed
+ROOT_SCAN_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -255,21 +257,17 @@ def _solve_boundary(p: BeamParameters, s: complex):
     return solve(1.0, 0.0), solve(0.0, 1.0)
 
 
-def beam_tf(p: BeamParameters, s: complex, x1: float = 0.0,
-            x2: float | None = None) -> BeamTransferSample:
+def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
     """Evaluate the 2x2 arm transfer matrix at s by solving the beam BVP.
 
-    Only the full-span actuator/sensor configuration (x1 = 0, x2 = l) is
-    supported; it is the configuration the benchmark fixes.
+    The actuator/sensor pair spans the whole beam, the configuration the
+    benchmark fixes.
 
     Raises
     ------
     SingularAtSError
         When s coincides with a modal root (the boundary system is singular).
     """
-    x2 = p.l if x2 is None else x2
-    if x1 != 0.0 or x2 != p.l:
-        raise NistabError("only full-span patches (x1 = 0, x2 = l) are supported")
     if s == 0:
         raise SingularAtSError("s = 0 is the rigid-body double pole")
     (th_t, sd_t), (th_v, sd_v) = _solve_boundary(p, s)
@@ -279,12 +277,11 @@ def beam_tf(p: BeamParameters, s: complex, x1: float = 0.0,
 
 
 def find_modal_roots(p: BeamParameters, count: int,
-                     omega_max: float | None = None,
-                     scan_step: float = 0.01) -> np.ndarray:
+                     omega_max: float | None = None) -> np.ndarray:
     """First `count` positive imaginary-axis roots of D, ascending.
 
-    Sign-change bracketing of w -> D(jw) on a uniform grid (default step
-    0.01 rad/s) refined by Brent bisection to 1e-10 relative.  The rigid
+    Sign-change bracketing of w -> D(jw) on a uniform grid of step
+    ROOT_SCAN_STEP refined by Brent bisection to 1e-10 relative.  The rigid
     pole at w = 0 is not included.
 
     Raises
@@ -295,11 +292,11 @@ def find_modal_roots(p: BeamParameters, count: int,
     if count < 1:
         raise DimensionError("count must be at least 1")
     cap = omega_max
-    lo = scan_step
+    lo = ROOT_SCAN_STEP
     hi = 64.0 if cap is None else cap
     roots: list[float] = []
     while True:
-        grid = np.arange(lo, hi + scan_step, scan_step)
+        grid = np.arange(lo, hi + ROOT_SCAN_STEP, ROOT_SCAN_STEP)
         vals = _d_reduced(p, grid)
         sign = np.sign(vals)
         idx = np.where(sign[:-1] * sign[1:] < 0)[0]

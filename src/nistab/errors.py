@@ -76,7 +76,3 @@ class NotARootError(NistabError):
 
 class InsufficientRangeError(NistabError):
     """Fewer modal roots than requested below the frequency cap."""
-
-
-class PreconditionFailedError(NistabError):
-    """A theorem hypothesis (NI / SNI / properness) does not hold."""

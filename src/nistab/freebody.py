@@ -61,7 +61,7 @@ from .matrixcore import (
     psd_sqrt,
     symmetrize,
 )
-from .niclass import FrequencyGrid, NiReport, SniReport, classify_ni, classify_sni
+from .niclass import NiReport, SniReport, classify_ni, classify_sni
 
 __all__ = [
     "LaurentCoefficients",
@@ -153,8 +153,7 @@ class LaurentCoefficients:
     agreement: float | None = None
 
 
-def laurent_coefficients(model: StateSpaceModel,
-                         cross_check: bool = True) -> LaurentCoefficients:
+def laurent_coefficients(model: StateSpaceModel) -> LaurentCoefficients:
     """Laurent data of a minimal strictly proper model about s = 0.
 
     The primary route reads the coefficients off the origin split
@@ -188,38 +187,35 @@ def laurent_coefficients(model: StateSpaceModel,
     else:
         G0 = np.zeros((model.m, model.m))
 
-    numeric = None
-    agreement = None
-    if cross_check:
-        # the Laurent series converges out to the closest nonzero pole; on a
-        # third of that radius G0 ... G2 alias with terms of relative size
-        # 3^-30 or less, and the s^-3, s^-4 settle measure with 3^-28.  A
-        # fast mode puts that circle where rounding of size eps r^2 ||G0||
-        # swamps G2, so the radius is capped at the balance point.
-        nonzero = np.abs(spec.eigs[np.abs(spec.eigs) > spec.ztol])
-        radius = float(np.min(nonzero)) if nonzero.size else 10.0
-        radius = min(radius / 3.0, _balance_radius(G2, G0))
-        G0n, G1n, G2n, settle = _laurent_numeric_limits(spec, radius)
-        if settle > SETTLE_RTOL:
-            raise LimitDivergentError(
-                "numeric Laurent limits failed to settle (s^-3, s^-4 terms "
-                f"carry {settle:.2e} of G on the contour)"
-            )
-        scale = 1.0 + max(np.linalg.norm(M) for M in (G0, G1, G2))
-        numeric = (G0n, G1n, G2n)
-        agreement = float(
-            max(
-                np.linalg.norm(numeric[0] - G0),
-                np.linalg.norm(numeric[1] - G1),
-                np.linalg.norm(numeric[2] - G2),
-            )
-            / scale
+    # the Laurent series converges out to the closest nonzero pole; on a
+    # third of that radius G0 ... G2 alias with terms of relative size
+    # 3^-30 or less, and the s^-3, s^-4 settle measure with 3^-28.  A
+    # fast mode puts that circle where rounding of size eps r^2 ||G0||
+    # swamps G2, so the radius is capped at the balance point.
+    nonzero = np.abs(spec.eigs[np.abs(spec.eigs) > spec.ztol])
+    radius = float(np.min(nonzero)) if nonzero.size else 10.0
+    radius = min(radius / 3.0, _balance_radius(G2, G0))
+    G0n, G1n, G2n, settle = _laurent_numeric_limits(spec, radius)
+    if settle > SETTLE_RTOL:
+        raise LimitDivergentError(
+            "numeric Laurent limits failed to settle (s^-3, s^-4 terms "
+            f"carry {settle:.2e} of G on the contour)"
         )
-        if agreement > 1e-3:
-            raise NistabError(
-                f"Laurent routes disagree by {agreement:.2e} (relative); "
-                "realization or limits are unreliable for this model"
-            )
+    scale = 1.0 + max(np.linalg.norm(M) for M in (G0, G1, G2))
+    numeric = (G0n, G1n, G2n)
+    agreement = float(
+        max(
+            np.linalg.norm(numeric[0] - G0),
+            np.linalg.norm(numeric[1] - G1),
+            np.linalg.norm(numeric[2] - G2),
+        )
+        / scale
+    )
+    if agreement > 1e-3:
+        raise NistabError(
+            f"Laurent routes disagree by {agreement:.2e} (relative); "
+            "realization or limits are unreliable for this model"
+        )
     return LaurentCoefficients(G0=G0, G1=G1, G2=G2,
                                numeric=numeric, agreement=agreement)
 
@@ -326,10 +322,17 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class VerdictOptions:
-    grid: FrequencyGrid = field(default_factory=FrequencyGrid)
-    zero_coeff_rtol: float = ZERO_COEFF_RTOL
+    """What a caller of :func:`stability_verdict` chooses.
+
+    ``boundary_band`` is the relative band about each strict inequality
+    inside which the verdict is BOUNDARY (the CLI's ``--tol``);
+    ``run_oracle`` adds the closed-loop Hurwitz test of
+    :func:`direct_stability`; ``skip_ni_check`` skips the NI and SNI
+    classification, for a pair that is NI/SNI by construction.  Every other
+    tolerance is a module constant.
+    """
+
     boundary_band: float = BOUNDARY_BAND
-    hurwitz_margin: float = 1e-8
     run_oracle: bool = False
     skip_ni_check: bool = False
 
@@ -443,8 +446,9 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     exact (necessary and sufficient) whenever the relevant reduced matrix is
     sign semidefinite; an indefinite reduction yields INCONCLUSIVE, and any
     decisive quantity inside the tolerance band yields BOUNDARY rather than a
-    guess.  Laurent data that cannot be extracted reliably also yield
-    INCONCLUSIVE, with the error as the reason.
+    guess.  A classification that cannot run (a non-minimal plant) and
+    Laurent data that cannot be extracted reliably also yield INCONCLUSIVE,
+    with the error as the reason.
 
     The verdict carries everything the analysis computed: the NI and SNI
     reports, the Laurent data, the tolerances used and, with
@@ -455,16 +459,27 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     # one record of the plant's spectral data, shared by every stage below
     G = _spectral(G)
     ni = sni = None
-    if not opts.skip_ni_check:
-        ni = classify_ni(G, opts.grid)
-        sni = classify_sni(Gbar, opts.grid)
-    verdict = _decide(G, Gbar, opts, ni, sni)
+    try:
+        if not opts.skip_ni_check:
+            # the controller first: its report stands if the plant's cannot run
+            sni = classify_sni(Gbar)
+            ni = classify_ni(G)
+    except NistabError as exc:
+        verdict = _inconclusive("classification", exc)
+    else:
+        verdict = _decide(G, Gbar, opts, ni, sni)
     verdict.ni, verdict.sni = ni, sni
-    verdict.tolerances = {"zero_coeff_rtol": opts.zero_coeff_rtol,
-                          "boundary_band": opts.boundary_band}
+    verdict.tolerances["boundary_band"] = opts.boundary_band
     if opts.run_oracle:
-        _attach_oracle(verdict, G, Gbar, opts.hurwitz_margin)
+        _attach_oracle(verdict, G, Gbar)
     return verdict
+
+
+def _inconclusive(stage: str, exc: NistabError) -> StabilityVerdict:
+    return StabilityVerdict(
+        outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.NONE,
+        branch=Branch.NONE, condition_values={},
+        reason=f"{stage} unavailable: {type(exc).__name__}: {exc}")
 
 
 def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
@@ -496,14 +511,11 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
     try:
         L = laurent_coefficients(G)
     except NistabError as exc:
-        return StabilityVerdict(
-            outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.NONE,
-            branch=Branch.NONE, condition_values={},
-            reason=f"Laurent data unavailable: {type(exc).__name__}: {exc}")
+        return _inconclusive("Laurent data", exc)
     m = L.G0.shape[0]
     scale0 = 1.0 + np.linalg.norm(L.G0)
-    g2_zero = np.linalg.norm(L.G2) <= opts.zero_coeff_rtol * scale0
-    g1_zero = np.linalg.norm(L.G1) <= opts.zero_coeff_rtol * scale0
+    g2_zero = np.linalg.norm(L.G2) <= ZERO_COEFF_RTOL * scale0
+    g1_zero = np.linalg.norm(L.G1) <= ZERO_COEFF_RTOL * scale0
 
     if g2_zero and g1_zero:
         return _precondition_failed(
@@ -543,7 +555,7 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
                          Theorem.DOUBLE_POLE_GENERAL, "f", opts)
 
 
-def _attach_oracle(verdict: StabilityVerdict, G, Gbar, margin: float) -> None:
+def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
     """Record the closed-loop Hurwitz test and whether a decisive verdict agrees.
 
     A loop that cannot be closed (channel counts differ) or is ill-posed
@@ -554,7 +566,7 @@ def _attach_oracle(verdict: StabilityVerdict, G, Gbar, margin: float) -> None:
         return
     decisive = verdict.outcome in (Outcome.STABLE, Outcome.UNSTABLE)
     try:
-        verdict.oracle_hurwitz = direct_stability(G, Gbar, margin)
+        verdict.oracle_hurwitz = direct_stability(G, Gbar)
     except IllPosedError:
         if decisive:
             raise
@@ -614,10 +626,10 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
         laurent=L)
 
 
-def direct_stability(G: StateSpaceModel, Gbar: StateSpaceModel,
-                     margin: float = 1e-8) -> bool:
-    """Theorem-independent oracle: is the closed-loop state matrix Hurwitz."""
-    return is_hurwitz(closed_loop(G, Gbar).Abreve, margin)
+def direct_stability(G: StateSpaceModel, Gbar: StateSpaceModel) -> bool:
+    """Theorem-independent oracle: is the closed-loop state matrix Hurwitz
+    (every eigenvalue real part below -``ltimodel.HURWITZ_MARGIN``)."""
+    return is_hurwitz(closed_loop(G, Gbar).Abreve)
 
 
 # --------------------------------------------------------------------------
@@ -767,16 +779,16 @@ class MonteCarloReport:
 
 
 def montecarlo_agreement(count: int, seed: int = 0,
-                         families: tuple = _FAMILIES,
-                         opts: VerdictOptions | None = None) -> MonteCarloReport:
+                         families: tuple = _FAMILIES) -> MonteCarloReport:
     """Check verdicts against the eigenvalue oracle on random NI/SNI pairs.
 
     Every decisive (STABLE/UNSTABLE) verdict must match
     :func:`direct_stability`; BOUNDARY and INCONCLUSIVE trials are tallied
     but excluded from the agreement fraction, as is any trial whose
-    closed-loop spectral abscissa is itself inside the margin band.
+    closed-loop spectral abscissa is itself inside the margin band.  The
+    pairs are NI/SNI by construction, so the verdicts skip the NI check.
     """
-    opts = opts or VerdictOptions(skip_ni_check=True)
+    opts = VerdictOptions(skip_ni_check=True)
     rng = np.random.default_rng(seed)
     applicable = agreements = boundary = inconclusive = prefailed = 0
     disagreements: list = []

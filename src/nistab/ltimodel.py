@@ -42,7 +42,7 @@ __all__ = [
     "model_from_json",
 ]
 
-#: default margin for Hurwitz tests; eigenvalues within the band are "boundary"
+#: margin of the Hurwitz test: every eigenvalue must have Re(lambda) below -margin
 HURWITZ_MARGIN = 1e-8
 
 #: ||D|| at or below this counts as strictly proper
@@ -105,8 +105,8 @@ class StateSpaceModel:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def strictly_proper(self, tol: float = STRICT_PROPER_TOL) -> bool:
-        return bool(np.linalg.norm(self.D) <= tol)
+    def strictly_proper(self) -> bool:
+        return bool(np.linalg.norm(self.D) <= STRICT_PROPER_TOL)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,6 @@ class ClosedLoop:
     Abreve: np.ndarray
     n_plant: int
     n_ctrl: int
-    well_posed: bool = True
 
 
 @dataclass(frozen=True)
@@ -534,8 +533,7 @@ def is_minimal(model: StateSpaceModel) -> bool:
     return spec.pbh_bound > PBH_CLEARANCE or minimality_margin(spec) > 1.0
 
 
-def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,
-                tol: float = 1e-12) -> ClosedLoop:
+def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> ClosedLoop:
     """Positive-feedback closed-loop state matrix.
 
     For plant (A, B, C, D) and controller (Abar, Bbar, Cbar, Dbar) with
@@ -549,7 +547,8 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,
     Raises
     ------
     IllPosedError
-        If I - D Dbar is singular within tolerance.
+        If I - D Dbar is singular: its smallest singular value is at most
+        1e-12 max(1, ||D|| ||Dbar||).
     """
     if G.m != Gbar.m:
         raise DimensionError(f"channel counts differ: {G.m} vs {Gbar.m}")
@@ -558,7 +557,7 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,
     Ab, Bb, Cb, Db = Gbar.A, Gbar.B, Gbar.C, Gbar.D
     W = np.eye(m) - D @ Db
     smin = np.linalg.svd(W, compute_uv=False)[-1]
-    if smin <= tol * max(1.0, np.linalg.norm(D) * np.linalg.norm(Db)):
+    if smin <= 1e-12 * max(1.0, np.linalg.norm(D) * np.linalg.norm(Db)):
         raise IllPosedError("I - D*Dbar is singular: interconnection ill posed")
     L = np.linalg.solve(W, np.eye(m))
     top = np.hstack([A + B @ Db @ L @ C, B @ Cb + B @ Db @ L @ D @ Cb])
@@ -566,10 +565,9 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel,
     return ClosedLoop(Abreve=np.vstack([top, bot]), n_plant=G.n, n_ctrl=Gbar.n)
 
 
-def is_hurwitz(M: np.ndarray, margin: float = HURWITZ_MARGIN) -> bool:
-    """True iff every eigenvalue satisfies Re(lambda) < -margin."""
-    M = _as_matrix(M, "M")
-    return bool(np.max(np.linalg.eigvals(M).real) < -margin)
+def is_hurwitz(M: np.ndarray) -> bool:
+    """True iff every eigenvalue satisfies Re(lambda) < -HURWITZ_MARGIN."""
+    return spectral_abscissa(_as_matrix(M, "M")) < -HURWITZ_MARGIN
 
 
 def spectral_abscissa(M: np.ndarray) -> float:

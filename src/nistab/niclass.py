@@ -11,10 +11,13 @@ admits free body motion) when
      lim s^2 G(s) is Hermitian PSD.
 
 Strictly negative imaginary (SNI) means no pole in Re(s) >= 0 and the strict
-inequality in 2.  Condition 2 is checked on a frequency grid, so the verdict
-is conservative: a grid can refute the property or support it, never prove
-the universally quantified statement.  G is evaluated on the whole grid from
-one Schur form of A (``ltimodel.freq_response``).  A point refutes the
+inequality in 2.  Condition 2 is checked on one fixed frequency grid
+(``_sweep_grid``: SWEEP_POINTS log-spaced points on [SWEEP_WMIN, SWEEP_WMAX]
+and BRACKET_POINTS beside each axis pole, none within POLE_GUARD of one), so
+the verdict is conservative: a grid can refute the property or support it,
+never prove the universally quantified statement.  The grid and the
+tolerances are module constants, not parameters.  G is evaluated on the
+whole grid from one Schur form of A (``ltimodel.freq_response``).  A point refutes the
 property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||); the
 floor costs an n x n SVD per point, so it is computed lazily, only at the
 points where it can change the test: for NI where min_eig is already below
@@ -53,7 +56,6 @@ from .ltimodel import (
 from .matrixcore import Definiteness, classify_definiteness
 
 __all__ = [
-    "FrequencyGrid",
     "NiReport",
     "SniReport",
     "classify_ni",
@@ -77,35 +79,34 @@ SNI_STRICT_FLOOR = 1e-9
 RESIDUE_HERM_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Log-spaced sweep specification with extra points bracketing axis poles."""
+#: condition 2 is swept on SWEEP_POINTS log-spaced frequencies in
+#: [SWEEP_WMIN, SWEEP_WMAX], plus BRACKET_POINTS beside each axis pole
+SWEEP_WMIN = 1e-3
+SWEEP_WMAX = 1e4
+SWEEP_POINTS = 400
+BRACKET_POINTS = 8
 
-    wmin: float = 1e-3
-    wmax: float = 1e4
-    points: int = 400
-    bracket_points: int = 8
-    guard: float = 1e-4
+#: relative half-width of the band about an axis pole that the sweep skips
+POLE_GUARD = 1e-4
 
-    def build(self, axis_poles: tuple[float, ...] = ()) -> np.ndarray:
-        w = np.geomspace(self.wmin, self.wmax, self.points)
-        extra = []
-        for w0 in axis_poles:
-            if w0 <= 0.0:
-                continue
-            g = self.guard * max(1.0, w0)
-            span = np.geomspace(2.0 * g, 0.2 * max(w0, 10.0 * g),
-                                self.bracket_points // 2)
-            extra.append(w0 + span)
-            extra.append(np.clip(w0 - span, 0.5 * g, None))
-        if extra:
-            w = np.concatenate([w] + extra)
-        # drop sweep points inside any guard band
-        keep = np.ones(w.shape, dtype=bool)
-        for w0 in axis_poles:
-            g = self.guard * max(1.0, w0)
-            keep &= np.abs(w - w0) > g
-        return np.unique(w[keep])
+
+def _sweep_grid(axis_poles: tuple[float, ...] = ()) -> np.ndarray:
+    """The sweep frequencies; none lies within POLE_GUARD max(1, w0) of a pole w0."""
+    w = np.geomspace(SWEEP_WMIN, SWEEP_WMAX, SWEEP_POINTS)
+    extra = []
+    for w0 in axis_poles:
+        if w0 <= 0.0:
+            continue
+        g = POLE_GUARD * max(1.0, w0)
+        span = np.geomspace(2.0 * g, 0.2 * max(w0, 10.0 * g), BRACKET_POINTS // 2)
+        extra.append(w0 + span)
+        extra.append(np.clip(w0 - span, 0.5 * g, None))
+    if extra:
+        w = np.concatenate([w] + extra)
+    keep = np.ones(w.shape, dtype=bool)
+    for w0 in axis_poles:
+        keep &= np.abs(w - w0) > POLE_GUARD * max(1.0, w0)
+    return np.unique(w[keep])
 
 
 @dataclass
@@ -261,7 +262,7 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     return _cluster_residue(spec, np.flatnonzero(dist <= radius), omega0)
 
 
-def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> NiReport:
+def classify_ni(model: StateSpaceModel) -> NiReport:
     """Test the four NI conditions for a minimal state-space model.
 
     Raises
@@ -273,7 +274,6 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     spec = _spectral(model)
     if not spec.minimal:
         raise NotMinimalError("classify_ni requires a minimal realization")
-    grid = grid or FrequencyGrid()
     reasons: list[str] = []
     atol = spec.ztol
     eigs = spec.eigs
@@ -290,7 +290,7 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     # condition 2: frequency sweep; a point violates it when min_eig is below
     # both -COND2_RTOL (1 + ||G||) and minus the noise floor, so the floor is
     # needed only where the first test fails
-    omegas = grid.build(tuple(w for w, _ in clusters))
+    omegas = _sweep_grid(tuple(w for w, _ in clusters))
     min_eig, norm = _sweep_min_eigs(spec, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
     cand = np.flatnonzero(min_eig < -COND2_RTOL * (1.0 + norm))
@@ -377,9 +377,8 @@ def classify_ni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> Ni
     )
 
 
-def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> SniReport:
+def classify_sni(model: StateSpaceModel) -> SniReport:
     """Test the SNI conditions: Hurwitz poles and strict positivity on the sweep."""
-    grid = grid or FrequencyGrid()
     reasons: list[str] = []
     spec = _spectral(model)
     atol = spec.ztol
@@ -396,7 +395,7 @@ def classify_sni(model: StateSpaceModel, grid: FrequencyGrid | None = None) -> S
     if ok1:
         # a point fails when min_eig is at or below the strict floor or the
         # noise floor, so the noise floor is needed only above the first
-        omegas = grid.build()
+        omegas = _sweep_grid()
         min_eig, norm = _sweep_min_eigs(spec, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None

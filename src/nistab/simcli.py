@@ -22,8 +22,9 @@ import scipy.linalg
 from . import __version__
 from .beamcase import BeamParameters, emit_residue_scan, find_modal_roots, \
     finite_dim_approx, modal_residue
-from .errors import IllPosedError, NistabError, PreconditionFailedError
+from .errors import IllPosedError, NistabError
 from .freebody import (
+    ZERO_COEFF_RTOL,
     Outcome,
     VerdictOptions,
     laurent_coefficients,
@@ -31,8 +32,9 @@ from .freebody import (
     stability_verdict,
 )
 from .ircsynth import make_irc
-from .ltimodel import StateSpaceModel, model_from_dict
-from .niclass import FrequencyGrid, classify_ni, classify_sni
+from .ltimodel import HURWITZ_MARGIN, StateSpaceModel, _spectral, closed_loop, \
+    model_from_dict
+from .niclass import classify_ni, classify_sni
 
 __all__ = [
     "SimulationResult",
@@ -86,6 +88,10 @@ def _reference_wiring(G: StateSpaceModel, Gbar: StateSpaceModel, wiring: str):
     replace: the controller sees y + e1 (r - y1), i.e. its first input is
     the reference alone.  This opens the first feedback channel, so its loop
     matrix differs from the analyzed one; selectable, not the default.
+
+    Either loop matrix is :func:`ltimodel.closed_loop` of the controller
+    with the plant whose output map is S C, S = I (additive) or I with its
+    first diagonal entry zeroed (replace).
     """
     if G.m != Gbar.m:
         raise IllPosedError("plant and controller channel counts differ")
@@ -99,12 +105,10 @@ def _reference_wiring(G: StateSpaceModel, Gbar: StateSpaceModel, wiring: str):
         S[0, 0] = 0.0
     elif wiring != "additive":
         raise NistabError(f"unknown wiring {wiring!r}; options: {WIRINGS}")
-    A, B, C = G.A, G.B, G.C
-    Ab, Bb, Cb, Db = Gbar.A, Gbar.B, Gbar.C, Gbar.D
     # x' = Ax + B(Cb xb + Db (S C x + e1 r));  xb' = Ab xb + Bb (S C x + e1 r)
-    A_cl = np.block([[A + B @ Db @ S @ C, B @ Cb], [Bb @ S @ C, Ab]])
-    B_cl = np.vstack([B @ Db @ e1, Bb @ e1])
-    C_cl = np.hstack([C, np.zeros((m, Gbar.n))])
+    A_cl = closed_loop(StateSpaceModel(G.A, G.B, S @ G.C), Gbar).Abreve
+    B_cl = np.vstack([G.B @ Gbar.D @ e1, Gbar.B @ e1])
+    C_cl = np.hstack([G.C, np.zeros((m, Gbar.n))])
     return A_cl, B_cl, C_cl
 
 
@@ -212,8 +216,8 @@ class AnalysisReport:
         return {
             "schema_version": self.schema_version,
             "tool_version": self.version,
-            "ni_report": self.ni_report.to_dict(),
-            "sni_report": self.sni_report.to_dict(),
+            "ni_report": None if self.ni_report is None else self.ni_report.to_dict(),
+            "sni_report": None if self.sni_report is None else self.sni_report.to_dict(),
             "laurent": lau,
             "verdict": self.verdict.to_dict(),
             "oracle_hurwitz": self.oracle_hurwitz,
@@ -246,30 +250,32 @@ def run_analysis(plant_source, controller_source,
                  opts: VerdictOptions | None = None) -> AnalysisReport:
     """Decide stability once and report everything the decision computed.
 
-    The eigenvalue oracle always runs.  The verdict reads no Laurent data for
-    a plant without origin poles or a controller that is not SNI; for a
-    strictly proper NI plant the report extracts them anyway.
+    The NI and SNI classification and the eigenvalue oracle always run.
+    The verdict reads no Laurent data for a plant without origin poles or a
+    controller that is not SNI; for a strictly proper NI plant the report
+    extracts them anyway, from the verdict's spectral record of the plant.
+    A plant whose classification cannot run (not minimal) is reported with
+    ``ni_report`` None and an INCONCLUSIVE verdict.
     """
-    G = load_model(plant_source)
+    G = _spectral(load_model(plant_source))
     Gbar = load_model(controller_source)
-    opts = replace(opts or VerdictOptions(), run_oracle=True)
+    opts = replace(opts or VerdictOptions(), run_oracle=True, skip_ni_check=False)
 
     verdict = stability_verdict(G, Gbar, opts)
-    ni = verdict.ni or classify_ni(G, opts.grid)
-    sni = verdict.sni or classify_sni(Gbar, opts.grid)
     laurent = verdict.laurent
-    if laurent is None and G.strictly_proper() and ni.is_ni:
+    if laurent is None and verdict.ni is not None and verdict.ni.is_ni \
+            and G.strictly_proper():
         try:
             laurent = laurent_coefficients(G)
         except NistabError:
             pass
     return AnalysisReport(
-        ni_report=ni, sni_report=sni, laurent=laurent, verdict=verdict,
-        oracle_hurwitz=verdict.oracle_hurwitz,
+        ni_report=verdict.ni, sni_report=verdict.sni, laurent=laurent,
+        verdict=verdict, oracle_hurwitz=verdict.oracle_hurwitz,
         tolerances={
             "boundary_band": opts.boundary_band,
-            "zero_coeff_rtol": opts.zero_coeff_rtol,
-            "hurwitz_margin": opts.hurwitz_margin,
+            "zero_coeff_rtol": ZERO_COEFF_RTOL,
+            "hurwitz_margin": HURWITZ_MARGIN,
         },
     )
 
@@ -298,9 +304,8 @@ def _matrix_str(M) -> str:
 
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
-    grid = FrequencyGrid()
-    ni = classify_ni(model, grid)
-    sni = classify_sni(model, grid)
+    ni = classify_ni(model)
+    sni = classify_sni(model)
     if args.json:
         print(json.dumps({"ni": ni.to_dict(), "sni": sni.to_dict()}, indent=2))
     else:
@@ -329,14 +334,9 @@ def _cmd_laurent(args) -> int:
     return EXIT_OK
 
 
-def _verdict_options(args) -> VerdictOptions:
-    if getattr(args, "tol", None):
-        return VerdictOptions(run_oracle=True, boundary_band=args.tol)
-    return VerdictOptions(run_oracle=True)
-
-
 def _cmd_stability(args) -> int:
-    report = run_analysis(args.plant, args.controller, _verdict_options(args))
+    opts = VerdictOptions(boundary_band=args.tol) if args.tol else None
+    report = run_analysis(args.plant, args.controller, opts)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -484,9 +484,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except PreconditionFailedError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except NistabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -42,3 +42,9 @@ def double_integrator():
 def first_order_lag_minus(delta):
     """Gbar(s) = 1/(s+1) - delta, the scalar SNI test controller."""
     return ns.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[-delta]])
+
+
+def non_minimal_double_integrator():
+    """1/s^2 beside a stable mode s = -1 that the input never reaches."""
+    return ns.StateSpaceModel([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                              [[0.0], [1.0], [0.0]], [[1.0, 0.0, 1.0]], [[0.0]])

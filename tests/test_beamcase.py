@@ -6,7 +6,6 @@ import nistab as ns
 from nistab.beamcase import _beta, _d_prime
 from nistab.errors import (
     InsufficientRangeError,
-    NistabError,
     NotARootError,
     SingularAtSError,
 )
@@ -76,10 +75,6 @@ class TestBeamTransferMatrix:
     def test_origin_rejected(self, beam_params):
         with pytest.raises(SingularAtSError):
             ns.beam_tf(beam_params, 0.0)
-
-    def test_partial_span_rejected(self, beam_params):
-        with pytest.raises(NistabError):
-            ns.beam_tf(beam_params, 1j, x1=0.2)
 
     def test_propagation_bases_agree_at_crossover(self, beam_params):
         # |beta l| = 6 sits near w = 8.33; the two solver branches must join

@@ -21,7 +21,7 @@ from nistab.freebody import (
 )
 from nistab.ltimodel import _laurent_numeric_limits, minimality_margin
 
-from conftest import double_integrator, first_order_lag_minus
+from conftest import double_integrator, first_order_lag_minus, non_minimal_double_integrator
 
 
 def _rebuilt(split, s):
@@ -301,6 +301,19 @@ class TestStabilityVerdict:
         assert v.outcome is ns.Outcome.INCONCLUSIVE
         assert "LimitDivergentError" in v.reason and "failed to settle" in v.reason
         assert v.oracle_agrees is None and v.oracle_hurwitz is True
+
+    def test_non_minimal_plant_is_inconclusive(self):
+        # the classification cannot run on a non-minimal plant; its error is
+        # the verdict's reason, as a Laurent failure is, and the oracle runs
+        ctrl = ns.make_irc([[1.0]], [[1.0]], [[2.0]]).realization
+        for opts, stage in ((VerdictOptions(run_oracle=True), "classification"),
+                            (VerdictOptions(run_oracle=True, skip_ni_check=True),
+                             "Laurent data")):
+            v = ns.stability_verdict(non_minimal_double_integrator(), ctrl, opts)
+            assert v.outcome is ns.Outcome.INCONCLUSIVE
+            assert v.reason.startswith(f"{stage} unavailable: NotMinimalError: ")
+            assert v.ni is None
+            assert v.oracle_hurwitz is True and v.oracle_agrees is None
 
     def test_fast_mode_beside_double_integrator_is_decisive(self):
         # 1/s^2 + w^2/(s^2 + w^2): the contour route must not mistake the

@@ -21,7 +21,7 @@ from nistab.simcli import (
     main,
 )
 
-from conftest import double_integrator, first_order_lag_minus
+from conftest import double_integrator, first_order_lag_minus, non_minimal_double_integrator
 
 
 def _per_step(G, Gbar, wiring, dt, steps, r=1.0):
@@ -201,7 +201,14 @@ class TestRunAnalysis:
         assert out["schema_version"] == 2
 
     def test_one_pass(self, arm_plant, paper_irc, monkeypatch):
-        """Each stage of the analysis, the PBH test included, runs once per report."""
+        """Each stage of the analysis, the PBH test included, runs once per report.
+
+        The dc-gain plant has no origin pole: the verdict reads no Laurent
+        data, and the report's own read shares the verdict's record."""
+        dc_plant, _ = ns.random_ni_plant(np.random.default_rng(3), "dc_gain")
+        eye = np.eye(dc_plant.m)
+        cases = ((arm_plant, paper_irc.realization),
+                 (dc_plant, ns.make_irc(eye, eye, 2.0 * eye).realization))
         names = ("classify_ni", "classify_sni", "laurent_coefficients",
                  "direct_stability", "is_minimal")
         calls = dict.fromkeys(names, 0)
@@ -218,9 +225,23 @@ class TestRunAnalysis:
             for mod in modules:
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted(name, fn))
-        rep = ns.run_analysis(arm_plant, paper_irc.realization)
-        assert rep.verdict.outcome is ns.Outcome.STABLE
-        assert calls == dict.fromkeys(names, 1)
+        for plant, ctrl in cases:
+            calls.update(dict.fromkeys(names, 0))
+            rep = ns.run_analysis(plant, ctrl)
+            assert rep.verdict.outcome is ns.Outcome.STABLE
+            assert rep.laurent is not None
+            assert calls == dict.fromkeys(names, 1)
+
+    def test_non_minimal_plant_reported(self):
+        ctrl = {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}}
+        rep = ns.run_analysis(non_minimal_double_integrator(), ctrl)
+        assert rep.verdict.outcome is ns.Outcome.INCONCLUSIVE
+        assert rep.verdict.reason.startswith(
+            "classification unavailable: NotMinimalError: ")
+        assert rep.oracle_hurwitz is True
+        out = json.loads(json.dumps(rep.to_dict()))
+        assert out["ni_report"] is None and out["laurent"] is None
+        assert out["sni_report"]["is_sni"] is True
 
     def test_ni_violating_plant_reported(self):
         plant = {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -258,6 +279,14 @@ class TestCli:
         ctrl = self._write(tmp_path, "c.json",
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
         assert main(["stability", str(bad), str(ctrl)]) == EXIT_INPUT_ERROR
+
+    def test_non_minimal_plant_exit_0(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json",
+                            ns.model_to_dict(non_minimal_double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        assert main(["stability", plant, ctrl]) == EXIT_OK
+        assert "outcome: inconclusive" in capsys.readouterr().out
 
     def test_precondition_failure_exit_3(self, tmp_path):
         plant = self._write(tmp_path, "p.json",
