@@ -14,7 +14,8 @@ opposite edge moments C_a V_a at the patch ends.  Every frequency response is
 obtained by solving that two-point boundary-value problem numerically with a
 fundamental system of the fourth-order operator (matrix-exponential
 propagation at moderate beta L, a decaying-exponential basis beyond, where
-the raw propagation would lose all precision to cosh^2 cancellation).
+the raw propagation would lose all precision to cosh^2 cancellation).  An
+array of frequencies takes one stacked solve per basis.
 
 Calibration
 -----------
@@ -32,7 +33,7 @@ flexible-mode coefficient.  All factors can be overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -115,13 +116,7 @@ class BeamParameters:
         return self.hub_inertia + self.mu * self.l ** 3 / 3.0
 
     def to_dict(self) -> dict:
-        return {
-            "Ih": self.Ih, "l": self.l, "rho": self.rho, "A": self.A,
-            "E": self.E, "I": self.I, "k31": self.k31, "C": self.C,
-            "ts": self.ts, "inertia_scale": self.inertia_scale,
-            "stiffness_correction": self.stiffness_correction,
-            "voltage_gain": self.voltage_gain,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BeamParameters":
@@ -142,13 +137,13 @@ class BeamTransferSample:
     D_value: complex       # closed-form characteristic function at s
 
 
-def _beta(p: BeamParameters, s: complex) -> complex:
-    """Principal fourth root of -mu s^2 / EI; Re(beta) >= 0 always."""
-    b = (-p.mu * s * s / p.EI + 0j) ** 0.25
-    return -b if b.real < 0 else b
+def _beta(p: BeamParameters, s):
+    """Principal fourth root of -mu s^2 / EI, Re(beta) >= 0; elementwise."""
+    b = (-p.mu * np.asarray(s) * s / p.EI + 0j) ** 0.25
+    return np.where(b.real < 0, -b, b)[()]
 
 
-def d_of_s(p: BeamParameters, s: complex) -> complex:
+def d_of_s(p: BeamParameters, s):
     """Closed-form characteristic function whose imaginary-axis zeros are
     the flexible resonances:
 
@@ -156,6 +151,7 @@ def d_of_s(p: BeamParameters, s: complex) -> complex:
                         - b^3 I_h (1 + cos(bl) cosh(bl)) ],   b = beta(s).
 
     D(0) = 0 (the rigid-body double pole) and D(jw) is real for real w.
+    Elementwise over an array s; a scalar s gives a scalar (so does beta).
     """
     b = _beta(p, s)
     bl = b * p.l
@@ -176,85 +172,95 @@ def _d_reduced(p: BeamParameters, w) -> np.ndarray:
     return 4.0 * b * p.EI * term
 
 
-def _solve_boundary(p: BeamParameters, s: complex):
-    """Solve the beam BVP for unit tau and unit V_a inputs.
+def _solve_scaled(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve of M x = rhs, each row scaled to unit max-norm.  A member
+    that is exactly singular (s on a modal root, or a degenerate boundary
+    system: an all-zero row, left at zero) comes back as NaN."""
+    r = np.abs(M).max(axis=-1, keepdims=True)
+    r[r == 0.0] = 1.0
+    M, rhs = M / r, rhs / r
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        # det and solve factorize alike: det is exactly 0 where solve
+        # meets a zero pivot
+        ok = np.linalg.det(M) != 0.0
+        x = np.full(rhs.shape, np.nan, dtype=complex)
+        x[ok] = np.linalg.solve(M[ok], rhs[ok])
+        return x
 
-    Returns ((theta_tau, vs_tau), (theta_va, vs_va)) where vs are raw slope
-    differences Y'(l) - Y'(0); the voltage constants are applied by the
-    caller.  Raises SingularAtSError when s sits on a modal root.
+
+def _beam_response(p: BeamParameters, s: np.ndarray) -> np.ndarray:
+    """The 2x2 arm transfer matrix at each point of a 1-D array s: (K, 2, 2).
+
+    One stacked BVP solve per propagation basis, unit tau and unit V_a as two
+    right-hand sides; each basis sees only its own members (the other would
+    overflow or lose precision).  A member on a modal root comes back NaN.
     """
-    EI, Ih, L = p.EI, p.hub_inertia, p.l
+    EI, Ih, L, ca = p.EI, p.hub_inertia, p.l, p.voltage_gain
+    s = np.asarray(s, dtype=complex)
     beta = _beta(p, s)
-    ca = p.voltage_gain
+    # rows theta, V_s = ca (Y'(l) - Y'(0)); columns tau, V_a
+    G = np.empty((s.size, 2, 2), dtype=complex)
 
-    if abs(beta * L) <= _BASIS_SWITCH:
+    small = np.abs(beta * L) <= _BASIS_SWITCH
+    if small.any():
         # propagate the state (Y, Y', Y'', Y''') with the matrix exponential
-        Abar = np.zeros((4, 4), dtype=complex)
-        Abar[0, 1] = Abar[1, 2] = Abar[2, 3] = 1.0
-        Abar[3, 0] = beta ** 4
+        sk = s[small]
+        Abar = np.zeros((sk.size, 4, 4), dtype=complex)
+        Abar[:, 0, 1] = Abar[:, 1, 2] = Abar[:, 2, 3] = 1.0
+        Abar[:, 3, 0] = beta[small] ** 4
         Phi = scipy.linalg.expm(Abar * L)
-
-        def solve(tau, Va):
-            # unknowns: Z(0-)[1:4]; Z(0+) = Z(0-) + [0,0,ca*Va/EI,0].
-            # In pre-jump variables the hub balance reduces to
-            # EI Y''(0-) - Ih s^2 Y'(0) = -tau (the patch moment cancels).
-            M = np.zeros((3, 3), dtype=complex)
-            rhs = np.zeros(3, dtype=complex)
-            M[0] = [-Ih * s * s, EI, 0.0]
-            rhs[0] = -tau
-            M[1] = Phi[2, 1:4]
-            rhs[1] = ca * Va / EI - Phi[2, 2] * ca * Va / EI
-            M[2] = Phi[3, 1:4]
-            rhs[2] = -Phi[3, 2] * ca * Va / EI
-            r = np.abs(M).max(axis=1)
-            if np.any(r == 0.0):
-                raise SingularAtSError("degenerate boundary system")
-            M, rhs = M / r[:, None], rhs / r
-            try:
-                v = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularAtSError(f"boundary system singular at s = {s}") from exc
-            z0 = np.array([0.0, v[0], v[1], v[2]], dtype=complex)
-            z0[2] += ca * Va / EI
-            zL = Phi @ z0
-            return v[0], zL[1] - v[0]
-    else:
+        # unknowns: Z(0-)[1:4]; Z(0+) = Z(0-) + [0,0,ca*Va/EI,0].
+        # In pre-jump variables the hub balance reduces to
+        # EI Y''(0-) - Ih s^2 Y'(0) = -tau (the patch moment cancels).
+        M = np.zeros((sk.size, 3, 3), dtype=complex)
+        M[:, 0, 0], M[:, 0, 1] = -Ih * sk * sk, EI
+        M[:, 1:] = Phi[:, 2:, 1:]
+        rhs = np.zeros((sk.size, 3, 2), dtype=complex)
+        rhs[:, 0, 0] = -1.0
+        rhs[:, 1:, 1] = np.array([ca / EI, 0.0]) - Phi[:, 2:, 2] * ca / EI
+        z0 = np.zeros((sk.size, 4, 2), dtype=complex)
+        z0[:, 1:] = _solve_scaled(M, rhs)
+        z0[:, 2, 1] += ca / EI
+        G[small, 0] = z0[:, 1]
+        G[small, 1] = ca * ((Phi[:, 1:2] @ z0)[:, 0] - z0[:, 1])
+    big = ~small
+    if big.any():
         # decaying-exponential basis: Y = a sin(bx) + b0 cos(bx)
         #                                 + pe e^{-bx} + qe e^{b(x-L)}
-        bl = beta * L
+        sk, bk = s[big], beta[big]
+        bl = bk * L
         El = np.exp(-bl)
         S, Co = np.sin(bl), np.cos(bl)
-        R1 = np.array([0, 1, 1, El], dtype=complex)                  # Y(0)
-        Yp0 = np.array([1, 0, -1, El], dtype=complex)                # Y'(0)/b
-        Ypp0 = np.array([0, -1, 1, El], dtype=complex)               # Y''(0)/b^2
-        YppL = np.array([-S, -Co, El, 1], dtype=complex)             # Y''(L)/b^2
-        YpppL = np.array([-Co, S, -El, 1], dtype=complex)            # Y'''(L)/b^3
-        YpL = np.array([Co, -S, -El, 1], dtype=complex)              # Y'(L)/b
-        M = np.vstack([
-            R1,
-            EI * beta ** 2 * Ypp0 - Ih * s * s * beta * Yp0,
-            YppL,
-            YpppL,
-        ])
-        r = np.abs(M).max(axis=1)
-        M = M / r[:, None]
 
-        def solve(tau, Va):
-            rhs = np.array([
-                0.0,
-                -tau + ca * Va,
-                ca * Va / (EI * beta ** 2),
-                0.0,
-            ], dtype=complex) / r
-            try:
-                c = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularAtSError(f"boundary system singular at s = {s}") from exc
-            theta = beta * (Yp0 @ c)
-            slope_diff = beta * (YpL @ c) - theta
-            return theta, slope_diff
+        def row(*entries):
+            return np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
 
-    return solve(1.0, 0.0), solve(0.0, 1.0)
+        Yp0 = row(1, 0, -1, El)                                 # Y'(0)/b
+        YpL = row(Co, -S, -El, 1)                               # Y'(L)/b
+        M = np.stack([
+            row(0, 1, 1, El),                                   # Y(0)
+            (EI * bk ** 2)[:, None] * row(0, -1, 1, El)         # EI Y''(0)
+            - (Ih * sk * sk * bk)[:, None] * Yp0,               # - Ih s^2 Y'(0)
+            row(-S, -Co, El, 1),                                # Y''(L)/b^2
+            row(-Co, S, -El, 1),                                # Y'''(L)/b^3
+        ], axis=1)
+        rhs = np.zeros((sk.size, 4, 2), dtype=complex)
+        rhs[:, 1] = [-1.0, ca]
+        rhs[:, 2, 1] = ca / (EI * bk ** 2)
+        c = _solve_scaled(M, rhs)
+        theta = bk[:, None] * np.einsum("kj,kjc->kc", Yp0, c)
+        G[big, 0] = theta
+        G[big, 1] = ca * (bk[:, None] * np.einsum("kj,kjc->kc", YpL, c) - theta)
+    return G
+
+
+def _nonsingular(G: np.ndarray) -> np.ndarray:
+    """G unchanged, or SingularAtSError if any member is on a modal root."""
+    if np.isnan(G).any():
+        raise SingularAtSError("boundary system singular: s is on a modal root")
+    return G
 
 
 def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
@@ -270,9 +276,7 @@ def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
     """
     if s == 0:
         raise SingularAtSError("s = 0 is the rigid-body double pole")
-    (th_t, sd_t), (th_v, sd_v) = _solve_boundary(p, s)
-    cs = p.voltage_gain
-    G = np.array([[th_t, th_v], [cs * sd_t, cs * sd_v]], dtype=complex)
+    G = _nonsingular(_beam_response(p, np.array([s])))[0]
     return BeamTransferSample(s=s, G=G, D_value=d_of_s(p, s))
 
 
@@ -333,25 +337,27 @@ def _nearest_root(p: BeamParameters, omega0: float) -> float:
     return w
 
 
-def _numerator_at(p: BeamParameters, w: float, h: float) -> np.ndarray:
-    """N(jw) = G(jw) D(jw) extrapolated onto w (which may be a root).
-
-    Two-sided evaluation with one h^2 Richardson step.
-    """
-    def avg(hh):
-        Np = beam_tf(p, 1j * (w + hh)).G * d_of_s(p, 1j * (w + hh))
-        Nm = beam_tf(p, 1j * (w - hh)).G * d_of_s(p, 1j * (w - hh))
-        return 0.5 * (Np + Nm)
-
-    N1, N2 = avg(h), avg(0.5 * h)
-    return np.real((4.0 * N2 - N1) / 3.0)
+#: central-difference stencil: w + h, w - h, w + h/2, w - h/2
+_STENCIL = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _d_prime(p: BeamParameters, w: float, h: float) -> float:
-    """dD(jw)/dw by central differences of the closed form."""
-    d1 = (d_of_s(p, 1j * (w + h)) - d_of_s(p, 1j * (w - h))) / (2.0 * h)
-    d2 = (d_of_s(p, 1j * (w + 0.5 * h)) - d_of_s(p, 1j * (w - 0.5 * h))) / h
-    return float(np.real((4.0 * d2 - d1) / 3.0))
+def _numerator_at(p: BeamParameters, w, h) -> np.ndarray:
+    """N(jw) = G(jw) D(jw) extrapolated onto w (which may be a root) by one
+    h^2 Richardson step of two-sided evaluations; elementwise over w, h."""
+    w = w + np.multiply.outer(_STENCIL, h)
+    s = 1j * w.ravel()
+    N = _nonsingular(_beam_response(p, s)) * d_of_s(p, s)[:, None, None]
+    N = np.real(N).reshape(w.shape + (2, 2))
+    N1, N2 = 0.5 * (N[0] + N[1]), 0.5 * (N[2] + N[3])
+    return (4.0 * N2 - N1) / 3.0
+
+
+def _d_prime(p: BeamParameters, w, h):
+    """dD(jw)/dw by central differences of the closed form, elementwise."""
+    d = d_of_s(p, 1j * (w + np.multiply.outer(_STENCIL, h)))
+    d1 = (d[0] - d[1]) / (2.0 * h)
+    d2 = (d[2] - d[3]) / h
+    return np.real((4.0 * d2 - d1) / 3.0)
 
 
 def modal_residue(p: BeamParameters, omega0: float) -> np.ndarray:
@@ -392,13 +398,12 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     denom0 = (-w0 ** 2) * np.prod(poles ** 2 - w0 ** 2)
     k = float(np.real(d_of_s(p, 1j * w0))) / denom0
 
-    # N(jw) = G D is even and analytic through w = 0: one Richardson step
-    # on a root-free pair of small frequencies reaches ~1e-7 relative
-    def n_of(w):
-        return np.real(beam_tf(p, 1j * w).G * d_of_s(p, 1j * w))
-
-    N0 = (4.0 * n_of(w0) - n_of(2.0 * w0)) / 3.0
-    C0 = N0 / (k * np.prod(poles ** 2))
+    # N(jw) = G D is even and analytic through w = 0, so its stencil about
+    # w = 0 with h = 2 w0 is one Richardson step on the root-free pair w0,
+    # 2 w0 (~1e-7 relative); the poles' numerators come in the same solve
+    N = _numerator_at(p, np.concatenate([[0.0], poles]),
+                      np.concatenate([[2.0 * w0], 1e-5 * np.maximum(1.0, poles)]))
+    C0 = N[0] / (k * np.prod(poles ** 2))
     C0 = 0.5 * (C0 + C0.T)
     # the rigid coefficient is PSD of rank one; shave extrapolation dust
     ew, V = np.linalg.eigh(C0)
@@ -406,15 +411,12 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
         C0 = (V * np.clip(ew, 0.0, None)) @ V.T
         C0 = 0.5 * (C0 + C0.T)
 
-    terms = []
-    for i, pi in enumerate(poles):
-        others = np.delete(poles, i)
-        prod = np.prod(others ** 2 - pi ** 2) * (0.0 - pi ** 2)
-        Ni = _numerator_at(p, float(pi), 1e-5 * max(1.0, pi))
-        Ci = Ni / (k * prod)
-        terms.append((float(pi), 0.5 * (Ci + Ci.T)))
-
-    return ModalModel(m=2, terms=tuple(terms), g2=C0,
+    gaps = poles ** 2 - poles[:, None] ** 2          # row i: p_j^2 - p_i^2
+    np.fill_diagonal(gaps, 1.0)
+    prods = np.prod(gaps, axis=1) * (0.0 - poles ** 2)
+    C = N[1:] / (k * prods)[:, None, None]
+    terms = tuple((float(pi), 0.5 * (Ci + Ci.T)) for pi, Ci in zip(poles, C))
+    return ModalModel(m=2, terms=terms, g2=C0,
                       meta={"k": k, "omega0": w0, "n_modes": n})
 
 
@@ -425,22 +427,20 @@ def emit_residue_scan(p: BeamParameters, gamma: float,
     With K(jw) = -N(jw)/D'(w), the scanned matrix equals
     -D'(w) N(jw) + gamma D(jw)^2 I, which is smooth through the modal roots
     (where the second term vanishes and the first reduces to D'^2 K >= 0)
-    and dominated by the positive gamma term elsewhere.  Grid points that
-    collide with a root of D are nudged off it.
+    and dominated by the positive gamma term elsewhere.  Points w <= 0 are
+    skipped; the rest take one batched boundary solve, and a point whose
+    system is exactly singular (on a root of D) moves by 1e-7 relative and
+    is solved again.
     """
-    out = []
-    for w in np.asarray(omegas, dtype=float):
-        if w <= 0.0:
-            continue
-        try:
-            G = beam_tf(p, 1j * w).G
-        except SingularAtSError:
-            w = w * (1.0 + 1e-7)
-            G = beam_tf(p, 1j * w).G
-        D = complex(d_of_s(p, 1j * w))
-        h = 1e-5 * max(1.0, w)
-        dp = _d_prime(p, w, h)
-        Q = -dp * np.real(G * D) + gamma * abs(D) ** 2 * np.eye(2)
-        Q = 0.5 * (Q + Q.T)
-        out.append((float(w), float(np.linalg.eigvalsh(Q)[0])))
-    return out
+    w = np.asarray(omegas, dtype=float)
+    w = w[w > 0.0]
+    G = _beam_response(p, 1j * w)
+    on_root = np.isnan(G).any(axis=(1, 2))
+    w[on_root] *= 1.0 + 1e-7
+    G[on_root] = _nonsingular(_beam_response(p, 1j * w[on_root]))
+    D = d_of_s(p, 1j * w)
+    dp = _d_prime(p, w, 1e-5 * np.maximum(1.0, w))
+    Q = (-dp[:, None, None] * np.real(G * D[:, None, None])
+         + gamma * (np.abs(D) ** 2)[:, None, None] * np.eye(2))
+    Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+    return list(zip(w.tolist(), np.linalg.eigvalsh(Q)[:, 0].tolist()))

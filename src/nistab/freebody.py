@@ -142,14 +142,13 @@ def to_block_diagonal(model: StateSpaceModel) -> SchurSplit:
 class LaurentCoefficients:
     """Leading coefficients G(s) = G2/s^2 + G1/s + G0 + O(s) near the origin.
 
-    The contour-route values are retained for cross-checking along with
-    their disagreement with the primary route.
+    ``agreement`` is the relative disagreement of the contour route with the
+    primary route, the cross-check :func:`laurent_coefficients` makes.
     """
 
     G0: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
-    numeric: tuple | None = None
     agreement: float | None = None
 
 
@@ -202,12 +201,11 @@ def laurent_coefficients(model: StateSpaceModel) -> LaurentCoefficients:
             f"carry {settle:.2e} of G on the contour)"
         )
     scale = 1.0 + max(np.linalg.norm(M) for M in (G0, G1, G2))
-    numeric = (G0n, G1n, G2n)
     agreement = float(
         max(
-            np.linalg.norm(numeric[0] - G0),
-            np.linalg.norm(numeric[1] - G1),
-            np.linalg.norm(numeric[2] - G2),
+            np.linalg.norm(G0n - G0),
+            np.linalg.norm(G1n - G1),
+            np.linalg.norm(G2n - G2),
         )
         / scale
     )
@@ -216,8 +214,7 @@ def laurent_coefficients(model: StateSpaceModel) -> LaurentCoefficients:
             f"Laurent routes disagree by {agreement:.2e} (relative); "
             "realization or limits are unreliable for this model"
         )
-    return LaurentCoefficients(G0=G0, G1=G1, G2=G2,
-                               numeric=numeric, agreement=agreement)
+    return LaurentCoefficients(G0=G0, G1=G1, G2=G2, agreement=agreement)
 
 
 # --------------------------------------------------------------------------

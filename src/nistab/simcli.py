@@ -335,7 +335,9 @@ def _cmd_laurent(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    opts = VerdictOptions(boundary_band=args.tol) if args.tol else None
+    if args.tol is not None and not args.tol >= 0.0:
+        raise NistabError(f"--tol must be a nonnegative band, got {args.tol}")
+    opts = VerdictOptions(boundary_band=args.tol) if args.tol is not None else None
     report = run_analysis(args.plant, args.controller, opts)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

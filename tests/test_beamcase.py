@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import nistab as ns
-from nistab.beamcase import _beta, _d_prime
+from nistab import beamcase
+from nistab.beamcase import _beam_response, _beta, _d_prime, _numerator_at
 from nistab.errors import (
     InsufficientRangeError,
     NotARootError,
@@ -245,3 +246,190 @@ def test_beta_principal_branch(beam_params):
     for s in (1j * 2.0, 3.0 + 0j, 1.0 + 1.0j, -2.0 + 0.5j):
         b = _beta(beam_params, s)
         assert b.real >= -1e-12
+
+
+def test_beta_and_d_of_s_elementwise(beam_params):
+    s = np.array([1j * 2.0, 3.0 + 0j, 1.0 + 1.0j, -2.0 + 0.5j, 1j * 8.3, 1j * 250.0])
+    b, d = _beta(beam_params, s), ns.d_of_s(beam_params, s)
+    assert b.shape == d.shape == s.shape
+    for k, sk in enumerate(s):
+        bk, dk = _beta(beam_params, sk), ns.d_of_s(beam_params, sk)
+        assert np.ndim(bk) == np.ndim(dk) == 0
+        assert isinstance(bk, complex) and isinstance(dk, complex)
+        # the array loops may round sin/cos in the last place differently
+        assert abs(bk - b[k]) <= 1e-15 * abs(b[k])
+        assert abs(dk - d[k]) <= 1e-14 * abs(d[k])
+    assert isinstance(_beta(beam_params, 2j), complex)
+    assert isinstance(ns.d_of_s(beam_params, 2j), complex)
+
+
+def per_point_scan(p, gamma, omegas):
+    """Reference for emit_residue_scan: one beam_tf, d_of_s and _d_prime per
+    grid point, with the scale of the scanned matrix for a relative bound."""
+    rows = []
+    for w in omegas:
+        if w <= 0.0:
+            continue
+        try:
+            G = ns.beam_tf(p, 1j * w).G
+        except SingularAtSError:
+            w = w * (1.0 + 1e-7)
+            G = ns.beam_tf(p, 1j * w).G
+        D = complex(ns.d_of_s(p, 1j * w))
+        dp = _d_prime(p, w, 1e-5 * max(1.0, w))
+        Q = -dp * np.real(G * D) + gamma * abs(D) ** 2 * np.eye(2)
+        scale = abs(dp) * np.linalg.norm(G) * abs(D) + gamma * abs(D) ** 2
+        rows.append((w, np.linalg.eigvalsh(0.5 * (Q + Q.T))[0], scale))
+    return rows
+
+
+def assert_scan_matches_per_point(p, omegas, gamma=10.0):
+    got = ns.emit_residue_scan(p, gamma, np.asarray(omegas, dtype=float))
+    ref = per_point_scan(p, gamma, omegas)
+    assert len(got) == len(ref)
+    for (w, val), (w_ref, val_ref, scale) in zip(got, ref):
+        assert isinstance(w, float) and isinstance(val, float)
+        assert w == w_ref
+        assert abs(val - val_ref) <= 1e-9 * scale
+    return got
+
+
+def switch_frequency(p):
+    """w at which |beta l| = 6, where the propagation basis switches."""
+    return 6.0 ** 2 / (p.l * (p.mu / p.EI) ** 0.25) ** 2
+
+
+class TestBatchedEvaluation:
+    """The batched boundary solve against the per-point evaluation."""
+
+    def test_scan_across_the_basis_switch(self, beam_params):
+        ws = switch_frequency(beam_params)
+        grid = np.linspace(0.5 * ws, 2.0 * ws, 41)
+        assert grid.min() < ws < grid.max()
+        assert_scan_matches_per_point(beam_params, grid)
+
+    def test_scan_point_on_a_root(self, beam_params, beam_roots):
+        # where the boundary system at w0 is exactly singular, the batch and
+        # the reference both move the point by 1e-7 relative
+        w0 = float(beam_roots[0])
+        assert_scan_matches_per_point(beam_params, [1.0, w0, 12.0])
+
+    def test_one_point_scan(self, beam_params):
+        (row,) = assert_scan_matches_per_point(beam_params, [4.2])
+        assert row[0] == 4.2
+
+    def test_nonpositive_points_skipped(self, beam_params):
+        table = assert_scan_matches_per_point(
+            beam_params, [-3.0, 0.0, 2.0, -0.5, 15.0, 0.0])
+        assert [w for w, _ in table] == [2.0, 15.0]
+        assert ns.emit_residue_scan(beam_params, 10.0, np.array([0.0, -1.0])) == []
+
+    def test_singular_point_nudged_and_solved_again(self, beam_params, monkeypatch):
+        """A member the stacked solve reports as singular (NaN) moves by 1e-7
+        relative; the rest of the grid is unaffected."""
+        solve, hit = beamcase._beam_response, 5.0
+
+        def singular_at_hit(p, s):
+            G = solve(p, s)
+            G[np.asarray(s) == 1j * hit] = np.nan
+            return G
+
+        monkeypatch.setattr(beamcase, "_beam_response", singular_at_hit)
+        table = ns.emit_residue_scan(beam_params, 10.0, np.array([2.0, hit, 12.0]))
+        monkeypatch.undo()
+        moved = hit * (1.0 + 1e-7)
+        assert [w for w, _ in table] == [2.0, moved, 12.0]
+        for (w, val), (_, val_ref, scale) in zip(
+                table, per_point_scan(beam_params, 10.0, [2.0, moved, 12.0])):
+            assert abs(val - val_ref) <= 1e-9 * scale
+
+    def test_point_still_singular_after_nudge_raises(self, beam_params, monkeypatch):
+        solve = beamcase._beam_response
+
+        def singular_near_5(p, s):
+            G = solve(p, s)
+            G[np.abs(np.asarray(s) - 5j) < 1e-3] = np.nan
+            return G
+
+        monkeypatch.setattr(beamcase, "_beam_response", singular_near_5)
+        with pytest.raises(SingularAtSError):
+            ns.emit_residue_scan(beam_params, 10.0, np.array([2.0, 5.0]))
+
+    def test_response_matches_beam_tf_across_the_switch(self, beam_params, beam_roots):
+        ws = switch_frequency(beam_params)
+        w = np.concatenate([np.geomspace(0.05, 260.0, 60),
+                            ws * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]),
+                            np.sqrt(beam_roots[:-1] * beam_roots[1:])])
+        G = _beam_response(beam_params, 1j * w)
+        assert G.shape == (w.size, 2, 2)
+        for k, wk in enumerate(w):
+            ref = ns.beam_tf(beam_params, 1j * float(wk)).G
+            assert np.linalg.norm(G[k] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_stencils_match_scalar_calls(self, beam_params, beam_roots):
+        w = np.array([0.7, 3.0, float(beam_roots[0]), 9.0, 60.0])
+        h = 1e-5 * np.maximum(1.0, w)
+        N, dp = _numerator_at(beam_params, w, h), _d_prime(beam_params, w, h)
+        assert N.shape == (w.size, 2, 2) and dp.shape == w.shape
+        for k in range(w.size):
+            Nk = _numerator_at(beam_params, float(w[k]), float(h[k]))
+            dk = _d_prime(beam_params, float(w[k]), float(h[k]))
+            assert Nk.shape == (2, 2) and np.ndim(dk) == 0
+            assert np.linalg.norm(N[k] - Nk) <= 1e-9 * np.linalg.norm(Nk)
+            assert abs(dp[k] - dk) <= 1e-9 * abs(dk)
+
+
+# Values of the per-frequency solver that the batched one replaced (one
+# 4x4 boundary solve per frequency, in a Python loop), default
+# BeamParameters, numpy 2.4 / scipy 1.17, printed with %.15e.  Each row is
+# (root, (K00, K01, K11)) of the symmetric 2x2 matrix.
+PER_POINT_RESIDUES = [
+    (3.395326443354295e+00, (2.127896203216088e-01, -2.713645753194506e-01, 3.460635562345935e-01)),
+    (9.501801888145696e+00, (2.886490198704526e-01, 1.226466198476638e-03, 5.211240062261628e-06)),
+    (1.708210072055826e+01, (1.387981382637557e-01, -1.892594517946791e-01, 2.580664304412782e-01)),
+    (2.932863977778106e+01, (2.532721031674306e-02, 3.970994695263975e-02, 6.226030688974184e-02)),
+    (4.701240954371963e+01, (5.321712691572632e-03, -2.816229832281411e-02, 1.490337965969369e-01)),
+    (6.958326479743525e+01, (1.521508321773266e-03, 1.276919079180724e-02, 1.071648647228819e-01)),
+    (9.684550721577511e+01, (5.425557936997663e-04, -8.443562399413067e-03, 1.314035290391338e-01)),
+    (1.287332004588261e+02, (2.259779429616686e-04, 5.139938308705588e-03, 1.169094889131804e-01)),
+    (1.652194936117822e+02, (1.055005296839538e-04, -3.656658753854306e-03, 1.267401527005828e-01)),
+    (2.062916918972256e+02, (5.375177926002366e-05, 2.540190651384899e-03, 1.200438131390699e-01)),
+    (2.519431144318073e+02, (2.934596575646642e-05, -1.915138850018760e-03, 1.249833399687301e-01)),
+]
+PER_POINT_G2_10 = (1.406822129313448e-01, 2.481357488064629e-08, 4.376626479837354e-15)
+PER_POINT_TERMS_10 = [
+    (3.395326443354295e+00, (1.443922332471856e+00, -1.841393250071524e+00, 2.348276652529066e+00)),
+    (9.501801888145696e+00, (5.453979823167052e+00, 2.317389438321572e-02, 9.846559709864870e-05)),
+    (1.708210072055826e+01, (4.654708088345511e+00, -6.346969145871170e+00, 8.654466955619485e+00)),
+    (2.932863977778106e+01, (1.406331243636739e+00, 2.204954212653135e+00, 3.457096684650378e+00)),
+    (4.701240954371963e+01, (4.342552875289684e-01, -2.298062233802177e+00, 1.216125671256456e+01)),
+    (6.958326479743525e+01, (1.546938206509476e-01, 1.298260996629448e+00, 1.089559756347707e+01)),
+    (9.684550721577511e+01, (5.651042792955158e-02, -8.794474779685204e-01, 1.368646274437878e+01)),
+    (1.287332004588261e+02, (1.870973252345631e-02, 4.255586615338835e-01, 9.679463572206307e+00)),
+    (1.652194936117822e+02, (4.797756764083495e-03, -1.662907221681785e-01, 5.763652815038041e+00)),
+    (2.062916918972256e+02, (6.949730659110701e-04, 3.284289579423355e-02, 1.552082889337239e+00)),
+]
+
+
+def sym(entries):
+    a, b, c = entries
+    return np.array([[a, b], [b, c]])
+
+
+def assert_close_rel(got, ref, rtol=1e-9):
+    assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_residues_match_per_point_values(beam_params, beam_roots):
+    for w, (root, K_ref) in zip(beam_roots, PER_POINT_RESIDUES):
+        assert w == pytest.approx(root, rel=1e-12)
+        assert_close_rel(ns.modal_residue(beam_params, float(w)), sym(K_ref))
+
+
+def test_ten_mode_approximation_matches_per_point_values(beam_params):
+    mm = ns.finite_dim_approx(beam_params, 10)
+    assert_close_rel(mm.g2, sym(PER_POINT_G2_10))
+    assert len(mm.terms) == len(PER_POINT_TERMS_10)
+    for (pole, C), (pole_ref, C_ref) in zip(mm.terms, PER_POINT_TERMS_10):
+        assert isinstance(pole, float) and pole == pytest.approx(pole_ref, rel=1e-12)
+        assert_close_rel(C, sym(C_ref))

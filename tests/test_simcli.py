@@ -273,6 +273,22 @@ class TestCli:
         assert data["verdict"]["tolerances"]["boundary_band"] == 1e-3
         assert data["tolerances"]["boundary_band"] == 1e-3
 
+    def test_zero_tolerance_band_is_used(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        assert main(["--json", "--tol", "0", "stability", plant, ctrl]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"]["tolerances"]["boundary_band"] == 0.0
+        assert data["tolerances"]["boundary_band"] == 0.0
+
+    def test_negative_tolerance_band_exit_2(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        assert main(["--tol=-1e-3", "stability", plant, ctrl]) == EXIT_INPUT_ERROR
+        assert "--tol" in capsys.readouterr().err
+
     def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
