@@ -69,8 +69,22 @@ VOLTAGE_GAIN = 0.5481628
 #: |beta*L| above which the propagation basis switches to decaying exponentials
 _BASIS_SWITCH = 6.0
 
-#: step (rad/s) of the uniform grid on which modal roots are bracketed
-ROOT_SCAN_STEP = 0.01
+#: step of the uniform beta*l grid on which modal roots are bracketed (the
+#: roots lie about pi apart in beta*l)
+ROOT_SCAN_STEP = 0.005
+
+#: beta*l at the end of the first root-scan window (about two roots); each
+#: further window doubles it
+_FIRST_WINDOW = 8.0
+
+#: beta*l beyond which the root scan gives up (1e6 rad/s on the default arm)
+_SCAN_LIMIT = 2048.0
+
+#: relative step below which a root refinement stops
+_ROOT_RTOL = 1e-14
+
+#: refinement steps after which a bracket is left at its last iterate
+_ROOT_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -160,16 +174,20 @@ def d_of_s(p: BeamParameters, s):
     return 4.0 * b * p.EI * term
 
 
-def _d_reduced(p: BeamParameters, w) -> np.ndarray:
-    """D(jw) / cosh(beta l): same zeros, no overflow, vectorized over w."""
-    w = np.asarray(w, dtype=float)
-    b = (p.mu * w * w / p.EI) ** 0.25
-    bl = b * p.l
-    t = np.tanh(bl)
+def _rad_per_bl2(p: BeamParameters) -> float:
+    """k in w = k (beta(jw) l)^2: sqrt(EI / mu) / l^2."""
+    return (p.EI / p.mu) ** 0.5 / p.l ** 2
+
+
+def _d_reduced(p: BeamParameters, bl) -> np.ndarray:
+    """D(jw) / (4 beta EI mu cosh(beta l)) as a function of bl = beta(jw) l > 0:
+    the same zeros, no overflow, vectorized over bl.  The arm enters only
+    through I_h / (mu l^3), so EI moves no root in bl."""
+    bl = np.asarray(bl, dtype=float)
+    c = p.hub_inertia / (p.mu * p.l ** 3)
+    cos = np.cos(bl)
     sech = 1.0 / np.cosh(np.minimum(bl, 700.0))
-    term = (p.mu * (np.cos(bl) * t - np.sin(bl))
-            - b ** 3 * p.hub_inertia * (sech + np.cos(bl)))
-    return 4.0 * b * p.EI * term
+    return cos * np.tanh(bl) - np.sin(bl) - c * bl ** 3 * (sech + cos)
 
 
 def _solve_scaled(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -280,58 +298,91 @@ def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
     return BeamTransferSample(s=s, G=G, D_value=d_of_s(p, s))
 
 
+def _refine_roots(p: BeamParameters, a, b, fa, fb) -> np.ndarray:
+    """Roots of `_d_reduced` in the brackets [a, b] in beta*l, all refined
+    together by Illinois regula falsi.
+
+    fa and fb are the values at a and b, of opposite sign or zero; b is the
+    better end, from which the first secant step starts.  A bracket stops
+    at an exact zero or once a step moves its iterate by at most _ROOT_RTOL
+    relative; the point that step reached is returned.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in (a, b, fa, fb))
+    live = np.flatnonzero(fb != 0.0)
+    for _ in range(_ROOT_MAX_STEPS):
+        if live.size == 0:
+            break
+        ai, bi, fai, fbi = a[live], b[live], fa[live], fb[live]
+        c = bi - fbi * (bi - ai) / (fbi - fai)
+        fc = _d_reduced(p, c)
+        # the root lies between b and c: c's old neighbour b becomes the far
+        # end; otherwise the far end stays and its value is halved (Illinois)
+        flip = (fc < 0.0) != (fbi < 0.0)
+        a[live] = np.where(flip, bi, ai)
+        fa[live] = np.where(flip, fbi, 0.5 * fai)
+        b[live], fb[live] = c, fc
+        live = live[(fc != 0.0) & (np.abs(c - bi) > _ROOT_RTOL * np.abs(c))]
+    return b
+
+
 def find_modal_roots(p: BeamParameters, count: int,
                      omega_max: float | None = None) -> np.ndarray:
     """First `count` positive imaginary-axis roots of D, ascending.
 
-    Sign-change bracketing of w -> D(jw) on a uniform grid of step
-    ROOT_SCAN_STEP refined by Brent bisection to 1e-10 relative.  The rigid
-    pole at w = 0 is not included.
+    Sign changes of D(jw) are bracketed on a uniform grid in beta l (step
+    ROOT_SCAN_STEP; w = k (beta l)^2 with k = sqrt(EI / mu) / l^2), scanned
+    in windows that start at beta l <= 8 and double.  The first `count`
+    brackets are refined together by Illinois regula falsi until a step
+    moves a root by at most 1e-14 relative.  The roots in beta l do not
+    depend on EI, so the scan is the same for a slow arm and a stiff one.
+    The rigid pole at w = 0 is not included.
 
     Raises
     ------
     InsufficientRangeError
-        If fewer than `count` roots lie below `omega_max`.
+        If fewer than `count` roots lie below `omega_max`, or below
+        beta l = 2048 when no `omega_max` is given.
     """
     if count < 1:
         raise DimensionError("count must be at least 1")
-    cap = omega_max
-    lo = ROOT_SCAN_STEP
-    hi = 64.0 if cap is None else cap
-    roots: list[float] = []
+    k = _rad_per_bl2(p)
+    top = _SCAN_LIMIT if omega_max is None else min(
+        _SCAN_LIMIT, (max(omega_max, 0.0) / k) ** 0.5)
+    hi, first = _FIRST_WINDOW, 1        # grid point 0 is the rigid root
+    brackets, found = [], 0
     while True:
-        grid = np.arange(lo, hi + ROOT_SCAN_STEP, ROOT_SCAN_STEP)
-        vals = _d_reduced(p, grid)
-        sign = np.sign(vals)
-        idx = np.where(sign[:-1] * sign[1:] < 0)[0]
-        from scipy.optimize import brentq
-
-        for i in idx:
-            w = brentq(lambda x: float(_d_reduced(p, x)), grid[i], grid[i + 1],
-                       xtol=1e-12, rtol=1e-12)
-            roots.append(w)
-            if len(roots) >= count:
-                return np.array(roots[:count])
-        if cap is not None:
+        last = int(min(hi, top) / ROOT_SCAN_STEP)
+        bl = ROOT_SCAN_STEP * np.arange(first, last + 1)
+        f = _d_reduced(p, bl)
+        i = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
+        brackets.append((bl[i], bl[i + 1], f[i], f[i + 1]))
+        found += i.size
+        if found >= count:
+            break
+        if hi >= top:
             raise InsufficientRangeError(
-                f"only {len(roots)} roots below omega_max = {cap}")
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise InsufficientRangeError("no further roots found below 1e6 rad/s")
+                f"only {found} roots below {k * top ** 2:.6g} rad/s")
+        first, hi = last, 2.0 * hi
+    a, b, fa, fb = (np.concatenate(v)[:count] for v in zip(*brackets))
+    return k * _refine_roots(p, a, b, fa, fb) ** 2
 
 
 def _nearest_root(p: BeamParameters, omega0: float) -> float:
-    """Refine omega0 to the nearest root; NotARootError if none is close."""
-    tol = 1e-6 * max(1.0, omega0)
-    span = 5e-4 * max(1.0, omega0)
-    from scipy.optimize import brentq
+    """Refine omega0 to the nearest root; NotARootError if none is close.
 
-    a, b = omega0 - span, omega0 + span
-    fa, fb = float(_d_reduced(p, a)), float(_d_reduced(p, b))
-    if fa * fb > 0:
+    The bracket is omega0 (1 -+ 5e-4); the refinement starts from omega0
+    itself, usually a root already."""
+    if not omega0 > 0.0:
+        raise NotARootError(f"{omega0} is not a positive frequency")
+    k = _rad_per_bl2(p)
+    span = 5e-4 * omega0
+    bl = np.sqrt(np.array([omega0 - span, omega0, omega0 + span]) / k)
+    f = _d_reduced(p, bl)
+    if f[0] * f[2] > 0.0:
         raise NotARootError(f"{omega0} is not within {span:.2e} of a root of D")
-    w = brentq(lambda x: float(_d_reduced(p, x)), a, b, xtol=1e-13, rtol=1e-13)
-    if abs(w - omega0) > tol:
+    far = 0 if f[0] * f[1] <= 0.0 else 2
+    w = k * float(_refine_roots(p, bl[far], bl[1], f[far], f[1])[0]) ** 2
+    if abs(w - omega0) > 1e-6 * omega0:
         raise NotARootError(
             f"nearest root {w:.9f} is {abs(w - omega0):.2e} away from {omega0}")
     return w
@@ -374,7 +425,7 @@ def modal_residue(p: BeamParameters, omega0: float) -> np.ndarray:
         If omega0 is not (within 1e-6 relative) a root of D.
     """
     w = _nearest_root(p, omega0)
-    h = 1e-5 * max(1.0, w)
+    h = 1e-5 * w
     K = -_numerator_at(p, w, h) / _d_prime(p, w, h)
     return 0.5 * (K + K.T)
 
@@ -402,7 +453,7 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     # w = 0 with h = 2 w0 is one Richardson step on the root-free pair w0,
     # 2 w0 (~1e-7 relative); the poles' numerators come in the same solve
     N = _numerator_at(p, np.concatenate([[0.0], poles]),
-                      np.concatenate([[2.0 * w0], 1e-5 * np.maximum(1.0, poles)]))
+                      np.concatenate([[2.0 * w0], 1e-5 * poles]))
     C0 = N[0] / (k * np.prod(poles ** 2))
     C0 = 0.5 * (C0 + C0.T)
     # the rigid coefficient is PSD of rank one; shave extrapolation dust
@@ -428,18 +479,22 @@ def emit_residue_scan(p: BeamParameters, gamma: float,
     -D'(w) N(jw) + gamma D(jw)^2 I, which is smooth through the modal roots
     (where the second term vanishes and the first reduces to D'^2 K >= 0)
     and dominated by the positive gamma term elsewhere.  Points w <= 0 are
-    skipped; the rest take one batched boundary solve, and a point whose
-    system is exactly singular (on a root of D) moves by 1e-7 relative and
-    is solved again.
+    skipped; the rest take one batched boundary solve.  Within 1e-7 relative
+    of a root of D (|D| <= 1e-7 w |D'|), or where the system is exactly
+    singular, the solve loses N = G D to cancellation: such a point moves
+    1e-7 relative away from the root (up, when D = 0) and is solved again.
     """
     w = np.asarray(omegas, dtype=float)
     w = w[w > 0.0]
     G = _beam_response(p, 1j * w)
-    on_root = np.isnan(G).any(axis=(1, 2))
-    w[on_root] *= 1.0 + 1e-7
-    G[on_root] = _nonsingular(_beam_response(p, 1j * w[on_root]))
     D = d_of_s(p, 1j * w)
-    dp = _d_prime(p, w, 1e-5 * np.maximum(1.0, w))
+    dp = _d_prime(p, w, 1e-5 * w)
+    near = (np.abs(D) <= 1e-7 * w * np.abs(dp)) | np.isnan(G).any(axis=(1, 2))
+    if near.any():
+        w[near] *= np.where(np.real(D[near]) * dp[near] < 0.0, 1.0 - 1e-7, 1.0 + 1e-7)
+        G[near] = _nonsingular(_beam_response(p, 1j * w[near]))
+        D[near] = d_of_s(p, 1j * w[near])
+        dp[near] = _d_prime(p, w[near], 1e-5 * w[near])
     Q = (-dp[:, None, None] * np.real(G * D[:, None, None])
          + gamma * (np.abs(D) ** 2)[:, None, None] * np.eye(2))
     Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))

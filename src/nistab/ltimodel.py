@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import block_diag, lapack
+from scipy.linalg import lapack
 
 from .errors import DimensionError, IllPosedError, SingularAtSError
 from .matrixcore import full_rank_factor, symmetrize
@@ -600,8 +600,6 @@ def modal_to_ss(mm: ModalModel) -> StateSpaceModel:
     matrices are factored at full rank, which this constructor does.
     """
     m = mm.m
-    A_blocks, B_rows, C_cols = [], [], []
-
     scale_all = 1.0 + max(
         [np.linalg.norm(Ci) for _p, Ci in mm.terms]
         + [np.linalg.norm(M) for M in (mm.g1, mm.g2) if M is not None]
@@ -609,18 +607,8 @@ def modal_to_ss(mm: ModalModel) -> StateSpaceModel:
     )
     floor = 1e-10 * scale_all
 
-    for p, Ci in mm.terms:
-        W, sgn = _factor_symmetric(Ci, floor=floor)
-        r = W.shape[1]
-        if r == 0:
-            continue
-        Ablk = np.block([[np.zeros((r, r)), p * np.eye(r)],
-                         [-p * np.eye(r), np.zeros((r, r))]])
-        Bblk = np.vstack([np.zeros((r, m)), (sgn[:, None] * W.T) / p])
-        Cblk = np.hstack([W, np.zeros((m, r))])
-        A_blocks.append(Ablk)
-        B_rows.append(Bblk)
-        C_cols.append(Cblk)
+    modes = [(p, *_factor_symmetric(Ci, floor=floor)) for p, Ci in mm.terms]
+    modes = [(p, W, sgn) for p, W, sgn in modes if W.shape[1]]
 
     G1 = np.zeros((m, m)) if mm.g1 is None else mm.g1
     G2 = np.zeros((m, m)) if mm.g2 is None else mm.g2
@@ -639,31 +627,31 @@ def modal_to_ss(mm: ModalModel) -> StateSpaceModel:
         C3b = Q @ G1 @ Jpinv.T                      # covers Q G1 P_J
         G1_rem = Q @ G1 @ Q
     else:
-        B3a = np.zeros((0, m))
-        C3b = np.zeros((m, 0))
         G1_rem = G1
 
     # A2 = 0 block for the 1/s content not reachable through the Jordan pairs
     W2, sgn2 = _factor_symmetric(0.5 * (G1_rem + G1_rem.T), floor=floor)
     n2 = W2.shape[1]
-    if n2 > 0:
-        A_blocks.append(np.zeros((n2, n2)))
-        B_rows.append(sgn2[:, None] * W2.T)
-        C_cols.append(W2)
 
+    # the blocks are written in place, in the order oscillatory pairs, A2, A3
+    n = 2 * sum(W.shape[1] for _p, W, _s in modes) + n2 + 2 * k
+    A, B, C = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n))
+    i = 0
+    for p, W, sgn in modes:
+        r = W.shape[1]
+        A[i:i + r, i + r:i + 2 * r] = p * np.eye(r)
+        A[i + r:i + 2 * r, i:i + r] = -p * np.eye(r)
+        B[i + r:i + 2 * r] = (sgn[:, None] * W.T) / p
+        C[:, i:i + r] = W
+        i += 2 * r
+    B[i:i + n2] = sgn2[:, None] * W2.T
+    C[:, i:i + n2] = W2
+    i += n2
     if k > 0:
-        A3 = np.block([[np.zeros((k, k)), np.eye(k)],
-                       [np.zeros((k, k)), np.zeros((k, k))]])
-        A_blocks.append(A3)
-        B_rows.append(np.vstack([B3a, J.T]))
-        C_cols.append(np.hstack([J, C3b]))
-
-    if not A_blocks:
-        return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, m)),
-                               np.zeros((m, 0)), np.zeros((m, m)))
-
-    return StateSpaceModel(block_diag(*A_blocks), np.vstack(B_rows),
-                           np.hstack(C_cols), np.zeros((m, m)))
+        A[i:i + k, i + k:] = np.eye(k)
+        B[i:i + k], B[i + k:] = B3a, J.T
+        C[:, i:i + k], C[:, i + k:] = J, C3b
+    return StateSpaceModel(A, B, C, np.zeros((m, m)))
 
 
 def similarity_transform(model: StateSpaceModel, T: np.ndarray) -> StateSpaceModel:

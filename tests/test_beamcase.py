@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -51,6 +56,61 @@ class TestModalRoots:
     def test_insufficient_range(self, beam_params):
         with pytest.raises(InsufficientRangeError):
             ns.find_modal_roots(beam_params, 3, omega_max=5.0)
+
+
+class TestRootScanScale:
+    """D depends on the arm only through beta l and I_h / (mu l^3): scaling
+    EI by f moves no root in beta l and multiplies every w by sqrt(f)."""
+
+    @pytest.mark.parametrize("factor", [1e-8, 100.0])
+    def test_roots_and_poles_scale_with_sqrt_stiffness(self, beam_params, beam_roots,
+                                                       factor):
+        scaled = replace(beam_params,
+                         stiffness_correction=beam_params.stiffness_correction * factor)
+        ratio = np.sqrt(factor)
+        np.testing.assert_allclose(ns.find_modal_roots(scaled, 11),
+                                   beam_roots * ratio, rtol=1e-10, atol=0.0)
+        mm, ref = ns.finite_dim_approx(scaled, 10), ns.finite_dim_approx(beam_params, 10)
+        np.testing.assert_allclose([q for q, _ in mm.terms],
+                                   [q * ratio for q, _ in ref.terms], rtol=1e-10, atol=0.0)
+        # G(j ratio w) of the scaled arm is G(jw) / factor, so the modal
+        # coefficients of C / (s^2 + p^2) and C0 / s^2 do not move
+        for (_, C), (_, C_ref) in zip(mm.terms, ref.terms):
+            assert np.linalg.norm(C - C_ref) <= 1e-8 * np.linalg.norm(C_ref)
+        assert np.linalg.norm(mm.g2 - ref.g2) <= 1e-8 * np.linalg.norm(ref.g2)
+
+    @pytest.mark.parametrize("factor", [1e-8, 1.0, 100.0])
+    def test_omega_max_below_the_count(self, beam_params, beam_roots, factor):
+        scaled = replace(beam_params,
+                         stiffness_correction=beam_params.stiffness_correction * factor)
+        ratio = np.sqrt(factor)
+        with pytest.raises(InsufficientRangeError):
+            ns.find_modal_roots(scaled, 3, omega_max=5.0 * ratio)
+        three = ns.find_modal_roots(scaled, 3, omega_max=1.01 * beam_roots[2] * ratio)
+        np.testing.assert_allclose(three, beam_roots[:3] * ratio, rtol=1e-10, atol=0.0)
+
+
+def test_no_scipy_optimize_import(tmp_path):
+    """The beam steps run without scipy.optimize: a fresh interpreter that
+    imports nistab and calls each of them never loads it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import nistab as ns\n"
+        "p = ns.BeamParameters()\n"
+        "w = ns.find_modal_roots(p, 2)\n"
+        "ns.modal_residue(p, float(w[0]))\n"
+        "ns.finite_dim_approx(p, 2)\n"
+        "ns.emit_residue_scan(p, 10.0, np.array([1.0, float(w[0])]))\n"
+        "ns.beam_tf(p, 2j)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(ns.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBeamTransferMatrix:
@@ -212,6 +272,28 @@ class TestResidueScan:
         scale = dp ** 2 * np.linalg.norm(K)
         assert abs(val - target) <= 1e-6 * scale
 
+    def test_values_a_few_ulps_off_a_root(self, beam_params, beam_roots):
+        """Next to a root the boundary solve loses N = G D to cancellation;
+        the scan moves such points off the root, so its value stays the
+        root's D'^2 lambda_min(K) a few ulps either side."""
+        for w0 in beam_roots[:3]:
+            w0 = float(w0)
+            K = ns.modal_residue(beam_params, w0)
+            dp = _d_prime(beam_params, w0, 1e-5 * w0)
+            target = dp ** 2 * np.linalg.eigvalsh(K)[0]
+            scale = dp ** 2 * np.linalg.norm(K)
+            grid = [w0]
+            for n in (1, 2, 5, 50):
+                for way in (np.inf, -np.inf):
+                    w = w0
+                    for _ in range(n):
+                        w = np.nextafter(w, way)
+                    grid.append(w)
+            for w, val in ns.emit_residue_scan(beam_params, 1.0, np.array(grid)):
+                assert abs(w / w0 - 1.0) <= 2e-7
+                assert abs(val - target) <= 1e-6 * scale
+            assert_scan_matches_per_point(beam_params, grid, gamma=1.0)
+
     def test_far_from_roots_gamma_dominates(self, beam_params):
         w = 6.0  # between the first two resonances
         gamma = 1e9
@@ -265,18 +347,23 @@ def test_beta_and_d_of_s_elementwise(beam_params):
 
 def per_point_scan(p, gamma, omegas):
     """Reference for emit_residue_scan: one beam_tf, d_of_s and _d_prime per
-    grid point, with the scale of the scanned matrix for a relative bound."""
+    grid point, with the scale of the scanned matrix for a relative bound.
+    A point within 1e-7 relative of a root of D (|D| <= 1e-7 w |D'|), or on
+    one, moves 1e-7 relative away from the root first (up, when D = 0)."""
     rows = []
     for w in omegas:
         if w <= 0.0:
             continue
+        D, dp = complex(ns.d_of_s(p, 1j * w)), _d_prime(p, w, 1e-5 * w)
         try:
             G = ns.beam_tf(p, 1j * w).G
+            near = abs(D) <= 1e-7 * w * abs(dp)
         except SingularAtSError:
-            w = w * (1.0 + 1e-7)
+            near = True
+        if near:
+            w = w * (1.0 - 1e-7 if D.real * dp < 0.0 else 1.0 + 1e-7)
             G = ns.beam_tf(p, 1j * w).G
-        D = complex(ns.d_of_s(p, 1j * w))
-        dp = _d_prime(p, w, 1e-5 * max(1.0, w))
+            D, dp = complex(ns.d_of_s(p, 1j * w)), _d_prime(p, w, 1e-5 * w)
         Q = -dp * np.real(G * D) + gamma * abs(D) ** 2 * np.eye(2)
         scale = abs(dp) * np.linalg.norm(G) * abs(D) + gamma * abs(D) ** 2
         rows.append((w, np.linalg.eigvalsh(0.5 * (Q + Q.T))[0], scale))
@@ -309,8 +396,8 @@ class TestBatchedEvaluation:
         assert_scan_matches_per_point(beam_params, grid)
 
     def test_scan_point_on_a_root(self, beam_params, beam_roots):
-        # where the boundary system at w0 is exactly singular, the batch and
-        # the reference both move the point by 1e-7 relative
+        # a point on a root: the batch and the reference both move it 1e-7
+        # relative away from the root
         w0 = float(beam_roots[0])
         assert_scan_matches_per_point(beam_params, [1.0, w0, 12.0])
 

@@ -272,6 +272,90 @@ class TestModalToSs:
             ns.ModalModel(m=1, terms=((2.0, [[1.0]]), (1.0, [[1.0]])))
 
 
+def _modal_to_ss_by_blocks(mm):
+    """modal_to_ss assembled from np.block / vstack / hstack / block_diag,
+    the construction the in-place one replaced: the identity reference."""
+    from nistab.ltimodel import _factor_symmetric
+    from nistab.matrixcore import full_rank_factor
+
+    m = mm.m
+    A_blocks, B_rows, C_cols = [], [], []
+    scale_all = 1.0 + max(
+        [np.linalg.norm(Ci) for _p, Ci in mm.terms]
+        + [np.linalg.norm(M) for M in (mm.g1, mm.g2) if M is not None]
+        + [0.0])
+    floor = 1e-10 * scale_all
+    for p, Ci in mm.terms:
+        W, sgn = _factor_symmetric(Ci, floor=floor)
+        r = W.shape[1]
+        if r == 0:
+            continue
+        A_blocks.append(np.block([[np.zeros((r, r)), p * np.eye(r)],
+                                  [-p * np.eye(r), np.zeros((r, r))]]))
+        B_rows.append(np.vstack([np.zeros((r, m)), (sgn[:, None] * W.T) / p]))
+        C_cols.append(np.hstack([W, np.zeros((m, r))]))
+    G1 = np.zeros((m, m)) if mm.g1 is None else mm.g1
+    G2 = np.zeros((m, m)) if mm.g2 is None else mm.g2
+    J = full_rank_factor(G2).J if np.linalg.norm(G2) > 0.0 else np.zeros((m, 0))
+    k = J.shape[1]
+    if k > 0:
+        Jpinv = np.linalg.solve(J.T @ J, J.T)
+        Q = np.eye(m) - J @ Jpinv
+        B3a, C3b, G1_rem = Jpinv @ G1, Q @ G1 @ Jpinv.T, Q @ G1 @ Q
+    else:
+        G1_rem = G1
+    W2, sgn2 = _factor_symmetric(0.5 * (G1_rem + G1_rem.T), floor=floor)
+    n2 = W2.shape[1]
+    if n2 > 0:
+        A_blocks.append(np.zeros((n2, n2)))
+        B_rows.append(sgn2[:, None] * W2.T)
+        C_cols.append(W2)
+    if k > 0:
+        A_blocks.append(np.block([[np.zeros((k, k)), np.eye(k)],
+                                  [np.zeros((k, k)), np.zeros((k, k))]]))
+        B_rows.append(np.vstack([B3a, J.T]))
+        C_cols.append(np.hstack([J, C3b]))
+    if not A_blocks:
+        return np.zeros((0, 0)), np.zeros((0, m)), np.zeros((m, 0))
+    return block_diag(*A_blocks), np.vstack(B_rows), np.hstack(C_cols)
+
+
+def _ladder_modal_models(seed=1, rungs=(10, 25, 50)):
+    """The modal models of the benchmark's seeded ladder rungs (m = 2, one
+    rank-one PSD coefficient per mode, full-rank PSD G2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for modes in rungs:
+        freqs = np.sort(rng.uniform(0.5, 50.0, modes)) + 0.25 * np.arange(modes)
+        terms = []
+        for w in freqs:
+            v = rng.normal(size=2)
+            terms.append((w, np.outer(v, v)))
+        W = rng.normal(size=(2, 2))
+        out.append(ns.ModalModel(m=2, terms=tuple(terms), g2=W @ W.T + 0.1 * np.eye(2)))
+    return out
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_modal_to_ss_bitwise_equal_to_block_assembly(beam_params):
+    from nistab.freebody import _FAMILIES, _draw_ni_plant
+
+    models = [_draw_ni_plant(np.random.default_rng(seed), fam)[1]
+              for fam in _FAMILIES for seed in range(100)]
+    models += [ns.finite_dim_approx(beam_params, n) for n in (1, 2, 5, 10)]
+    models += _ladder_modal_models()
+    models += [ns.ModalModel(m=2), ns.ModalModel(m=1, g1=[[0.0]])]
+    for mm in models:
+        got = ns.modal_to_ss(mm)
+        for M, R in zip((got.A, got.B, got.C), _modal_to_ss_by_blocks(mm)):
+            _assert_same_bits(M, R)
+        _assert_same_bits(got.D, np.zeros((mm.m, mm.m)))
+
+
 class TestJsonFormat:
     def test_round_trip(self, arm_plant):
         text = ns.model_to_json(arm_plant)
