@@ -50,14 +50,12 @@ from .ltimodel import (
     is_hurwitz,
     minimality_margin,
     modal_to_ss,
-    origin_pole_count,
     spectral_abscissa,
 )
 from .matrixcore import (
     classify_definiteness,
     full_rank_factor,
     nullspace_contained,
-    numerical_rank,
     psd_sqrt,
     symmetrize,
 )
@@ -126,7 +124,7 @@ def to_block_diagonal(model: StateSpaceModel) -> SchurSplit:
     if not spec.minimal:
         raise NotMinimalError("block-diagonal form requires a minimal realization")
     split = spec.origin_split
-    if split.order_excess > 10.0:
+    if split.order_excess > 1.0:
         raise JordanBlockTooLargeError(
             "origin pole of order >= 3: not realizable by an NI system"
         )
@@ -158,28 +156,23 @@ def laurent_coefficients(model: StateSpaceModel) -> LaurentCoefficients:
     The primary route reads the coefficients off the origin split
     (:func:`to_block_diagonal`).  With S0 = T0 the origin block, B0 and C0 its
     decoupled maps and T1, B1, C1 those of the rest, S0^2 = 0 gives
-    C0 (sI - S0)^-1 B0 = C0 B0 / s + C0 S0 B0 / s^2, so G2 = Re C0 S0 B0,
-    with S0 truncated to its rank k at ``ztol``, G1 = Re C0 B0 and
+    C0 (sI - S0)^-1 B0 = C0 B0 / s + C0 S0 B0 / s^2, so G2 = Re C0 S0 B0
+    (``SchurSplit.G2``, with S0 cut to its numerical rank k; :func:`classify_ni`
+    reads the same G2 for condition 4), G1 = Re C0 B0 and
     G0 = -Re C1 T1^-1 B1 (a triangular solve).  The
     secondary route, independent of that split, takes the contour
     integrals of G(s) s^-k around the circle |s| = radius/3, where radius is
     the modulus of the closest nonzero pole, or on the smaller circle where
     the G2/s^2 and G0 terms balance (see ``ltimodel._laurent_numeric_limits``
-    and ``_balance_radius``, which :func:`classify_ni` also uses for
-    condition 4).  The measured disagreement is stored on the result
-    (typically below 1e-12).  The secondary route raises
+    and ``_balance_radius``).  The measured disagreement is stored on the
+    result (typically below 1e-12).  The secondary route raises
     LimitDivergentError when its s^-3 and s^-4 terms carry more than
     ``SETTLE_RTOL`` of G on the circle; disagreement beyond 1e-3 raises
     NistabError.
     """
     spec = _spectral(model)
     split = to_block_diagonal(spec)
-    # S0 at its numerical rank k: the part at or below ztol is rounding, and
-    # must not leave a G2 of pure rounding where k = 0 (its contour radius,
-    # the balance point below, would collapse towards the origin)
-    U, sv, Vh = np.linalg.svd(split.T0)
-    keep = sv > split.tol
-    G2 = np.real(split.C0 @ (U[:, keep] * sv[keep]) @ Vh[keep] @ split.B0)
+    G2 = split.G2
     G1 = np.real(split.C0 @ split.B0)
     if split.n1 > 0:
         G0 = -np.real(split.C1 @ scipy.linalg.solve_triangular(split.T1, split.B1))
@@ -489,9 +482,8 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
             "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
 
     Gbar0 = eval_tf(Gbar, 0.0).real
-    origin_poles = ni.origin_poles if ni is not None else origin_pole_count(G)
 
-    if not origin_poles:
+    if not G.origin_split.n0:
         G0 = eval_tf(G, 0.0).real
         conds = _Conditions(opts.boundary_band)
         eigs = np.linalg.eigvals(G0 @ Gbar0)
@@ -521,11 +513,11 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
 
     if g2_zero:
         # single pole: the thin SVD factor F1 of G1 is the free-body basis
-        if numerical_rank(L.G1) == m:
-            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
-                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
         U, sv, _Vt = np.linalg.svd(L.G1)
         r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
+        if r == m:
+            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
+                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
         F1 = U[:, :r] * sv[:r]
         if nullspace_contained(L.G1.T, L.G0.T):
             return _single_condition("f1_gram_max_eig", F1.T @ Gbar0 @ F1, opts, L,
@@ -584,11 +576,12 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     """Reduced-gain conditions on the free-body basis Y (J, F or F1).
 
     Y' Gbar(0) Y < 0 is required, and decided first: a Gram matrix that
-    fails it (or sits in the band) and is singular ends the test there,
-    with no branch.  Otherwise the sign of the reduced gain
-    N = P(Gbar(0), Y) picks the branch: for N <= 0, I + Nt (G0 + extra) Nt
-    with Nt = (-N)^1/2 must be nonsingular; for N >= 0, I - Nh (G0 + extra) Nh
-    with Nh = N^1/2 must be positive definite; an indefinite N is INCONCLUSIVE.
+    fails it (or sits in the band) and is singular, so that
+    :func:`projector_p` cannot form N, ends the test there, with no branch.
+    Otherwise the sign of the reduced gain N = P(Gbar(0), Y) picks the
+    branch: for N <= 0, I + Nt (G0 + extra) Nt with Nt = (-N)^1/2 must be
+    nonsingular; for N >= 0, I - Nh (G0 + extra) Nh with Nh = N^1/2 must be
+    positive definite; an indefinite N is INCONCLUSIVE.
     ``extra`` is the friction coupling for Y = F and zero otherwise; ``stem``
     names the basis in the condition keys and reasons.
     """
@@ -598,11 +591,10 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     conds.strict_neg_definite(f"{stem}_gram_max_eig", inner)
     # a Gram matrix that holds the condition is nonsingular, so a singular
     # one has already failed it or sits in the band: UNSTABLE or BOUNDARY
-    if inner.size:
-        smin = np.linalg.svd(inner, compute_uv=False)[-1]
-        if smin <= 1e-12 * max(1.0, np.linalg.norm(inner, 2)):
-            return _verdict_from(conds, theorem, Branch.NONE, L)
-    N = projector_p(Gbar0, Y)
+    try:
+        N = projector_p(Gbar0, Y)
+    except SingularInnerError:
+        return _verdict_from(conds, theorem, Branch.NONE, L)
     n_def = classify_definiteness(N)
 
     if n_def.kind.value == "zero" or n_def.is_nsd:

@@ -51,6 +51,11 @@ STRICT_PROPER_TOL = 1e-10
 #: relative cutoff treating an eigenvalue of A, or its real part, as zero
 ZERO_EIG_RTOL = 1e-7
 
+#: relative rank cutoff of S0, A on its origin cluster: its nonzero singular
+#: values are couplings (1/w of ||A|| beside a mode at w rad/s), the rest
+#: rounding, at most about 1e-12 of ||A||
+S0_RANK_RTOL = 1e-11
+
 
 def _as_matrix(x, name: str) -> np.ndarray:
     """A float64 copy of ``x``: a model owns its arrays and may freeze them."""
@@ -180,6 +185,11 @@ class SchurSplit:
     Of the origin split (``_Spectral.origin_split``), T0 = S0 is A on its
     origin cluster: ``k`` = rank S0 counts the double poles at s = 0 and
     ``n2`` = n0 - 2k the simple ones, and ``order_excess`` tests S0^2 = 0.
+    The rank is cut at S0_RANK_RTOL max(1, ||A||_2), at rounding level, not
+    at the cluster radius ``ztol``: a fast mode's unit coupling is far below
+    the latter.  With S0^2 = 0, C0 (sI - S0)^-1 B0 = C0 B0 / s +
+    C0 S0 B0 / s^2, so ``G2`` = Re C0 S0 B0 = lim s^2 G(s), with S0 cut to
+    that rank.
     """
 
     T0: np.ndarray
@@ -189,8 +199,8 @@ class SchurSplit:
     C0: np.ndarray
     C1: np.ndarray
     X: np.ndarray
-    #: the record's ``ztol``, the rank cutoff of ``k`` and ``order_excess``
-    tol: float
+    #: the record's max(1, ||A||_2), the unit of ``k`` and ``order_excess``
+    scale: float
 
     @property
     def n0(self) -> int:
@@ -200,9 +210,22 @@ class SchurSplit:
     def n1(self) -> int:
         return self.T1.shape[0]
 
+    @cached_property
+    def _s0_cut(self) -> tuple[np.ndarray, np.ndarray]:
+        """S0 cut to its numerical rank k, as the factors (U_k diag(sv_k), Vh_k)."""
+        U, sv, Vh = np.linalg.svd(self.T0)
+        keep = sv > S0_RANK_RTOL * self.scale
+        return U[:, keep] * sv[keep], Vh[keep]
+
     @property
     def k(self) -> int:
-        return int(np.sum(np.linalg.svd(self.T0, compute_uv=False) > self.tol))
+        return self._s0_cut[1].shape[0]
+
+    @cached_property
+    def G2(self) -> np.ndarray:
+        """lim s^2 G(s) = Re C0 S0 B0, S0 cut to its rank ``k``."""
+        US, Vh = self._s0_cut
+        return np.real(self.C0 @ US @ Vh @ self.B0)
 
     @property
     def n2(self) -> int:
@@ -210,11 +233,12 @@ class SchurSplit:
 
     @property
     def order_excess(self) -> float:
-        """||T0^2||_2 / (tol max(1, ||T0||_2)^2); above one, a pole of order >= 3."""
+        """||T0^2||_2 / (ztol max(1, ||T0||_2)^2); above one, a pole of order >= 3."""
         if not self.n0:
             return 0.0
         top = np.linalg.norm(self.T0 @ self.T0, 2)
-        return float(top / (self.tol * max(1.0, np.linalg.norm(self.T0, 2)) ** 2))
+        ztol = ZERO_EIG_RTOL * self.scale
+        return float(top / (ztol * max(1.0, np.linalg.norm(self.T0, 2)) ** 2))
 
     @property
     def cond(self) -> float:
@@ -258,9 +282,11 @@ class _Spectral(StateSpaceModel):
     def ztol(self) -> float:
         """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
 
-        The one tolerance for "A has an origin pole" (:func:`origin_pole_count`,
-        :attr:`origin_split`), "a pole lies on the imaginary axis"
+        The one tolerance for "A has an origin pole" (:attr:`origin_split`,
+        whose ``n0`` counts them), "a pole lies on the imaginary axis"
         (``niclass``) and "two eigenvalues are one cluster" (:func:`_pbh_shifts`).
+        It groups eigenvalues; it is not the rank cutoff of S0 (see
+        :class:`SchurSplit`).
         """
         return ZERO_EIG_RTOL * max(1.0, self.norm2)
 
@@ -286,13 +312,13 @@ class _Spectral(StateSpaceModel):
         CZ = self.C @ Z
         return SchurSplit(T0=T[:k, :k], T1=T[k:, k:], B0=Bt[:k] + X @ Bt[k:],
                           B1=Bt[k:], C0=CZ[:, :k], C1=CZ[:, k:] - CZ[:, :k] @ X,
-                          X=X, tol=self.ztol)
+                          X=X, scale=max(1.0, self.norm2))
 
     @cached_property
     def origin_split(self) -> SchurSplit:
         """The origin cluster, the eigenvalues within ``ztol`` of 0, split off.
 
-        ``niclass`` condition 4 reads its order test here and
+        ``niclass`` condition 4 reads its order test and ``G2`` here, and
         ``freebody.to_block_diagonal`` the Laurent data about s = 0.
         """
         return self.split(np.flatnonzero(np.abs(self.eigs) <= self.ztol))
@@ -313,12 +339,6 @@ def _spectral(model: StateSpaceModel) -> _Spectral:
     if isinstance(model, _Spectral):
         return model
     return _Spectral(model.A, model.B, model.C, model.D, model.name)
-
-
-def origin_pole_count(model: StateSpaceModel) -> int:
-    """Number of eigenvalues of A within ``ztol`` of the origin."""
-    spec = _spectral(model)
-    return int(np.sum(np.abs(spec.eigs) <= spec.ztol))
 
 
 def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:

@@ -27,13 +27,12 @@ Every eigenvalue of A is read off the diagonal of that one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
 an index set on diag(T): the cluster is moved to the top of T and decoupled
-by a triangular Sylvester solve, O(n^2) per cluster.  Condition 4 reads the
-order of an origin pole off the record's origin split, the same move and
-solve for the cluster at s = 0 (``freebody.to_block_diagonal`` reads the
-Laurent data off that split), and lim s^2 G(s) from trapezoidal contour
-integrals of G about the origin (``ltimodel._laurent_numeric_limits``, the
-cross-check route of ``freebody.laurent_coefficients``).  Whether a pole is
-at the origin or on the imaginary axis is decided with the one tolerance
+by a triangular Sylvester solve, O(n^2) per cluster.  Condition 4 reads
+everything off the record's origin split, the same move and solve for the
+cluster at s = 0: the order of the origin pole (S0^2 = 0) and
+lim s^2 G(s) = Re C0 S0 B0 (``SchurSplit.G2``), the G2 that
+``freebody.laurent_coefficients`` returns too.  Whether a pole is at the
+origin or on the imaginary axis is decided with the one tolerance
 ``_Spectral.ztol`` that ``freebody`` uses too.
 """
 
@@ -44,15 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
-from .ltimodel import (
-    StateSpaceModel,
-    _balance_radius,
-    _laurent_numeric_limits,
-    _spectral,
-    _Spectral,
-    freq_response,
-    origin_pole_count,
-)
+from .ltimodel import StateSpaceModel, _spectral, _Spectral, freq_response
 from .matrixcore import Definiteness, classify_definiteness
 
 __all__ = [
@@ -122,8 +113,6 @@ class NiReport:
     cond4_definiteness: Definiteness | None
     cond4_higher_order: bool
     reasons: list = field(default_factory=list)
-    #: eigenvalues of A at the origin (``ltimodel.origin_pole_count``)
-    origin_poles: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -285,7 +274,6 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
         reasons.append(f"{len(rhp)} pole(s) with positive real part")
 
     clusters = _axis_pole_clusters(eigs, atol)
-    n_zero = origin_pole_count(spec)
 
     # condition 2: frequency sweep; a point violates it when min_eig is below
     # both -COND2_RTOL (1 + ||G||) and minus the noise floor, so the floor is
@@ -327,34 +315,23 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
             ok3 = False
             reasons.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
 
-    # condition 4: origin pole of order at most two with PSD s^2 G limit.
-    # The order is structural: A restricted to its origin cluster, S0 of the
-    # record's origin split, must square to zero.  G2 comes from the contour
-    # route of laurent_coefficients, on a tenth of the distance R to the
-    # closest nonzero pole: only G2 is read here, and its error, aliased
-    # Taylor terms of G of relative size (r / R)^30 and rounding of size
-    # eps r^2 max |G(s)|, falls with the radius r.  Past the balance point
-    # r^2 = ||G2|| / ||G0|| the rounding is eps ||G0|| r^2 and no longer
-    # eps ||G2||, so when a fast mode puts R / 10 beyond it, G2 is read
-    # again at the balance point.
+    # condition 4: origin pole of order at most two with PSD s^2 G limit,
+    # both read off the record's origin split: A restricted to its origin
+    # cluster, S0, must square to zero, and G2 = Re C0 S0 B0
     G2 = None
     G2_def = None
     higher_ok = True
     ok4 = True
-    if n_zero > 0:
-        higher_ok = spec.origin_split.order_excess <= 1.0
+    split = spec.origin_split
+    if split.n0:
+        higher_ok = split.order_excess <= 1.0
         if not higher_ok:
             ok4 = False
             reasons.append("zero eigenvalue has a Jordan block of order >= 3")
         else:
-            nonzero = np.abs(eigs[np.abs(eigs) > atol])
-            radius = float(np.min(nonzero)) / 10.0 if nonzero.size else 1.0
-            G0, _G1, G2, _settle = _laurent_numeric_limits(spec, radius)
-            balance = _balance_radius(G2, G0)
-            if balance < radius:
-                G2 = _laurent_numeric_limits(spec, balance)[2]
-            herm_defect = np.linalg.norm(G2 - G2.conj().T)
-            G2r = 0.5 * np.real(G2 + G2.conj().T)
+            G2 = split.G2
+            herm_defect = np.linalg.norm(G2 - G2.T)
+            G2r = 0.5 * (G2 + G2.T)
             G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))
             if herm_defect > RESIDUE_HERM_RTOL * max(1.0, np.linalg.norm(G2)):
                 ok4 = False
@@ -373,7 +350,6 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
         cond4_definiteness=G2_def,
         cond4_higher_order=bool(higher_ok),
         reasons=reasons,
-        origin_poles=n_zero,
     )
 
 

@@ -15,11 +15,20 @@ class TestClassifyNi:
         np.testing.assert_allclose(np.real(rep.cond4_G2), [[1.0]], atol=1e-7)
 
     def test_negated_double_integrator_fails_condition4(self):
-        m = ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
-                               [[-1.0, 0.0]], [[0.0]])
-        rep = ns.classify_ni(m)
-        assert not rep.is_ni
-        assert any("s^2" in r for r in rep.reasons)
+        # also beside a lossless mode w^2/(s^2 + w^2): j(G - G*) = 0 off the
+        # poles, so only condition 4 refutes it, though S0's unit coupling
+        # is 1/w of ||A||
+        plants = [ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                                     [[-1.0, 0.0]], [[0.0]])]
+        for w in (1e7, 1e9):
+            A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, w], [0.0, 0.0, -w, 0.0]])
+            plants.append(ns.StateSpaceModel(
+                A, [[0.0], [1.0], [0.0], [w]], [[-1.0, 0.0, 1.0, 0.0]], [[0.0]]))
+        for m in plants:
+            rep = ns.classify_ni(m)
+            assert not rep.is_ni, m.n
+            assert any("s^2" in r for r in rep.reasons), rep.reasons
 
     def test_case_study_plant_is_ni(self, arm_plant):
         rep = ns.classify_ni(arm_plant)
@@ -75,14 +84,40 @@ class TestClassifyNi:
 
     def test_fast_mode_beside_partial_double_integrator_is_ni(self):
         # diag(1, 0)/s^2 + [1 1; 1 1] w^2/(s^2 + w^2): minimal and NI; read on
-        # a tenth of w, the contour G2 drowned in rounding of size eps r^2 |G0|
-        for w in (3e6, 1e7):
+        # a tenth of w, the contour G2 drowned in rounding of size eps r^2 |G0|.
+        # The unit coupling in S0 is 1/w of ||A||: a rank cut at the origin
+        # cluster's radius, 1e-7 ||A||, dropped it from 1e7 rad/s on
+        for w in (3e6, 1e7, 1e9):
             mm = ns.ModalModel(m=2, terms=((w, w * w * np.ones((2, 2))),),
                                g2=np.diag([1.0, 0.0]))
-            rep = ns.classify_ni(ns.modal_to_ss(mm))
+            G = ns.modal_to_ss(mm)
+            rep = ns.classify_ni(G)
             assert rep.is_ni, (w, rep.reasons)
             np.testing.assert_allclose(np.real(rep.cond4_G2), np.diag([1.0, 0.0]),
                                        atol=1e-9)
+            assert ns.laurent_coefficients(G).agreement <= 1e-9, w
+            assert ns.to_block_diagonal(G).k == 1, w
+
+    def test_single_pole_plants_under_ill_conditioned_transforms_are_ni(self):
+        # G2 = 0 for these plants: condition 4 must not read rounding as a
+        # negative eigenvalue of lim s^2 G(s)
+        rejected = []
+        for seed in range(60):
+            for fam in ("single", "single_inv", "single_range"):
+                G = ns.random_ni_plant(np.random.default_rng(seed), fam)[0]
+                n = G.n
+                trng = np.random.default_rng(1000 + seed)
+                U, _ = np.linalg.qr(trng.normal(size=(n, n)))
+                V, _ = np.linalg.qr(trng.normal(size=(n, n)))
+                T = U @ np.diag(np.geomspace(1.0, 1e4, n)) @ V.T
+                rep = ns.classify_ni(ns.similarity_transform(G, T))
+                if not rep.is_ni:
+                    rejected.append((seed, fam, rep.reasons))
+        assert not rejected, rejected
+
+    def test_condition4_reads_the_laurent_g2(self, arm_plant):
+        np.testing.assert_array_equal(ns.classify_ni(arm_plant).cond4_G2,
+                                      ns.laurent_coefficients(arm_plant).G2)
 
     def test_sweep_noise_under_floor_is_not_a_violation(self):
         # a lossless plant has j(G - G*) = 0 off its poles; in a realization
