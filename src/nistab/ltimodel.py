@@ -56,6 +56,10 @@ ZERO_EIG_RTOL = 1e-7
 #: rounding, at most about 1e-12 of ||A||
 S0_RANK_RTOL = 1e-11
 
+#: relative radius linking eigenvalues into one PBH cluster (:func:`_pbh_shifts`):
+#: a Jordan triple's computed eigenvalues lie about eps^1/3 ||A|| apart
+PBH_CLUSTER_RTOL = 4.0 * np.finfo(float).eps ** (1.0 / 3.0)
+
 
 def _as_matrix(x, name: str) -> np.ndarray:
     """A float64 copy of ``x``: a model owns its arrays and may freeze them."""
@@ -283,10 +287,10 @@ class _Spectral(StateSpaceModel):
         """Absolute cutoff below which an eigenvalue of A, or its real part, is zero.
 
         The one tolerance for "A has an origin pole" (:attr:`origin_split`,
-        whose ``n0`` counts them), "a pole lies on the imaginary axis"
-        (``niclass``) and "two eigenvalues are one cluster" (:func:`_pbh_shifts`).
-        It groups eigenvalues; it is not the rank cutoff of S0 (see
-        :class:`SchurSplit`).
+        whose ``n0`` counts them) and "a pole lies on the imaginary axis"
+        (``niclass``).  It groups eigenvalues; it is not the rank cutoff of
+        S0 (see :class:`SchurSplit`), nor the wider PBH cluster radius
+        (:func:`_pbh_shifts`).
         """
         return ZERO_EIG_RTOL * max(1.0, self.norm2)
 
@@ -358,15 +362,41 @@ def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
     return model.C @ X + model.D
 
 
+def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X[:, k] = (s_k I - T)^-1 R for upper triangular T at every point s_k.
+
+    One back substitution for all points at once, row by row of T:
+    X[i] = (R[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]).  Returns shape
+    (n, K, r) for R of shape (n, r).
+
+    Raises
+    ------
+    SingularAtSError
+        If s_k I - T has an exactly zero pivot (s_k is an eigenvalue of T).
+    """
+    n, K = T.shape[0], s.size
+    pivots = s[None, :] - np.diag(T)[:, None]
+    if not np.all(pivots):
+        k = int(np.flatnonzero(~np.all(pivots, axis=0))[0])
+        raise SingularAtSError(f"sI - A singular at s = {s[k]}")
+    r = R.shape[1]
+    X = np.empty((n, K * r), dtype=complex)
+    Xk = X.reshape(n, K, r)
+    for i in range(n - 1, -1, -1):
+        Xk[i] = (R[i] + (T[i, i + 1:] @ X[i + 1:]).reshape(K, r)) / pivots[i][:, None]
+    return Xk
+
+
 def freq_response(model: StateSpaceModel, s) -> np.ndarray:
     """G(s_k) = C (s_k I - A)^-1 B + D at every point of ``s``, shape (K, m, m).
 
     One complex Schur form A = Z T Z^H is taken per call; each point then
     costs an O(n^2) back substitution with s_k I - T, done for all points at
-    once, row by row of T.  This is Laub's scheme (1981, IEEE TAC, "Efficient
-    multivariable frequency response computations") with the triangular
-    Schur factor in place of the Hessenberg one, which makes the per-point
-    solve a plain back substitution.
+    once (:func:`_schur_solve` with right-hand side Z^H B).  This is Laub's
+    scheme (1981, IEEE TAC, "Efficient multivariable frequency response
+    computations") with the triangular Schur factor in place of the
+    Hessenberg one, which makes the per-point solve a plain back
+    substitution.
 
     Raises
     ------
@@ -374,22 +404,12 @@ def freq_response(model: StateSpaceModel, s) -> np.ndarray:
         If s_k I - T has an exactly zero pivot (s_k is an eigenvalue of A).
     """
     s = np.asarray(s, dtype=complex).ravel()
-    n, m, K = model.n, model.m, s.size
-    G = np.repeat(model.D.astype(complex)[None], K, axis=0)
-    if n == 0 or K == 0:
+    G = np.repeat(model.D.astype(complex)[None], s.size, axis=0)
+    if model.n == 0 or s.size == 0:
         return G
     T, Z = _spectral(model).schur
-    Bt = Z.conj().T @ model.B
-    pivots = s[None, :] - np.diag(T)[:, None]
-    if not np.all(pivots):
-        k = int(np.flatnonzero(~np.all(pivots, axis=0))[0])
-        raise SingularAtSError(f"sI - A singular at s = {s[k]}")
-    # X[i] = (Bt[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]), one row per step
-    X = np.empty((n, K * m), dtype=complex)
-    for i in range(n - 1, -1, -1):
-        rhs = np.tile(Bt[i], K) + T[i, i + 1:] @ X[i + 1:]
-        X[i] = rhs / np.repeat(pivots[i], m)
-    G += np.tensordot(model.C @ Z, X.reshape(n, K, m), axes=(1, 0)).transpose(1, 0, 2)
+    X = _schur_solve(T, s, Z.conj().T @ model.B)
+    G += np.tensordot(model.C @ Z, X, axes=(1, 0)).transpose(1, 0, 2)
     return G
 
 
@@ -435,7 +455,7 @@ def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
     return float(np.sqrt(g2 / g0)) if g2 > 0.0 and g0 > 0.0 else np.inf
 
 
-def _pbh_shifts(A: np.ndarray, ztol: float) -> np.ndarray:
+def _pbh_shifts(spec: _Spectral) -> np.ndarray:
     """The eigenvalues the PBH test is taken at, one of each conjugate pair,
     and one shift at the mean of each cluster.
 
@@ -443,18 +463,20 @@ def _pbh_shifts(A: np.ndarray, ztol: float) -> np.ndarray:
     conjugates of those at lambda and have the same singular values.  The
     eigenvalues come from a real eigensolver, not from a complex Schur
     diagonal, so that each conjugate pair is exact and tested once.  A
-    defective eigenvalue comes back as a cluster about eps^1/2 ||A|| wide,
-    and the test at each computed member can clear the cutoff by 1e6 though
-    a mode is lost; the mean of the cluster, the distinct eigenvalues linked
-    pairwise within ``ztol``, is within rounding of the exact eigenvalue.
+    defective eigenvalue with a Jordan block of size k comes back as a
+    cluster about eps^1/k ||A|| wide, and the test at each computed member
+    can clear the cutoff by 1e6 though a mode is lost; the mean of the
+    cluster, the distinct eigenvalues linked pairwise within
+    PBH_CLUSTER_RTOL max(1, ||A||_2), is within rounding of the exact
+    eigenvalue.  That radius spans the spread of a pair and of a triple.
     (Equal eigenvalues count once: the test at their value is taken
     already.)  A cluster that meets the real axis is its own conjugate, and
     its mean is real.
     """
-    eigs = np.linalg.eigvals(A)
+    eigs = np.linalg.eigvals(spec.A)
     shifts = [eigs[eigs.imag >= 0.0]]
     eigs = np.unique(eigs)
-    near = np.abs(eigs[:, None] - eigs[None, :]) <= ztol
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
     linked = np.flatnonzero(near.sum(axis=1) > 1)
     if linked.size:
         eigs, near = eigs[linked], near[np.ix_(linked, linked)]
@@ -489,7 +511,7 @@ def minimality_margin(model: StateSpaceModel) -> float:
     if n == 0:
         return np.inf
     margin = np.inf
-    for lam in _pbh_shifts(model.A, _spectral(model).ztol):
+    for lam in _pbh_shifts(_spectral(model)):
         shifted = model.A - lam * np.eye(n)
         for M in (np.hstack([shifted, model.B]),
                   np.vstack([shifted, model.C])):
@@ -521,7 +543,7 @@ def _pbh_bound(spec: _Spectral) -> float:
     if n == 0:
         return np.inf
     T, Z = spec.schur
-    lams = _pbh_shifts(spec.A, spec.ztol)
+    lams = _pbh_shifts(spec)
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
     tri = (np.linalg.norm(np.triu(T, 1)) ** 2
            + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))

@@ -18,10 +18,17 @@ the verdict is conservative: a grid can refute the property or support it,
 never prove the universally quantified statement.  The grid and the
 tolerances are module constants, not parameters.  G is evaluated on the
 whole grid from one Schur form of A (``ltimodel.freq_response``).  A point refutes the
-property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||); the
-floor costs an n x n SVD per point, so it is computed lazily, only at the
-points where it can change the test: for NI where min_eig is already below
--COND2_RTOL (1 + ||G||), for SNI where it is already above the strict floor.
+property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||).
+The exact ||G||_2 costs an m x m SVD per point and the floor an n x n SVD,
+so each is taken only where a cheaper upper bound cannot decide the test;
+the decisions are those of the exact values.  NI: only a point with min_eig
+below -COND2_RTOL can fail (||G|| >= 0), so ||G||_2 is taken there alone,
+and the floor only where min_eig is below -COND2_RTOL (1 + ||G||); an NI
+plant has no such point.  SNI: a point passes on bounds alone when min_eig
+is FLOOR_CLEARANCE times above both floors taken with ||G||_F >= ||G||_2
+and cond2(jwI - A) <= (w + ||A||_2) ||(jwI - T)^-1||_F, the inverse from
+one back substitution on the Schur factor T; every other point takes the
+exact route.
 
 Every eigenvalue of A is read off the diagonal of that one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
@@ -43,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
-from .ltimodel import StateSpaceModel, _spectral, _Spectral, freq_response
+from .ltimodel import StateSpaceModel, _schur_solve, _spectral, _Spectral, freq_response
 from .matrixcore import Definiteness, classify_definiteness
 
 __all__ = [
@@ -57,8 +64,13 @@ __all__ = [
 #: relative radius used to cluster eigenvalues onto a target imaginary pole
 POLE_CLUSTER_RTOL = 1e-7
 
-#: sweep points whose noise floor is found by one stacked SVD
+#: sweep points whose noise floor, or its bound, is found in one stacked solve
 FLOOR_CHUNK = 64
+
+#: ``classify_sni`` clears a point from its bounds alone when min_eig exceeds
+#: this many times the larger bound floor; the factor absorbs the rounding of
+#: both the bound and the exact route
+FLOOR_CLEARANCE = 2.0
 
 #: relative tolerance on the condition-2 eigenvalue sweep (NI, ">= 0")
 COND2_RTOL = 1e-7
@@ -81,22 +93,33 @@ BRACKET_POINTS = 8
 POLE_GUARD = 1e-4
 
 
+#: the log-spaced part of every sweep grid
+_BASE_GRID = np.geomspace(SWEEP_WMIN, SWEEP_WMAX, SWEEP_POINTS)
+_BASE_GRID.setflags(write=False)
+
+
 def _sweep_grid(axis_poles: tuple[float, ...] = ()) -> np.ndarray:
-    """The sweep frequencies; none lies within POLE_GUARD max(1, w0) of a pole w0."""
-    w = np.geomspace(SWEEP_WMIN, SWEEP_WMAX, SWEEP_POINTS)
-    extra = []
-    for w0 in axis_poles:
-        if w0 <= 0.0:
-            continue
-        g = POLE_GUARD * max(1.0, w0)
-        span = np.geomspace(2.0 * g, 0.2 * max(w0, 10.0 * g), BRACKET_POINTS // 2)
-        extra.append(w0 + span)
-        extra.append(np.clip(w0 - span, 0.5 * g, None))
-    if extra:
-        w = np.concatenate([w] + extra)
-    keep = np.ones(w.shape, dtype=bool)
-    for w0 in axis_poles:
-        keep &= np.abs(w - w0) > POLE_GUARD * max(1.0, w0)
+    """The sweep frequencies; none lies within POLE_GUARD max(1, w0) of a pole w0.
+
+    The BRACKET_POINTS // 2 offsets on each side of every positive pole come
+    from np.geomspace over all poles at once.  That call takes another
+    formula for every row once any row's span is a single point (a pole at
+    or below 10 POLE_GUARD), so those rows are spaced in a call of their own:
+    each bracket is then bitwise the one a call for its pole alone gives.
+    """
+    poles = np.asarray(axis_poles, dtype=float)
+    guard = POLE_GUARD * np.maximum(1.0, poles)
+    w0, g = poles[poles > 0.0], guard[poles > 0.0]
+    lo, hi = 2.0 * g, 0.2 * np.maximum(w0, 10.0 * g)
+    flat = np.log10(lo) == np.log10(hi)
+    span = np.empty((w0.size, BRACKET_POINTS // 2))
+    for rows in (flat, ~flat):
+        if rows.any():
+            span[rows] = np.geomspace(lo[rows], hi[rows], BRACKET_POINTS // 2, axis=1)
+    w0, g = w0[:, None], g[:, None]
+    w = np.concatenate([_BASE_GRID, (w0 + span).ravel(),
+                        np.clip(w0 - span, 0.5 * g, None).ravel()])
+    keep = np.all(np.abs(w[:, None] - poles[None, :]) > guard[None, :], axis=1)
     return np.unique(w[keep])
 
 
@@ -165,19 +188,24 @@ def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.nd
 
 
 def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
-    """Minimum eigenvalue of j(G - G*) and ||G||_2 at every sweep frequency.
+    """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
     G comes from one :func:`ltimodel.freq_response` call over the whole
-    grid, and the eigenvalues and norms are taken for all points at once.
-    The noise floor that a violation must clear is not computed here but by
-    :func:`_noise_floor`, and only at the points where it can change the
-    caller's test.
+    grid, and the eigenvalues are taken for all points at once.  ||G||_2 is
+    not taken here: the callers need it only at the few points where a
+    cheaper bound on it cannot decide their test (:func:`_norm2`), and the
+    noise floor a violation must clear only where its bound cannot
+    (:func:`_noise_floor`, :func:`_noise_floor_bound`).
     """
     G = freq_response(model, 1j * omegas)
     M = 1j * (G - G.conj().transpose(0, 2, 1))
     min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
-    norm = np.linalg.svd(G, compute_uv=False)[:, 0]
-    return min_eig, norm
+    return min_eig, G
+
+
+def _norm2(G: np.ndarray) -> np.ndarray:
+    """||G_k||_2 of a stack of matrices, by one stacked SVD."""
+    return np.linalg.svd(G, compute_uv=False)[:, 0]
 
 
 def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
@@ -186,8 +214,10 @@ def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
     It bounds the forward error of the resolvent solve: near a pole of an
     ill-conditioned realization the asymmetric part of the evaluated G is
     dominated by that noise, and only violations above it are evidence
-    against the property.  The condition numbers come from stacked SVDs of
-    FLOOR_CHUNK points each.
+    against the property.  The condition numbers come from stacked n x n
+    SVDs of FLOOR_CHUNK points each; ``classify_ni`` takes them only below
+    -COND2_RTOL, ``classify_sni`` only where :func:`_noise_floor_bound`
+    cannot clear a point.
     """
     kappa = np.ones(omegas.size)
     if model.n:
@@ -196,6 +226,25 @@ def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
             sv = np.linalg.svd(jw * np.eye(model.n) - model.A, compute_uv=False)
             kappa[k:k + FLOOR_CHUNK] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
     return 200.0 * np.finfo(float).eps * kappa * (1.0 + norms)
+
+
+def _noise_floor_bound(spec: _Spectral, omegas: np.ndarray, norm_bounds: np.ndarray):
+    """An upper bound on :func:`_noise_floor` from the record's Schur form.
+
+    With A = Z T Z^H, cond2(jwI - A) <= (|w| + ||A||_2) ||(jwI - T)^-1||_F,
+    and the inverse is one back substitution with an identity right-hand
+    side (``ltimodel._schur_solve``), for FLOOR_CHUNK points at a time.
+    ``norm_bounds`` bounds ||G|| from above (||G||_F).
+    """
+    kappa = np.ones(omegas.size)
+    if spec.n:
+        T, _ = spec.schur
+        eye = np.eye(spec.n)
+        for k in range(0, omegas.size, FLOOR_CHUNK):
+            w = omegas[k:k + FLOOR_CHUNK]
+            inv = _schur_solve(T, 1j * w, eye)
+            kappa[k:k + FLOOR_CHUNK] = (w + spec.norm2) * np.linalg.norm(inv, axis=(0, 2))
+    return 200.0 * np.finfo(float).eps * kappa * (1.0 + norm_bounds)
 
 
 def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndarray:
@@ -276,13 +325,17 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
     clusters = _axis_pole_clusters(eigs, atol)
 
     # condition 2: frequency sweep; a point violates it when min_eig is below
-    # both -COND2_RTOL (1 + ||G||) and minus the noise floor, so the floor is
-    # needed only where the first test fails
+    # both -COND2_RTOL (1 + ||G||) and minus the noise floor.  As ||G|| >= 0,
+    # only points below -COND2_RTOL can fail the first test: ||G|| is taken
+    # there alone, and the floor only where the first test fails
     omegas = _sweep_grid(tuple(w for w, _ in clusters))
-    min_eig, norm = _sweep_min_eigs(spec, omegas)
+    min_eig, G = _sweep_min_eigs(spec, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    cand = np.flatnonzero(min_eig < -COND2_RTOL * (1.0 + norm))
-    floor = _noise_floor(spec, omegas[cand], norm[cand])
+    cand = np.flatnonzero(min_eig < -COND2_RTOL)
+    norm = _norm2(G[cand])
+    below = min_eig[cand] < -COND2_RTOL * (1.0 + norm)
+    cand, norm = cand[below], norm[below]
+    floor = _noise_floor(spec, omegas[cand], norm)
     viol = [cond2[k] for k, f in zip(cand, floor) if cond2[k][1] < -f]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
@@ -370,14 +423,26 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
     ok2 = True
     if ok1:
         # a point fails when min_eig is at or below the strict floor or the
-        # noise floor, so the noise floor is needed only above the first
+        # noise floor.  Both grow with ||G||_2 <= ||G||_F, and the noise floor
+        # has a cheap bound: a point FLOOR_CLEARANCE clear of both bounds
+        # passes, the rest take ||G||_2, and the exact noise floor where
+        # they pass the strict one
         omegas = _sweep_grid()
-        min_eig, norm = _sweep_min_eigs(spec, omegas)
+        min_eig, G = _sweep_min_eigs(spec, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-        fails = min_eig <= SNI_STRICT_FLOOR * (1.0 + norm)
-        rest = np.flatnonzero(~fails)
-        fails[rest] = min_eig[rest] <= _noise_floor(spec, omegas[rest], norm[rest])
+        norm_f = np.linalg.norm(G, axis=(1, 2))
+        clear = min_eig > FLOOR_CLEARANCE * SNI_STRICT_FLOOR * (1.0 + norm_f)
+        idx = np.flatnonzero(clear)
+        bound = _noise_floor_bound(spec, omegas[idx], norm_f[idx])
+        clear[idx] = min_eig[idx] > FLOOR_CLEARANCE * bound
+        idx = np.flatnonzero(~clear)
+        norm = _norm2(G[idx])
+        fails = np.zeros(omegas.size, dtype=bool)
+        fails[idx] = min_eig[idx] <= SNI_STRICT_FLOOR * (1.0 + norm)
+        above = ~fails[idx]
+        idx, norm = idx[above], norm[above]
+        fails[idx] = min_eig[idx] <= _noise_floor(spec, omegas[idx], norm)
         bad = [cond2[k] for k in np.flatnonzero(fails)]
         ok2 = not bad
         if not ok2:

@@ -151,6 +151,18 @@ class TestIsMinimal:
             Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             assert self._agrees(ns.similarity_transform(model, Q)) < 1.0
 
+    def test_lost_mode_at_a_jordan_triple(self):
+        # B reaches the Jordan triple at -1 only through its driving state's
+        # neighbours, so one mode is lost.  eigvals spreads the triple about
+        # eps^1/3 wide, past ztol: only a cluster radius of that width links
+        # its members and tests their mean
+        A = block_diag([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]], -2.0)
+        model = ns.StateSpaceModel(A, [[1.0], [1.0], [0.0], [1.0]], [[1.0, 1.0, 1.0, 1.0]])
+        assert self._agrees(model) < 1.0
+        for seed in range(50):
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+            assert self._agrees(ns.similarity_transform(model, Q)) < 1.0, seed
+
     def test_bound_is_below_margin(self, rng):
         # up to rounding, which is of the order of one cutoff: the rank
         # test's own unit
@@ -395,6 +407,23 @@ def _assert_matches_eval_tf(model, s, rtol=1e-9):
         assert np.linalg.norm(Gk - ref) <= rtol * max(1.0, np.linalg.norm(ref)), sk
 
 
+def _freq_response_row_tiled(model, s):
+    """freq_response as first written: X laid out (n, K m), each row's
+    right-hand side tiled and its pivots repeated m times."""
+    s = np.asarray(s, dtype=complex).ravel()
+    n, m, K = model.n, model.m, s.size
+    G = np.repeat(model.D.astype(complex)[None], K, axis=0)
+    T, Z = ns.ltimodel._spectral(model).schur
+    Bt = Z.conj().T @ model.B
+    pivots = s[None, :] - np.diag(T)[:, None]
+    X = np.empty((n, K * m), dtype=complex)
+    for i in range(n - 1, -1, -1):
+        rhs = np.tile(Bt[i], K) + T[i, i + 1:] @ X[i + 1:]
+        X[i] = rhs / np.repeat(pivots[i], m)
+    G += np.tensordot(model.C @ Z, X.reshape(n, K, m), axes=(1, 0)).transpose(1, 0, 2)
+    return G
+
+
 class TestFreqResponse:
     def test_static_model(self):
         D = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -431,6 +460,19 @@ class TestFreqResponse:
                 if any(abs(x - p) <= 2.0 * POLE_GUARD * max(1.0, p) * 1.0001 for p in poles)]
         assert len(near) >= 2 * len(poles)
         _assert_matches_eval_tf(arm_plant, 1j * np.array(near))
+
+    def test_bitwise_equal_to_row_tiled_back_substitution(self, beam_params):
+        from nistab.freebody import _FAMILIES, _draw_ni_plant
+        from nistab.niclass import _sweep_grid
+
+        models = [_draw_ni_plant(np.random.default_rng(seed), fam)[0]
+                  for fam in _FAMILIES for seed in range(10)]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, n)) for n in (1, 5)]
+        models += [ns.random_sni_controller(np.random.default_rng(seed), m).realization
+                   for seed, m in ((0, 1), (1, 2), (2, 3))]
+        s = np.concatenate([1j * _sweep_grid(), [0.3 + 2.0j, -0.7 - 1.1j]])
+        for model in models:
+            _assert_same_bits(ns.freq_response(model, s), _freq_response_row_tiled(model, s))
 
     def test_singular_at_eigenvalue(self):
         with pytest.raises(SingularAtSError):

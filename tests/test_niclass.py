@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 
 import nistab as ns
+from nistab import niclass
 from nistab.errors import NotAPoleError, NotMinimalError, NotSimplePoleError
+from nistab.ltimodel import _spectral
 
 from conftest import double_integrator, first_order_lag_minus
 
@@ -205,6 +207,88 @@ class TestClassifySni:
         gbar = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
                                   np.zeros((1, 0)), [[-2.0]])
         assert not ns.classify_sni(gbar).is_sni
+
+
+def _conditioned(model, cond, seed):
+    """model under U diag(geomspace(1, cond, n)) V^T, U and V random orthogonal."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(model.n, model.n)))
+    V, _ = np.linalg.qr(rng.normal(size=(model.n, model.n)))
+    return ns.similarity_transform(model, U @ np.diag(np.geomspace(1.0, cond, model.n)) @ V.T)
+
+
+class TestSweepBounds:
+    """The bounds that let the sweeps skip exact SVDs decide as the SVDs would."""
+
+    def _controllers(self, paper_irc):
+        irc = paper_irc.realization
+        return ([irc, _conditioned(irc, 1e6, 0)]
+                + [ns.random_sni_controller(np.random.default_rng(seed), 1 + seed % 3).realization
+                   for seed in range(20)])
+
+    def test_floor_bound_is_above_noise_floor(self, paper_irc):
+        for model in self._controllers(paper_irc):
+            spec = _spectral(model)
+            omegas = niclass._sweep_grid()
+            _, G = niclass._sweep_min_eigs(spec, omegas)
+            bound = niclass._noise_floor_bound(spec, omegas, np.linalg.norm(G, axis=(1, 2)))
+            floor = niclass._noise_floor(spec, omegas, niclass._norm2(G))
+            assert np.all(bound >= floor), model.n
+
+    def test_hurwitz_controller_that_is_not_sni(self):
+        rep = ns.classify_sni(ns.StateSpaceModel([[-1.0]], [[1.0]], [[-1.0]], [[0.0]]))
+        assert not rep.is_sni and not rep.closed_rhp_poles
+        assert rep.reasons == ["j(G - G*) not strictly positive: -1.000e+00 at omega = 1"]
+
+    def test_fallback_matches_exact_floor_everywhere(self, paper_irc, monkeypatch):
+        # the transformed IRCs have points the bound cannot clear; with a
+        # bound that clears none, every point takes the exact SVD floor
+        irc = paper_irc.realization
+        models = [_conditioned(irc, cond, 0) for cond in (3e3, 1e4, 1e6)] + [irc]
+        exact_floor = niclass._noise_floor
+        exact_points = []
+
+        def spy(model, omegas, norms):
+            exact_points.append(omegas.size)
+            return exact_floor(model, omegas, norms)
+
+        monkeypatch.setattr(niclass, "_noise_floor", spy)
+        got = [ns.classify_sni(m).to_dict() for m in models]
+        assert sum(exact_points[:3]) > 0 and exact_points[3] == 0
+        monkeypatch.setattr(niclass, "_noise_floor_bound",
+                            lambda spec, omegas, norms: np.full(omegas.size, np.inf))
+        assert got == [ns.classify_sni(m).to_dict() for m in models]
+
+
+def _sweep_grid_per_pole(axis_poles=()):
+    """_sweep_grid as first written: one bracket and one guard test per pole."""
+    w = np.geomspace(niclass.SWEEP_WMIN, niclass.SWEEP_WMAX, niclass.SWEEP_POINTS)
+    extra = []
+    for w0 in axis_poles:
+        if w0 <= 0.0:
+            continue
+        g = niclass.POLE_GUARD * max(1.0, w0)
+        span = np.geomspace(2.0 * g, 0.2 * max(w0, 10.0 * g), niclass.BRACKET_POINTS // 2)
+        extra.append(w0 + span)
+        extra.append(np.clip(w0 - span, 0.5 * g, None))
+    if extra:
+        w = np.concatenate([w] + extra)
+    keep = np.ones(w.shape, dtype=bool)
+    for w0 in axis_poles:
+        keep &= np.abs(w - w0) > niclass.POLE_GUARD * max(1.0, w0)
+    return np.unique(w[keep])
+
+
+@pytest.mark.parametrize("poles", [
+    (), (1.0,), (0.5, 3.0, 7.0, 1e3), tuple(np.linspace(0.5, 60.0, 30)), (1.5e-3,),
+    # a pole at or below 10 POLE_GUARD has a one-point bracket span, which
+    # switches np.geomspace's formula for a whole stacked call
+    (5e-4,), (5e-4, 0.37, 2.0), (0.0, -1.0, 2.0, 1e4),
+])
+def test_sweep_grid_equals_per_pole_brackets(poles):
+    got = niclass._sweep_grid(poles)
+    ref = _sweep_grid_per_pole(poles)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestImaginaryAxisResidue:
