@@ -329,12 +329,16 @@ class VerdictOptions:
 
 @dataclass
 class StabilityVerdict:
-    """Internal-stability decision plus every measured condition value."""
+    """Internal-stability decision plus every measured condition value.
+
+    A verdict no theorem decided (a failed precondition, a stage that could
+    not run) keeps the record defaults: theorem and branch NONE, no values.
+    """
 
     outcome: Outcome
-    theorem_used: Theorem
-    branch: Branch
-    condition_values: dict
+    theorem_used: Theorem = Theorem.NONE
+    branch: Branch = Branch.NONE
+    condition_values: dict = field(default_factory=dict)
     reason: str = ""
     oracle_agrees: bool | None = None
     laurent: LaurentCoefficients | None = None
@@ -357,74 +361,44 @@ class StabilityVerdict:
 
 
 class _Conditions:
-    """Accumulates strict-inequality checks with a shared boundary band."""
+    """The strict inequalities one theorem requires, under one boundary band.
+
+    Each condition is written excess < 0 with a scale of its own (see
+    :meth:`require`).  The outcome starts STABLE; a failed condition makes it
+    UNSTABLE, and a condition inside the band makes it BOUNDARY, which no
+    later failure overrides.  The recorded values are the verdict's
+    ``condition_values``.
+    """
 
     def __init__(self, band: float):
         self.band = band
         self.values: dict[str, float] = {}
-        self.all_hold = True
-        self.boundary = False
+        self.outcome = Outcome.STABLE
 
-    def strict_neg_definite(self, name: str, M: np.ndarray) -> None:
-        """Require M < 0; records the largest eigenvalue."""
-        top = float(np.linalg.eigvalsh(symmetrize(M))[-1]) if M.size else -np.inf
-        self.values[name] = top
-        scale = self.band * (1.0 + abs(top) + np.linalg.norm(M))
-        if M.size == 0:
-            return
-        if abs(top) <= scale:
-            self.boundary = True
-        elif top > 0.0:
-            self.all_hold = False
-
-    def strict_pos_definite(self, name: str, M: np.ndarray) -> None:
-        """Require M > 0; records the smallest eigenvalue."""
-        bot = float(np.linalg.eigvalsh(symmetrize(M))[0]) if M.size else np.inf
-        self.values[name] = bot
-        scale = self.band * (1.0 + abs(bot) + np.linalg.norm(M))
-        if M.size == 0:
-            return
-        if abs(bot) <= scale:
-            self.boundary = True
-        elif bot < 0.0:
-            self.all_hold = False
-
-    def nonsingular(self, name: str, M: np.ndarray) -> None:
-        """Require det(M) != 0; records the smallest singular value."""
-        smin = float(np.linalg.svd(M, compute_uv=False)[-1]) if M.size else 1.0
-        self.values[name] = smin
-        if M.size and smin <= self.band * max(1.0, np.linalg.norm(M, 2)):
-            self.boundary = True
-
-    def less_than_one(self, name: str, value: float) -> None:
-        """Require value < 1."""
+    def require(self, name: str, value: float, excess: float, scale: float) -> None:
+        """Require excess < 0, recording ``value`` under ``name``: BOUNDARY
+        when |excess| <= band * scale, failed when excess > 0."""
         self.values[name] = value
-        if abs(value - 1.0) <= self.band * (1.0 + abs(value)):
-            self.boundary = True
-        elif value > 1.0:
-            self.all_hold = False
+        if abs(excess) <= self.band * scale:
+            self.outcome = Outcome.BOUNDARY
+        elif excess > 0.0 and self.outcome is Outcome.STABLE:
+            self.outcome = Outcome.UNSTABLE
 
+    def negative_definite(self, name: str, M: np.ndarray) -> None:
+        """Require M < 0, recording its largest eigenvalue; the Gram matrix of
+        a zero-column basis records -inf and requires nothing."""
+        if not M.size:
+            self.values[name] = -np.inf
+            return
+        top = float(np.linalg.eigvalsh(symmetrize(M))[-1])
+        self.require(name, top, top, 1.0 + abs(top) + np.linalg.norm(M))
 
-def _verdict_from(conds: _Conditions, theorem: Theorem, branch: Branch,
-                  laurent: LaurentCoefficients | None) -> StabilityVerdict:
-    if conds.boundary:
-        outcome = Outcome.BOUNDARY
-        reason = "a decisive quantity sits inside the tolerance band"
-    elif conds.all_hold:
-        outcome, reason = Outcome.STABLE, ""
-    else:
-        outcome, reason = Outcome.UNSTABLE, ""
-    return StabilityVerdict(outcome=outcome, theorem_used=theorem, branch=branch,
-                            condition_values=conds.values, reason=reason,
-                            laurent=laurent)
-
-
-def _precondition_failed(reason: str, laurent=None) -> StabilityVerdict:
-    return StabilityVerdict(
-        outcome=Outcome.PRECONDITION_FAILED, theorem_used=Theorem.NONE,
-        branch=Branch.NONE, condition_values={}, reason=reason,
-        laurent=laurent,
-    )
+    def verdict(self, theorem: Theorem, branch: Branch,
+                laurent: LaurentCoefficients | None) -> StabilityVerdict:
+        reason = ("a decisive quantity sits inside the tolerance band"
+                  if self.outcome is Outcome.BOUNDARY else "")
+        return StabilityVerdict(self.outcome, theorem, branch, self.values,
+                                reason, laurent=laurent)
 
 
 def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
@@ -467,35 +441,34 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
 
 def _inconclusive(stage: str, exc: NistabError) -> StabilityVerdict:
     return StabilityVerdict(
-        outcome=Outcome.INCONCLUSIVE, theorem_used=Theorem.NONE,
-        branch=Branch.NONE, condition_values={},
-        reason=f"{stage} unavailable: {type(exc).__name__}: {exc}")
+        Outcome.INCONCLUSIVE, reason=f"{stage} unavailable: {type(exc).__name__}: {exc}")
 
 
 def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
     """The dispatch of :func:`stability_verdict`, given its NI/SNI reports."""
+    failed = Outcome.PRECONDITION_FAILED
     if ni is not None and not ni.is_ni:
-        return _precondition_failed(
-            "plant is not negative imaginary: " + "; ".join(ni.reasons))
+        return StabilityVerdict(
+            failed, reason="plant is not negative imaginary: " + "; ".join(ni.reasons))
     if sni is not None and not sni.is_sni:
-        return _precondition_failed(
-            "controller is not strictly negative imaginary: " + "; ".join(sni.reasons))
+        return StabilityVerdict(failed, reason="controller is not strictly negative "
+                                "imaginary: " + "; ".join(sni.reasons))
 
+    conds = _Conditions(opts.boundary_band)
     Gbar0 = eval_tf(Gbar, 0.0).real
 
     if not G.origin_split.n0:
-        G0 = eval_tf(G, 0.0).real
-        conds = _Conditions(opts.boundary_band)
-        eigs = np.linalg.eigvals(G0 @ Gbar0)
+        eigs = np.linalg.eigvals(eval_tf(G, 0.0).real @ Gbar0)
         if np.max(np.abs(eigs.imag)) > 1e-7 * (1.0 + np.max(np.abs(eigs))):
-            return _precondition_failed(
-                "dc gain product has non-real eigenvalues; models are not NI/SNI consistent")
-        conds.less_than_one("dc_gain_lambda_max", float(np.max(eigs.real)))
-        return _verdict_from(conds, Theorem.DC_GAIN, Branch.NONE, None)
+            return StabilityVerdict(failed, reason="dc gain product has non-real "
+                                    "eigenvalues; models are not NI/SNI consistent")
+        lam = float(np.max(eigs.real))
+        conds.require("dc_gain_lambda_max", lam, lam - 1.0, 1.0 + abs(lam))
+        return conds.verdict(Theorem.DC_GAIN, Branch.NONE, None)
 
     if not G.strictly_proper():
-        return _precondition_failed(
-            "free-body analysis requires a strictly proper plant")
+        return StabilityVerdict(
+            failed, reason="free-body analysis requires a strictly proper plant")
 
     try:
         L = laurent_coefficients(G)
@@ -507,32 +480,32 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
     g1_zero = np.linalg.norm(L.G1) <= ZERO_COEFF_RTOL * scale0
 
     if g2_zero and g1_zero:
-        return _precondition_failed(
-            "origin pole detected but both Laurent coefficients vanish "
-            "(numerically inconsistent model)", laurent=L)
+        return StabilityVerdict(failed, reason="origin pole detected but both Laurent "
+                                "coefficients vanish (numerically inconsistent model)",
+                                laurent=L)
 
     if g2_zero:
         # single pole: the thin SVD factor F1 of G1 is the free-body basis
         U, sv, _Vt = np.linalg.svd(L.G1)
         r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
         if r == m:
-            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
-                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
+            conds.negative_definite("controller_dc_max_eig", Gbar0)
+            return conds.verdict(Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
         F1 = U[:, :r] * sv[:r]
         if nullspace_contained(L.G1.T, L.G0.T):
-            return _single_condition("f1_gram_max_eig", F1.T @ Gbar0 @ F1, opts, L,
-                                     Theorem.SINGLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT)
+            conds.negative_definite("f1_gram_max_eig", F1.T @ Gbar0 @ F1)
+            return conds.verdict(Theorem.SINGLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT, L)
         return _reduced_gain(L, Gbar0, F1, np.zeros((m, m)), Theorem.SINGLE_POLE,
                              "f1", opts)
 
     J = full_rank_factor(L.G2).J
     if g1_zero:
         if classify_definiteness(L.G2).is_pd:
-            return _single_condition("controller_dc_max_eig", Gbar0, opts, L,
-                                     Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE)
+            conds.negative_definite("controller_dc_max_eig", Gbar0)
+            return conds.verdict(Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
         if nullspace_contained(L.G2, L.G0.T):
-            return _single_condition("j_gram_max_eig", J.T @ Gbar0 @ J, opts, L,
-                                     Theorem.DOUBLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT)
+            conds.negative_definite("j_gram_max_eig", J.T @ Gbar0 @ J)
+            return conds.verdict(Theorem.DOUBLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT, L)
         return _reduced_gain(L, Gbar0, J, np.zeros((m, m)), Theorem.DOUBLE_POLE,
                              "j", opts)
 
@@ -565,13 +538,6 @@ def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
             verdict.oracle_hurwitz == (verdict.outcome is Outcome.STABLE))
 
 
-def _single_condition(name, M, opts, L, theorem, branch) -> StabilityVerdict:
-    """Verdict from the one requirement M < 0 (a definite or range shortcut)."""
-    conds = _Conditions(opts.boundary_band)
-    conds.strict_neg_definite(name, M)
-    return _verdict_from(conds, theorem, branch, L)
-
-
 def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     """Reduced-gain conditions on the free-body basis Y (J, F or F1).
 
@@ -587,29 +553,29 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
     """
     m = L.G0.shape[0]
     conds = _Conditions(opts.boundary_band)
-    inner = Y.T @ Gbar0 @ Y
-    conds.strict_neg_definite(f"{stem}_gram_max_eig", inner)
+    conds.negative_definite(f"{stem}_gram_max_eig", Y.T @ Gbar0 @ Y)
     # a Gram matrix that holds the condition is nonsingular, so a singular
     # one has already failed it or sits in the band: UNSTABLE or BOUNDARY
     try:
         N = projector_p(Gbar0, Y)
     except SingularInnerError:
-        return _verdict_from(conds, theorem, Branch.NONE, L)
+        return conds.verdict(theorem, Branch.NONE, L)
     n_def = classify_definiteness(N)
 
-    if n_def.kind.value == "zero" or n_def.is_nsd:
-        Ntil = psd_sqrt(-N)
-        conds.nonsingular("nsd_branch_min_sv",
-                          np.eye(m) + Ntil @ L.G0 @ Ntil + Ntil @ extra @ Ntil)
-        return _verdict_from(conds, theorem, Branch.NSD, L)
+    if n_def.is_nsd:  # a zero N included
+        Nt = psd_sqrt(-N)
+        M = np.eye(m) + Nt @ L.G0 @ Nt + Nt @ extra @ Nt
+        smin = float(np.linalg.svd(M, compute_uv=False)[-1])
+        conds.require("nsd_branch_min_sv", smin, -smin, max(1.0, np.linalg.norm(M, 2)))
+        return conds.verdict(theorem, Branch.NSD, L)
     if n_def.is_psd:
         Nh = psd_sqrt(N)
-        conds.strict_pos_definite("psd_branch_min_eig",
-                                  np.eye(m) - Nh @ L.G0 @ Nh - Nh @ extra @ Nh)
-        return _verdict_from(conds, theorem, Branch.PSD, L)
+        M = np.eye(m) - Nh @ L.G0 @ Nh - Nh @ extra @ Nh
+        bot = float(np.linalg.eigvalsh(symmetrize(M))[0])
+        conds.require("psd_branch_min_eig", bot, -bot, 1.0 + abs(bot) + np.linalg.norm(M))
+        return conds.verdict(theorem, Branch.PSD, L)
     return StabilityVerdict(
-        outcome=Outcome.INCONCLUSIVE, theorem_used=theorem,
-        branch=Branch.NONE, condition_values=conds.values,
+        Outcome.INCONCLUSIVE, theorem, condition_values=conds.values,
         reason=f"reduced controller gain is indefinite "
                f"(eigenvalues in [{n_def.min_eig:.3e}, {n_def.max_eig:.3e}])",
         laurent=L)

@@ -123,8 +123,6 @@ class ClosedLoop:
     """Positive-feedback interconnection state matrix (plant states first)."""
 
     Abreve: np.ndarray
-    n_plant: int
-    n_ctrl: int
 
 
 @dataclass(frozen=True)
@@ -604,7 +602,7 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> ClosedLoop:
     L = np.linalg.solve(W, np.eye(m))
     top = np.hstack([A + B @ Db @ L @ C, B @ Cb + B @ Db @ L @ D @ Cb])
     bot = np.hstack([Bb @ L @ C, Ab + Bb @ L @ D @ Cb])
-    return ClosedLoop(Abreve=np.vstack([top, bot]), n_plant=G.n, n_ctrl=Gbar.n)
+    return ClosedLoop(Abreve=np.vstack([top, bot]))
 
 
 def is_hurwitz(M: np.ndarray) -> bool:

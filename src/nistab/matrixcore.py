@@ -50,7 +50,6 @@ class Definiteness:
     kind: DefinitenessKind
     min_eig: float
     max_eig: float
-    tol_used: float
 
     @property
     def is_psd(self) -> bool:
@@ -71,10 +70,6 @@ class Definiteness:
     @property
     def is_pd(self) -> bool:
         return self.kind is DefinitenessKind.POSITIVE_DEFINITE
-
-    @property
-    def is_nd(self) -> bool:
-        return self.kind is DefinitenessKind.NEGATIVE_DEFINITE
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ def classify_definiteness(M: np.ndarray, tol: float | None = None) -> Definitene
     Returns
     -------
     Definiteness
-        Classification plus the extreme eigenvalues and the tolerance used.
+        Classification plus the extreme eigenvalues.
     """
     M = np.asarray(M, dtype=float)
     sym_rtol = SYM_RTOL if tol is None else max(SYM_RTOL, tol)
@@ -163,7 +158,7 @@ def classify_definiteness(M: np.ndarray, tol: float | None = None) -> Definitene
         kind = DefinitenessKind.NEGATIVE_SEMIDEFINITE
     else:
         kind = DefinitenessKind.INDEFINITE
-    return Definiteness(kind=kind, min_eig=lo, max_eig=hi, tol_used=t)
+    return Definiteness(kind=kind, min_eig=lo, max_eig=hi)
 
 
 def psd_sqrt(M: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -32,8 +32,8 @@ from .freebody import (
     stability_verdict,
 )
 from .ircsynth import make_irc
-from .ltimodel import HURWITZ_MARGIN, StateSpaceModel, _spectral, closed_loop, \
-    model_from_dict
+from .ltimodel import HURWITZ_MARGIN, StateSpaceModel, _matrix_from_json, _spectral, \
+    closed_loop, model_from_dict
 from .niclass import classify_ni, classify_sni
 
 __all__ = [
@@ -239,10 +239,10 @@ def load_model(source) -> StateSpaceModel:
         raise NistabError("model source must be a dict, JSON text, or file path")
     if "irc" in source:
         irc = source["irc"]
-        ctrl = make_irc(np.array(irc["Gamma"], dtype=float),
-                        np.array(irc["Phi"], dtype=float),
-                        np.array(irc["Delta"], dtype=float))
-        return ctrl.realization
+        keys = ("Gamma", "Phi", "Delta")
+        if not isinstance(irc, dict) or not all(k in irc for k in keys):
+            raise NistabError('"irc" must be an object with keys Gamma, Phi and Delta')
+        return make_irc(*(_matrix_from_json(irc[k], k) for k in keys)).realization
     return model_from_dict(source)
 
 
@@ -358,6 +358,8 @@ def _cmd_stability(args) -> int:
 def _cmd_verify(args) -> int:
     """Every trial pair is NI/SNI by construction, so a decisive verdict that
     the oracle contradicts and a PRECONDITION_FAILED trial are both failures."""
+    if args.count < 1:
+        raise NistabError(f"--count must be at least 1, got {args.count}")
     rep = montecarlo_agreement(args.count, seed=args.seed)
     _emit(rep.to_dict(), args)
     if rep.disagreements or rep.precondition_failed:
@@ -397,6 +399,9 @@ def _cmd_beam(args) -> int:
         }
         print(json.dumps(obj, indent=2))
     elif args.beam_cmd == "scan":
+        if args.points < 1 or not 0.0 < args.wmin < args.wmax < np.inf:
+            raise NistabError("scan needs --points >= 1 and 0 < --wmin < --wmax < inf, got "
+                              f"{args.points} points on [{args.wmin}, {args.wmax}]")
         grid = np.geomspace(args.wmin, args.wmax, args.points)
         table = emit_residue_scan(p, args.gamma, grid)
         print("omega,value")

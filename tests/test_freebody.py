@@ -448,6 +448,76 @@ class TestStabilityVerdict:
             np.testing.assert_allclose(ns.projector_p(Gbar0, JR), baseN, atol=1e-10)
 
 
+def _irc(delta):
+    """IRC with Gamma = Phi = I and the given diagonal Delta."""
+    m = len(delta)
+    return ns.make_irc(np.eye(m), np.eye(m), np.diag(delta)).realization
+
+
+_IN_BAND = "a decisive quantity sits inside the tolerance band"
+
+# id: plant, controller, options, then the expected record: outcome, theorem,
+# branch, condition values (each within 1e-12) and reason
+_VERDICT_PATHS = {
+    "dc_gain_boundary": (
+        first_order_lag_minus(0.0), first_order_lag_minus(0.0), VerdictOptions(),
+        "boundary", "dc_gain", "none", {"dc_gain_lambda_max": 1.0}, _IN_BAND),
+    "psd_branch_boundary": (
+        ns.modal_to_ss(ns.ModalModel(m=2, terms=((1.0, np.diag([0.0, 0.5])),),
+                                     g2=np.diag([1.0, 0.0]))),
+        _irc([2.0, -1.0]), VerdictOptions(run_oracle=True),
+        "boundary", "double_pole", "psd",
+        {"j_gram_max_eig": -1.0, "psd_branch_min_eig": 0.0}, _IN_BAND),
+    "nsd_branch_boundary": (  # [[1/s^2, 0], [0, -0.5/(s + 1)]]
+        ns.StateSpaceModel([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                           [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                           [[1.0, 0.0, 0.0], [0.0, 0.0, -0.5]]),
+        _irc([2.0, 3.0]), VerdictOptions(skip_ni_check=True),
+        "boundary", "double_pole", "nsd",
+        {"j_gram_max_eig": -1.0, "nsd_branch_min_sv": 0.0}, _IN_BAND),
+    "not_strictly_proper": (  # 1/s^2 + 0.5
+        ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.5]]),
+        _irc([2.0]), VerdictOptions(),
+        "precondition_failed", "none", "none", {},
+        "free-body analysis requires a strictly proper plant"),
+    "laurent_coefficients_vanish": (
+        ns.StateSpaceModel(np.diag([0.0, -1.0]), [[1e-5], [1.0]], [[1e-5, 1.0]]),
+        _irc([2.0]), VerdictOptions(),
+        "precondition_failed", "none", "none", {},
+        "origin pole detected but both Laurent coefficients vanish "
+        "(numerically inconsistent model)"),
+    "dc_gain_product_not_real": (
+        ns.StateSpaceModel(-np.eye(2), np.eye(2), [[1.0, 2.0], [-2.0, 1.0]]),
+        _irc([2.0, 3.0]), VerdictOptions(skip_ni_check=True),
+        "precondition_failed", "none", "none", {},
+        "dc gain product has non-real eigenvalues; models are not NI/SNI consistent"),
+    "negative_axis_residue": (  # -1/(s^2 + 1)
+        ns.StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[-1.0, 0.0]]),
+        _irc([2.0]), VerdictOptions(),
+        "precondition_failed", "none", "none", {},
+        "plant is not negative imaginary: residue at j*1 has eigenvalue -5.000e-01"),
+}
+
+
+class TestVerdictPaths:
+    """Boundary branches and precondition failures, each pinned by its record."""
+
+    @pytest.mark.parametrize("case", list(_VERDICT_PATHS))
+    def test_record(self, case):
+        G, Gbar, opts, outcome, theorem, branch, values, reason = _VERDICT_PATHS[case]
+        d = ns.stability_verdict(G, Gbar, opts).to_dict()
+        assert (d["outcome"], d["theorem_used"], d["branch"], d["reason"]) == (
+            outcome, theorem, branch, reason)
+        assert list(d["condition_values"]) == list(values)
+        for key, value in values.items():
+            assert d["condition_values"][key] == pytest.approx(value, abs=1e-12)
+
+    def test_psd_branch_boundary_loop_is_not_hurwitz(self):
+        G, Gbar, opts, *_ = _VERDICT_PATHS["psd_branch_boundary"]
+        v = ns.stability_verdict(G, Gbar, opts)
+        assert v.oracle_hurwitz is False and v.oracle_agrees is None
+
+
 class TestDirectStability:
     def test_case_study(self, arm_plant, paper_irc):
         assert ns.direct_stability(arm_plant, paper_irc.realization)

@@ -41,6 +41,25 @@ class TestClassifyNi:
         rep = ns.classify_ni(m)
         assert not rep.is_ni and rep.cond1_rhp_poles
 
+    def test_negative_axis_residue_fails_condition3(self):
+        # -1/(s^2 + 1): residue -1/2 at s = j
+        m = ns.StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[-1.0, 0.0]])
+        rep = ns.classify_ni(m)
+        assert not rep.is_ni
+        assert rep.reasons == ["residue at j*1 has eigenvalue -5.000e-01"]
+        assert [r["simple"] for r in rep.to_dict()["cond3_residues"]] == [True]
+
+    def test_defective_axis_pole_fails_condition3(self):
+        # 1/(s^2 + 1)^2 in companion form: a double pole at s = j
+        A = np.diag(np.ones(3), 1)
+        A[3, 0], A[3, 2] = -1.0, -2.0
+        m = ns.StateSpaceModel(A, [[0.0], [0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0, 0.0]])
+        rep = ns.classify_ni(m)
+        assert not rep.is_ni
+        assert len(rep.reasons) == 1
+        assert rep.reasons[0].endswith("is defective (Jordan structure of size >= 2)")
+        assert [r["simple"] for r in rep.to_dict()["cond3_residues"]] == [False]
+
     def test_triple_origin_pole_fails(self):
         A = np.diag(np.ones(2), 1)
         m = ns.StateSpaceModel(A, [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], [[0.0]])

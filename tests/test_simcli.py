@@ -375,6 +375,32 @@ class TestCli:
         assert lines[0] == "t,theta,Vs"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("irc", [
+        {"Gamma": [[1.0]], "Phi": [[1.0]]},
+        {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": "two"},
+        [[1.0], [1.0], [2.0]],
+    ], ids=["missing_delta", "string_entry", "list_wrapper"])
+    def test_malformed_irc_wrapper_exit_2(self, tmp_path, capsys, irc):
+        # each once escaped main as KeyError, ValueError or TypeError
+        ctrl = self._write(tmp_path, "c.json", {"irc": irc})
+        assert main(["classify", ctrl]) == EXIT_INPUT_ERROR
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--count", "-5"],
+        ["verify", "--count", "0"],
+        ["beam", "scan", "--points", "0"],
+        ["beam", "scan", "--wmin", "-1", "--points", "3"],
+        ["beam", "scan", "--wmin", "5", "--wmax", "5", "--points", "3"],
+        ["beam", "scan", "--wmin", "5", "--wmax", "1", "--points", "3"],
+        ["beam", "scan", "--wmax", "inf", "--points", "3"],
+    ], ids=["count_negative", "count_zero", "points_zero", "wmin_negative",
+            "wmax_equal", "wmax_below", "wmax_infinite"])
+    def test_out_of_range_numbers_exit_2(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+
     def test_beam_modes_command(self, capsys):
         assert main(["beam", "modes", "--count", "1"]) == EXIT_OK
         out = capsys.readouterr().out
