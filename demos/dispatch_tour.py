@@ -1,17 +1,25 @@
 """Tour of the stability-condition family, one plant per dispatch branch.
 
 For a negative-imaginary plant G and a strictly-negative-imaginary
-controller Gbar in positive feedback, which closed-form test decides
-internal stability depends on the free-body content of G:
+controller Gbar in positive feedback, internal stability is decided from
+the Laurent data G(s) = G2/s^2 + G1/s + G0 + O(s) and Gbar(0) alone.  Every
+free-body case is one test on a basis Y of the free-body outputs:
 
   G2 = 0, G1 = 0        dc-gain test          lambda_max(G(0) Gbar(0)) < 1
-  G2 > 0 (or G1 inv.)   definite test         Gbar(0) < 0
-  G2 != 0 singular      range shortcut or     J' Gbar(0) J < 0 (+ reduced
-                        sign-split test        PSD/NSD condition)
-  G2 = 0, G1 != 0       same family via the   F1' Gbar(0) F1 < 0 (+ reduced
-                        thin factor of G1      condition)
-  G1 != 0 and G2 != 0   Hankel subspace F     F' Gbar(0) F < 0 (+ friction
-                                               coupling term)
+  G2 > 0 (or G1 full    Y = I                 Gbar(0) < 0 (N = 0, branch
+  rank)                                        invertible)
+  G2 != 0 singular      Y = J, G2 = J J'      J' Gbar(0) J < 0, then the
+                                               range rule or the PSD/NSD
+                                               branch of N = P(Gbar(0), J)
+  G2 = 0, G1 != 0       Y = F1, the thin      F1' Gbar(0) F1 < 0, then as
+                        factor of G1           for J
+  G1 != 0 and G2 != 0   Y = F, the Hankel     F' Gbar(0) F < 0, then the
+                        subspace matrix        branch with the friction term
+
+The range rule (J and F1 only): when G0 vanishes off range(Y), both branch
+terms vanish and the verdict is the *_range theorem, branch
+nullspace_shortcut.  A failed Gram condition Y' Gbar(0) Y < 0 is UNSTABLE
+whatever the sign of N.
 
 Each example below is checked against the closed-loop eigenvalue oracle.
 

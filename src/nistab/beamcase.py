@@ -439,22 +439,24 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     C_i = N(j p_i) / (k prod_{j != i} (p_j^2 - p_i^2)).  The scalar k matches
     the product denominator to D at a reference frequency w0 = p_1 / 100 in
     the rigid-body-dominated band, which pins the double-pole coefficient C_0
-    to the true lim s^2 G(s) up to O((w0/p_1)^2); w0 and k are recorded in
-    ``meta``.
+    to the true lim s^2 G(s) up to O((w0/p_1)^2); w0 is recorded in ``meta``.
+    k cancels against the products: each coefficient is formed from the
+    ratios (1 - w0^2/p_j^2) and (p_j^2 - w0^2)/(p_j^2 - p_i^2), which stay
+    finite at any mode count where the bare products overflow.
     """
     if n < 1:
         raise DimensionError("need at least one flexible mode")
     poles = find_modal_roots(p, n)
     w0 = float(poles[0] / 100.0)
-    denom0 = (-w0 ** 2) * np.prod(poles ** 2 - w0 ** 2)
-    k = float(np.real(d_of_s(p, 1j * w0))) / denom0
+    # 1/k = -w0^2 prod_j (p_j^2 - w0^2) / D(j w0)
+    scale = -w0 ** 2 / float(np.real(d_of_s(p, 1j * w0)))
 
     # N(jw) = G D is even and analytic through w = 0, so its stencil about
     # w = 0 with h = 2 w0 is one Richardson step on the root-free pair w0,
     # 2 w0 (~1e-7 relative); the poles' numerators come in the same solve
     N = _numerator_at(p, np.concatenate([[0.0], poles]),
                       np.concatenate([[2.0 * w0], 1e-5 * poles]))
-    C0 = N[0] / (k * np.prod(poles ** 2))
+    C0 = N[0] * (scale * np.prod(1.0 - (w0 / poles) ** 2))
     C0 = 0.5 * (C0 + C0.T)
     # the rigid coefficient is PSD of rank one; shave extrapolation dust
     ew, V = np.linalg.eigh(C0)
@@ -462,13 +464,12 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
         C0 = (V * np.clip(ew, 0.0, None)) @ V.T
         C0 = 0.5 * (C0 + C0.T)
 
-    gaps = poles ** 2 - poles[:, None] ** 2          # row i: p_j^2 - p_i^2
-    np.fill_diagonal(gaps, 1.0)
-    prods = np.prod(gaps, axis=1) * (0.0 - poles ** 2)
-    C = N[1:] / (k * prods)[:, None, None]
+    sq = poles ** 2
+    gaps = sq - sq[:, None]                  # row i: p_j^2 - p_i^2, and -p_i^2 at j = i
+    np.fill_diagonal(gaps, -sq)
+    C = N[1:] * (scale * np.prod((sq - w0 ** 2) / gaps, axis=1))[:, None, None]
     terms = tuple((float(pi), 0.5 * (Ci + Ci.T)) for pi, Ci in zip(poles, C))
-    return ModalModel(m=2, terms=terms, g2=C0,
-                      meta={"k": k, "omega0": w0, "n_modes": n})
+    return ModalModel(m=2, terms=terms, g2=C0, meta={"omega0": w0, "n_modes": n})
 
 
 def emit_residue_scan(p: BeamParameters, gamma: float,

@@ -1,21 +1,16 @@
 """Free-body stability machinery: origin split, Laurent data, verdicts.
 
-This is the analytical core of the package.  For a strictly proper NI plant
-G(s) interconnected in positive feedback with an SNI controller Gbar(s), the
-internal-stability question is decided purely from
-
-  * the leading Laurent coefficients of G about s = 0,
-
-        G(s) = G2/s^2 + G1/s + G0 + O(s),
-
-  * the controller DC gain Gbar(0),
-
-through a family of necessary-and-sufficient sign conditions.  Which member
-of the family applies depends on whether G2 and/or G1 vanish and on rank
-relations between them and G0; :func:`stability_verdict` performs that
-dispatch and reports every measured margin.  :func:`direct_stability` is the
-independent eigenvalue oracle, and :func:`montecarlo_agreement` drives both
-against randomly generated plant/controller pairs.
+For a strictly proper NI plant G(s) in positive feedback with an SNI
+controller Gbar(s), internal stability is decided from the Laurent data
+G(s) = G2/s^2 + G1/s + G0 + O(s) about s = 0 and the controller DC gain
+Gbar(0) alone.  :func:`stability_verdict` reads the models into that data (a
+plant without origin poles enters as G0 = G(0), G1 = G2 = 0); the pure
+``_decide`` picks the free-body basis Y (F1 from G1, J from G2, the Hankel
+subspace matrix F when both are nonzero, I for a full-rank coefficient), and
+one ``_reduced_gain`` routine decides every free-body theorem: the Gram test
+Y' Gbar(0) Y < 0, then the branch on the reduced gain N = P(Gbar(0), Y).
+:func:`direct_stability` is the independent eigenvalue oracle, and
+:func:`montecarlo_agreement` drives both against random NI/SNI pairs.
 """
 
 from __future__ import annotations
@@ -408,16 +403,16 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     G must be NI and Gbar SNI (checked unless ``opts.skip_ni_check``); free
     body content additionally requires G strictly proper.  The decision is
     exact (necessary and sufficient) whenever the relevant reduced matrix is
-    sign semidefinite; an indefinite reduction yields INCONCLUSIVE, and any
-    decisive quantity inside the tolerance band yields BOUNDARY rather than a
-    guess.  A classification that cannot run (a non-minimal plant) and
+    sign semidefinite or the necessary Gram condition fails; an indefinite
+    reduction otherwise yields INCONCLUSIVE, and any decisive quantity inside
+    the tolerance band yields BOUNDARY rather than a guess.  A classification that cannot run (a non-minimal plant) and
     Laurent data that cannot be extracted reliably also yield INCONCLUSIVE,
     with the error as the reason.
 
-    The verdict carries everything the analysis computed: the NI and SNI
-    reports, the Laurent data, the tolerances used and, with
-    ``opts.run_oracle``, the closed-loop Hurwitz test of
-    :func:`direct_stability`.
+    Only :func:`_front_end` reads the models; :func:`_decide` sees (G2, G1,
+    G0, Gbar(0)).  The verdict carries everything the analysis computed: the
+    NI and SNI reports, the Laurent data, the tolerances used and, with
+    ``opts.run_oracle``, the closed-loop Hurwitz test of :func:`direct_stability`.
     """
     opts = opts or VerdictOptions()
     # one record of the plant's spectral data, shared by every stage below
@@ -431,7 +426,7 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     except NistabError as exc:
         verdict = _inconclusive("classification", exc)
     else:
-        verdict = _decide(G, Gbar, opts, ni, sni)
+        verdict = _front_end(G, Gbar, ni, sni, opts.boundary_band)
     verdict.ni, verdict.sni = ni, sni
     verdict.tolerances["boundary_band"] = opts.boundary_band
     if opts.run_oracle:
@@ -444,8 +439,15 @@ def _inconclusive(stage: str, exc: NistabError) -> StabilityVerdict:
         Outcome.INCONCLUSIVE, reason=f"{stage} unavailable: {type(exc).__name__}: {exc}")
 
 
-def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
-    """The dispatch of :func:`stability_verdict`, given its NI/SNI reports."""
+def _vanishing(L: LaurentCoefficients) -> tuple[bool, bool]:
+    """Whether G2 and G1 vanish: ||Gi|| <= ZERO_COEFF_RTOL (1 + ||G0||)."""
+    tol = ZERO_COEFF_RTOL * (1.0 + np.linalg.norm(L.G0))
+    return np.linalg.norm(L.G2) <= tol, np.linalg.norm(L.G1) <= tol
+
+
+def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
+    """The NI/SNI, strictly-proper and Laurent preconditions, then
+    :func:`_decide`; a plant without origin poles enters as G0 = G(0)."""
     failed = Outcome.PRECONDITION_FAILED
     if ni is not None and not ni.is_ni:
         return StabilityVerdict(
@@ -453,68 +455,63 @@ def _decide(G, Gbar, opts, ni, sni) -> StabilityVerdict:
     if sni is not None and not sni.is_sni:
         return StabilityVerdict(failed, reason="controller is not strictly negative "
                                 "imaginary: " + "; ".join(sni.reasons))
-
-    conds = _Conditions(opts.boundary_band)
     Gbar0 = eval_tf(Gbar, 0.0).real
-
     if not G.origin_split.n0:
-        eigs = np.linalg.eigvals(eval_tf(G, 0.0).real @ Gbar0)
-        if np.max(np.abs(eigs.imag)) > 1e-7 * (1.0 + np.max(np.abs(eigs))):
-            return StabilityVerdict(failed, reason="dc gain product has non-real "
-                                    "eigenvalues; models are not NI/SNI consistent")
-        lam = float(np.max(eigs.real))
-        conds.require("dc_gain_lambda_max", lam, lam - 1.0, 1.0 + abs(lam))
-        return conds.verdict(Theorem.DC_GAIN, Branch.NONE, None)
-
+        G0 = eval_tf(G, 0.0).real
+        zero = np.zeros_like(G0)
+        return _decide(LaurentCoefficients(G0, zero, zero), Gbar0, band)
     if not G.strictly_proper():
         return StabilityVerdict(
             failed, reason="free-body analysis requires a strictly proper plant")
-
     try:
         L = laurent_coefficients(G)
     except NistabError as exc:
         return _inconclusive("Laurent data", exc)
-    m = L.G0.shape[0]
-    scale0 = 1.0 + np.linalg.norm(L.G0)
-    g2_zero = np.linalg.norm(L.G2) <= ZERO_COEFF_RTOL * scale0
-    g1_zero = np.linalg.norm(L.G1) <= ZERO_COEFF_RTOL * scale0
-
-    if g2_zero and g1_zero:
+    if all(_vanishing(L)):
         return StabilityVerdict(failed, reason="origin pole detected but both Laurent "
                                 "coefficients vanish (numerically inconsistent model)",
                                 laurent=L)
+    return _decide(L, Gbar0, band)
 
+
+def _decide(L: LaurentCoefficients, Gbar0: np.ndarray, band: float) -> StabilityVerdict:
+    """The verdict from the Laurent data (G2, G1, G0) and Gbar(0) alone.
+
+    G2 = G1 = 0 is the DC-gain theorem (a verdict without Laurent data).  Else
+    this picks the basis Y for :func:`_reduced_gain`: F1, the thin SVD factor
+    of G1, when G2 = 0; J (G2 = J J') when G1 = 0; Y = I for a full-rank G1
+    or G2; else the Hankel subspace matrix F, with friction G1 J (J'J)^-2 J' G1'.
+    """
+    m = L.G0.shape[0]
+    g2_zero, g1_zero = _vanishing(L)
+    if g2_zero and g1_zero:
+        conds = _Conditions(band)
+        eigs = np.linalg.eigvals(L.G0 @ Gbar0)
+        if np.max(np.abs(eigs.imag)) > 1e-7 * (1.0 + np.max(np.abs(eigs))):
+            return StabilityVerdict(Outcome.PRECONDITION_FAILED, reason="dc gain product "
+                                    "has non-real eigenvalues; models are not NI/SNI consistent")
+        lam = float(np.max(eigs.real))
+        conds.require("dc_gain_lambda_max", lam, lam - 1.0, 1.0 + abs(lam))
+        return conds.verdict(Theorem.DC_GAIN, Branch.NONE, None)
+    extra = np.zeros((m, m))
     if g2_zero:
-        # single pole: the thin SVD factor F1 of G1 is the free-body basis
         U, sv, _Vt = np.linalg.svd(L.G1)
         r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
-        if r == m:
-            conds.negative_definite("controller_dc_max_eig", Gbar0)
-            return conds.verdict(Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
-        F1 = U[:, :r] * sv[:r]
-        if nullspace_contained(L.G1.T, L.G0.T):
-            conds.negative_definite("f1_gram_max_eig", F1.T @ Gbar0 @ F1)
-            return conds.verdict(Theorem.SINGLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT, L)
-        return _reduced_gain(L, Gbar0, F1, np.zeros((m, m)), Theorem.SINGLE_POLE,
-                             "f1", opts)
-
-    J = full_rank_factor(L.G2).J
-    if g1_zero:
-        if classify_definiteness(L.G2).is_pd:
-            conds.negative_definite("controller_dc_max_eig", Gbar0)
-            return conds.verdict(Theorem.FULL_RANK_FREE_BODY, Branch.INVERTIBLE, L)
-        if nullspace_contained(L.G2, L.G0.T):
-            conds.negative_definite("j_gram_max_eig", J.T @ Gbar0 @ J)
-            return conds.verdict(Theorem.DOUBLE_POLE_RANGE, Branch.NULLSPACE_SHORTCUT, L)
-        return _reduced_gain(L, Gbar0, J, np.zeros((m, m)), Theorem.DOUBLE_POLE,
-                             "j", opts)
-
-    # G1 != 0 and G2 != 0: the Hankel subspace matrix F is the basis, and the
-    # friction coupling G1 J (J'J)^-2 J' G1' enters the branch condition
-    JtJ = J.T @ J
-    friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
-    return _reduced_gain(L, Gbar0, build_f_matrix(L), friction,
-                         Theorem.DOUBLE_POLE_GENERAL, "f", opts)
+        Y, full = U[:, :r] * sv[:r], r == m
+        labels = Theorem.SINGLE_POLE, "f1_gram_max_eig", Theorem.SINGLE_POLE_RANGE
+    else:
+        J = full_rank_factor(L.G2).J
+        if g1_zero:
+            Y, full = J, classify_definiteness(L.G2).is_pd
+            labels = Theorem.DOUBLE_POLE, "j_gram_max_eig", Theorem.DOUBLE_POLE_RANGE
+        else:
+            JtJ = J.T @ J
+            extra = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
+            Y, full = build_f_matrix(L), False
+            labels = Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig", None
+    if full:
+        Y, labels = None, (Theorem.FULL_RANK_FREE_BODY, "controller_dc_max_eig", None)
+    return _reduced_gain(L, Gbar0, Y, extra, band, *labels)
 
 
 def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
@@ -538,30 +535,38 @@ def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
             verdict.oracle_hurwitz == (verdict.outcome is Outcome.STABLE))
 
 
-def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
-    """Reduced-gain conditions on the free-body basis Y (J, F or F1).
+def _reduced_gain(L, Gbar0, Y, extra, band, theorem, key,
+                  range_theorem) -> StabilityVerdict:
+    """Reduced-gain conditions on the free-body basis Y (J, F, F1; None is I).
 
-    Y' Gbar(0) Y < 0 is required, and decided first: a Gram matrix that
-    fails it (or sits in the band) and is singular, so that
-    :func:`projector_p` cannot form N, ends the test there, with no branch.
-    Otherwise the sign of the reduced gain N = P(Gbar(0), Y) picks the
-    branch: for N <= 0, I + Nt (G0 + extra) Nt with Nt = (-N)^1/2 must be
-    nonsingular; for N >= 0, I - Nh (G0 + extra) Nh with Nh = N^1/2 must be
-    positive definite; an indefinite N is INCONCLUSIVE.
-    ``extra`` is the friction coupling for Y = F and zero otherwise; ``stem``
-    names the basis in the condition keys and reasons.
+    Y' Gbar(0) Y < 0 is required, under ``key``, whatever the sign of the
+    reduced gain N = P(Gbar(0), Y).  It is necessary: for real s > 0, G(s)
+    and Gbar(s) are symmetric (colocated pairs) and G(s) >= (G2 + s G1)/s^2,
+    so for y = Y v with v' Y' Gbar(0) Y v > 0 the Rayleigh quotient
+    y' Gbar(s) y / y' G(s)^-1 y of G^1/2 Gbar G^1/2 grows without bound as
+    s -> 0+, while the real top eigenvalue of G(s) Gbar(s) tends to 0 as
+    s -> oo: it passes 1 at a real closed-loop pole s > 0.  Then, in order:
+    Y = I makes N = 0 (INVERTIBLE); with a ``range_theorem`` (J and F1),
+    null(Y') inside null(G0') gives G0 = Y W, and N Y = 0 makes both branch
+    terms vanish on range(N) (NULLSPACE_SHORTCUT); a singular Gram matrix,
+    failed or banded, leaves N unformed (no branch); N <= 0 requires
+    I + Nt G0 Nt + Nt extra Nt, Nt = (-N)^1/2, nonsingular (NSD); N >= 0
+    requires I - Nh G0 Nh - Nh extra Nh, Nh = N^1/2, positive definite (PSD);
+    an indefinite N keeps a failed or banded Gram's outcome (no branch), else
+    is INCONCLUSIVE.  ``extra`` is the friction for Y = F, zero otherwise.
     """
     m = L.G0.shape[0]
-    conds = _Conditions(opts.boundary_band)
-    conds.negative_definite(f"{stem}_gram_max_eig", Y.T @ Gbar0 @ Y)
-    # a Gram matrix that holds the condition is nonsingular, so a singular
-    # one has already failed it or sits in the band: UNSTABLE or BOUNDARY
+    conds = _Conditions(band)
+    conds.negative_definite(key, Gbar0 if Y is None else Y.T @ Gbar0 @ Y)
+    if Y is None:
+        return conds.verdict(theorem, Branch.INVERTIBLE, L)
+    if range_theorem is not None and nullspace_contained(Y.T, L.G0.T):
+        return conds.verdict(range_theorem, Branch.NULLSPACE_SHORTCUT, L)
     try:
         N = projector_p(Gbar0, Y)
     except SingularInnerError:
         return conds.verdict(theorem, Branch.NONE, L)
     n_def = classify_definiteness(N)
-
     if n_def.is_nsd:  # a zero N included
         Nt = psd_sqrt(-N)
         M = np.eye(m) + Nt @ L.G0 @ Nt + Nt @ extra @ Nt
@@ -574,6 +579,8 @@ def _reduced_gain(L, Gbar0, Y, extra, theorem, stem, opts) -> StabilityVerdict:
         bot = float(np.linalg.eigvalsh(symmetrize(M))[0])
         conds.require("psd_branch_min_eig", bot, -bot, 1.0 + abs(bot) + np.linalg.norm(M))
         return conds.verdict(theorem, Branch.PSD, L)
+    if conds.outcome is not Outcome.STABLE:
+        return conds.verdict(theorem, Branch.NONE, L)
     return StabilityVerdict(
         Outcome.INCONCLUSIVE, theorem, condition_values=conds.values,
         reason=f"reduced controller gain is indefinite "
@@ -653,16 +660,10 @@ def _draw_ni_plant(rng: np.random.Generator, family: str, m: int | None = None):
     elif family == "double_pd":
         g2 = _random_psd(rng, m) + 0.05 * np.eye(m)
         terms = modal_coeffs()
-    elif family == "double":
-        k = min(k, max(1, m - 1))
-        J = J[:, :k]
+    elif family in ("double", "double_range"):
+        J = J[:, :min(k, max(1, m - 1))]
         g2 = J @ J.T
-        terms = modal_coeffs()
-    elif family == "double_range":
-        k = min(k, max(1, m - 1))
-        J = J[:, :k]
-        g2 = J @ J.T
-        terms = modal_coeffs(inside=J)
+        terms = modal_coeffs(inside=J if family == "double_range" else None)
     elif family == "mixed":
         g2 = J @ J.T
         g1 = _random_psd(rng, m, rank=int(rng.integers(1, m + 1)))
@@ -745,7 +746,8 @@ def montecarlo_agreement(count: int, seed: int = 0,
     """
     opts = VerdictOptions(skip_ni_check=True)
     rng = np.random.default_rng(seed)
-    applicable = agreements = boundary = inconclusive = prefailed = 0
+    applicable = agreements = 0
+    undecided = dict.fromkeys(Outcome, 0)
     disagreements: list = []
     by_theorem: dict[str, int] = {}
 
@@ -757,20 +759,14 @@ def montecarlo_agreement(count: int, seed: int = 0,
         ctrl = random_sni_controller(trial_rng, plant.m)
         verdict = stability_verdict(plant, ctrl.realization, opts)
 
-        if verdict.outcome is Outcome.BOUNDARY:
-            boundary += 1
-            continue
-        if verdict.outcome is Outcome.INCONCLUSIVE:
-            inconclusive += 1
-            continue
-        if verdict.outcome is Outcome.PRECONDITION_FAILED:
-            prefailed += 1
+        if verdict.outcome not in (Outcome.STABLE, Outcome.UNSTABLE):
+            undecided[verdict.outcome] += 1
             continue
 
         cl = closed_loop(plant, ctrl.realization)
         alpha = spectral_abscissa(cl.Abreve)
         if abs(alpha) <= 1e-7 * max(1.0, np.linalg.norm(cl.Abreve, 2)):
-            boundary += 1          # oracle itself is marginal; not decidable
+            undecided[Outcome.BOUNDARY] += 1   # the oracle itself is marginal
             continue
         applicable += 1
         key = f"{verdict.theorem_used.value}/{verdict.branch.value}"
@@ -782,7 +778,9 @@ def montecarlo_agreement(count: int, seed: int = 0,
 
     return MonteCarloReport(
         count=count, applicable=applicable, agreements=agreements,
-        boundary=boundary, inconclusive=inconclusive,
-        precondition_failed=prefailed, disagreements=disagreements,
+        boundary=undecided[Outcome.BOUNDARY],
+        inconclusive=undecided[Outcome.INCONCLUSIVE],
+        precondition_failed=undecided[Outcome.PRECONDITION_FAILED],
+        disagreements=disagreements,
         by_theorem=by_theorem,
     )

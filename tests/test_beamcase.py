@@ -261,6 +261,41 @@ class TestFiniteDimApprox:
         assert sups[0] <= 0.04
         assert sups[2] < sups[1] < sups[0]
 
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_ratio_form_matches_bare_products(self, beam_params, n):
+        """Reference: the partial-fraction rule with k and the bare products,
+        finite below 44 modes; the ratio form regroups the same factors."""
+        mm = ns.finite_dim_approx(beam_params, n)
+        poles = np.array([pi for pi, _C in mm.terms])
+        w0 = mm.meta["omega0"]
+        k = float(np.real(ns.d_of_s(beam_params, 1j * w0))) / (
+            -w0 ** 2 * np.prod(poles ** 2 - w0 ** 2))
+        N = _numerator_at(beam_params, np.concatenate([[0.0], poles]),
+                          np.concatenate([[2.0 * w0], 1e-5 * poles]))
+        gaps = poles ** 2 - poles[:, None] ** 2
+        np.fill_diagonal(gaps, 1.0)
+        ref = [Ni / (k * np.prod(g) * -pi ** 2) for Ni, g, pi in zip(N[1:], gaps, poles)]
+        for (_p, Ci), R in zip(mm.terms, ref):
+            np.testing.assert_allclose(Ci, 0.5 * (R + R.T), rtol=0,
+                                       atol=1e-13 * np.abs(R).max())
+        # C0 also loses the negative eigenvalue dust (within 1e-6 of its norm)
+        R0 = N[0] / (k * np.prod(poles ** 2))
+        np.testing.assert_allclose(mm.g2, 0.5 * (R0 + R0.T), rtol=0,
+                                   atol=1e-6 * np.abs(R0).max())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sixty_modes_stay_finite(self, beam_params):
+        """The bare products prod p_j^2 and prod (p_j^2 - p_i^2) overflow from
+        44 modes; the coefficients are formed from ratios instead."""
+        mm = ns.finite_dim_approx(beam_params, 60)
+        coeffs = [mm.g2] + [Ci for _p, Ci in mm.terms]
+        assert all(np.isfinite(Ci).all() for Ci in coeffs)
+        for Ci in coeffs:
+            assert np.linalg.eigvalsh(Ci)[0] >= -1e-8 * np.linalg.norm(Ci)
+        # the rigid pair and 59 oscillatory pairs: the 60th coefficient
+        # (1.4e-9) is below modal_to_ss's rank floor 1e-10 (1 + max ||C_i||)
+        assert ns.modal_to_ss(mm).n == 120
+
 
 class TestResidueScan:
     def test_value_at_root_consistent_with_residue(self, beam_params, beam_roots):

@@ -408,10 +408,10 @@ class TestStabilityVerdict:
             J = ns.full_rank_factor(L.G2).J
             JtJ = J.T @ J
             friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
-            va = _reduced_gain(L, Gbar0, J, np.zeros_like(L.G0),
-                               ns.Theorem.DOUBLE_POLE, "j", opts)
-            vb = _reduced_gain(L, Gbar0, ns.build_f_matrix(L), friction,
-                               ns.Theorem.DOUBLE_POLE_GENERAL, "f", opts)
+            va = _reduced_gain(L, Gbar0, J, np.zeros_like(L.G0), opts.boundary_band,
+                               ns.Theorem.DOUBLE_POLE, "j_gram_max_eig", None)
+            vb = _reduced_gain(L, Gbar0, ns.build_f_matrix(L), friction, opts.boundary_band,
+                               ns.Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig", None)
             assert (va.outcome, va.branch) == (vb.outcome, vb.branch)
 
     def test_singular_failing_gram_is_unstable(self):
@@ -430,6 +430,32 @@ class TestStabilityVerdict:
         assert v.outcome is ns.Outcome.UNSTABLE
         assert (v.theorem_used, v.branch) == (ns.Theorem.DOUBLE_POLE_GENERAL, ns.Branch.NONE)
         assert v.condition_values["f_gram_max_eig"] == pytest.approx(3.44, abs=0.01)
+        assert v.oracle_agrees is True
+
+    @pytest.mark.parametrize("seed, trial, theorem, key, top", [
+        (1, 242, ns.Theorem.DOUBLE_POLE, "j_gram_max_eig", 4.13),
+        (2, 301, ns.Theorem.SINGLE_POLE, "f1_gram_max_eig", 20.76),
+    ])
+    def test_failed_gram_with_indefinite_n_is_unstable(self, seed, trial, theorem, key, top):
+        # trial `trial` of montecarlo_agreement(400, seed): the Gram condition
+        # fails and N = P(Gbar(0), Y) is indefinite; the loop is unstable
+        # (spectral abscissa +1.50 and +1.62)
+        rng = np.random.default_rng(seed)
+        for _ in range(trial + 1):
+            trng = np.random.default_rng(rng.integers(0, 2 ** 63))
+        plant, _ = random_ni_plant(trng, _FAMILIES[trial % len(_FAMILIES)])
+        ctrl = random_sni_controller(trng, plant.m).realization
+        L = ns.laurent_coefficients(plant)
+        Y = ns.full_rank_factor(L.G2 if theorem is ns.Theorem.DOUBLE_POLE else L.G1).J
+        Gbar0 = ns.eval_tf(ctrl, 0.0).real
+        assert ns.classify_definiteness(ns.projector_p(Gbar0, Y)).kind is \
+            ns.DefinitenessKind.INDEFINITE
+        v = ns.stability_verdict(plant, ctrl,
+                                 VerdictOptions(skip_ni_check=True, run_oracle=True))
+        assert (v.outcome, v.theorem_used, v.branch) == (
+            ns.Outcome.UNSTABLE, theorem, ns.Branch.NONE)
+        assert list(v.condition_values) == [key]
+        assert v.condition_values[key] == pytest.approx(top, abs=0.01)
         assert v.oracle_agrees is True
 
     def test_gauge_invariance_of_conditions(self, rng, paper_irc):

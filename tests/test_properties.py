@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import nistab as ns
-from nistab.freebody import _FAMILIES, random_ni_plant, random_sni_controller
+from nistab.freebody import (
+    _FAMILIES, LaurentCoefficients, _decide, random_ni_plant, random_sni_controller)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -158,3 +159,69 @@ def test_hurwitz_closed_loop_spectrum_similarity_invariant(seed):
     cl2 = ns.closed_loop(ns.similarity_transform(plant, T), ctrl.realization)
     got = np.sort_complex(np.linalg.eigvals(cl2.Abreve))
     assert np.allclose(got, ref, atol=1e-8 * max(1.0, np.abs(ref).max()))
+
+
+def _laurent_case(rng):
+    """Laurent data and controller DC gain drawn directly, as congruences.
+
+    Returns factors (X, M) of G2, G1, G0 and Gbar(0), each X M X', so that a
+    rotation Q acts on the data through X -> Q X.  G2 and/or G1 are present,
+    of random rank (full rank included); G0 is PSD, half the time on the
+    range of the free-body coefficient; Gbar(0) is negative definite,
+    positive definite or of mixed sign.
+    """
+    m = int(rng.integers(1, 4))
+    kind = int(rng.integers(0, 3))  # G2 only, G1 only, both
+    coeffs = []
+    for present in (kind != 1, kind != 0):
+        r = int(rng.integers(1, m + 1)) if present else 0
+        coeffs.append((rng.normal(size=(m, r)), np.eye(r)))
+    Y = coeffs[0][0] if kind != 1 else coeffs[1][0]
+    if rng.random() < 0.5:
+        W = rng.normal(size=(Y.shape[1],) * 2)
+        coeffs.append((Y, W @ W.T))
+    else:
+        coeffs.append((rng.normal(size=(m, m)), np.eye(m)))
+    S = rng.normal(size=(m, m))
+    sign = int(rng.integers(0, 3))
+    Gbar0 = (-S @ S.T - 0.2 * np.eye(m), S @ S.T + 0.2 * np.eye(m), S + S.T)[sign]
+    coeffs.append((np.eye(m), Gbar0))
+    return coeffs
+
+
+def _rotated(coeffs, Q):
+    G2, G1, G0, Gbar0 = [(Q @ X) @ M @ (Q @ X).T for X, M in coeffs]
+    return LaurentCoefficients(G0=G0, G1=G1, G2=G2), Gbar0
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_decision_invariant_under_orthogonal_change_of_channels(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = _laurent_case(rng)
+    m = coeffs[0][0].shape[0]
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    band = ns.VerdictOptions().boundary_band
+    base = _decide(*_rotated(coeffs, np.eye(m)), band)
+    moved = _decide(*_rotated(coeffs, Q), band)
+    if ns.Outcome.BOUNDARY in (base.outcome, moved.outcome):
+        return
+    assert (moved.outcome, moved.theorem_used) == (base.outcome, base.theorem_used)
+    # a failed Gram condition decides alone; the sign of N it leaves behind
+    # may rest on a nearly singular Y' Gbar(0) Y, so only a passed one pins it
+    if all(v < 0.0 for k, v in base.condition_values.items() if k.endswith("_max_eig")):
+        assert moved.branch is base.branch
+
+
+@given(SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_dc_gain_decision_is_the_verdict(seed):
+    rng = np.random.default_rng(seed)
+    plant, _ = random_ni_plant(rng, "dc_gain")
+    ctrl = random_sni_controller(rng, plant.m).realization
+    G0 = ns.eval_tf(plant, 0.0).real
+    L = LaurentCoefficients(G0=G0, G1=np.zeros_like(G0), G2=np.zeros_like(G0))
+    decided = _decide(L, ns.eval_tf(ctrl, 0.0).real, ns.VerdictOptions().boundary_band)
+    verdict = ns.stability_verdict(plant, ctrl)
+    assert decided.laurent is None and verdict.laurent is None
+    assert decided.to_dict() == verdict.to_dict()
