@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, IllPosedError, SingularAtSError
 from .matrixcore import full_rank_factor, symmetrize
@@ -503,7 +503,7 @@ def minimality_margin(model: StateSpaceModel) -> float:
     numerically far better behaved than ranks of the stacked Kalman
     matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
     minimal.  Two dense SVDs per shift, O(n^4) in all: :func:`is_minimal`
-    runs it only where the bound of :func:`_pbh_bound` cannot decide.
+    runs it only where the O(n^3) bound of :func:`_pbh_bound` cannot decide.
     """
     n = model.n
     if n == 0:
@@ -524,18 +524,29 @@ def minimality_margin(model: StateSpaceModel) -> float:
 PBH_CLEARANCE = 100.0
 
 
+def _inv_norm_bound(R: np.ndarray) -> float:
+    """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 >= ||R^-1||_2: see :func:`_pbh_bound`."""
+    M = -np.abs(R)
+    M.ravel(order="K")[:: R.shape[0] + 1] *= -1.0
+    e = np.ones(R.shape[0])
+    return np.sqrt(blas.dtrsv(M, e).max() * blas.dtrsv(M, e, trans=1).max())
+
+
 def _pbh_bound(spec: _Spectral) -> float:
     """A lower bound on :func:`minimality_margin`, from the record's Schur form.
 
     With A = Z T Z^H, [A - lambda I; C] has the singular values of
     [T - lambda I; C Z], and [A - lambda I, B] those of [T^H - conj(lambda) I;
-    B' Z] with rows and columns reversed: each an upper triangle with m rows
-    below it.  LAPACK ztpqrt folds the m rows into the triangle, R, in
-    O(n^2 m).  Then sigma_min >= 1 / ||R^-1||_F (ztrtri) and
-    sigma_max <= ||M||_F, so sigma_min / ((n + m) eps sigma_max), the margin,
-    is at least 1 / (||R^-1||_F ||M||_F (n + m) eps).  The bound is within a
-    small factor of the margin on well-separated plants but, like the SVD,
-    is rounding near the cutoff; 0 when an R is exactly singular.
+    B' Z] reversed: upper triangles with m rows below, which LAPACK ztpqrt
+    folds into a triangle R in O(n^2 m).  R's comparison matrix M (|r_ii| on
+    the diagonal, -|r_ij| above) has 0 <= |R^-1| <= M^-1 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 8.12), so 1/sigma_min
+    <= (||M^-1 e||_inf ||M^-T e||_inf)^1/2, two O(n^2) dtrsv solves; with
+    sigma_max <= ||.||_F, the margin sigma_min / ((n + m) eps sigma_max) is
+    bounded in O(n^3).  Where that is not above PBH_CLEARANCE (it can be loose
+    by a factor exponential in n), the bound by 1/||R^-1||_F (ztrtri) is
+    taken too and the larger kept: it clears any threshold up to PBH_CLEARANCE
+    wherever the ztrtri one does.  0 if an R is singular, 0 or NaN on overflow.
     """
     n, m = spec.n, spec.m
     if n == 0:
@@ -545,29 +556,33 @@ def _pbh_bound(spec: _Spectral) -> float:
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
     tri = (np.linalg.norm(np.triu(T, 1)) ** 2
            + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
-    eye = np.eye(n)
+    unit = (n + m) * np.finfo(float).eps
     bounds = []
     for upper, rows, shifts in ((T, spec.C @ Z, lams),
-                                (T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1],
-                                 lams.conj())):
+                                (np.asfortranarray(T.conj().T[::-1, ::-1]),
+                                 (spec.B.T @ Z)[:, ::-1], lams.conj())):
         fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
         for lam, f in zip(shifts, fro):
+            a = upper.copy(order="F")   # for ztpqrt to overwrite
+            a.ravel(order="K")[:: n + 1] -= lam
             # LAPACK block size 8 (at most n): the fastest at n = 104
-            R = lapack.ztpqrt(0, min(8, n), upper - lam * eye, rows, overwrite_a=1)[0]
-            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
-            bounds.append(0.0 if info else 1.0 / (np.linalg.norm(Rinv) * f))
+            R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
+            b = 1.0 / (_inv_norm_bound(R) * f) / unit
+            if not b > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
+                Rinv, info = lapack.ztrtri(R, overwrite_c=1)
+                b = 0.0 if info else np.maximum(b, 1.0 / (np.linalg.norm(Rinv) * f) / unit)
+            bounds.append(b)
     # np.min, not min: a NaN must reach the caller and fail its test
-    return float(np.min(bounds, initial=np.inf) / ((n + m) * np.finfo(float).eps))
+    return float(np.min(bounds, initial=np.inf))
 
 
 def is_minimal(model: StateSpaceModel) -> bool:
     """Controllability and observability at every eigenvalue (numerical).
 
-    The decision is ``minimality_margin(model) > 1``.  The lower bound of
-    :func:`_pbh_bound`, on the Schur form of the model's record, decides it
-    when it exceeds ``PBH_CLEARANCE``; otherwise the SVDs of
-    :func:`minimality_margin` do.  The bound never says "not minimal", so
-    the decision is the margin's.
+    The decision is ``minimality_margin(model) > 1``: the O(n^3) lower bound
+    of :func:`_pbh_bound` on the record's Schur form decides it above
+    ``PBH_CLEARANCE`` (wherever the ztrtri bound would), the SVDs of
+    :func:`minimality_margin` otherwise; the bound never says "not minimal".
     """
     spec = _spectral(model)
     return spec.pbh_bound > PBH_CLEARANCE or minimality_margin(spec) > 1.0

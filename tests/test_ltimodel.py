@@ -87,6 +87,13 @@ def _split_mode(turn):
                               np.hstack([a.C, b.C]))
 
 
+def _jordan_triple():
+    """A Jordan triple at -1 beside a mode at -2.  B reaches the triple only
+    through its driving state's neighbours, so one mode is lost."""
+    A = block_diag([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]], -2.0)
+    return ns.StateSpaceModel(A, [[1.0], [1.0], [0.0], [1.0]], [[1.0, 1.0, 1.0, 1.0]])
+
+
 def _zeroed_b_row(model):
     """``model`` with its last nonzero row of B zeroed."""
     B = model.B.copy()
@@ -110,6 +117,13 @@ class TestIsMinimal:
                 families[trial % len(families)])
             yield trial, model
 
+    @classmethod
+    def _transformed(cls, rng, count):
+        """``_plants`` under similarity transforms of cond 10^(trial mod 8)."""
+        for trial, model in cls._plants(rng, count):
+            yield ns.similarity_transform(
+                model, _transform(rng, model.n, 10.0 ** (trial % 8)))
+
     @staticmethod
     def _agrees(model):
         from nistab.ltimodel import minimality_margin
@@ -121,9 +135,7 @@ class TestIsMinimal:
     def test_decision_under_ill_conditioned_similarity(self, rng):
         # cond(T) = 1 ... 1e7 takes the margins from ~1e12 down through the
         # cutoff, so the bound, the fallback and both answers all occur
-        margins = [self._agrees(ns.similarity_transform(
-                       model, _transform(rng, model.n, 10.0 ** (trial % 8))))
-                   for trial, model in self._plants(rng, 64)]
+        margins = [self._agrees(model) for model in self._transformed(rng, 64)]
         assert min(margins) < 1.0 < max(margins)
         assert any(1.0 < m < 1e3 for m in margins)
 
@@ -152,12 +164,9 @@ class TestIsMinimal:
             assert self._agrees(ns.similarity_transform(model, Q)) < 1.0
 
     def test_lost_mode_at_a_jordan_triple(self):
-        # B reaches the Jordan triple at -1 only through its driving state's
-        # neighbours, so one mode is lost.  eigvals spreads the triple about
-        # eps^1/3 wide, past ztol: only a cluster radius of that width links
-        # its members and tests their mean
-        A = block_diag([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]], -2.0)
-        model = ns.StateSpaceModel(A, [[1.0], [1.0], [0.0], [1.0]], [[1.0, 1.0, 1.0, 1.0]])
+        # eigvals spreads the triple about eps^1/3 wide, past ztol: only a
+        # cluster radius of that width links its members and tests their mean
+        model = _jordan_triple()
         assert self._agrees(model) < 1.0
         for seed in range(50):
             Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
@@ -168,9 +177,7 @@ class TestIsMinimal:
         # test's own unit
         from nistab.ltimodel import _pbh_bound, _spectral, minimality_margin
 
-        for trial, model in self._plants(rng, 64):
-            model = ns.similarity_transform(
-                model, _transform(rng, model.n, 10.0 ** (trial % 8)))
+        for model in self._transformed(rng, 64):
             assert _pbh_bound(_spectral(model)) <= minimality_margin(model) + 1.0
 
     def test_near_cutoff_plant_takes_the_fallback(self, monkeypatch):
@@ -188,6 +195,135 @@ class TestIsMinimal:
         # a thousand times further from the cutoff, the bound decides alone
         assert ns.is_minimal(_split_mode(1e-9))
         assert len(calls) == 1
+
+
+def _pbh_bound_ztrtri(spec):
+    """``ltimodel._pbh_bound`` as first written: ||R^-1||_F by ztrtri at
+    every shift, O(n^4) in all."""
+    from scipy.linalg import lapack
+
+    from nistab.ltimodel import _pbh_shifts
+
+    n, m = spec.n, spec.m
+    T, Z = spec.schur
+    lams = _pbh_shifts(spec)
+    tri = (np.linalg.norm(np.triu(T, 1)) ** 2
+           + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
+    eye = np.eye(n)
+    bounds = []
+    for upper, rows, shifts in ((T, spec.C @ Z, lams),
+                                (T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1],
+                                 lams.conj())):
+        fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
+        for lam, f in zip(shifts, fro):
+            R = lapack.ztpqrt(0, min(8, n), upper - lam * eye, rows, overwrite_a=1)[0]
+            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
+            bounds.append(0.0 if info else 1.0 / (np.linalg.norm(Rinv) * f))
+    return float(np.min(bounds, initial=np.inf) / ((n + m) * np.finfo(float).eps))
+
+
+def _count_calls(monkeypatch, module, name, log):
+    """Replace ``module.name`` by a wrapper that appends its result to ``log``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append(fn(*args, **kwargs))
+        return log[-1]
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestPbhBound:
+    """The comparison-matrix bound of ``_pbh_bound`` and its ztrtri tier."""
+
+    def test_comparison_bound_below_smallest_singular_value(self, rng, monkeypatch):
+        # 1 / (||M^-1 e||_inf ||M^-T e||_inf)^1/2 <= sigma_min(R) at every
+        # shift of every plant, R the triangle ztpqrt returns
+        from scipy.linalg import lapack
+
+        from nistab.freebody import _FAMILIES, _draw_minimal_plant
+        from nistab.ltimodel import _inv_norm_bound, _pbh_bound, _spectral
+
+        triangles = []
+        fold = lapack.ztpqrt
+
+        def kept(*args, **kwargs):
+            out = fold(*args, **kwargs)
+            # a copy: the ztrtri tier overwrites R with its inverse
+            triangles.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(lapack, "ztpqrt", kept)
+        for seed in range(3):
+            seed_rng = np.random.default_rng(seed)
+            for trial in range(200):
+                _draw_minimal_plant(np.random.default_rng(seed_rng.integers(0, 2 ** 63)),
+                                    _FAMILIES[trial % len(_FAMILIES)])
+        plants = list(TestIsMinimal._transformed(rng, 64))
+        for model in plants + [_jordan_triple(), _split_mode(1e-9)]:
+            _pbh_bound(_spectral(model))
+        assert len(triangles) > 5000
+        singular = 0
+        for R in triangles:
+            smin = np.linalg.svd(R, compute_uv=False)[-1]
+            lower = 1.0 / _inv_norm_bound(R)
+            if np.all(np.diag(R)):
+                assert lower <= smin * (1.0 + 1e-12)
+            else:
+                # a zero pivot gives NaN or 0, which clears nothing; the
+                # ztrtri tier then returns 0
+                singular += 1
+                assert not lower > 0.0
+        assert singular
+
+    def test_fallback_parity_with_the_ztrtri_bound(self, rng, monkeypatch):
+        # the SVD margin runs on exactly the plants where the ztrtri bound
+        # does not clear PBH_CLEARANCE, and the decisions are the same
+        from nistab import ltimodel
+
+        margin = ltimodel.minimality_margin
+        calls = []
+        _count_calls(monkeypatch, ltimodel, "minimality_margin", calls)
+        fallbacks = 0
+        for model in TestIsMinimal._transformed(rng, 400):
+            old = _pbh_bound_ztrtri(ltimodel._spectral(model))
+            del calls[:]
+            minimal = ns.is_minimal(model)
+            assert len(calls) == (not old > ltimodel.PBH_CLEARANCE)
+            assert minimal == (old > ltimodel.PBH_CLEARANCE or margin(model) > 1.0)
+            fallbacks += len(calls)
+        assert 0 < fallbacks < 400
+
+    def test_ladder_takes_the_comparison_bound_alone(self, paper_irc, monkeypatch):
+        # the benchmark ladder's rungs and a 100-mode rung (n = 24 to 204):
+        # no shift takes the ztrtri tier, and no plant the SVD margin
+        from scipy.linalg import lapack
+
+        from nistab import freebody, ltimodel
+
+        tier, margins = [], []
+        _count_calls(monkeypatch, lapack, "ztrtri", tier)
+        _count_calls(monkeypatch, ltimodel, "minimality_margin", margins)
+        _count_calls(monkeypatch, freebody, "minimality_margin", margins)
+        for seed in (1, 2, 3):
+            for mm in _ladder_modal_models(seed, (10, 25, 50, 100)):
+                v = ns.run_analysis(ns.modal_to_ss(mm), paper_irc.realization).verdict
+                assert (v.outcome.value, v.theorem_used.value, v.branch.value) == (
+                    "stable", "full_rank_free_body", "invertible")
+        assert not tier and not margins
+
+    def test_overflow_never_clears(self):
+        # scaled by 1e160 or more, ||T||_F^2 overflows: the bound is 0 or
+        # NaN, never a clearing value, and the SVD margin decides
+        from nistab.ltimodel import _pbh_bound, _spectral, minimality_margin
+
+        for model, minimal in ((_split_mode(0.5), True), (_split_mode(0.0), False)):
+            for scale in (1e160, 1e200):
+                big = ns.StateSpaceModel(scale * model.A, scale * model.B, scale * model.C)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bound = _pbh_bound(_spectral(big))
+                    assert bound == 0.0 or np.isnan(bound)
+                    assert ns.is_minimal(big) == (minimality_margin(big) > 1.0) == minimal
 
 
 class TestClosedLoop:
