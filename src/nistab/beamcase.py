@@ -41,6 +41,7 @@ import scipy.linalg
 from .errors import (
     DimensionError,
     InsufficientRangeError,
+    NistabError,
     NotARootError,
     SingularAtSError,
 )
@@ -442,7 +443,7 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     to the true lim s^2 G(s) up to O((w0/p_1)^2); w0 is recorded in ``meta``.
     k cancels against the products: each coefficient is formed from the
     ratios (1 - w0^2/p_j^2) and (p_j^2 - w0^2)/(p_j^2 - p_i^2), which stay
-    finite at any mode count where the bare products overflow.
+    finite where the bare products overflow; NistabError where N = G D does.
     """
     if n < 1:
         raise DimensionError("need at least one flexible mode")
@@ -454,8 +455,9 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     # N(jw) = G D is even and analytic through w = 0, so its stencil about
     # w = 0 with h = 2 w0 is one Richardson step on the root-free pair w0,
     # 2 w0 (~1e-7 relative); the poles' numerators come in the same solve
-    N = _numerator_at(p, np.concatenate([[0.0], poles]),
-                      np.concatenate([[2.0 * w0], 1e-5 * poles]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = _numerator_at(p, np.concatenate([[0.0], poles]),
+                          np.concatenate([[2.0 * w0], 1e-5 * poles]))
     C0 = N[0] * (scale * np.prod(1.0 - (w0 / poles) ** 2))
     C0 = 0.5 * (C0 + C0.T)
     # the rigid coefficient is PSD of rank one; shave extrapolation dust
@@ -468,6 +470,9 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     gaps = sq - sq[:, None]                  # row i: p_j^2 - p_i^2, and -p_i^2 at j = i
     np.fill_diagonal(gaps, -sq)
     C = N[1:] * (scale * np.prod((sq - w0 ** 2) / gaps, axis=1))[:, None, None]
+    bad = np.flatnonzero(~np.isfinite(C).all(axis=(1, 2)))
+    if bad.size:
+        raise NistabError(f"coefficient of mode {bad[0] + 1} is not finite (N = G D overflows)")
     terms = tuple((float(pi), 0.5 * (Ci + Ci.T)) for pi, Ci in zip(poles, C))
     return ModalModel(m=2, terms=terms, g2=C0, meta={"omega0": w0, "n_modes": n})
 

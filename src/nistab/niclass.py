@@ -33,14 +33,15 @@ exact route.
 Every eigenvalue of A is read off the diagonal of that one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
-an index set on diag(T): the cluster is moved to the top of T and decoupled
-by a triangular Sylvester solve, O(n^2) per cluster.  Condition 4 reads
-everything off the record's origin split, the same move and solve for the
-cluster at s = 0: the order of the origin pole (S0^2 = 0) and
-lim s^2 G(s) = Re C0 S0 B0 (``SchurSplit.G2``), the G2 that
-``freebody.laurent_coefficients`` returns too.  Whether a pole is at the
-origin or on the imaginary axis is decided with the one tolerance
-``_Spectral.ztol`` that ``freebody`` uses too.
+an index set on diag(T): T's eigenvectors give a single eigenvalue's residue
+(:func:`_simple_residues`); a larger cluster is moved to the top of T and
+decoupled by a triangular Sylvester solve, the only route that tells a
+semisimple cluster from a defective one.  Condition 4 reads everything off
+the record's origin split, the same move and solve for the cluster at s = 0:
+the order of the origin pole (S0^2 = 0) and lim s^2 G(s) = Re C0 S0 B0
+(``SchurSplit.G2``), the G2 that ``freebody.laurent_coefficients`` returns
+too.  Whether a pole is at the origin or on the imaginary axis is decided
+with the one tolerance ``_Spectral.ztol`` that ``freebody`` uses too.
 """
 
 from __future__ import annotations
@@ -247,13 +248,32 @@ def _noise_floor_bound(spec: _Spectral, omegas: np.ndarray, norm_bounds: np.ndar
     return 200.0 * np.finfo(float).eps * kappa * (1.0 + norm_bounds)
 
 
+def _simple_residues(spec: _Spectral, idx: np.ndarray) -> np.ndarray:
+    """K = j (C Z x)(u Z^H B) at each simple eigenvalue t_ii, i in ``idx``, of A = Z T Z^H.
+
+    x and u are T's right and left eigenvectors with x_i = u_i = 1, x zero below row i and u left
+    of it, so u x = 1 and Z x u Z^H is the spectral projector, with no reorder or Sylvester solve.
+    One back substitution serves all i (u^H on T^H reversed), row k updating columns i > k."""
+    T, Z = spec.schur
+    order = np.argsort(idx)
+    vecs, flip = [], np.ascontiguousarray(T.conj().T[::-1, ::-1])
+    for M, i in ((T, idx[order]), (flip, spec.n - 1 - idx[order][::-1])):
+        X = np.eye(spec.n, dtype=complex)[:, i]
+        lam, starts = M[i, i], np.searchsorted(i, np.arange(spec.n), side="right")
+        for k in range(i.max(initial=0) - 1, -1, -1):
+            X[k, starts[k]:] = M[k, k + 1:] @ X[k + 1:, starts[k]:] / (lam[starts[k]:] - M[k, k])
+        vecs.append(X)
+    CX, UB = spec.C @ Z @ vecs[0], vecs[1][::-1, ::-1].conj().T @ (Z.conj().T @ spec.B)
+    return 1j * np.einsum("ik,kj->kij", CX, UB)[np.argsort(order)]
+
+
 def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndarray:
     """K = j C P B, P the spectral projector of the eigenvalues diag(T)[idx] near jw0.
 
     The cluster is split off the one Schur form A = Z T Z^H by
     ``_Spectral.split`` (ztrsen, then ztrsyl), so K = j C0 B0, the cluster's
     decoupled output and input maps: O(n^2 m) work beside the shared O(n^3)
-    Schur form.
+    Schur form.  Taken for two or more eigenvalues; the check of :func:`_simple_residues` on one.
 
     Raises
     ------
@@ -279,7 +299,7 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     hold several eigenvalues, as happens for modal systems whose coefficient
     matrix at that mode has rank above one.  The cluster is every eigenvalue
     on the Schur diagonal of A within POLE_CLUSTER_RTOL max(1, w0) of jw0,
-    and K = j C P B with P its spectral projector (:func:`_cluster_residue`).
+    and K = j C P B with P its spectral projector, by the route of :func:`classify_ni`.
 
     Raises
     ------
@@ -297,7 +317,8 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
         raise NotAPoleError(
             f"no pole within {radius:.2e} of j*{omega0}; nearest at distance {dist.min():.2e}"
         )
-    return _cluster_residue(spec, np.flatnonzero(dist <= radius), omega0)
+    idx = np.flatnonzero(dist <= radius)
+    return _simple_residues(spec, idx)[0] if idx.size == 1 else _cluster_residue(spec, idx, omega0)
 
 
 def classify_ni(model: StateSpaceModel) -> NiReport:
@@ -343,28 +364,32 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
         w, me = min(viol, key=lambda t: t[1])
         reasons.append(f"j(G - G*) has eigenvalue {me:.3e} at omega = {w:.6g}")
 
-    # condition 3: simple (semisimple-cluster) PSD residues at axis poles
-    residues = []
-    ok3 = True
+    # condition 3: simple (semisimple-cluster) PSD residues at axis poles; margins stacked
+    one = iter(_simple_residues(spec, np.array([i[0] for _, i in clusters if i.size == 1], int)))
+    Ks, defective = [], {}
     for w0, idx in clusters:
         try:
-            K = _cluster_residue(spec, idx, w0)
+            Ks.append(next(one) if idx.size == 1 else _cluster_residue(spec, idx, w0))
         except NotSimplePoleError as exc:
+            Ks.append(np.zeros((spec.m, spec.m)))
+            defective[w0] = str(exc)
+    stack = np.array(Ks).reshape(-1, spec.m, spec.m)
+    Kh = stack.conj().transpose(0, 2, 1)
+    margins = zip(np.linalg.norm(stack - Kh, axis=(1, 2)).tolist(),
+                  np.linalg.eigvalsh(0.5 * (stack + Kh))[:, 0].tolist(),
+                  np.linalg.norm(stack, axis=(1, 2)).tolist())
+    residues = []
+    ok3 = not defective
+    for (w0, _idx), K, (herm_defect, min_eig, scale) in zip(clusters, Ks, margins):
+        if w0 in defective:
             residues.append((w0, None, None, None, False))
-            ok3 = False
-            reasons.append(str(exc))
+            reasons.append(defective[w0])
             continue
-        herm_defect = float(np.linalg.norm(K - K.conj().T))
-        Kh = 0.5 * (K + K.conj().T)
-        min_eig = float(np.linalg.eigvalsh(Kh)[0])
-        scale = max(np.linalg.norm(K), 1e-300)
-        simple_ok = herm_defect <= RESIDUE_HERM_RTOL * scale
-        psd_ok = min_eig >= -COND2_RTOL * (1.0 + scale)
         residues.append((w0, K, min_eig, herm_defect, True))
-        if not simple_ok:
+        if not herm_defect <= RESIDUE_HERM_RTOL * scale:
             ok3 = False
             reasons.append(f"residue at j*{w0:.6g} has Hermitian defect {herm_defect:.3e}")
-        if not psd_ok:
+        if not min_eig >= -COND2_RTOL * (1.0 + scale):
             ok3 = False
             reasons.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
 

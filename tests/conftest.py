@@ -48,3 +48,19 @@ def non_minimal_double_integrator():
     """1/s^2 beside a stable mode s = -1 that the input never reaches."""
     return ns.StateSpaceModel([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
                               [[0.0], [1.0], [0.0]], [[1.0, 0.0, 1.0]], [[0.0]])
+
+
+def ladder_modal_models(seed=1, rungs=(10, 25, 50)):
+    """The modal models of the benchmark's seeded ladder rungs (m = 2, one
+    rank-one PSD coefficient per mode, full-rank PSD G2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for modes in rungs:
+        freqs = np.sort(rng.uniform(0.5, 50.0, modes)) + 0.25 * np.arange(modes)
+        terms = []
+        for w in freqs:
+            v = rng.normal(size=2)
+            terms.append((w, np.outer(v, v)))
+        W = rng.normal(size=(2, 2))
+        out.append(ns.ModalModel(m=2, terms=tuple(terms), g2=W @ W.T + 0.1 * np.eye(2)))
+    return out

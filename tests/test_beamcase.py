@@ -12,6 +12,7 @@ from nistab import beamcase
 from nistab.beamcase import _beam_response, _beta, _d_prime, _numerator_at
 from nistab.errors import (
     InsufficientRangeError,
+    NistabError,
     NotARootError,
     SingularAtSError,
 )
@@ -295,6 +296,16 @@ class TestFiniteDimApprox:
         # the rigid pair and 59 oscillatory pairs: the 60th coefficient
         # (1.4e-9) is below modal_to_ss's rank floor 1e-10 (1 + max ||C_i||)
         assert ns.modal_to_ss(mm).n == 120
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_coefficient_rejected(self, beam_params):
+        """From 222 modes N = G D overflows at the top modes (29 NaN terms at
+        250): the first non-finite coefficient is named, not returned."""
+        mm = ns.finite_dim_approx(beam_params, 221)
+        assert all(np.isfinite(Ci).all() for _p, Ci in mm.terms)
+        for n in (222, 250):
+            with pytest.raises(NistabError, match="mode 222 "):
+                ns.finite_dim_approx(beam_params, n)
 
 
 class TestResidueScan:

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 import nistab as ns
 from nistab.errors import DimensionError, IllPosedError, SingularAtSError
 
-from conftest import double_integrator, first_order_lag_minus
+from conftest import double_integrator, first_order_lag_minus, ladder_modal_models
 
 
 class TestStateSpaceModel:
@@ -306,7 +306,7 @@ class TestPbhBound:
         _count_calls(monkeypatch, ltimodel, "minimality_margin", margins)
         _count_calls(monkeypatch, freebody, "minimality_margin", margins)
         for seed in (1, 2, 3):
-            for mm in _ladder_modal_models(seed, (10, 25, 50, 100)):
+            for mm in ladder_modal_models(seed, (10, 25, 50, 100)):
                 v = ns.run_analysis(ns.modal_to_ss(mm), paper_irc.realization).verdict
                 assert (v.outcome.value, v.theorem_used.value, v.branch.value) == (
                     "stable", "full_rank_free_body", "invertible")
@@ -468,22 +468,6 @@ def _modal_to_ss_by_blocks(mm):
     return block_diag(*A_blocks), np.vstack(B_rows), np.hstack(C_cols)
 
 
-def _ladder_modal_models(seed=1, rungs=(10, 25, 50)):
-    """The modal models of the benchmark's seeded ladder rungs (m = 2, one
-    rank-one PSD coefficient per mode, full-rank PSD G2)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for modes in rungs:
-        freqs = np.sort(rng.uniform(0.5, 50.0, modes)) + 0.25 * np.arange(modes)
-        terms = []
-        for w in freqs:
-            v = rng.normal(size=2)
-            terms.append((w, np.outer(v, v)))
-        W = rng.normal(size=(2, 2))
-        out.append(ns.ModalModel(m=2, terms=tuple(terms), g2=W @ W.T + 0.1 * np.eye(2)))
-    return out
-
-
 def _assert_same_bits(got, ref):
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
@@ -495,7 +479,7 @@ def test_modal_to_ss_bitwise_equal_to_block_assembly(beam_params):
     models = [_draw_ni_plant(np.random.default_rng(seed), fam)[1]
               for fam in _FAMILIES for seed in range(100)]
     models += [ns.finite_dim_approx(beam_params, n) for n in (1, 2, 5, 10)]
-    models += _ladder_modal_models()
+    models += ladder_modal_models()
     models += [ns.ModalModel(m=2), ns.ModalModel(m=1, g1=[[0.0]])]
     for mm in models:
         got = ns.modal_to_ss(mm)

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 
 import nistab as ns
-from nistab import niclass
+from nistab import ltimodel, niclass
 from nistab.errors import NotAPoleError, NotMinimalError, NotSimplePoleError
 from nistab.ltimodel import _spectral
 
-from conftest import double_integrator, first_order_lag_minus
+from conftest import double_integrator, first_order_lag_minus, ladder_modal_models
 
 
 class TestClassifyNi:
@@ -400,6 +400,61 @@ class TestImaginaryAxisResidue:
                 assert new_psd == old_psd
                 checked += 1
         assert checked >= 20
+
+
+def _residue_plants(beam_params):
+    """The ladder rungs of seeds 1-3 at 10, 25, 50 and 100 modes (n = 24 to
+    204) and the arm at 1, 2, 5 and 10 modes: every axis pole a single
+    eigenvalue."""
+    plants = [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+              for mm in ladder_modal_models(seed, (10, 25, 50, 100))]
+    return plants + [ns.modal_to_ss(ns.finite_dim_approx(beam_params, n))
+                     for n in (1, 2, 5, 10)]
+
+
+class TestSimpleResidues:
+    """A single-eigenvalue axis cluster takes the batched eigenvector kernel."""
+
+    def test_batched_kernel_matches_split_route(self, beam_params):
+        from nistab.freebody import _FAMILIES, random_ni_plant
+
+        plants = _residue_plants(beam_params)
+        for t in range(400):
+            model, _ = random_ni_plant(np.random.default_rng(t), _FAMILIES[t % len(_FAMILIES)])
+            plants.append(_conditioned(model, 10.0 ** (t % 5), t))
+        checked = 0
+        for model in plants:
+            spec = _spectral(model)
+            simple = [(w0, idx) for w0, idx in niclass._axis_pole_clusters(spec.eigs, spec.ztol)
+                      if idx.size == 1]
+            got = niclass._simple_residues(spec, np.array([idx[0] for _w, idx in simple], int))
+            for K, (w0, idx) in zip(got, simple, strict=True):
+                ref = niclass._cluster_residue(spec, idx, w0)
+                assert np.linalg.norm(K - ref) <= 1e-8 * np.linalg.norm(ref), (model.n, w0)
+            checked += len(simple)
+        assert checked > 1000
+
+    def test_origin_split_is_the_only_split(self, beam_params, monkeypatch):
+        calls = []
+        split = ltimodel._Spectral.split
+
+        def counted(self, idx):
+            calls.append(idx.size)
+            return split(self, idx)
+
+        monkeypatch.setattr(ltimodel._Spectral, "split", counted)
+        for model in _residue_plants(beam_params):
+            calls.clear()
+            rep = ns.classify_ni(model)
+            assert rep.is_ni and len(calls) == 1, (model.n, calls)
+        # imaginary_axis_residue makes the same choice: no split at a single
+        # eigenvalue, one at a cluster of two
+        calls.clear()
+        ns.imaginary_axis_residue(model, rep.cond3_residues[0][0])
+        assert not calls
+        mm = ns.ModalModel(m=2, terms=((2.0, np.diag([1.0, 3.0])),))
+        ns.imaginary_axis_residue(ns.modal_to_ss(mm), 2.0)
+        assert calls == [2]
 
 
 class TestSimilarityInvariance:

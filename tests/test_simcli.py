@@ -394,8 +394,9 @@ class TestCli:
         ["beam", "scan", "--wmin", "5", "--wmax", "5", "--points", "3"],
         ["beam", "scan", "--wmin", "5", "--wmax", "1", "--points", "3"],
         ["beam", "scan", "--wmax", "inf", "--points", "3"],
+        ["beam", "approx", "--modes", "222"],
     ], ids=["count_negative", "count_zero", "points_zero", "wmin_negative",
-            "wmax_equal", "wmax_below", "wmax_infinite"])
+            "wmax_equal", "wmax_below", "wmax_infinite", "modes_overflow"])
     def test_out_of_range_numbers_exit_2(self, capsys, argv):
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
