@@ -17,18 +17,13 @@ and BRACKET_POINTS beside each axis pole, none within POLE_GUARD of one), so
 the verdict is conservative: a grid can refute the property or support it,
 never prove the universally quantified statement.  The grid and the
 tolerances are module constants, not parameters.  G is evaluated on the
-whole grid from one Schur form of A (``ltimodel.freq_response``).  A point refutes the
-property only beyond a noise floor, 200 eps cond2(jwI - A) (1 + ||G||).
-The exact ||G||_2 costs an m x m SVD per point and the floor an n x n SVD,
-so each is taken only where a cheaper upper bound cannot decide the test;
-the decisions are those of the exact values.  NI: only a point with min_eig
-below -COND2_RTOL can fail (||G|| >= 0), so ||G||_2 is taken there alone,
-and the floor only where min_eig is below -COND2_RTOL (1 + ||G||); an NI
-plant has no such point.  SNI: a point passes on bounds alone when min_eig
-is FLOOR_CLEARANCE times above both floors taken with ||G||_F >= ||G||_2
-and cond2(jwI - A) <= (w + ||A||_2) ||(jwI - T)^-1||_F, the inverse from
-one back substitution on the Schur factor T; every other point takes the
-exact route.
+whole grid from one Schur form of A (``ltimodel.freq_response``).  Both
+tests judge a point by one rule, :func:`_beyond_floor`: is a margin z above
+(1 + ||G||_2) max(c, 200 eps cond2(jwI - A)), the second term the noise
+floor of the resolvent solve?  NI fails where z = -min_eig is above it with
+c = COND2_RTOL, SNI where z = min_eig is not, with c = SNI_STRICT_FLOOR.
+The exact ||G||_2 and cond2 (an n x n SVD) are taken only at the points
+that cheap bounds cannot decide, so the decisions are those of the exact values.
 
 Every eigenvalue of A is read off the diagonal of that one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
@@ -65,11 +60,11 @@ __all__ = [
 #: relative radius used to cluster eigenvalues onto a target imaginary pole
 POLE_CLUSTER_RTOL = 1e-7
 
-#: sweep points whose noise floor, or its bound, is found in one stacked solve
+#: sweep points whose cond2(jwI - A), or its bound, is found in one stacked solve
 FLOOR_CHUNK = 64
 
-#: ``classify_sni`` clears a point from its bounds alone when min_eig exceeds
-#: this many times the larger bound floor; the factor absorbs the rounding of
+#: ``_beyond_floor`` decides a point from its bounds alone when the margin
+#: exceeds this many times the bound floor; the factor absorbs the rounding of
 #: both the bound and the exact route
 FLOOR_CLEARANCE = 2.0
 
@@ -192,11 +187,9 @@ def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
     """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
     G comes from one :func:`ltimodel.freq_response` call over the whole
-    grid, and the eigenvalues are taken for all points at once.  ||G||_2 is
-    not taken here: the callers need it only at the few points where a
-    cheaper bound on it cannot decide their test (:func:`_norm2`), and the
-    noise floor a violation must clear only where its bound cannot
-    (:func:`_noise_floor`, :func:`_noise_floor_bound`).
+    grid, and the eigenvalues are taken for all points at once.  ||G||_2 and
+    cond2(jwI - A) are not taken here: :func:`_beyond_floor` needs them only
+    at the few points where their bounds cannot decide the test.
     """
     G = freq_response(model, 1j * omegas)
     M = 1j * (G - G.conj().transpose(0, 2, 1))
@@ -204,38 +197,23 @@ def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
     return min_eig, G
 
 
-def _norm2(G: np.ndarray) -> np.ndarray:
-    """||G_k||_2 of a stack of matrices, by one stacked SVD."""
-    return np.linalg.svd(G, compute_uv=False)[:, 0]
-
-
-def _noise_floor(model: StateSpaceModel, omegas: np.ndarray, norms: np.ndarray):
-    """200 eps cond2(jwI - A) (1 + ||G||), the sweep's noise floor, at ``omegas``.
-
-    It bounds the forward error of the resolvent solve: near a pole of an
-    ill-conditioned realization the asymmetric part of the evaluated G is
-    dominated by that noise, and only violations above it are evidence
-    against the property.  The condition numbers come from stacked n x n
-    SVDs of FLOOR_CHUNK points each; ``classify_ni`` takes them only below
-    -COND2_RTOL, ``classify_sni`` only where :func:`_noise_floor_bound`
-    cannot clear a point.
-    """
+def _cond2(model: StateSpaceModel, omegas: np.ndarray) -> np.ndarray:
+    """cond2(jwI - A) at ``omegas``, from stacked n x n SVDs of FLOOR_CHUNK points each."""
     kappa = np.ones(omegas.size)
     if model.n:
         for k in range(0, omegas.size, FLOOR_CHUNK):
             jw = 1j * omegas[k:k + FLOOR_CHUNK, None, None]
             sv = np.linalg.svd(jw * np.eye(model.n) - model.A, compute_uv=False)
             kappa[k:k + FLOOR_CHUNK] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
-    return 200.0 * np.finfo(float).eps * kappa * (1.0 + norms)
+    return kappa
 
 
-def _noise_floor_bound(spec: _Spectral, omegas: np.ndarray, norm_bounds: np.ndarray):
-    """An upper bound on :func:`_noise_floor` from the record's Schur form.
+def _cond2_bound(spec: _Spectral, omegas: np.ndarray) -> np.ndarray:
+    """An upper bound on :func:`_cond2` from the record's Schur form.
 
     With A = Z T Z^H, cond2(jwI - A) <= (|w| + ||A||_2) ||(jwI - T)^-1||_F,
     and the inverse is one back substitution with an identity right-hand
     side (``ltimodel._schur_solve``), for FLOOR_CHUNK points at a time.
-    ``norm_bounds`` bounds ||G|| from above (||G||_F).
     """
     kappa = np.ones(omegas.size)
     if spec.n:
@@ -245,7 +223,34 @@ def _noise_floor_bound(spec: _Spectral, omegas: np.ndarray, norm_bounds: np.ndar
             w = omegas[k:k + FLOOR_CHUNK]
             inv = _schur_solve(T, 1j * w, eye)
             kappa[k:k + FLOOR_CHUNK] = (w + spec.norm2) * np.linalg.norm(inv, axis=(0, 2))
-    return 200.0 * np.finfo(float).eps * kappa * (1.0 + norm_bounds)
+    return kappa
+
+
+def _beyond_floor(spec: _Spectral, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
+    """z > (1 + ||G||_2) max(c, 200 eps cond2(jwI - A)) at every sweep point.
+
+    The noise floor 200 eps cond2(jwI - A) bounds the forward error of the
+    resolvent solve: near a pole of an ill-conditioned realization the
+    asymmetric part of the evaluated G is dominated by that noise, so only
+    a margin above it is evidence.  A point with z <= c is decided at once,
+    as the right side is at least c; one with z FLOOR_CLEARANCE times above
+    the right side taken with ||G||_F >= ||G||_2 and :func:`_cond2_bound`
+    is beyond it.  Every other point takes ||G||_2, and the exact
+    :func:`_cond2` where z still exceeds c (1 + ||G||_2).
+    """
+    beyond = np.zeros(z.size, dtype=bool)
+    idx = np.flatnonzero(z > c)
+    noise = 200.0 * np.finfo(float).eps
+    bound = (1.0 + np.linalg.norm(G[idx], axis=(1, 2))) * np.maximum(
+        c, noise * _cond2_bound(spec, omegas[idx]))
+    clear = z[idx] > FLOOR_CLEARANCE * bound
+    beyond[idx[clear]] = True
+    idx = idx[~clear]
+    norm = np.linalg.svd(G[idx], compute_uv=False)[:, 0]
+    above = z[idx] > c * (1.0 + norm)
+    idx, norm = idx[above], norm[above]
+    beyond[idx] = z[idx] > noise * _cond2(spec, omegas[idx]) * (1.0 + norm)
+    return beyond
 
 
 def _simple_residues(spec: _Spectral, idx: np.ndarray) -> np.ndarray:
@@ -313,11 +318,10 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     radius = POLE_CLUSTER_RTOL * max(1.0, abs(omega0))
     spec = _spectral(model)
     dist = np.abs(spec.eigs - 1j * omega0)
-    if dist.min() > radius:
-        raise NotAPoleError(
-            f"no pole within {radius:.2e} of j*{omega0}; nearest at distance {dist.min():.2e}"
-        )
     idx = np.flatnonzero(dist <= radius)
+    if not idx.size:
+        raise NotAPoleError(f"no pole within {radius:.2e} of j*{omega0}; nearest at "
+                            f"distance {dist.min(initial=np.inf):.2e}")
     return _simple_residues(spec, idx)[0] if idx.size == 1 else _cluster_residue(spec, idx, omega0)
 
 
@@ -345,19 +349,11 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
 
     clusters = _axis_pole_clusters(eigs, atol)
 
-    # condition 2: frequency sweep; a point violates it when min_eig is below
-    # both -COND2_RTOL (1 + ||G||) and minus the noise floor.  As ||G|| >= 0,
-    # only points below -COND2_RTOL can fail the first test: ||G|| is taken
-    # there alone, and the floor only where the first test fails
+    # condition 2: frequency sweep; a point violates it where -min_eig is beyond both floors
     omegas = _sweep_grid(tuple(w for w, _ in clusters))
     min_eig, G = _sweep_min_eigs(spec, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    cand = np.flatnonzero(min_eig < -COND2_RTOL)
-    norm = _norm2(G[cand])
-    below = min_eig[cand] < -COND2_RTOL * (1.0 + norm)
-    cand, norm = cand[below], norm[below]
-    floor = _noise_floor(spec, omegas[cand], norm)
-    viol = [cond2[k] for k, f in zip(cand, floor) if cond2[k][1] < -f]
+    viol = [cond2[k] for k in np.flatnonzero(_beyond_floor(spec, omegas, -min_eig, G, COND2_RTOL))]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
     if not ok2:
@@ -447,28 +443,13 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
     worst = None
     ok2 = True
     if ok1:
-        # a point fails when min_eig is at or below the strict floor or the
-        # noise floor.  Both grow with ||G||_2 <= ||G||_F, and the noise floor
-        # has a cheap bound: a point FLOOR_CLEARANCE clear of both bounds
-        # passes, the rest take ||G||_2, and the exact noise floor where
-        # they pass the strict one
+        # a point fails where min_eig is not beyond the strict floor and the noise floor
         omegas = _sweep_grid()
         min_eig, G = _sweep_min_eigs(spec, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-        norm_f = np.linalg.norm(G, axis=(1, 2))
-        clear = min_eig > FLOOR_CLEARANCE * SNI_STRICT_FLOOR * (1.0 + norm_f)
-        idx = np.flatnonzero(clear)
-        bound = _noise_floor_bound(spec, omegas[idx], norm_f[idx])
-        clear[idx] = min_eig[idx] > FLOOR_CLEARANCE * bound
-        idx = np.flatnonzero(~clear)
-        norm = _norm2(G[idx])
-        fails = np.zeros(omegas.size, dtype=bool)
-        fails[idx] = min_eig[idx] <= SNI_STRICT_FLOOR * (1.0 + norm)
-        above = ~fails[idx]
-        idx, norm = idx[above], norm[above]
-        fails[idx] = min_eig[idx] <= _noise_floor(spec, omegas[idx], norm)
-        bad = [cond2[k] for k in np.flatnonzero(fails)]
+        passes = _beyond_floor(spec, omegas, min_eig, G, SNI_STRICT_FLOOR)
+        bad = [cond2[k] for k in np.flatnonzero(~passes)]
         ok2 = not bad
         if not ok2:
             w, me = min(bad, key=lambda t: t[1])

@@ -119,7 +119,9 @@ def step_response(G: StateSpaceModel, Gbar: StateSpaceModel,
 
     The samples are t_k = k dt for k = 0 ... K, K = ceil(T_end / dt), with a
     quotient within 4 ulps of an integer taken as that integer: 0.07 / 0.01
-    evaluates to 7.000000000000001, and gives 8 samples, not 9.
+    evaluates to 7.000000000000001, and gives 8 samples, not 9.  dt and T_end
+    must be positive and finite, r finite and T_end / dt below 2**53
+    (NistabError otherwise, before any array is formed).
 
     Integration is the exact zero-order-hold discretization of the combined
     system: one matrix exponential E = expm([[A dt, B dt], [0, 0]]) of the
@@ -133,8 +135,11 @@ def step_response(G: StateSpaceModel, Gbar: StateSpaceModel,
     z_(k+1) = E z_k by rounding, at most 3.5e-13 max|y| on the flexible arm
     at 1 to 10 modes.  Only the current window of states is kept.
     """
-    if dt <= 0 or T_end <= 0:
-        raise NistabError("dt and T_end must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < T_end < np.inf and -np.inf < r < np.inf):
+        raise NistabError(f"dt and T_end must be positive and finite and r finite, "
+                          f"got dt = {dt}, T_end = {T_end}, r = {r}")
+    if T_end / dt >= 2.0 ** 53:
+        raise NistabError(f"T_end / dt = {T_end / dt:.3g} samples is 2**53 or more")
     A_cl, B_cl, C_cl = _reference_wiring(G, Gbar, wiring)
     n = A_cl.shape[0]
     aug = np.zeros((n + 1, n + 1))

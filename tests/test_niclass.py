@@ -143,23 +143,11 @@ class TestClassifyNi:
     def test_sweep_noise_under_floor_is_not_a_violation(self):
         # a lossless plant has j(G - G*) = 0 off its poles; in a realization
         # with cond(T) = 1e4 the evaluated value falls below
-        # -COND2_RTOL (1 + ||G||) beside the poles, but not below the floor
+        # -COND2_RTOL (1 + ||G||) beside the poles, but not below the floor.
+        # The lossy plant adds -0.1/(s + 1), a genuine violation of condition 2
         from nistab.niclass import COND2_RTOL
 
-        mm = ns.ModalModel(m=1, terms=((1.0, [[1.0]]), (3.0, [[2.0]]), (10.0, [[5.0]])))
-        lossless = ns.modal_to_ss(mm)
-        # the same modes beside -0.1/(s + 1), a genuine violation of condition 2
-        lossy = ns.StateSpaceModel(
-            scipy.linalg.block_diag(lossless.A, [[-1.0]]),
-            np.vstack([lossless.B, [[1.0]]]), np.hstack([lossless.C, [[-0.1]]]),
-            [[0.0]])
-        rng = np.random.default_rng(0)
-        for model, is_ni in ((lossless, True), (lossy, False)):
-            n = model.n
-            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            T = U @ np.diag(np.geomspace(1.0, 1e-4, n)) @ V.T
-            scrambled = ns.similarity_transform(model, T)
+        for scrambled, is_ni in zip(_scrambled_modes(), (True, False)):
             rep = ns.classify_ni(scrambled)
             assert rep.is_ni is is_ni, rep.reasons
             under = [me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(scrambled, 1j * w), 2))
@@ -236,6 +224,37 @@ def _conditioned(model, cond, seed):
     return ns.similarity_transform(model, U @ np.diag(np.geomspace(1.0, cond, model.n)) @ V.T)
 
 
+def _scrambled_modes():
+    """Three lossless modes, and the same beside -0.1/(s + 1), under cond(T) = 1e4."""
+    mm = ns.ModalModel(m=1, terms=((1.0, [[1.0]]), (3.0, [[2.0]]), (10.0, [[5.0]])))
+    lossless = ns.modal_to_ss(mm)
+    lossy = ns.StateSpaceModel(
+        scipy.linalg.block_diag(lossless.A, [[-1.0]]),
+        np.vstack([lossless.B, [[1.0]]]), np.hstack([lossless.C, [[-0.1]]]), [[0.0]])
+    rng = np.random.default_rng(0)
+    out = []
+    for model in (lossless, lossy):
+        U, _ = np.linalg.qr(rng.normal(size=(model.n, model.n)))
+        V, _ = np.linalg.qr(rng.normal(size=(model.n, model.n)))
+        T = U @ np.diag(np.geomspace(1.0, 1e-4, model.n)) @ V.T
+        out.append(ns.similarity_transform(model, T))
+    return out
+
+
+def _ni_draws():
+    from nistab.freebody import random_ni_plant
+
+    return [random_ni_plant(np.random.default_rng(seed), fam)[0]
+            for seed, fam in enumerate(("single", "double", "mixed"))]
+
+
+def _ni_plants(beam_params):
+    """NI plants for the bound tests, with the lossy scrambled plant the one non-NI."""
+    arm = [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 2, 5)]
+    rungs = [ns.modal_to_ss(mm) for mm in ladder_modal_models(1, (10, 25))]
+    return _scrambled_modes() + arm + rungs + _ni_draws()
+
+
 class TestSweepBounds:
     """The bounds that let the sweeps skip exact SVDs decide as the SVDs would."""
 
@@ -245,13 +264,26 @@ class TestSweepBounds:
                 + [ns.random_sni_controller(np.random.default_rng(seed), 1 + seed % 3).realization
                    for seed in range(20)])
 
-    def test_floor_bound_is_above_noise_floor(self, paper_irc):
-        for model in self._controllers(paper_irc):
+    def test_floor_bound_is_above_noise_floor(self, paper_irc, beam_params):
+        # the controllers on the SNI grid, and NI plants on theirs, off
+        # their poles.  Not the draws under cond(T) = 1e3: there cond2 nears
+        # 1e12 by the split origin pole, LAPACK's smallest singular value
+        # carries a relative error near eps cond2, and the SVD's floor reads
+        # up to 3e-6 above the bound, which itself is above the exact value
+        # (FLOOR_CLEARANCE absorbs both)
+        sweeps = [(m, ()) for m in self._controllers(paper_irc)]
+        for model in _ni_plants(beam_params):
             spec = _spectral(model)
-            omegas = niclass._sweep_grid()
+            clusters = niclass._axis_pole_clusters(spec.eigs, spec.ztol)
+            sweeps.append((model, tuple(w for w, _ in clusters)))
+        noise = 200.0 * np.finfo(float).eps
+        for model, poles in sweeps:
+            spec = _spectral(model)
+            omegas = niclass._sweep_grid(poles)
             _, G = niclass._sweep_min_eigs(spec, omegas)
-            bound = niclass._noise_floor_bound(spec, omegas, np.linalg.norm(G, axis=(1, 2)))
-            floor = niclass._noise_floor(spec, omegas, niclass._norm2(G))
+            norm_f, norm = np.linalg.norm(G, axis=(1, 2)), np.linalg.svd(G, compute_uv=False)[:, 0]
+            bound = noise * niclass._cond2_bound(spec, omegas) * (1.0 + norm_f)
+            floor = noise * niclass._cond2(spec, omegas) * (1.0 + norm)
             assert np.all(bound >= floor), model.n
 
     def test_hurwitz_controller_that_is_not_sni(self):
@@ -264,19 +296,38 @@ class TestSweepBounds:
         # bound that clears none, every point takes the exact SVD floor
         irc = paper_irc.realization
         models = [_conditioned(irc, cond, 0) for cond in (3e3, 1e4, 1e6)] + [irc]
-        exact_floor = niclass._noise_floor
+        exact_floor = niclass._cond2
         exact_points = []
 
-        def spy(model, omegas, norms):
+        def spy(model, omegas):
             exact_points.append(omegas.size)
-            return exact_floor(model, omegas, norms)
+            return exact_floor(model, omegas)
 
-        monkeypatch.setattr(niclass, "_noise_floor", spy)
+        monkeypatch.setattr(niclass, "_cond2", spy)
         got = [ns.classify_sni(m).to_dict() for m in models]
         assert sum(exact_points[:3]) > 0 and exact_points[3] == 0
-        monkeypatch.setattr(niclass, "_noise_floor_bound",
-                            lambda spec, omegas, norms: np.full(omegas.size, np.inf))
+        monkeypatch.setattr(niclass, "_cond2_bound",
+                            lambda spec, omegas: np.full(omegas.size, np.inf))
         assert got == [ns.classify_sni(m).to_dict() for m in models]
+
+    def test_ni_bound_decides_as_exact_route(self, beam_params, monkeypatch):
+        models = _ni_plants(beam_params) + [_conditioned(m, 1e3, seed)
+                                            for seed, m in enumerate(_ni_draws())]
+        got = [ns.classify_ni(m).to_dict() for m in models]
+        monkeypatch.setattr(niclass, "_cond2_bound",
+                            lambda spec, omegas: np.full(omegas.size, np.inf))
+        assert got == [ns.classify_ni(m).to_dict() for m in models]
+        assert sum(not d["is_ni"] for d in got) == 1
+
+    def test_ni_violation_decided_by_the_bound(self, monkeypatch):
+        # the lossy plant's violation is established with no n x n SVD: with
+        # an exact cond2 that clears every point it reaches, the report is
+        # unchanged (the points that reach it are the noise beside the poles)
+        lossy = _scrambled_modes()[1]
+        want = ns.classify_ni(lossy).to_dict()
+        monkeypatch.setattr(niclass, "_cond2", lambda model, omegas: np.full(omegas.size, np.inf))
+        assert ns.classify_ni(lossy).to_dict() == want
+        assert not want["is_ni"] and "j(G - G*) has eigenvalue" in want["reasons"][0]
 
 
 def _sweep_grid_per_pole(axis_poles=()):
@@ -325,6 +376,12 @@ class TestImaginaryAxisResidue:
     def test_not_a_pole(self):
         with pytest.raises(NotAPoleError):
             ns.imaginary_axis_residue(first_order_lag_minus(0.0), 1.0)
+
+    def test_model_without_states_is_not_a_pole(self):
+        # the distance to no eigenvalue once raised numpy's ValueError
+        gain = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
+        with pytest.raises(NotAPoleError, match="nearest at distance inf"):
+            ns.imaginary_axis_residue(gain, 1.0)
 
     def test_semisimple_cluster_allowed(self):
         # rank-2 coefficient: double eigenvalue at jp but still a simple pole

@@ -183,6 +183,15 @@ class TestStepResponse:
         with pytest.raises(ns.NistabError):
             ns.step_response(arm_plant, paper_irc.realization, wiring="bogus")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"T_end": np.inf}, {"dt": np.nan}, {"T_end": 1e300, "dt": 1.0}, {"r": np.nan},
+    ], ids=["t_end_infinite", "dt_nan", "samples_2_53", "r_nan"])
+    def test_non_finite_or_oversized_inputs_rejected(self, kwargs):
+        # each once escaped as OverflowError, ValueError or TypeError, or
+        # (r = nan) gave a trajectory flagged as diverged
+        with pytest.raises(ns.NistabError):
+            ns.step_response(double_integrator(), first_order_lag_minus(0.5), **kwargs)
+
 
 class TestRunAnalysis:
     def test_case_study_pipeline(self, arm_plant, paper_irc):
@@ -374,6 +383,14 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t,theta,Vs"
         assert len(lines) == 7
+
+    def test_simulate_infinite_end_time_exit_2(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        assert main(["simulate", plant, ctrl, "--tend", "inf"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
     @pytest.mark.parametrize("irc", [
         {"Gamma": [[1.0]], "Phi": [[1.0]]},
