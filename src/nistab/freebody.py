@@ -446,8 +446,8 @@ def _vanishing(L: LaurentCoefficients) -> tuple[bool, bool]:
 
 
 def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
-    """The NI/SNI, strictly-proper and Laurent preconditions, then
-    :func:`_decide`; a plant without origin poles enters as G0 = G(0)."""
+    """The NI/SNI, channel-count, strictly-proper and Laurent preconditions,
+    then :func:`_decide`; a plant without origin poles enters as G0 = G(0)."""
     failed = Outcome.PRECONDITION_FAILED
     if ni is not None and not ni.is_ni:
         return StabilityVerdict(
@@ -455,6 +455,9 @@ def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
     if sni is not None and not sni.is_sni:
         return StabilityVerdict(failed, reason="controller is not strictly negative "
                                 "imaginary: " + "; ".join(sni.reasons))
+    if G.m != Gbar.m:
+        return StabilityVerdict(failed, reason=f"channel counts differ: plant {G.m}, "
+                                f"controller {Gbar.m}; the loop cannot be closed")
     Gbar0 = eval_tf(Gbar, 0.0).real
     if not G.origin_split.n0:
         G0 = eval_tf(G, 0.0).real

@@ -14,6 +14,7 @@ realization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -431,14 +432,12 @@ def _laurent_numeric_limits(model: StateSpaceModel, r: float):
     N = 32
     nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
     samples = freq_response(model, nodes)
-
-    def coeff(k: int) -> np.ndarray:
-        return (2.0 / N) * np.real(np.tensordot(nodes ** (-k), samples, axes=1))
-
-    size = max(np.linalg.norm(G) for G in samples)
-    tail = max(np.linalg.norm(coeff(-3)) / r ** 3, np.linalg.norm(coeff(-4)) / r ** 4)
+    # the s^0 ... s^-4 coefficients at once: row k weighs the samples by s_j^k
+    coeffs = (2.0 / N) * np.real(np.tensordot(nodes ** np.arange(5)[:, None], samples, axes=1))
+    size = np.linalg.norm(samples, axis=(1, 2)).max()
+    tail = max(np.linalg.norm(coeffs[3]) / r ** 3, np.linalg.norm(coeffs[4]) / r ** 4)
     settle = tail / size if size > 0 else 0.0
-    return coeff(0), coeff(-1), coeff(-2), float(settle)
+    return coeffs[0], coeffs[1], coeffs[2], float(settle)
 
 
 def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
@@ -503,7 +502,8 @@ def minimality_margin(model: StateSpaceModel) -> float:
     numerically far better behaved than ranks of the stacked Kalman
     matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
     minimal.  Two dense SVDs per shift, O(n^4) in all: :func:`is_minimal`
-    runs it only where the O(n^3) bound of :func:`_pbh_bound` cannot decide.
+    runs it only where the bound of :func:`_pbh_bound` (O(n^2) per simple
+    eigenvalue, O(n^2 m) or more per cluster shift) cannot decide.
     """
     n = model.n
     if n == 0:
@@ -528,8 +528,53 @@ def _inv_norm_bound(R: np.ndarray) -> float:
     """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 >= ||R^-1||_2: see :func:`_pbh_bound`."""
     M = -np.abs(R)
     M.ravel(order="K")[:: R.shape[0] + 1] *= -1.0
-    e = np.ones(R.shape[0])
+    return _comparison_bound(M)
+
+
+def _comparison_bound(M: np.ndarray) -> float:
+    """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 for a real upper triangular comparison matrix M."""
+    e = np.ones(M.shape[0])
     return np.sqrt(blas.dtrsv(M, e).max() * blas.dtrsv(M, e, trans=1).max())
+
+
+def _deflated_bounds(spec: _Spectral, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Lower bounds on sigma_min [A - lambda I; C] (row 0) and [A - lambda I, B] (row 1) at
+    each shift with exactly one t_ii within the cluster radius; NaN at the others.
+
+    With M = T - lambda I, x solves M[:i, :i] x[:i] = -M[:i, i] (x_i = 1, zero below) and
+    E = I + (x - e_i) e_i^T, ||E||_2 = (s + (s^2 + 4)^1/2) / 2 for s = ||x[:i]||.  Row i of M E
+    dropped from [M E; C Z E] and the rows C Z E replaced by the one w^H C Z E, w = C Z x / gamma,
+    gamma = ||C Z x||, leave [[M~, rho], [g, gamma]]: M~ is M without row and column i,
+    ||rho|| = r the solve's residual, ||g|| <= ||C||_F.  So sigma_min >= (gamma /
+    (beta^2 (gamma^2 + ||C||_F^2) + 1)^1/2 - r) / ||E||_2, beta >= ||M~^-1||_2 the comparison
+    bound of M~ (t_ii - lambda set to infinity).  The left eigenvector u (u_i = 1, zero left of
+    i) and ||u Z^H B||, ||B||_F give the other side.  gamma is a norm, never a Gram form: a lost
+    mode's gamma is rounding, which a square would lose below eps^1/2.
+    """
+    T, Z = spec.schur
+    n, tdiag = spec.n, np.diag(T)
+    W, N = T.copy(order="F"), np.asfortranarray(-np.abs(T))
+    wdiag, ndiag = W.ravel(order="K")[:: n + 1], N.ravel(order="K")[:: n + 1]
+    sides = ((0, spec.C @ Z, np.linalg.norm(spec.C)),
+             (1, (Z.conj().T @ spec.B).T, np.linalg.norm(spec.B)))
+    near = dist <= PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
+    out = np.full((2, lams.size), np.nan)
+    for k in np.flatnonzero(near.sum(axis=1) == 1):
+        i = int(np.argmin(dist[k]))
+        wdiag[:], ndiag[:] = tdiag - lams[k], dist[k]
+        wdiag[i], ndiag[i] = 1.0, np.inf
+        beta = float(_comparison_bound(N))
+        ei = np.zeros(n, dtype=complex)
+        ei[i] = 1.0
+        for trans, maps, frob in sides:
+            x = blas.ztrsv(W, ei, trans=trans)   # x[i] = 1: W's entry there is 1
+            res = blas.ztrmv(W, x, trans=trans)
+            x[i] = res[i] = 0.0
+            gamma = float(np.linalg.norm(maps @ x + maps[:, i]))
+            s = float(np.linalg.norm(x))
+            lower = gamma / math.hypot(beta * math.hypot(gamma, frob), 1.0)
+            out[trans, k] = (lower - float(np.linalg.norm(res))) * 2.0 / (s + math.hypot(s, 2.0))
+    return out
 
 
 def _pbh_bound(spec: _Spectral) -> float:
@@ -537,40 +582,46 @@ def _pbh_bound(spec: _Spectral) -> float:
 
     With A = Z T Z^H, [A - lambda I; C] has the singular values of
     [T - lambda I; C Z], and [A - lambda I, B] those of [T^H - conj(lambda) I;
-    B' Z] reversed: upper triangles with m rows below, which LAPACK ztpqrt
-    folds into a triangle R in O(n^2 m).  R's comparison matrix M (|r_ii| on
-    the diagonal, -|r_ij| above) has 0 <= |R^-1| <= M^-1 (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 8.12), so 1/sigma_min
-    <= (||M^-1 e||_inf ||M^-T e||_inf)^1/2, two O(n^2) dtrsv solves; with
-    sigma_max <= ||.||_F, the margin sigma_min / ((n + m) eps sigma_max) is
-    bounded in O(n^3).  Where that is not above PBH_CLEARANCE (it can be loose
-    by a factor exponential in n), the bound by 1/||R^-1||_F (ztrtri) is
-    taken too and the larger kept: it clears any threshold up to PBH_CLEARANCE
-    wherever the ztrtri one does.  0 if an R is singular, 0 or NaN on overflow.
+    B' Z] reversed.  At a simple eigenvalue (one t_ii in the cluster radius)
+    :func:`_deflated_bounds` bounds both in O(n^2).  A cluster shift, and a
+    side where that bound does not clear PBH_CLEARANCE, takes these upper
+    triangles with m rows below, which LAPACK ztpqrt folds into a triangle R
+    in O(n^2 m).  R's comparison matrix M (|r_ii| on the diagonal, -|r_ij|
+    above) has 0 <= |R^-1| <= M^-1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 8.12), so 1/sigma_min <= (||M^-1
+    e||_inf ||M^-T e||_inf)^1/2, two O(n^2) dtrsv solves; with sigma_max <=
+    ||.||_F, the margin sigma_min / ((n + m) eps sigma_max) is bounded in
+    O(n^3).  Where that is not above PBH_CLEARANCE (it can be loose by a factor
+    exponential in n), the bound by 1/||R^-1||_F (ztrtri) is taken too and the
+    larger kept: it clears any threshold up to PBH_CLEARANCE wherever the
+    ztrtri one does.  0 if an R is singular, 0 or NaN on overflow.
     """
     n, m = spec.n, spec.m
     if n == 0:
         return np.inf
     T, Z = spec.schur
     lams = _pbh_shifts(spec)
+    dist = np.abs(np.diag(T)[None, :] - lams[:, None])
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
-    tri = (np.linalg.norm(np.triu(T, 1)) ** 2
-           + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
+    tri = np.linalg.norm(np.triu(T, 1)) ** 2 + np.sum(dist ** 2, axis=1)
     unit = (n + m) * np.finfo(float).eps
     bounds = []
-    for upper, rows, shifts in ((T, spec.C @ Z, lams),
-                                (np.asfortranarray(T.conj().T[::-1, ::-1]),
-                                 (spec.B.T @ Z)[:, ::-1], lams.conj())):
+    for (upper, rows, shifts), lowers in zip(
+            ((T, spec.C @ Z, lams),
+             (np.asfortranarray(T.conj().T[::-1, ::-1]), (spec.B.T @ Z)[:, ::-1], lams.conj())),
+            _deflated_bounds(spec, lams, dist)):
         fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
-        for lam, f in zip(shifts, fro):
-            a = upper.copy(order="F")   # for ztpqrt to overwrite
-            a.ravel(order="K")[:: n + 1] -= lam
-            # LAPACK block size 8 (at most n): the fastest at n = 104
-            R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
-            b = 1.0 / (_inv_norm_bound(R) * f) / unit
-            if not b > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
-                Rinv, info = lapack.ztrtri(R, overwrite_c=1)
-                b = 0.0 if info else np.maximum(b, 1.0 / (np.linalg.norm(Rinv) * f) / unit)
+        for lam, f, lower in zip(shifts, fro, lowers):
+            b = lower / f / unit
+            if not b > PBH_CLEARANCE:   # NaN too
+                a = upper.copy(order="F")   # for ztpqrt to overwrite
+                a.ravel(order="K")[:: n + 1] -= lam
+                # LAPACK block size 8 (at most n): the fastest at n = 104
+                R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
+                b = 1.0 / (_inv_norm_bound(R) * f) / unit
+                if not b > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
+                    Rinv, info = lapack.ztrtri(R, overwrite_c=1)
+                    b = 0.0 if info else np.maximum(b, 1.0 / (np.linalg.norm(Rinv) * f) / unit)
             bounds.append(b)
     # np.min, not min: a NaN must reach the caller and fail its test
     return float(np.min(bounds, initial=np.inf))
@@ -580,7 +631,8 @@ def is_minimal(model: StateSpaceModel) -> bool:
     """Controllability and observability at every eigenvalue (numerical).
 
     The decision is ``minimality_margin(model) > 1``: the O(n^3) lower bound
-    of :func:`_pbh_bound` on the record's Schur form decides it above
+    of :func:`_pbh_bound` on the record's Schur form (eigenvector deflation at
+    each simple eigenvalue, the ztpqrt triangles at the rest) decides it above
     ``PBH_CLEARANCE`` (wherever the ztrtri bound would), the SVDs of
     :func:`minimality_margin` otherwise; the bound never says "not minimal".
     """

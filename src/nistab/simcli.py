@@ -365,6 +365,8 @@ def _cmd_verify(args) -> int:
     the oracle contradicts and a PRECONDITION_FAILED trial are both failures."""
     if args.count < 1:
         raise NistabError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise NistabError(f"--seed must be nonnegative, got {args.seed}")
     rep = montecarlo_agreement(args.count, seed=args.seed)
     _emit(rep.to_dict(), args)
     if rep.disagreements or rep.precondition_failed:
@@ -407,6 +409,8 @@ def _cmd_beam(args) -> int:
         if args.points < 1 or not 0.0 < args.wmin < args.wmax < np.inf:
             raise NistabError("scan needs --points >= 1 and 0 < --wmin < --wmax < inf, got "
                               f"{args.points} points on [{args.wmin}, {args.wmax}]")
+        if not np.isfinite(args.gamma):
+            raise NistabError(f"scan needs a finite --gamma, got {args.gamma}")
         grid = np.geomspace(args.wmin, args.wmax, args.points)
         table = emit_residue_scan(p, args.gamma, grid)
         print("omega,value")

@@ -162,6 +162,24 @@ class TestLaurent:
         assert settle == pytest.approx(1.0, rel=1e-12)
         assert max(abs(G0[0, 0]), abs(G1[0, 0]), abs(G2[0, 0])) <= 1e-12
 
+    def test_contour_coefficients_match_the_per_power_sums(self, rng):
+        # the s^0 ... s^-4 coefficients, taken in one product, against one
+        # sum per power and one norm per sample, as the rule is written
+        N, r = 32, 0.3
+        nodes = r * np.exp(1j * np.pi * (2 * np.arange(N // 2) + 1) / N)
+        for trial in range(16):
+            model, _ = random_ni_plant(np.random.default_rng(rng.integers(0, 2 ** 63)),
+                                       _FAMILIES[trial % len(_FAMILIES)])
+            samples = ns.freq_response(model, nodes)
+            coeff = [(2.0 / N) * np.real(sum(z ** k * G for z, G in zip(nodes, samples)))
+                     for k in range(5)]
+            size = max(np.linalg.norm(G) for G in samples)
+            tail = max(np.linalg.norm(coeff[3]) / r ** 3, np.linalg.norm(coeff[4]) / r ** 4)
+            *got, settle = _laurent_numeric_limits(model, r)
+            for G, ref in zip(got, coeff):
+                np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-13 * size)
+            assert settle == pytest.approx(tail / size, rel=1e-12, abs=1e-14)
+
     def test_case_study_range_shortcut_not_applicable(self, arm_plant):
         # G2 is rank one but G0' does not kill its null space, so the
         # range-shortcut dispatch must not fire for the benchmark plant
@@ -395,6 +413,19 @@ class TestStabilityVerdict:
         v = ns.stability_verdict(plant, ctrl, VerdictOptions(run_oracle=True))
         assert v.outcome is ns.Outcome.PRECONDITION_FAILED
         assert v.oracle_hurwitz is None and v.oracle_agrees is None
+
+    @pytest.mark.parametrize("skip_ni_check", [False, True])
+    def test_channel_counts_differ_is_a_precondition_failure(self, paper_irc, skip_ni_check):
+        # 1-channel plants beside the 2-channel paper IRC: the double
+        # integrator once read STABLE off Gbar(0) alone, and the lag (no
+        # origin pole) raised ValueError from G0 @ Gbar(0)
+        lag = ns.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
+        for plant in (double_integrator(), lag):
+            v = ns.stability_verdict(plant, paper_irc.realization,
+                                     VerdictOptions(run_oracle=True, skip_ni_check=skip_ni_check))
+            assert v.outcome is ns.Outcome.PRECONDITION_FAILED
+            assert "plant 1" in v.reason and "controller 2" in v.reason
+            assert v.laurent is None and v.oracle_hurwitz is None
 
     def test_general_and_reduced_paths_agree_when_g1_zero(self, rng):
         """The Hankel-subspace route must reduce to the factor-of-G2 route."""

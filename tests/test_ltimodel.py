@@ -312,6 +312,65 @@ class TestPbhBound:
                     "stable", "full_rank_free_body", "invertible")
         assert not tier and not margins
 
+    @staticmethod
+    def _deflated_excess(model):
+        """Largest (bound - sigma_min) over the sides ``_deflated_bounds`` bounds, in
+        units of the cutoff (n + m) eps ||.||_F, and the number of such sides."""
+        from nistab.ltimodel import _deflated_bounds, _pbh_shifts, _spectral
+
+        spec = _spectral(model)
+        lams = _pbh_shifts(spec)
+        lower = _deflated_bounds(
+            spec, lams, np.abs(np.diag(spec.schur[0])[None, :] - lams[:, None]))
+        n, worst, sides = model.n, -np.inf, 0
+        for k in np.flatnonzero(~np.isnan(lower[0])):
+            shifted = model.A - lams[k] * np.eye(n)
+            for M, b in ((np.vstack([shifted, model.C]), lower[0, k]),
+                         (np.hstack([shifted, model.B]), lower[1, k])):
+                smin = np.linalg.svd(M, compute_uv=False)[n - 1]
+                unit = (n + model.m) * np.finfo(float).eps * np.linalg.norm(M)
+                worst, sides = max(worst, (b - smin) / unit), sides + 1
+        return worst, sides
+
+    def test_deflated_bound_below_smallest_singular_value(self, rng):
+        # at every shift with one Schur diagonal entry in the cluster radius,
+        # on both sides: minimal plants under cond(T) up to 1e7, plants with a
+        # zeroed B row (a lost mode, whose gamma is rounding: a Gram form of it
+        # would clear the cutoff) at cond 1, 1e2 and 1e4, the ladder rungs,
+        # the Jordan triple and the split modes, rotated too
+        plants = list(TestIsMinimal._transformed(rng, 400))
+        for cond in (1.0, 1e2, 1e4):
+            plants += [ns.similarity_transform(_zeroed_b_row(model),
+                                               _transform(rng, model.n, cond))
+                       for _, model in TestIsMinimal._plants(rng, 600)]
+        plants += [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                   for mm in ladder_modal_models(seed, (10, 25, 50))]
+        for model in (_jordan_triple(), _split_mode(0.0), _split_mode(1e-12), _split_mode(1e-9)):
+            plants.append(model)
+            for seed in range(10):
+                Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(model.n, model.n)))
+                plants.append(ns.similarity_transform(model, Q))
+        results = [self._deflated_excess(model) for model in plants]
+        assert max(worst for worst, _ in results) <= 1.0
+        assert sum(sides for _, sides in results) > 5000
+
+    def test_ladder_folds_only_the_origin_cluster(self, monkeypatch):
+        # every modal frequency of a ladder rung is a simple eigenvalue pair,
+        # bounded by deflation; only the 4 shifts of the origin's two Jordan
+        # pairs take the ztpqrt fold, 2 per shift (2 per shift everywhere before)
+        from scipy.linalg import lapack
+
+        from nistab import ltimodel
+
+        folds = []
+        _count_calls(monkeypatch, lapack, "ztpqrt", folds)
+        for seed in (1, 2, 3):
+            for mm in ladder_modal_models(seed, (10, 25, 50, 100)):
+                del folds[:]
+                spec = ltimodel._spectral(ns.modal_to_ss(mm))
+                assert spec.pbh_bound > ltimodel.PBH_CLEARANCE
+                assert len(folds) == 8
+
     def test_overflow_never_clears(self):
         # scaled by 1e160 or more, ||T||_F^2 overflows: the bound is 0 or
         # NaN, never a clearing value, and the SVD margin decides

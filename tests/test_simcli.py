@@ -320,6 +320,14 @@ class TestCli:
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
         assert main(["stability", plant, ctrl]) == EXIT_PRECONDITION
 
+    def test_channel_counts_differ_exit_3(self, tmp_path, capsys, paper_irc):
+        # a 1-channel double integrator beside a 2-channel IRC once printed
+        # "stable" and exited 0
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json", ns.model_to_dict(paper_irc.realization))
+        assert main(["stability", plant, ctrl]) == EXIT_PRECONDITION
+        assert "channel counts differ" in capsys.readouterr().out
+
     def test_classify_json_output(self, tmp_path, capsys):
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
         assert main(["--json", "classify", plant]) == EXIT_OK
@@ -412,8 +420,12 @@ class TestCli:
         ["beam", "scan", "--wmin", "5", "--wmax", "1", "--points", "3"],
         ["beam", "scan", "--wmax", "inf", "--points", "3"],
         ["beam", "approx", "--modes", "222"],
+        ["verify", "--seed", "-1"],
+        ["beam", "scan", "--gamma", "nan", "--points", "3"],
+        ["beam", "scan", "--gamma", "inf", "--points", "3"],
     ], ids=["count_negative", "count_zero", "points_zero", "wmin_negative",
-            "wmax_equal", "wmax_below", "wmax_infinite", "modes_overflow"])
+            "wmax_equal", "wmax_below", "wmax_infinite", "modes_overflow",
+            "seed_negative", "gamma_nan", "gamma_infinite"])
     def test_out_of_range_numbers_exit_2(self, capsys, argv):
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
