@@ -34,6 +34,7 @@ from .errors import (
 )
 from .ircsynth import make_irc
 from .ltimodel import (
+    TRANSFORM_COND_LIMIT,
     ModalModel,
     SchurSplit,
     StateSpaceModel,
@@ -80,9 +81,6 @@ ZERO_COEFF_RTOL = 1e-8
 
 #: strict inequalities satisfied by less than this (relative) are "boundary"
 BOUNDARY_BAND = 1e-7
-
-#: origin splits whose decoupling has a condition number above this are rejected
-TRANSFORM_COND_LIMIT = 1e8
 
 #: largest share of G on the Laurent contour its s^-3 and s^-4 terms may
 #: carry before the contour route counts as failed to settle

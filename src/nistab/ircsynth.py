@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPDError
+from .errors import DimensionError, NonSymmetricError, NotPDError
 from .ltimodel import StateSpaceModel
 from .matrixcore import classify_definiteness, symmetrize
 
@@ -50,16 +50,22 @@ def make_irc(Gamma, Phi, Delta) -> IrcController:
 
     Raises
     ------
+    NonSymmetricError
+        Naming the offending matrix, when Gamma, Phi or Delta is not
+        symmetric (checked first).
     NotPDError
         Naming the offending matrix, when Gamma or Phi is not positive
-        definite (symmetry is checked first and reported the same way).
+        definite.
     """
     mats = {}
     for name, M in (("Gamma", Gamma), ("Phi", Phi), ("Delta", Delta)):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionError(f"{name} must be square, got shape {M.shape}")
-        mats[name] = symmetrize(M)
+        try:
+            mats[name] = symmetrize(M)
+        except NonSymmetricError as exc:
+            raise NonSymmetricError(f"{name}: {exc}") from None
     m = mats["Gamma"].shape[0]
     if mats["Phi"].shape != (m, m) or mats["Delta"].shape != (m, m):
         raise DimensionError("Gamma, Phi, Delta must share one size")

@@ -57,6 +57,11 @@ ZERO_EIG_RTOL = 1e-7
 #: rounding, at most about 1e-12 of ||A||
 S0_RANK_RTOL = 1e-11
 
+#: largest condition number of a split's decoupling [[I, X], [0, I]] that is
+#: used: ``freebody`` rejects a worse origin split, ``niclass`` sweeps the
+#: whole model instead of a worse remainder
+TRANSFORM_COND_LIMIT = 1e8
+
 #: relative radius linking eigenvalues into one PBH cluster (:func:`_pbh_shifts`):
 #: a Jordan triple's computed eigenvalues lie about eps^1/3 ||A|| apart
 PBH_CLUSTER_RTOL = 4.0 * np.finfo(float).eps ** (1.0 / 3.0)

@@ -11,21 +11,33 @@ admits free body motion) when
      lim s^2 G(s) is Hermitian PSD.
 
 Strictly negative imaginary (SNI) means no pole in Re(s) >= 0 and the strict
-inequality in 2.  Condition 2 is checked on one fixed frequency grid
-(``_sweep_grid``: SWEEP_POINTS log-spaced points on [SWEEP_WMIN, SWEEP_WMAX]
-and BRACKET_POINTS beside each axis pole, none within POLE_GUARD of one), so
-the verdict is conservative: a grid can refute the property or support it,
-never prove the universally quantified statement.  The grid and the
-tolerances are module constants, not parameters.  G is evaluated on the
-whole grid from one Schur form of A (``ltimodel.freq_response``).  Both
-tests judge a point by one rule, :func:`_beyond_floor`: is a margin z above
-(1 + ||G||_2) max(c, 200 eps cond2(jwI - A)), the second term the noise
-floor of the resolvent solve?  NI fails where z = -min_eig is above it with
-c = COND2_RTOL, SNI where z = min_eig is not, with c = SNI_STRICT_FLOOR.
-The exact ||G||_2 and cond2 (an n x n SVD) are taken only at the points
-that cheap bounds cannot decide, so the decisions are those of the exact values.
+inequality in 2.  Condition 2 is checked on one fixed frequency grid, so the
+verdict is conservative: a grid can refute the property or support it, never
+prove the universally quantified statement.  The grid and the tolerances are
+module constants, not parameters.
 
-Every eigenvalue of A is read off the diagonal of that one complex Schur
+The NI test sweeps condition 2 on the remainder R(s) = C_r (sI - T_r)^-1 B_r
++ D, not on G: the imaginary-axis poles are split off the Schur form, and
+T_r keeps the origin cluster and any damped or right-half-plane eigenvalue.
+For a lossless plant with free-body poles R is the origin split that
+condition 4 reads anyway.  An axis pair +-jw_i with residue K adds
+-K/(w - w_i) + K^T/(w + w_i) to G(jw), whose j(. - .*) is exactly 0 when K
+is Hermitian, and condition 3 checks that it is (where it is not, the model
+is not NI anyway).  R has no axis pole, so it is swept on the SWEEP_POINTS
+log-spaced points on [SWEEP_WMIN, SWEEP_WMAX] alone.  When the split is
+ill-conditioned (``SchurSplit.cond`` above ``ltimodel.TRANSFORM_COND_LIMIT``,
+or not finite), G itself is swept, on that grid plus BRACKET_POINTS beside
+each axis pole, none within POLE_GUARD of one (``_sweep_grid``); the SNI test,
+whose model has no axis pole, always sweeps G.  A sweep evaluates its model
+on the whole grid from one Schur triangle.  Both tests judge a point by one
+rule, :func:`_beyond_floor`: is a margin z above (1 + ||G||_2) max(c, 200 eps
+cond2(jwI - T)), T the swept triangle, the second term the noise floor of the
+resolvent solve?  NI fails where z = -min_eig is above it with c =
+COND2_RTOL, SNI where z = min_eig is not, with c = SNI_STRICT_FLOOR.  The
+exact ||G||_2 and cond2 (an n x n SVD) are taken only at the points that
+cheap bounds cannot decide, so the decisions are those of the exact values.
+
+Every eigenvalue of A is read off the diagonal of one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
 an index set on diag(T): T's eigenvectors give a single eigenvalue's residue
@@ -42,11 +54,18 @@ with the one tolerance ``_Spectral.ztol`` that ``freebody`` uses too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
-from .ltimodel import StateSpaceModel, _schur_solve, _spectral, _Spectral, freq_response
+from .ltimodel import (
+    TRANSFORM_COND_LIMIT,
+    StateSpaceModel,
+    _schur_solve,
+    _spectral,
+    _Spectral,
+)
 from .matrixcore import Definiteness, classify_definiteness
 
 __all__ = [
@@ -183,73 +202,132 @@ def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.nd
     return [(float(np.mean(eigs.imag[c])), np.array(c)) for c in clusters]
 
 
-def _sweep_min_eigs(model: StateSpaceModel, omegas: np.ndarray):
+@dataclass(frozen=True)
+class _Remainder:
+    """R(s) = C (sI - T)^-1 B + D for an upper triangular T, read as the sweep reads a record.
+
+    It is the part of a record that a split leaves once the imaginary-axis
+    poles are taken out (:func:`_remainder`), in the Schur basis of the
+    split, so ``schur`` = (T, I) and ``norm2`` = ||T||_2.
+    """
+
+    T: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.T.shape[0]
+
+    @property
+    def schur(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.T, np.eye(self.n)
+
+    @cached_property
+    def norm2(self) -> float:
+        return float(np.linalg.norm(self.T, 2))
+
+
+def _remainder(spec: _Spectral, axis_poles: tuple[float, ...]):
+    """The model condition 2 is swept on, and its grid: the remainder R on
+    ``_BASE_GRID``, or the whole record on ``_sweep_grid(axis_poles)``.
+
+    R holds every eigenvalue of A that is not an imaginary-axis pole
+    (|Re| <= ztol < |Im|, on both signs of the axis, so R stays the transfer
+    matrix of a real system): the origin cluster and any damped or
+    right-half-plane eigenvalue.  When that is the origin cluster alone, R is
+    the record's origin split and no split is taken.  A model with no axis
+    pole, or whose split has a decoupling condition number above
+    TRANSFORM_COND_LIMIT (or not finite), is swept whole.
+    """
+    eigs = spec.eigs
+    rest = (np.abs(eigs.real) > spec.ztol) | (np.abs(eigs.imag) <= spec.ztol)
+    if not rest.all():
+        # the origin cluster is part of the rest, so equal sizes mean equal sets
+        split = (spec.origin_split if rest.sum() == spec.origin_split.n0
+                 else spec.split(np.flatnonzero(rest)))
+        if split.cond <= TRANSFORM_COND_LIMIT:
+            return _Remainder(split.T0, split.B0, split.C0, spec.D), _BASE_GRID
+    return spec, _sweep_grid(axis_poles)
+
+
+def _sweep_min_eigs(rec, omegas: np.ndarray):
     """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
-    G comes from one :func:`ltimodel.freq_response` call over the whole
-    grid, and the eigenvalues are taken for all points at once.  ||G||_2 and
-    cond2(jwI - A) are not taken here: :func:`_beyond_floor` needs them only
-    at the few points where their bounds cannot decide the test.
+    ``rec`` is a record or a :class:`_Remainder`: G = C Z (jwI - T)^-1 Z^H B
+    + D for its Schur form (T, Z), one :func:`ltimodel._schur_solve` over the
+    whole grid as in ``ltimodel.freq_response``, and the eigenvalues are
+    taken for all points at once.  ||G||_2 and cond2(jwI - T) are not taken
+    here: :func:`_beyond_floor` needs them only at the few points where their
+    bounds cannot decide the test.
     """
-    G = freq_response(model, 1j * omegas)
+    G = np.repeat(rec.D.astype(complex)[None], omegas.size, axis=0)
+    if rec.n:
+        T, Z = rec.schur
+        X = _schur_solve(T, 1j * omegas, Z.conj().T @ rec.B)
+        G += np.tensordot(rec.C @ Z, X, axes=(1, 0)).transpose(1, 0, 2)
     M = 1j * (G - G.conj().transpose(0, 2, 1))
     min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
     return min_eig, G
 
 
-def _cond2(model: StateSpaceModel, omegas: np.ndarray) -> np.ndarray:
-    """cond2(jwI - A) at ``omegas``, from stacked n x n SVDs of FLOOR_CHUNK points each."""
+def _cond2(rec, omegas: np.ndarray) -> np.ndarray:
+    """cond2(jwI - T) at ``omegas`` for the Schur triangle T of ``rec`` (for a
+    record, cond2(jwI - A)), from stacked n x n SVDs of FLOOR_CHUNK points each."""
     kappa = np.ones(omegas.size)
-    if model.n:
+    if rec.n:
+        T, eye = rec.schur[0], np.eye(rec.n)
         for k in range(0, omegas.size, FLOOR_CHUNK):
             jw = 1j * omegas[k:k + FLOOR_CHUNK, None, None]
-            sv = np.linalg.svd(jw * np.eye(model.n) - model.A, compute_uv=False)
+            sv = np.linalg.svd(jw * eye - T, compute_uv=False)
             kappa[k:k + FLOOR_CHUNK] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
     return kappa
 
 
-def _cond2_bound(spec: _Spectral, omegas: np.ndarray) -> np.ndarray:
-    """An upper bound on :func:`_cond2` from the record's Schur form.
+def _cond2_bound(rec, omegas: np.ndarray) -> np.ndarray:
+    """An upper bound on :func:`_cond2` from the Schur triangle T of ``rec``.
 
-    With A = Z T Z^H, cond2(jwI - A) <= (|w| + ||A||_2) ||(jwI - T)^-1||_F,
-    and the inverse is one back substitution with an identity right-hand
-    side (``ltimodel._schur_solve``), for FLOOR_CHUNK points at a time.
+    cond2(jwI - T) <= (|w| + ||T||_2) ||(jwI - T)^-1||_F, with ||T||_2 the
+    ``norm2`` of ``rec``, and the inverse is one back substitution with an
+    identity right-hand side (``ltimodel._schur_solve``), for FLOOR_CHUNK
+    points at a time.
     """
     kappa = np.ones(omegas.size)
-    if spec.n:
-        T, _ = spec.schur
-        eye = np.eye(spec.n)
+    if rec.n:
+        T, eye = rec.schur[0], np.eye(rec.n)
         for k in range(0, omegas.size, FLOOR_CHUNK):
             w = omegas[k:k + FLOOR_CHUNK]
             inv = _schur_solve(T, 1j * w, eye)
-            kappa[k:k + FLOOR_CHUNK] = (w + spec.norm2) * np.linalg.norm(inv, axis=(0, 2))
+            kappa[k:k + FLOOR_CHUNK] = (w + rec.norm2) * np.linalg.norm(inv, axis=(0, 2))
     return kappa
 
 
-def _beyond_floor(spec: _Spectral, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
-    """z > (1 + ||G||_2) max(c, 200 eps cond2(jwI - A)) at every sweep point.
+def _beyond_floor(rec, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
+    """z > (1 + ||G||_2) max(c, 200 eps cond2(jwI - T)) at every sweep point.
 
-    The noise floor 200 eps cond2(jwI - A) bounds the forward error of the
-    resolvent solve: near a pole of an ill-conditioned realization the
-    asymmetric part of the evaluated G is dominated by that noise, so only
-    a margin above it is evidence.  A point with z <= c is decided at once,
-    as the right side is at least c; one with z FLOOR_CLEARANCE times above
-    the right side taken with ||G||_F >= ||G||_2 and :func:`_cond2_bound`
-    is beyond it.  Every other point takes ||G||_2, and the exact
-    :func:`_cond2` where z still exceeds c (1 + ||G||_2).
+    T is the Schur triangle of ``rec``, the record or the remainder the
+    sweep evaluated G on.  The noise floor 200 eps cond2(jwI - T) bounds the
+    forward error of the resolvent solve: near a pole of an ill-conditioned
+    realization the asymmetric part of the evaluated G is dominated by that
+    noise, so only a margin above it is evidence.  A point with z <= c is
+    decided at once, as the right side is at least c; one with z
+    FLOOR_CLEARANCE times above the right side taken with ||G||_F >= ||G||_2
+    and :func:`_cond2_bound` is beyond it.  Every other point takes
+    ||G||_2, and the exact :func:`_cond2` where z still exceeds c (1 + ||G||_2).
     """
     beyond = np.zeros(z.size, dtype=bool)
     idx = np.flatnonzero(z > c)
     noise = 200.0 * np.finfo(float).eps
     bound = (1.0 + np.linalg.norm(G[idx], axis=(1, 2))) * np.maximum(
-        c, noise * _cond2_bound(spec, omegas[idx]))
+        c, noise * _cond2_bound(rec, omegas[idx]))
     clear = z[idx] > FLOOR_CLEARANCE * bound
     beyond[idx[clear]] = True
     idx = idx[~clear]
     norm = np.linalg.svd(G[idx], compute_uv=False)[:, 0]
     above = z[idx] > c * (1.0 + norm)
     idx, norm = idx[above], norm[above]
-    beyond[idx] = z[idx] > noise * _cond2(spec, omegas[idx]) * (1.0 + norm)
+    beyond[idx] = z[idx] > noise * _cond2(rec, omegas[idx]) * (1.0 + norm)
     return beyond
 
 
@@ -328,6 +406,19 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
 def classify_ni(model: StateSpaceModel) -> NiReport:
     """Test the four NI conditions for a minimal state-space model.
 
+    Condition 2 is swept on the remainder R of :func:`_remainder`, the model
+    without its imaginary-axis poles, and ``cond2_min_eig_by_freq`` is R's
+    profile.  Leaving out an axis pole with Hermitian residue K changes
+    j(G - G*) by exactly 0.  An eigenvalue -eps + jw_i with 0 < eps <= ztol,
+    a damped pole taken as an axis pole, drops the term 2 eps K / ((w - w_i)^2
+    + eps^2) (and its mirror at -jw_i), which is PSD where K is, as condition
+    3 requires: for such poles the test on R is sufficient, never
+    optimistic.  An eigenvalue eps + jw_i with 0 < eps <= ztol is an axis pole to conditions
+    1 and 3 as well; the term dropped for it, -2 eps K / ((w - w_i)^2 +
+    eps^2), is NSD, and no condition looks at it: ztol is the resolution at
+    which a pole counts as on the axis.  When the split is ill-conditioned,
+    G itself is swept, on the grid with brackets beside each axis pole.
+
     Raises
     ------
     NotMinimalError
@@ -349,11 +440,12 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
 
     clusters = _axis_pole_clusters(eigs, atol)
 
-    # condition 2: frequency sweep; a point violates it where -min_eig is beyond both floors
-    omegas = _sweep_grid(tuple(w for w, _ in clusters))
-    min_eig, G = _sweep_min_eigs(spec, omegas)
+    # condition 2: frequency sweep of the remainder (or of the whole model);
+    # a point violates it where -min_eig is beyond both floors
+    rec, omegas = _remainder(spec, tuple(w for w, _ in clusters))
+    min_eig, G = _sweep_min_eigs(rec, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    viol = [cond2[k] for k in np.flatnonzero(_beyond_floor(spec, omegas, -min_eig, G, COND2_RTOL))]
+    viol = [cond2[k] for k in np.flatnonzero(_beyond_floor(rec, omegas, -min_eig, G, COND2_RTOL))]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
     if not ok2:

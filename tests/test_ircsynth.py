@@ -37,6 +37,14 @@ def test_asymmetric_delta_rejected():
         ns.make_irc(np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("name", ["Gamma", "Phi", "Delta"])
+def test_asymmetric_matrix_is_named(name):
+    mats = {"Gamma": np.eye(2), "Phi": np.eye(2), "Delta": np.zeros((2, 2))}
+    mats[name] = mats[name] + [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(NonSymmetricError, match=f"^{name}: asymmetry"):
+        ns.make_irc(**mats)
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(DimensionError):
         ns.make_irc(np.eye(2), np.eye(3), np.zeros((2, 2)))

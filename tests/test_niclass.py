@@ -142,18 +142,24 @@ class TestClassifyNi:
 
     def test_sweep_noise_under_floor_is_not_a_violation(self):
         # a lossless plant has j(G - G*) = 0 off its poles; in a realization
-        # with cond(T) = 1e4 the evaluated value falls below
-        # -COND2_RTOL (1 + ||G||) beside the poles, but not below the floor.
-        # The lossy plant adds -0.1/(s + 1), a genuine violation of condition 2
+        # with cond(T) = 1e4 the evaluated G fell below -COND2_RTOL (1 + ||G||)
+        # beside the poles.  Condition 2 is decided on the remainder, which
+        # for these plants holds no axis pole, so no point falls below it.
+        # The lossy plant adds -0.1/(s + 1), a genuine violation of condition
+        # 2 whose exact worst value is -0.1 at w = 1
         from nistab.niclass import COND2_RTOL
 
-        for scrambled, is_ni in zip(_scrambled_modes(), (True, False)):
-            rep = ns.classify_ni(scrambled)
-            assert rep.is_ni is is_ni, rep.reasons
-            under = [me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(scrambled, 1j * w), 2))
-                     for w, me in rep.cond2_min_eig_by_freq]
-            assert min(under) < 0.0
-        assert any("j(G - G*) has eigenvalue" in r for r in rep.reasons)
+        lossless, lossy = _scrambled_modes()
+        rep = ns.classify_ni(lossless)
+        assert rep.is_ni, rep.reasons
+        under = [me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(lossless, 1j * w), 2))
+                 for w, me in rep.cond2_min_eig_by_freq]
+        assert min(under) >= 0.0
+        rep = ns.classify_ni(lossy)
+        assert not rep.is_ni
+        assert rep.reasons == ["j(G - G*) has eigenvalue -1.000e-01 at omega = 1"]
+        w, me = rep.cond2_worst
+        assert w == pytest.approx(1.0, rel=1e-12) and me == pytest.approx(-0.1, rel=1e-9)
 
     def test_axis_residues_on_ill_conditioned_realization(self):
         # with cond(T) = 1e5, eigvals(A) put the pole near j within the
@@ -328,6 +334,167 @@ class TestSweepBounds:
         monkeypatch.setattr(niclass, "_cond2", lambda model, omegas: np.full(omegas.size, np.inf))
         assert ns.classify_ni(lossy).to_dict() == want
         assert not want["is_ni"] and "j(G - G*) has eigenvalue" in want["reasons"][0]
+
+
+#: damping-ratio ranges of the damped corpus; the last straddles ztol, so a
+#: draw can hold both modes swept as damped and modes taken as axis poles
+DAMPED_ZETAS = ((1e-4, 1e-2), (1e-2, 0.5), (1e-10, 1e-8), (1e-8, 1e-6), (1e-7, 1e-4))
+
+
+def _mechanical(p, zeta, W):
+    """W W^T / (s^2 + 2 zeta p s + p^2), realized on the state block [[0, I], [-p^2 I, -2 zeta p I]]."""
+    r = W.shape[1]
+    A = np.block([[np.zeros((r, r)), np.eye(r)], [-p * p * np.eye(r), -2.0 * zeta * p * np.eye(r)]])
+    return A, np.vstack([np.zeros((r, W.shape[0])), W.T]), np.hstack([W, np.zeros_like(W)])
+
+
+def _damped_draws(zetas, count, seed=0):
+    """``count`` minimal damped NI plants, each with an SNI controller.
+
+    m in 1..3; 1-4 modes at p in [0.5, 20] (spread 0.25 apart, as in
+    ``random_ni_plant``), each with coefficient W W^T for a rank-r W and a
+    damping ratio log-uniform on ``zetas``; 70% beside a double integrator.
+    The modes are also returned, as the plant's state blocks (A, B, C).
+    The draws come from a child stream of ``seed``, apart from the
+    default_rng(seed) stream of ``montecarlo_agreement``.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    out = []
+    while len(out) < count:
+        m = int(rng.integers(1, 4))
+        freqs = np.sort(rng.uniform(0.5, 20.0, int(rng.integers(1, 5))))
+        blocks = [_mechanical(p, 10.0 ** rng.uniform(*np.log10(zetas)),
+                              rng.normal(size=(m, int(rng.integers(1, m + 1)))))
+                  for p in freqs + 0.25 * np.arange(freqs.size)]
+        if rng.uniform() < 0.7:
+            blocks.append(_mechanical(0.0, 0.0, rng.normal(size=(m, int(rng.integers(1, m + 1))))))
+        ctrl = ns.random_sni_controller(rng, m).realization
+        plant = ns.StateSpaceModel(scipy.linalg.block_diag(*[b[0] for b in blocks]),
+                                   np.vstack([b[1] for b in blocks]),
+                                   np.hstack([b[2] for b in blocks]))
+        if _spectral(plant).minimal:
+            out.append((plant, ctrl, blocks))
+    return out
+
+
+def _near_defective_pair(zeta):
+    """1/(s^2 + 1) + 1/(s^2 + 2 zeta s + 1) in controllable canonical form: a
+    damped pole zeta off the axis pole at j, with nearly parallel eigenvectors."""
+    A = np.diag(np.ones(3), 1)
+    A[3] = -np.polymul([1.0, 0.0, 1.0], [1.0, 2.0 * zeta, 1.0])[:0:-1]
+    return ns.StateSpaceModel(A, [[0.0], [0.0], [0.0], [1.0]], [[2.0, 2.0 * zeta, 2.0, 0.0]])
+
+
+class TestRemainderSweep:
+    """Condition 2 on the remainder decides as the full sweep of the whole model."""
+
+    @staticmethod
+    def _full_sweep(model, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(niclass, "TRANSFORM_COND_LIMIT", 0.0)
+            return ns.classify_ni(model)
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        """(states, points) of every condition-2 sweep from here on."""
+        sweeps = []
+        sweep = niclass._sweep_min_eigs
+
+        def counted(rec, omegas):
+            sweeps.append((rec.n, omegas.size))
+            return sweep(rec, omegas)
+
+        monkeypatch.setattr(niclass, "_sweep_min_eigs", counted)
+        return sweeps
+
+    def test_damped_corpus_decides_as_full_sweep(self, monkeypatch):
+        # each plant, and its twin with the first mode's coefficient negated
+        # (refuted by condition 2 where that mode is damped, by condition 3
+        # where it sits within ztol of the axis), is NI or not on both
+        # routes; every decisive verdict agrees with the oracle
+        paths = {"origin split": 0, "rest split": 0, "whole": 0}
+        remainder = niclass._remainder
+
+        def counted(spec, poles):
+            rec, omegas = remainder(spec, poles)
+            key = ("whole" if rec is spec else
+                   "origin split" if rec.n == spec.origin_split.n0 else "rest split")
+            paths[key] += 1
+            return rec, omegas
+
+        monkeypatch.setattr(niclass, "_remainder", counted)
+        for zetas in DAMPED_ZETAS:
+            for plant, ctrl, blocks in _damped_draws(zetas, 6):
+                v = ns.stability_verdict(plant, ctrl, ns.VerdictOptions(run_oracle=True))
+                assert v.ni.is_ni, (zetas, v.ni.reasons)
+                assert v.outcome in (ns.Outcome.STABLE, ns.Outcome.UNSTABLE), v.reason
+                assert v.oracle_agrees is True, (zetas, v.outcome)
+                C = plant.C.copy()
+                r = blocks[0][1].shape[0] // 2
+                C[:, :r] *= -1.0
+                flipped = ns.StateSpaceModel(plant.A, plant.B, C)
+                if not _spectral(flipped).minimal:
+                    continue
+                assert not ns.classify_ni(flipped).is_ni, zetas
+                assert not self._full_sweep(flipped, monkeypatch).is_ni, zetas
+        assert min(paths.values()) > 0, paths
+
+    def test_transformed_plants_decide_as_full_sweep(self, monkeypatch):
+        models = _scrambled_modes() + [_conditioned(m, 1e3, seed)
+                                       for seed, m in enumerate(_ni_draws())]
+        got = [ns.classify_ni(m).is_ni for m in models]
+        assert got == [self._full_sweep(m, monkeypatch).is_ni for m in models]
+        assert got == [True, False, True, True, True]
+
+    def test_floor_bound_is_above_noise_floor(self, beam_params):
+        # as for whole models (TestSweepBounds); a remainder T = 0 with m = 1
+        # has bound = floor in exact arithmetic, hence the rounding allowance
+        noise = 200.0 * np.finfo(float).eps
+        models = _ni_plants(beam_params) + [p for zetas in DAMPED_ZETAS
+                                            for p, _c, _b in _damped_draws(zetas, 2)]
+        for model in models:
+            spec = _spectral(model)
+            poles = tuple(w for w, _ in niclass._axis_pole_clusters(spec.eigs, spec.ztol))
+            rec, omegas = niclass._remainder(spec, poles)
+            _, G = niclass._sweep_min_eigs(rec, omegas)
+            norm_f, norm = np.linalg.norm(G, axis=(1, 2)), np.linalg.svd(G, compute_uv=False)[:, 0]
+            bound = noise * niclass._cond2_bound(rec, omegas) * (1.0 + norm_f)
+            floor = noise * niclass._cond2(rec, omegas) * (1.0 + norm)
+            assert np.all(bound >= floor * (1.0 - 1e-14)), rec.n
+
+    def test_lossless_plant_sweeps_its_origin_block(self, monkeypatch):
+        # a ladder rung: 400 points on the 4 states of the origin split, with
+        # no split of its own
+        sweeps = self._count_sweeps(monkeypatch)
+        plant = ns.modal_to_ss(ladder_modal_models(1, (25,))[0])
+        assert ns.classify_ni(plant).is_ni
+        assert sweeps == [(4, niclass.SWEEP_POINTS)]
+
+    def test_ill_conditioned_remainder_takes_the_full_sweep(self, monkeypatch):
+        # the split of the damped pair from the axis pair beside it has a
+        # decoupling condition number near 1e6 for zeta = 1e-3, which the
+        # remainder serves, and near 1e10 for zeta = 1e-5: that model is swept
+        # whole on the bracketed grid, the full sweep of the reference route
+        sweeps = self._count_sweeps(monkeypatch)
+        for zeta, cond in ((1e-3, 1e6), (1e-5, 1e10)):
+            spec = _spectral(_near_defective_pair(zeta))
+            damped = np.flatnonzero(spec.eigs.real < -spec.ztol)
+            assert damped.size == 2 and spec.split(damped).cond == pytest.approx(cond, rel=0.1)
+        assert ns.classify_ni(_near_defective_pair(1e-3)).is_ni
+        assert sweeps == [(2, niclass.SWEEP_POINTS)]
+        sweeps.clear()
+        plant = _near_defective_pair(1e-5)
+        rep = ns.classify_ni(plant)
+        assert rep.is_ni and not rep.reasons
+        [(w0, *_rest)] = rep.cond3_residues
+        omegas = niclass._sweep_grid((w0,))
+        assert sweeps == [(4, omegas.size)] and omegas.size > niclass.SWEEP_POINTS
+        assert w0 == pytest.approx(1.0)
+        # the profile is j(G - G*) of the whole model on that grid
+        G = ns.freq_response(plant, 1j * omegas)
+        M = 1j * (G - G.conj().transpose(0, 2, 1))
+        want = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
+        assert rep.cond2_min_eig_by_freq == list(zip(omegas.tolist(), want.tolist()))
 
 
 def _sweep_grid_per_pole(axis_poles=()):
