@@ -408,12 +408,21 @@ def freq_response(model: StateSpaceModel, s) -> np.ndarray:
         If s_k I - T has an exactly zero pivot (s_k is an eigenvalue of A).
     """
     s = np.asarray(s, dtype=complex).ravel()
-    G = np.repeat(model.D.astype(complex)[None], s.size, axis=0)
     if model.n == 0 or s.size == 0:
-        return G
+        return np.repeat(model.D.astype(complex)[None], s.size, axis=0)
     T, Z = _spectral(model).schur
-    X = _schur_solve(T, s, Z.conj().T @ model.B)
-    G += np.tensordot(model.C @ Z, X, axes=(1, 0)).transpose(1, 0, 2)
+    return _schur_response(T, Z.conj().T @ model.B, model.C @ Z, model.D, s)
+
+
+def _schur_response(T: np.ndarray, Bt: np.ndarray, Ct: np.ndarray, D: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """Ct (s_k I - T)^-1 Bt + D at every point of ``s`` for upper triangular T,
+    shape (K, m, m): one :func:`_schur_solve` for all points.  For T the
+    Schur factor of A = Z T Z^H, Bt = Z^H B and Ct = C Z, this is G(s_k)."""
+    G = np.repeat(D.astype(complex)[None], s.size, axis=0)
+    if T.shape[0]:
+        X = _schur_solve(T, s, Bt)
+        G += np.tensordot(Ct, X, axes=(1, 0)).transpose(1, 0, 2)
     return G
 
 

@@ -17,22 +17,25 @@ prove the universally quantified statement.  The grid and the tolerances are
 module constants, not parameters.
 
 The NI test sweeps condition 2 on the remainder R(s) = C_r (sI - T_r)^-1 B_r
-+ D, not on G: the imaginary-axis poles are split off the Schur form, and
-T_r keeps the origin cluster and any damped or right-half-plane eigenvalue.
-For a lossless plant with free-body poles R is the origin split that
-condition 4 reads anyway.  An axis pair +-jw_i with residue K adds
++ D where it can, not on G: the imaginary-axis poles are split off the Schur
+form, and T_r keeps the origin cluster and any damped or right-half-plane
+eigenvalue.  For a lossless plant with free-body poles R is the origin split
+that condition 4 reads anyway.  An axis pair +-jw_i with residue K adds
 -K/(w - w_i) + K^T/(w + w_i) to G(jw), whose j(. - .*) is exactly 0 when K
-is Hermitian, and condition 3 checks that it is (where it is not, the model
-is not NI anyway).  R has no axis pole, so it is swept on the SWEEP_POINTS
-log-spaced points on [SWEEP_WMIN, SWEEP_WMAX] alone.  When the split is
-ill-conditioned (``SchurSplit.cond`` above ``ltimodel.TRANSFORM_COND_LIMIT``,
-or not finite), G itself is swept, on that grid plus BRACKET_POINTS beside
-each axis pole, none within POLE_GUARD of one (``_sweep_grid``); the SNI test,
-whose model has no axis pole, always sweeps G.  A sweep evaluates its model
-on the whole grid from one Schur triangle.  Both tests judge a point by one
-rule, :func:`_beyond_floor`: is a margin z above (1 + ||G||_2) max(c, 200 eps
-cond2(jwI - T)), T the swept triangle, the second term the noise floor of the
-resolvent solve?  NI fails where z = -min_eig is above it with c =
+is Hermitian.  So condition 3 is taken first, and the axis poles drop out
+only when every one is simple (or a semisimple cluster), its K Hermitian to
+COND2_RTOL, and its real part not above AXIS_GROWTH_RTOL kappa ||A||_2 (kappa
+its Wilkinson condition number), so not a growing mode.  R has no axis pole,
+so it is swept on the SWEEP_POINTS log-spaced points on [SWEEP_WMIN,
+SWEEP_WMAX] alone.  Otherwise, or when the split is ill-conditioned
+(``SchurSplit.cond`` above ``ltimodel.TRANSFORM_COND_LIMIT``, or not finite),
+G itself is swept, on that grid plus BRACKET_POINTS beside each axis pole,
+none within POLE_GUARD of one (``_sweep_grid``); the SNI test, whose model has
+no axis pole, always sweeps G.  A sweep evaluates its model on the whole grid
+from one Schur triangle (``ltimodel._schur_response``).  Both tests judge a
+point by one rule, :func:`_beyond_floor`: is a margin z above (1 + ||G||_2)
+max(c, 200 eps cond2(jwI - T)), T the swept triangle, the second term the
+noise floor of the resolvent solve?  NI fails where z = -min_eig is above it with c =
 COND2_RTOL, SNI where z = min_eig is not, with c = SNI_STRICT_FLOOR.  The
 exact ||G||_2 and cond2 (an n x n SVD) are taken only at the points that
 cheap bounds cannot decide, so the decisions are those of the exact values.
@@ -54,7 +57,6 @@ with the one tolerance ``_Spectral.ztol`` that ``freebody`` uses too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
 from .ltimodel import (
     TRANSFORM_COND_LIMIT,
     StateSpaceModel,
+    _schur_response,
     _schur_solve,
     _spectral,
     _Spectral,
@@ -95,6 +98,11 @@ SNI_STRICT_FLOOR = 1e-9
 
 #: accepted Hermitian defect of a residue, relative to its norm
 RESIDUE_HERM_RTOL = 1e-6
+
+#: an axis pole whose real part is above AXIS_GROWTH_RTOL kappa ||A||_2, ten
+#: times the rounding of a computed eigenvalue of Wilkinson condition number
+#: kappa, may be a growing mode: condition 2 is then swept on G with it
+AXIS_GROWTH_RTOL = 10.0 * np.finfo(float).eps
 
 
 #: condition 2 is swept on SWEEP_POINTS log-spaced frequencies in
@@ -202,82 +210,55 @@ def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.nd
     return [(float(np.mean(eigs.imag[c])), np.array(c)) for c in clusters]
 
 
-@dataclass(frozen=True)
-class _Remainder:
-    """R(s) = C (sI - T)^-1 B + D for an upper triangular T, read as the sweep reads a record.
+def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
+    """(T, Bt, Ct, ||T||_2, omegas): the model condition 2 is swept on,
+    Ct (sI - T)^-1 Bt + D for upper triangular T, and its grid.
 
-    It is the part of a record that a split leaves once the imaginary-axis
-    poles are taken out (:func:`_remainder`), in the Schur basis of the
-    split, so ``schur`` = (T, I) and ``norm2`` = ||T||_2.
-    """
-
-    T: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.T.shape[0]
-
-    @property
-    def schur(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.T, np.eye(self.n)
-
-    @cached_property
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.T, 2))
-
-
-def _remainder(spec: _Spectral, axis_poles: tuple[float, ...]):
-    """The model condition 2 is swept on, and its grid: the remainder R on
-    ``_BASE_GRID``, or the whole record on ``_sweep_grid(axis_poles)``.
-
-    R holds every eigenvalue of A that is not an imaginary-axis pole
-    (|Re| <= ztol < |Im|, on both signs of the axis, so R stays the transfer
-    matrix of a real system): the origin cluster and any damped or
-    right-half-plane eigenvalue.  When that is the origin cluster alone, R is
-    the record's origin split and no split is taken.  A model with no axis
-    pole, or whose split has a decoupling condition number above
-    TRANSFORM_COND_LIMIT (or not finite), is swept whole.
+    With ``drop``, where every axis pole drops out of j(G - G*) (see
+    :func:`classify_ni`), it is the remainder R on ``_BASE_GRID``.  R holds
+    every eigenvalue of A that is not an imaginary-axis pole (|Re| <= ztol <
+    |Im|, on both signs of the axis, so R stays the transfer matrix of a real
+    system): the origin cluster and any damped or right-half-plane
+    eigenvalue.  When that is the origin cluster alone, R is the record's
+    origin split and no split is taken.  Without ``drop``, for a model with
+    no axis pole, or where the split has a decoupling condition number above
+    TRANSFORM_COND_LIMIT (or not finite), it is the record's whole Schur form
+    (T, Z^H B, C Z) on ``_sweep_grid(axis_poles)``.
     """
     eigs = spec.eigs
     rest = (np.abs(eigs.real) > spec.ztol) | (np.abs(eigs.imag) <= spec.ztol)
-    if not rest.all():
+    if drop and not rest.all():
         # the origin cluster is part of the rest, so equal sizes mean equal sets
         split = (spec.origin_split if rest.sum() == spec.origin_split.n0
                  else spec.split(np.flatnonzero(rest)))
         if split.cond <= TRANSFORM_COND_LIMIT:
-            return _Remainder(split.T0, split.B0, split.C0, spec.D), _BASE_GRID
-    return spec, _sweep_grid(axis_poles)
+            norm2 = float(np.linalg.norm(split.T0, 2)) if split.n0 else 0.0
+            return split.T0, split.B0, split.C0, norm2, _BASE_GRID
+    T, Z = spec.schur
+    return T, Z.conj().T @ spec.B, spec.C @ Z, spec.norm2, _sweep_grid(axis_poles)
 
 
-def _sweep_min_eigs(rec, omegas: np.ndarray):
+def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray):
     """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
-    ``rec`` is a record or a :class:`_Remainder`: G = C Z (jwI - T)^-1 Z^H B
-    + D for its Schur form (T, Z), one :func:`ltimodel._schur_solve` over the
-    whole grid as in ``ltimodel.freq_response``, and the eigenvalues are
-    taken for all points at once.  ||G||_2 and cond2(jwI - T) are not taken
-    here: :func:`_beyond_floor` needs them only at the few points where their
+    G = Ct (jwI - T)^-1 Bt + D comes from one ``ltimodel._schur_response``
+    call over the whole grid, and the eigenvalues are taken for all points
+    at once.  ||G||_2 and cond2(jwI - T) are not taken here:
+    :func:`_beyond_floor` needs them only at the few points where their
     bounds cannot decide the test.
     """
-    G = np.repeat(rec.D.astype(complex)[None], omegas.size, axis=0)
-    if rec.n:
-        T, Z = rec.schur
-        X = _schur_solve(T, 1j * omegas, Z.conj().T @ rec.B)
-        G += np.tensordot(rec.C @ Z, X, axes=(1, 0)).transpose(1, 0, 2)
+    G = _schur_response(T, Bt, Ct, D, 1j * omegas)
     M = 1j * (G - G.conj().transpose(0, 2, 1))
     min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
     return min_eig, G
 
 
-def _cond2(rec, omegas: np.ndarray) -> np.ndarray:
-    """cond2(jwI - T) at ``omegas`` for the Schur triangle T of ``rec`` (for a
-    record, cond2(jwI - A)), from stacked n x n SVDs of FLOOR_CHUNK points each."""
+def _cond2(T: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """cond2(jwI - T) at ``omegas`` for a Schur triangle T (for the record's,
+    cond2(jwI - A)), from stacked n x n SVDs of FLOOR_CHUNK points each."""
     kappa = np.ones(omegas.size)
-    if rec.n:
-        T, eye = rec.schur[0], np.eye(rec.n)
+    if T.shape[0]:
+        eye = np.eye(T.shape[0])
         for k in range(0, omegas.size, FLOOR_CHUNK):
             jw = 1j * omegas[k:k + FLOOR_CHUNK, None, None]
             sv = np.linalg.svd(jw * eye - T, compute_uv=False)
@@ -285,54 +266,55 @@ def _cond2(rec, omegas: np.ndarray) -> np.ndarray:
     return kappa
 
 
-def _cond2_bound(rec, omegas: np.ndarray) -> np.ndarray:
-    """An upper bound on :func:`_cond2` from the Schur triangle T of ``rec``.
+def _cond2_bound(T: np.ndarray, norm2: float, omegas: np.ndarray) -> np.ndarray:
+    """An upper bound on :func:`_cond2` for the triangle T with ||T||_2 = ``norm2``.
 
-    cond2(jwI - T) <= (|w| + ||T||_2) ||(jwI - T)^-1||_F, with ||T||_2 the
-    ``norm2`` of ``rec``, and the inverse is one back substitution with an
-    identity right-hand side (``ltimodel._schur_solve``), for FLOOR_CHUNK
-    points at a time.
+    cond2(jwI - T) <= (|w| + ||T||_2) ||(jwI - T)^-1||_F, and the inverse is
+    one back substitution with an identity right-hand side
+    (``ltimodel._schur_solve``), for FLOOR_CHUNK points at a time.
     """
     kappa = np.ones(omegas.size)
-    if rec.n:
-        T, eye = rec.schur[0], np.eye(rec.n)
+    if T.shape[0]:
+        eye = np.eye(T.shape[0])
         for k in range(0, omegas.size, FLOOR_CHUNK):
             w = omegas[k:k + FLOOR_CHUNK]
             inv = _schur_solve(T, 1j * w, eye)
-            kappa[k:k + FLOOR_CHUNK] = (w + rec.norm2) * np.linalg.norm(inv, axis=(0, 2))
+            kappa[k:k + FLOOR_CHUNK] = (w + norm2) * np.linalg.norm(inv, axis=(0, 2))
     return kappa
 
 
-def _beyond_floor(rec, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
+def _beyond_floor(T: np.ndarray, norm2: float, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
     """z > (1 + ||G||_2) max(c, 200 eps cond2(jwI - T)) at every sweep point.
 
-    T is the Schur triangle of ``rec``, the record or the remainder the
-    sweep evaluated G on.  The noise floor 200 eps cond2(jwI - T) bounds the
-    forward error of the resolvent solve: near a pole of an ill-conditioned
-    realization the asymmetric part of the evaluated G is dominated by that
-    noise, so only a margin above it is evidence.  A point with z <= c is
-    decided at once, as the right side is at least c; one with z
-    FLOOR_CLEARANCE times above the right side taken with ||G||_F >= ||G||_2
-    and :func:`_cond2_bound` is beyond it.  Every other point takes
-    ||G||_2, and the exact :func:`_cond2` where z still exceeds c (1 + ||G||_2).
+    T is the Schur triangle the sweep evaluated G on, the record's or the
+    remainder's, and ``norm2`` its 2-norm.  The noise floor 200 eps
+    cond2(jwI - T) bounds the forward error of the resolvent solve: near a
+    pole of an ill-conditioned realization the asymmetric part of the
+    evaluated G is dominated by that noise, so only a margin above it is
+    evidence.  A point with z <= c is decided at once, as the right side is
+    at least c; one with z FLOOR_CLEARANCE times above the right side taken
+    with ||G||_F >= ||G||_2 and :func:`_cond2_bound` is beyond it.  Every
+    other point takes ||G||_2, and the exact :func:`_cond2` where z still
+    exceeds c (1 + ||G||_2).
     """
     beyond = np.zeros(z.size, dtype=bool)
     idx = np.flatnonzero(z > c)
     noise = 200.0 * np.finfo(float).eps
     bound = (1.0 + np.linalg.norm(G[idx], axis=(1, 2))) * np.maximum(
-        c, noise * _cond2_bound(rec, omegas[idx]))
+        c, noise * _cond2_bound(T, norm2, omegas[idx]))
     clear = z[idx] > FLOOR_CLEARANCE * bound
     beyond[idx[clear]] = True
     idx = idx[~clear]
     norm = np.linalg.svd(G[idx], compute_uv=False)[:, 0]
     above = z[idx] > c * (1.0 + norm)
     idx, norm = idx[above], norm[above]
-    beyond[idx] = z[idx] > noise * _cond2(rec, omegas[idx]) * (1.0 + norm)
+    beyond[idx] = z[idx] > noise * _cond2(T, omegas[idx]) * (1.0 + norm)
     return beyond
 
 
-def _simple_residues(spec: _Spectral, idx: np.ndarray) -> np.ndarray:
-    """K = j (C Z x)(u Z^H B) at each simple eigenvalue t_ii, i in ``idx``, of A = Z T Z^H.
+def _simple_residues(spec: _Spectral, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = j (C Z x)(u Z^H B) at each simple eigenvalue t_ii, i in ``idx``, of A = Z T Z^H,
+    and the eigenvalue's Wilkinson condition number ||x||_2 ||u||_2.
 
     x and u are T's right and left eigenvectors with x_i = u_i = 1, x zero below row i and u left
     of it, so u x = 1 and Z x u Z^H is the spectral projector, with no reorder or Sylvester solve.
@@ -346,17 +328,23 @@ def _simple_residues(spec: _Spectral, idx: np.ndarray) -> np.ndarray:
         for k in range(i.max(initial=0) - 1, -1, -1):
             X[k, starts[k]:] = M[k, k + 1:] @ X[k + 1:, starts[k]:] / (lam[starts[k]:] - M[k, k])
         vecs.append(X)
-    CX, UB = spec.C @ Z @ vecs[0], vecs[1][::-1, ::-1].conj().T @ (Z.conj().T @ spec.B)
-    return 1j * np.einsum("ik,kj->kij", CX, UB)[np.argsort(order)]
+    U = vecs[1][::-1, ::-1]
+    CX, UB = spec.C @ Z @ vecs[0], U.conj().T @ (Z.conj().T @ spec.B)
+    kappa = np.linalg.norm(vecs[0], axis=0) * np.linalg.norm(U, axis=0)
+    back = np.argsort(order)
+    return 1j * np.einsum("ik,kj->kij", CX, UB)[back], kappa[back]
 
 
-def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndarray:
-    """K = j C P B, P the spectral projector of the eigenvalues diag(T)[idx] near jw0.
+def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> tuple[np.ndarray, float]:
+    """K = j C P B, P the spectral projector of the eigenvalues diag(T)[idx] near jw0,
+    and a bound on the cluster's condition number ||P||_2.
 
     The cluster is split off the one Schur form A = Z T Z^H by
     ``_Spectral.split`` (ztrsen, then ztrsyl), so K = j C0 B0, the cluster's
     decoupled output and input maps: O(n^2 m) work beside the shared O(n^3)
-    Schur form.  Taken for two or more eigenvalues; the check of :func:`_simple_residues` on one.
+    Schur form.  ||P||_2 = (1 + ||X||_2^2)^1/2 for the coupling X is at most
+    ||[[I, X], [0, I]]||_2 = ``SchurSplit.cond`` ^ 1/2, the bound returned.
+    Taken for two or more eigenvalues; the check of :func:`_simple_residues` on one.
 
     Raises
     ------
@@ -371,7 +359,7 @@ def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> np.ndar
     if defect > 1e-6 * max(1.0, spec.norm2):
         raise NotSimplePoleError(
             f"pole at j*{omega0} is defective (Jordan structure of size >= 2)")
-    return 1j * split.C0 @ split.B0
+    return 1j * split.C0 @ split.B0, float(np.sqrt(split.cond))
 
 
 def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
@@ -400,24 +388,32 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     if not idx.size:
         raise NotAPoleError(f"no pole within {radius:.2e} of j*{omega0}; nearest at "
                             f"distance {dist.min(initial=np.inf):.2e}")
-    return _simple_residues(spec, idx)[0] if idx.size == 1 else _cluster_residue(spec, idx, omega0)
+    if idx.size == 1:
+        return _simple_residues(spec, idx)[0][0]
+    return _cluster_residue(spec, idx, omega0)[0]
 
 
 def classify_ni(model: StateSpaceModel) -> NiReport:
     """Test the four NI conditions for a minimal state-space model.
 
     Condition 2 is swept on the remainder R of :func:`_remainder`, the model
-    without its imaginary-axis poles, and ``cond2_min_eig_by_freq`` is R's
-    profile.  Leaving out an axis pole with Hermitian residue K changes
-    j(G - G*) by exactly 0.  An eigenvalue -eps + jw_i with 0 < eps <= ztol,
-    a damped pole taken as an axis pole, drops the term 2 eps K / ((w - w_i)^2
-    + eps^2) (and its mirror at -jw_i), which is PSD where K is, as condition
-    3 requires: for such poles the test on R is sufficient, never
-    optimistic.  An eigenvalue eps + jw_i with 0 < eps <= ztol is an axis pole to conditions
-    1 and 3 as well; the term dropped for it, -2 eps K / ((w - w_i)^2 +
-    eps^2), is NSD, and no condition looks at it: ztol is the resolution at
-    which a pole counts as on the axis.  When the split is ill-conditioned,
-    G itself is swept, on the grid with brackets beside each axis pole.
+    without its imaginary-axis poles, where every axis pole drops out of
+    j(G - G*); ``cond2_min_eig_by_freq`` is then R's profile.  An axis pole
+    drops out when condition 3 finds it simple (or a semisimple cluster) with
+    a residue K Hermitian to COND2_RTOL ||K||_F, and its real part is at
+    most AXIS_GROWTH_RTOL kappa ||A||_2, ten times the rounding of the
+    computed eigenvalue (kappa its Wilkinson condition number, or the
+    cluster's ||P||_2).  Leaving out an axis pole with Hermitian residue K
+    changes j(G - G*) by exactly 0.  An eigenvalue -eps + jw_i with 0 < eps
+    <= ztol, a damped pole taken as an axis pole, drops the term 2 eps K /
+    ((w - w_i)^2 + eps^2) (and its mirror at -jw_i), which is PSD where K
+    is, as condition 3 requires: so the test on R is sufficient, never
+    optimistic.  A growing mode eps + jw_i would drop the NSD term -2 eps K /
+    ((w - w_i)^2 + eps^2); the bound on the real part keeps every eps that
+    the full sweep's brackets can see (about 100 kappa eps ||A||_2 and up,
+    where the near-pole noise floor stops hiding it) in that sweep.  When an
+    axis pole does not drop out, or the split is ill-conditioned, G itself is
+    swept, on the grid with brackets beside each axis pole.
 
     Raises
     ------
@@ -440,46 +436,56 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
 
     clusters = _axis_pole_clusters(eigs, atol)
 
-    # condition 2: frequency sweep of the remainder (or of the whole model);
-    # a point violates it where -min_eig is beyond both floors
-    rec, omegas = _remainder(spec, tuple(w for w, _ in clusters))
-    min_eig, G = _sweep_min_eigs(rec, omegas)
+    # condition 3 (taken first: it decides condition 2's route): simple
+    # (semisimple-cluster) PSD residues at axis poles; margins stacked
+    one = zip(*_simple_residues(spec, np.array([i[0] for _, i in clusters if i.size == 1], int)))
+    Ks, kappas, defective = [], [], {}
+    for w0, idx in clusters:
+        try:
+            K, kappa = next(one) if idx.size == 1 else _cluster_residue(spec, idx, w0)
+        except NotSimplePoleError as exc:
+            K, kappa = np.zeros((spec.m, spec.m)), np.inf
+            defective[w0] = str(exc)
+        Ks.append(K)
+        kappas.append(kappa)
+    stack = np.array(Ks).reshape(-1, spec.m, spec.m)
+    Kh = stack.conj().transpose(0, 2, 1)
+    margins = list(zip(np.linalg.norm(stack - Kh, axis=(1, 2)).tolist(),
+                       np.linalg.eigvalsh(0.5 * (stack + Kh))[:, 0].tolist(),
+                       np.linalg.norm(stack, axis=(1, 2)).tolist()))
+    residues, reasons3 = [], []
+    ok3 = not defective
+    for (w0, _idx), K, (herm_defect, min_eig, scale) in zip(clusters, Ks, margins):
+        if w0 in defective:
+            residues.append((w0, None, None, None, False))
+            reasons3.append(defective[w0])
+            continue
+        residues.append((w0, K, min_eig, herm_defect, True))
+        if not herm_defect <= RESIDUE_HERM_RTOL * scale:
+            ok3 = False
+            reasons3.append(f"residue at j*{w0:.6g} has Hermitian defect {herm_defect:.3e}")
+        if not min_eig >= -COND2_RTOL * (1.0 + scale):
+            ok3 = False
+            reasons3.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
+
+    # condition 2: frequency sweep of the remainder, where every axis pole
+    # drops out of j(G - G*), else of the whole model; a point violates it
+    # where -min_eig is beyond both floors
+    growth = AXIS_GROWTH_RTOL * spec.norm2
+    drop = not defective and all(
+        herm_defect <= COND2_RTOL * scale and eigs.real[idx].max() <= growth * kappa
+        for (_w0, idx), kappa, (herm_defect, _, scale) in zip(clusters, kappas, margins))
+    T, Bt, Ct, norm2, omegas = _remainder(spec, tuple(w for w, _ in clusters), drop)
+    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    viol = [cond2[k] for k in np.flatnonzero(_beyond_floor(rec, omegas, -min_eig, G, COND2_RTOL))]
+    beyond = _beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL)
+    viol = [cond2[k] for k in np.flatnonzero(beyond)]
     worst = min(cond2, key=lambda t: t[1]) if cond2 else None
     ok2 = not viol
     if not ok2:
         w, me = min(viol, key=lambda t: t[1])
         reasons.append(f"j(G - G*) has eigenvalue {me:.3e} at omega = {w:.6g}")
-
-    # condition 3: simple (semisimple-cluster) PSD residues at axis poles; margins stacked
-    one = iter(_simple_residues(spec, np.array([i[0] for _, i in clusters if i.size == 1], int)))
-    Ks, defective = [], {}
-    for w0, idx in clusters:
-        try:
-            Ks.append(next(one) if idx.size == 1 else _cluster_residue(spec, idx, w0))
-        except NotSimplePoleError as exc:
-            Ks.append(np.zeros((spec.m, spec.m)))
-            defective[w0] = str(exc)
-    stack = np.array(Ks).reshape(-1, spec.m, spec.m)
-    Kh = stack.conj().transpose(0, 2, 1)
-    margins = zip(np.linalg.norm(stack - Kh, axis=(1, 2)).tolist(),
-                  np.linalg.eigvalsh(0.5 * (stack + Kh))[:, 0].tolist(),
-                  np.linalg.norm(stack, axis=(1, 2)).tolist())
-    residues = []
-    ok3 = not defective
-    for (w0, _idx), K, (herm_defect, min_eig, scale) in zip(clusters, Ks, margins):
-        if w0 in defective:
-            residues.append((w0, None, None, None, False))
-            reasons.append(defective[w0])
-            continue
-        residues.append((w0, K, min_eig, herm_defect, True))
-        if not herm_defect <= RESIDUE_HERM_RTOL * scale:
-            ok3 = False
-            reasons.append(f"residue at j*{w0:.6g} has Hermitian defect {herm_defect:.3e}")
-        if not min_eig >= -COND2_RTOL * (1.0 + scale):
-            ok3 = False
-            reasons.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
+    reasons += reasons3
 
     # condition 4: origin pole of order at most two with PSD s^2 G limit,
     # both read off the record's origin split: A restricted to its origin
@@ -537,10 +543,11 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
     if ok1:
         # a point fails where min_eig is not beyond the strict floor and the noise floor
         omegas = _sweep_grid()
-        min_eig, G = _sweep_min_eigs(spec, omegas)
+        T, Z = spec.schur
+        min_eig, G = _sweep_min_eigs(T, Z.conj().T @ spec.B, spec.C @ Z, spec.D, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-        passes = _beyond_floor(spec, omegas, min_eig, G, SNI_STRICT_FLOOR)
+        passes = _beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR)
         bad = [cond2[k] for k in np.flatnonzero(~passes)]
         ok2 = not bad
         if not ok2:

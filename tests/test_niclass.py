@@ -140,21 +140,30 @@ class TestClassifyNi:
         np.testing.assert_array_equal(ns.classify_ni(arm_plant).cond4_G2,
                                       ns.laurent_coefficients(arm_plant).G2)
 
-    def test_sweep_noise_under_floor_is_not_a_violation(self):
+    def test_sweep_noise_under_floor_is_not_a_violation(self, monkeypatch):
         # a lossless plant has j(G - G*) = 0 off its poles; in a realization
-        # with cond(T) = 1e4 the evaluated G fell below -COND2_RTOL (1 + ||G||)
-        # beside the poles.  Condition 2 is decided on the remainder, which
-        # for these plants holds no axis pole, so no point falls below it.
-        # The lossy plant adds -0.1/(s + 1), a genuine violation of condition
-        # 2 whose exact worst value is -0.1 at w = 1
+        # with cond(T) = 1e4 the evaluated G falls below -COND2_RTOL (1 + ||G||)
+        # beside the poles, and only the near-pole noise floor keeps the full
+        # sweep of G (forced by a split condition limit of 0) from calling that
+        # a violation.  Condition 2 is decided on the remainder, which for
+        # these plants holds no axis pole, so no point falls below it.  The
+        # lossy plant adds -0.1/(s + 1), a genuine violation of condition 2
+        # whose exact worst value is -0.1 at w = 1
         from nistab.niclass import COND2_RTOL
 
+        def under(model, rep):
+            return min(me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(model, 1j * w), 2))
+                       for w, me in rep.cond2_min_eig_by_freq)
+
         lossless, lossy = _scrambled_modes()
+        with monkeypatch.context() as mp:
+            mp.setattr(niclass, "TRANSFORM_COND_LIMIT", 0.0)
+            rep = ns.classify_ni(lossless)
+        assert rep.is_ni, rep.reasons
+        assert under(lossless, rep) < 0.0
         rep = ns.classify_ni(lossless)
         assert rep.is_ni, rep.reasons
-        under = [me + COND2_RTOL * (1.0 + np.linalg.norm(ns.eval_tf(lossless, 1j * w), 2))
-                 for w, me in rep.cond2_min_eig_by_freq]
-        assert min(under) >= 0.0
+        assert under(lossless, rep) >= 0.0
         rep = ns.classify_ni(lossy)
         assert not rep.is_ni
         assert rep.reasons == ["j(G - G*) has eigenvalue -1.000e-01 at omega = 1"]
@@ -286,10 +295,11 @@ class TestSweepBounds:
         for model, poles in sweeps:
             spec = _spectral(model)
             omegas = niclass._sweep_grid(poles)
-            _, G = niclass._sweep_min_eigs(spec, omegas)
+            T, Z = spec.schur
+            _, G = niclass._sweep_min_eigs(T, Z.conj().T @ spec.B, spec.C @ Z, spec.D, omegas)
             norm_f, norm = np.linalg.norm(G, axis=(1, 2)), np.linalg.svd(G, compute_uv=False)[:, 0]
-            bound = noise * niclass._cond2_bound(spec, omegas) * (1.0 + norm_f)
-            floor = noise * niclass._cond2(spec, omegas) * (1.0 + norm)
+            bound = noise * niclass._cond2_bound(T, spec.norm2, omegas) * (1.0 + norm_f)
+            floor = noise * niclass._cond2(T, omegas) * (1.0 + norm)
             assert np.all(bound >= floor), model.n
 
     def test_hurwitz_controller_that_is_not_sni(self):
@@ -305,15 +315,15 @@ class TestSweepBounds:
         exact_floor = niclass._cond2
         exact_points = []
 
-        def spy(model, omegas):
+        def spy(T, omegas):
             exact_points.append(omegas.size)
-            return exact_floor(model, omegas)
+            return exact_floor(T, omegas)
 
         monkeypatch.setattr(niclass, "_cond2", spy)
         got = [ns.classify_sni(m).to_dict() for m in models]
         assert sum(exact_points[:3]) > 0 and exact_points[3] == 0
         monkeypatch.setattr(niclass, "_cond2_bound",
-                            lambda spec, omegas: np.full(omegas.size, np.inf))
+                            lambda T, norm2, omegas: np.full(omegas.size, np.inf))
         assert got == [ns.classify_sni(m).to_dict() for m in models]
 
     def test_ni_bound_decides_as_exact_route(self, beam_params, monkeypatch):
@@ -321,7 +331,7 @@ class TestSweepBounds:
                                             for seed, m in enumerate(_ni_draws())]
         got = [ns.classify_ni(m).to_dict() for m in models]
         monkeypatch.setattr(niclass, "_cond2_bound",
-                            lambda spec, omegas: np.full(omegas.size, np.inf))
+                            lambda T, norm2, omegas: np.full(omegas.size, np.inf))
         assert got == [ns.classify_ni(m).to_dict() for m in models]
         assert sum(not d["is_ni"] for d in got) == 1
 
@@ -331,7 +341,7 @@ class TestSweepBounds:
         # unchanged (the points that reach it are the noise beside the poles)
         lossy = _scrambled_modes()[1]
         want = ns.classify_ni(lossy).to_dict()
-        monkeypatch.setattr(niclass, "_cond2", lambda model, omegas: np.full(omegas.size, np.inf))
+        monkeypatch.setattr(niclass, "_cond2", lambda T, omegas: np.full(omegas.size, np.inf))
         assert ns.classify_ni(lossy).to_dict() == want
         assert not want["is_ni"] and "j(G - G*) has eigenvalue" in want["reasons"][0]
 
@@ -400,9 +410,9 @@ class TestRemainderSweep:
         sweeps = []
         sweep = niclass._sweep_min_eigs
 
-        def counted(rec, omegas):
-            sweeps.append((rec.n, omegas.size))
-            return sweep(rec, omegas)
+        def counted(T, Bt, Ct, D, omegas):
+            sweeps.append((T.shape[0], omegas.size))
+            return sweep(T, Bt, Ct, D, omegas)
 
         monkeypatch.setattr(niclass, "_sweep_min_eigs", counted)
         return sweeps
@@ -415,12 +425,12 @@ class TestRemainderSweep:
         paths = {"origin split": 0, "rest split": 0, "whole": 0}
         remainder = niclass._remainder
 
-        def counted(spec, poles):
-            rec, omegas = remainder(spec, poles)
-            key = ("whole" if rec is spec else
-                   "origin split" if rec.n == spec.origin_split.n0 else "rest split")
+        def counted(spec, poles, drop):
+            got = remainder(spec, poles, drop)
+            key = ("whole" if got[0] is spec.schur[0] else
+                   "origin split" if got[0].shape[0] == spec.origin_split.n0 else "rest split")
             paths[key] += 1
-            return rec, omegas
+            return got
 
         monkeypatch.setattr(niclass, "_remainder", counted)
         for zetas in DAMPED_ZETAS:
@@ -455,12 +465,12 @@ class TestRemainderSweep:
         for model in models:
             spec = _spectral(model)
             poles = tuple(w for w, _ in niclass._axis_pole_clusters(spec.eigs, spec.ztol))
-            rec, omegas = niclass._remainder(spec, poles)
-            _, G = niclass._sweep_min_eigs(rec, omegas)
+            T, Bt, Ct, norm2, omegas = niclass._remainder(spec, poles, True)
+            _, G = niclass._sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
             norm_f, norm = np.linalg.norm(G, axis=(1, 2)), np.linalg.svd(G, compute_uv=False)[:, 0]
-            bound = noise * niclass._cond2_bound(rec, omegas) * (1.0 + norm_f)
-            floor = noise * niclass._cond2(rec, omegas) * (1.0 + norm)
-            assert np.all(bound >= floor * (1.0 - 1e-14)), rec.n
+            bound = noise * niclass._cond2_bound(T, norm2, omegas) * (1.0 + norm_f)
+            floor = noise * niclass._cond2(T, omegas) * (1.0 + norm)
+            assert np.all(bound >= floor * (1.0 - 1e-14)), T.shape[0]
 
     def test_lossless_plant_sweeps_its_origin_block(self, monkeypatch):
         # a ladder rung: 400 points on the 4 states of the origin split, with
@@ -495,6 +505,54 @@ class TestRemainderSweep:
         M = 1j * (G - G.conj().transpose(0, 2, 1))
         want = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
         assert rep.cond2_min_eig_by_freq == list(zip(omegas.tolist(), want.tolist()))
+
+    @pytest.mark.parametrize("eps, worst", [(1e-8, "-2.500e-01"), (2e-8, "-5.000e-01"),
+                                            (5e-8, "-1.250e+00")])
+    def test_growing_axis_mode_takes_the_full_sweep(self, eps, worst, monkeypatch):
+        # 1/(s^2 - 2 eps s + 1): the poles eps +- j(1 - eps^2)^1/2 lie within
+        # ztol of the axis, so conditions 1 and 3 take them as axis poles.  A
+        # growing mode would drop an NSD term from j(G - G*); its real part is
+        # far above the rounding of a computed eigenvalue, so G is swept whole
+        # and its brackets refute condition 2
+        sweeps = self._count_sweeps(monkeypatch)
+        plant = ns.StateSpaceModel([[0.0, 1.0], [-1.0, 2.0 * eps]], [[0.0], [1.0]], [[1.0, 0.0]])
+        rep = ns.classify_ni(plant)
+        assert not rep.is_ni
+        assert rep.reasons == [f"j(G - G*) has eigenvalue {worst} at omega = 1.0002"]
+        assert sweeps == [(2, niclass._sweep_grid((1.0,)).size)]
+        assert rep.to_dict() == self._full_sweep(plant, monkeypatch).to_dict()
+
+    def test_non_hermitian_residue_takes_the_full_sweep(self, monkeypatch):
+        # M/(s^2 + 1) with M[0, 1] raised by 5e-7: the residue K = M/2 has a
+        # Hermitian defect of 2.2e-7 ||K||_F, which condition 3 accepts, but
+        # its skew part does not drop out of j(G - G*), and beside the pole
+        # it is beyond the condition-2 floor.  Above COND2_RTOL ||K||_F the
+        # model is swept whole, and the brackets refute it
+        sweeps = self._count_sweeps(monkeypatch)
+        M = np.array([[2.0, 1.0 + 5e-7], [1.0, 2.0]])
+        plant = ns.StateSpaceModel(
+            np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]),
+            np.vstack([np.zeros((2, 2)), np.eye(2)]), np.hstack([M, np.zeros((2, 2))]))
+        rep = ns.classify_ni(plant)
+        assert not rep.is_ni
+        assert rep.reasons == ["j(G - G*) has eigenvalue -1.250e-03 at omega = 0.9998"]
+        [(w0, K, _min_eig, herm_defect, _ok)] = rep.cond3_residues
+        assert herm_defect == pytest.approx(2.2e-7 * np.linalg.norm(K), rel=0.1)
+        assert sweeps == [(4, niclass._sweep_grid((w0,)).size)]
+        assert rep.to_dict() == self._full_sweep(plant, monkeypatch).to_dict()
+
+    def test_defective_axis_pole_takes_the_full_sweep(self, monkeypatch):
+        # 1/(s^2 + 1)^2: a double pole at j has no residue, so nothing tells
+        # that it drops out of j(G - G*), and G is swept whole
+        sweeps = self._count_sweeps(monkeypatch)
+        A = np.diag(np.ones(3), 1)
+        A[3, 0], A[3, 2] = -1.0, -2.0
+        plant = ns.StateSpaceModel(A, [[0.0], [0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0, 0.0]])
+        rep = ns.classify_ni(plant)
+        assert not rep.is_ni
+        [(w0, *_rest)] = rep.cond3_residues
+        assert sweeps == [(4, niclass._sweep_grid((w0,)).size)]
+        assert rep.to_dict() == self._full_sweep(plant, monkeypatch).to_dict()
 
 
 def _sweep_grid_per_pole(axis_poles=()):
@@ -651,12 +709,33 @@ class TestSimpleResidues:
             spec = _spectral(model)
             simple = [(w0, idx) for w0, idx in niclass._axis_pole_clusters(spec.eigs, spec.ztol)
                       if idx.size == 1]
-            got = niclass._simple_residues(spec, np.array([idx[0] for _w, idx in simple], int))
+            first = np.array([idx[0] for _w, idx in simple], int)
+            got, _kappa = niclass._simple_residues(spec, first)
             for K, (w0, idx) in zip(got, simple, strict=True):
-                ref = niclass._cluster_residue(spec, idx, w0)
+                ref, _kappa = niclass._cluster_residue(spec, idx, w0)
                 assert np.linalg.norm(K - ref) <= 1e-8 * np.linalg.norm(ref), (model.n, w0)
             checked += len(simple)
         assert checked > 1000
+
+    def test_condition_numbers_are_wilkinsons(self, beam_params):
+        # ||x||_2 ||u||_2 with u x = 1 is 1/|v^H w| for the unit right and
+        # left eigenvectors w, v of A; the cluster bound is at least 1
+        models = ([ns.modal_to_ss(ns.finite_dim_approx(beam_params, 5))]
+                  + [_conditioned(m, 1e3, seed) for seed, m in enumerate(_ni_draws())])
+        for model in models:
+            spec = _spectral(model)
+            clusters = niclass._axis_pole_clusters(spec.eigs, spec.ztol)
+            idx = np.array([i[0] for _w, i in clusters if i.size == 1], int)
+            _, kappa = niclass._simple_residues(spec, idx)
+            lam, vl, vr = scipy.linalg.eig(model.A, left=True, right=True)
+            near = np.abs(lam[None, :] - spec.eigs[idx, None]).argmin(axis=1)
+            ref = 1.0 / np.abs(np.sum(vl[:, near].conj() * vr[:, near], axis=0))
+            np.testing.assert_allclose(kappa, ref, rtol=1e-6)
+            for w0, i in clusters:
+                if i.size > 1:
+                    assert niclass._cluster_residue(spec, i, w0)[1] >= 1.0
+        assert any(i.size > 1 for m in models
+                   for _w, i in niclass._axis_pole_clusters(_spectral(m).eigs, _spectral(m).ztol))
 
     def test_origin_split_is_the_only_split(self, beam_params, monkeypatch):
         calls = []
