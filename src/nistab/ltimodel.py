@@ -14,7 +14,7 @@ realization.
 from __future__ import annotations
 
 import json
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -277,9 +277,8 @@ class _Spectral(StateSpaceModel):
     @cached_property
     def eigs(self) -> np.ndarray:
         """Eigenvalues of A, the diagonal of T: the one eigenvalue source of the
-        NI tests and the Laurent routes.  The PBH test shifts by the exact
-        conjugate pairs of a real eigensolver instead (:func:`_pbh_shifts`),
-        but triangularizes on this Schur form (:func:`_pbh_bound`)."""
+        NI tests and the Laurent routes.  The PBH test finds its shifts with a
+        real eigensolver (:func:`_pbh_shifts`), then tests on this Schur form."""
         return np.diag(self.schur[0])
 
     @cached_property
@@ -330,6 +329,20 @@ class _Spectral(StateSpaceModel):
         ``freebody.to_block_diagonal`` the Laurent data about s = 0.
         """
         return self.split(np.flatnonzero(np.abs(self.eigs) <= self.ztol))
+
+    @cached_property
+    def pbh_shifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lams, idx): the :func:`_pbh_shifts` with other than one t_ii in their
+        cluster radius, and the one i of every other shift, each i once."""
+        lams = _pbh_shifts(self)
+        dist = np.abs(self.eigs[None, :] - lams[:, None])
+        simple = (dist <= PBH_CLUSTER_RTOL * max(1.0, self.norm2)).sum(axis=1) == 1
+        return lams[~simple], np.unique(np.argmin(dist[simple], axis=1))
+
+    @cached_property
+    def eigvecs(self) -> _Eigvecs:
+        """:func:`_eigvecs` at the simple PBH shifts, for the PBH bound and the residues."""
+        return _eigvecs(self, self.pbh_shifts[1])
 
     @cached_property
     def pbh_bound(self) -> float:
@@ -468,25 +481,23 @@ def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
 
 def _pbh_shifts(spec: _Spectral) -> np.ndarray:
     """The eigenvalues the PBH test is taken at, one of each conjugate pair,
-    and one shift at the mean of each cluster.
+    and one shift at the mean of each cluster, each distinct value once.
 
     A, B, C are real, so the test matrices at conj(lambda) are the complex
     conjugates of those at lambda and have the same singular values.  The
     eigenvalues come from a real eigensolver, not from a complex Schur
-    diagonal, so that each conjugate pair is exact and tested once.  A
+    diagonal, so that a conjugate pair, or the copies of a multiple
+    eigenvalue (a rank-r modal coefficient), are exact and tested once.  A
     defective eigenvalue with a Jordan block of size k comes back as a
     cluster about eps^1/k ||A|| wide, and the test at each computed member
     can clear the cutoff by 1e6 though a mode is lost; the mean of the
     cluster, the distinct eigenvalues linked pairwise within
     PBH_CLUSTER_RTOL max(1, ||A||_2), is within rounding of the exact
-    eigenvalue.  That radius spans the spread of a pair and of a triple.
-    (Equal eigenvalues count once: the test at their value is taken
-    already.)  A cluster that meets the real axis is its own conjugate, and
-    its mean is real.
+    eigenvalue.  That radius spans the spread of a pair and of a triple.  A
+    cluster that meets the real axis is its own conjugate, and its mean is real.
     """
-    eigs = np.linalg.eigvals(spec.A)
+    eigs = np.unique(np.linalg.eigvals(spec.A))
     shifts = [eigs[eigs.imag >= 0.0]]
-    eigs = np.unique(eigs)
     near = np.abs(eigs[:, None] - eigs[None, :]) <= PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
     linked = np.flatnonzero(near.sum(axis=1) > 1)
     if linked.size:
@@ -504,7 +515,8 @@ def _pbh_shifts(spec: _Spectral) -> np.ndarray:
             if members.imag.max() >= 0.0:
                 mean = members.mean()
                 shifts.append([mean.real if members.imag.min() <= 0.0 else mean])
-    return np.concatenate(shifts)
+    # the mean of two eigenvalues an ulp apart is one of them
+    return np.unique(np.concatenate(shifts))
 
 
 def minimality_margin(model: StateSpaceModel) -> float:
@@ -539,56 +551,62 @@ PBH_CLEARANCE = 100.0
 
 
 def _inv_norm_bound(R: np.ndarray) -> float:
-    """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 >= ||R^-1||_2: see :func:`_pbh_bound`."""
+    """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 >= ||R^-1||_2 for R's comparison matrix M."""
     M = -np.abs(R)
     M.ravel(order="K")[:: R.shape[0] + 1] *= -1.0
-    return _comparison_bound(M)
-
-
-def _comparison_bound(M: np.ndarray) -> float:
-    """(||M^-1 e||_inf ||M^-T e||_inf)^1/2 for a real upper triangular comparison matrix M."""
     e = np.ones(M.shape[0])
     return np.sqrt(blas.dtrsv(M, e).max() * blas.dtrsv(M, e, trans=1).max())
 
 
-def _deflated_bounds(spec: _Spectral, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Lower bounds on sigma_min [A - lambda I; C] (row 0) and [A - lambda I, B] (row 1) at
-    each shift with exactly one t_ii within the cluster radius; NaN at the others.
+#: T's eigenvectors at the t_ii, i in ``idx``, and what they give (:func:`_eigvecs`)
+_Eigvecs = namedtuple("_Eigvecs", "idx X U CX UB res head kappa beta")
 
-    With M = T - lambda I, x solves M[:i, :i] x[:i] = -M[:i, i] (x_i = 1, zero below) and
-    E = I + (x - e_i) e_i^T, ||E||_2 = (s + (s^2 + 4)^1/2) / 2 for s = ||x[:i]||.  Row i of M E
-    dropped from [M E; C Z E] and the rows C Z E replaced by the one w^H C Z E, w = C Z x / gamma,
-    gamma = ||C Z x||, leave [[M~, rho], [g, gamma]]: M~ is M without row and column i,
-    ||rho|| = r the solve's residual, ||g|| <= ||C||_F.  So sigma_min >= (gamma /
-    (beta^2 (gamma^2 + ||C||_F^2) + 1)^1/2 - r) / ||E||_2, beta >= ||M~^-1||_2 the comparison
-    bound of M~ (t_ii - lambda set to infinity).  The left eigenvector u (u_i = 1, zero left of
-    i) and ||u Z^H B||, ||B||_F give the other side.  gamma is a norm, never a Gram form: a lost
-    mode's gamma is rounding, which a square would lose below eps^1/2.
+
+def _eigvecs(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
+    """T's right and left eigenvectors x and u at each t_ii, i in ``idx`` (no t_jj equal to it).
+
+    (T - t_ii I) x = 0 = u^H (T - t_ii I), x_i = u_i = 1, x zero below row i and u above it, so
+    u^H x = 1 and Z x u^H Z^H is the spectral projector.  Beside X and U: C Z X, U^H Z^H B, the
+    explicit residual norms of x and u, ``head`` = (||x[:i]||, ||u[i+1:]||), ``kappa`` = ||x||
+    ||u|| (Wilkinson's), and ``beta`` >= ||M~^-1||_2, M~ = T - t_ii I without row and column i.
+    One back substitution over the rows of T serves every i and four systems: W x = e_i (W = T -
+    t_ii I with w_ii = 1), the same for u on T^H reversed, and N y = e (e all ones) on the
+    comparison matrix N of M~ (|w_jj| on the diagonal, -|w_jk| above, row and column i dropped by
+    an infinite n_ii) and on N^T reversed.  0 <= |M~^-1| <= N^-1 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm 8.12), so beta = (||N^-1 e||_inf ||N^-T e||_inf)^1/2.
     """
     T, Z = spec.schur
-    n, tdiag = spec.n, np.diag(T)
-    W, N = T.copy(order="F"), np.asfortranarray(-np.abs(T))
-    wdiag, ndiag = W.ravel(order="K")[:: n + 1], N.ravel(order="K")[:: n + 1]
-    sides = ((0, spec.C @ Z, np.linalg.norm(spec.C)),
-             (1, (Z.conj().T @ spec.B).T, np.linalg.norm(spec.B)))
-    near = dist <= PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
-    out = np.full((2, lams.size), np.nan)
-    for k in np.flatnonzero(near.sum(axis=1) == 1):
-        i = int(np.argmin(dist[k]))
-        wdiag[:], ndiag[:] = tdiag - lams[k], dist[k]
-        wdiag[i], ndiag[i] = 1.0, np.inf
-        beta = float(_comparison_bound(N))
-        ei = np.zeros(n, dtype=complex)
-        ei[i] = 1.0
-        for trans, maps, frob in sides:
-            x = blas.ztrsv(W, ei, trans=trans)   # x[i] = 1: W's entry there is 1
-            res = blas.ztrmv(W, x, trans=trans)
-            x[i] = res[i] = 0.0
-            gamma = float(np.linalg.norm(maps @ x + maps[:, i]))
-            s = float(np.linalg.norm(x))
-            lower = gamma / math.hypot(beta * math.hypot(gamma, frob), 1.0)
-            out[trans, k] = (lower - float(np.linalg.norm(res))) * 2.0 / (s + math.hypot(s, 2.0))
-    return out
+    n, p, lam = T.shape[0], idx.size, np.diag(T)[idx]
+    own, gap = np.arange(n)[:, None] == idx, np.diag(T)[:, None] - lam
+    own, gap = np.array([own, own[::-1]]), np.array([gap, gap[::-1].conj()])
+    # rows 0 to 3 of the stacks: x, u (reversed), N^-1 e and N^-T e (reversed)
+    P = np.concatenate([np.where(own, 1.0, gap), np.where(own, np.inf, np.abs(gap))])
+    W = np.concatenate([own, np.ones((2, n, p))], dtype=complex)
+    S = np.array([T, T.conj().T[::-1, ::-1]])
+    S = np.concatenate([S, -np.abs(S)])
+    for k in range(n - 1, -1, -1) if p else ():
+        W[:, k] = (W[:, k] - (S[:, k:k + 1, k + 1:] @ W[:, k + 1:])[:, 0]) / P[:, k]
+    V, X, U, sq = W[:2], W[0], W[1][::-1], np.abs(W[:2]) ** 2
+    res = np.linalg.norm(S[:2] @ V - V * np.array([lam, lam.conj()])[:, None], axis=1)
+    return _Eigvecs(idx, X, U, spec.C @ Z @ X, U.conj().T @ (Z.conj().T @ spec.B), res,
+                    head=np.sqrt(np.where(own, 0.0, sq).sum(axis=1)),
+                    kappa=np.sqrt(sq.sum(axis=1).prod(axis=0)),
+                    beta=np.sqrt(W[2:].real.max(axis=1, initial=0.0).prod(axis=0)))
+
+
+def _deflated_bounds(rec: _Eigvecs, frob: np.ndarray) -> np.ndarray:
+    """Lower bounds on sigma_min [T - t_ii I; C Z] (row 0) and [T^H - conj(t_ii) I; B' Z]
+    reversed (row 1) at each i of ``rec``, for ``frob`` = [[||C||_F], [||B||_F]].
+
+    With E = I + (x - e_i) e_i^T, ||E||_2 = (s + (s^2 + 4)^1/2) / 2 for s = ||x[:i]||.  Row i of
+    (T - t_ii I) E dropped and the rows C Z E replaced by the one w^H C Z E, w = C Z x / gamma,
+    gamma = ||C Z x||, leave [[M~, rho], [g, gamma]], ||rho|| = r the residual of x, ||g|| <=
+    ||C||_F: sigma_min >= (gamma / (beta^2 (gamma^2 + ||C||_F^2) + 1)^1/2 - r) / ||E||_2, and u
+    gives the other side.  gamma is a norm, never a Gram form: a lost mode's gamma is rounding.
+    """
+    gamma = np.array([np.linalg.norm(rec.CX, axis=0), np.linalg.norm(rec.UB, axis=1)])
+    lower = gamma / np.hypot(rec.beta * np.hypot(gamma, frob), 1.0)
+    return (lower - rec.res) * 2.0 / (rec.head + np.hypot(rec.head, 2.0))
 
 
 def _pbh_bound(spec: _Spectral) -> float:
@@ -596,49 +614,47 @@ def _pbh_bound(spec: _Spectral) -> float:
 
     With A = Z T Z^H, [A - lambda I; C] has the singular values of
     [T - lambda I; C Z], and [A - lambda I, B] those of [T^H - conj(lambda) I;
-    B' Z] reversed.  At a simple eigenvalue (one t_ii in the cluster radius)
-    :func:`_deflated_bounds` bounds both in O(n^2).  A cluster shift, and a
-    side where that bound does not clear PBH_CLEARANCE, takes these upper
-    triangles with m rows below, which LAPACK ztpqrt folds into a triangle R
-    in O(n^2 m).  R's comparison matrix M (|r_ii| on the diagonal, -|r_ij|
-    above) has 0 <= |R^-1| <= M^-1 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Thm 8.12), so 1/sigma_min <= (||M^-1
-    e||_inf ||M^-T e||_inf)^1/2, two O(n^2) dtrsv solves; with sigma_max <=
-    ||.||_F, the margin sigma_min / ((n + m) eps sigma_max) is bounded in
-    O(n^3).  Where that is not above PBH_CLEARANCE (it can be loose by a factor
-    exponential in n), the bound by 1/||R^-1||_F (ztrtri) is taken too and the
-    larger kept: it clears any threshold up to PBH_CLEARANCE wherever the
-    ztrtri one does.  0 if an R is singular, 0 or NaN on overflow.
+    B' Z] reversed; sigma_max <= ||.||_F.  A simple shift (one t_ii in the
+    cluster radius) is taken at its t_ii and bounded from the record's
+    eigenvectors (:func:`_deflated_bounds`).  A cluster shift, and a side
+    where that bound does not clear PBH_CLEARANCE, takes the upper triangle
+    with m rows below, which LAPACK ztpqrt folds into a triangle R in
+    O(n^2 m), and 1/sigma_min <= (||M^-1 e||_inf ||M^-T e||_inf)^1/2 for R's
+    comparison matrix M (as in :func:`_eigvecs`), two dtrsv solves.  Where
+    that margin sigma_min / ((n + m) eps sigma_max) is not above
+    PBH_CLEARANCE (it can be loose by a factor exponential in n), the bound
+    by 1/||R^-1||_F (ztrtri) is taken too and the larger kept: it clears any
+    threshold up to PBH_CLEARANCE wherever the ztrtri one does.  0 if an R is
+    singular, 0 or NaN on overflow.
     """
     n, m = spec.n, spec.m
     if n == 0:
         return np.inf
     T, Z = spec.schur
-    lams = _pbh_shifts(spec)
-    dist = np.abs(np.diag(T)[None, :] - lams[:, None])
+    lams, idx = spec.pbh_shifts
+    shifts = np.concatenate([lams, spec.eigs[idx]])
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
-    tri = np.linalg.norm(np.triu(T, 1)) ** 2 + np.sum(dist ** 2, axis=1)
-    unit = (n + m) * np.finfo(float).eps
-    bounds = []
-    for (upper, rows, shifts), lowers in zip(
-            ((T, spec.C @ Z, lams),
-             (np.asfortranarray(T.conj().T[::-1, ::-1]), (spec.B.T @ Z)[:, ::-1], lams.conj())),
-            _deflated_bounds(spec, lams, dist)):
-        fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
-        for lam, f, lower in zip(shifts, fro, lowers):
-            b = lower / f / unit
-            if not b > PBH_CLEARANCE:   # NaN too
-                a = upper.copy(order="F")   # for ztpqrt to overwrite
-                a.ravel(order="K")[:: n + 1] -= lam
-                # LAPACK block size 8 (at most n): the fastest at n = 104
-                R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
-                b = 1.0 / (_inv_norm_bound(R) * f) / unit
-                if not b > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
-                    Rinv, info = lapack.ztrtri(R, overwrite_c=1)
-                    b = 0.0 if info else np.maximum(b, 1.0 / (np.linalg.norm(Rinv) * f) / unit)
-            bounds.append(b)
+    tri = np.linalg.norm(np.triu(T, 1)) ** 2 + (np.abs(spec.eigs - shifts[:, None]) ** 2).sum(1)
+    frob = np.array([[np.linalg.norm(spec.C)], [np.linalg.norm(spec.B)]])
+    cutoff = (n + m) * np.finfo(float).eps * np.sqrt(tri + frob ** 2)
+    # rows 0 and 1: [A - lambda I; C] and [A - lambda I, B]; NaN at a cluster shift
+    b = np.full((2, shifts.size), np.nan)
+    if idx.size:
+        b[:, lams.size:] = _deflated_bounds(spec.eigvecs, frob) / cutoff[:, lams.size:]
+    for side, k in zip(*np.nonzero(~(b > PBH_CLEARANCE))):   # NaN too
+        upper, rows = ((T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1]) if side
+                       else (T, spec.C @ Z))
+        a = upper.copy(order="F")   # for ztpqrt to overwrite
+        a.ravel(order="K")[:: n + 1] -= shifts[k].conj() if side else shifts[k]
+        # LAPACK block size 8 (at most n): the fastest at n = 104
+        R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
+        b[side, k] = 1.0 / (_inv_norm_bound(R) * cutoff[side, k])
+        if not b[side, k] > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
+            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
+            b[side, k] = 0.0 if info else np.maximum(
+                b[side, k], 1.0 / (np.linalg.norm(Rinv) * cutoff[side, k]))
     # np.min, not min: a NaN must reach the caller and fail its test
-    return float(np.min(bounds, initial=np.inf))
+    return float(np.min(b, initial=np.inf))
 
 
 def is_minimal(model: StateSpaceModel) -> bool:

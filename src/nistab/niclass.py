@@ -43,15 +43,15 @@ cheap bounds cannot decide, so the decisions are those of the exact values.
 Every eigenvalue of A is read off the diagonal of one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
-an index set on diag(T): T's eigenvectors give a single eigenvalue's residue
-(:func:`_simple_residues`); a larger cluster is moved to the top of T and
-decoupled by a triangular Sylvester solve, the only route that tells a
-semisimple cluster from a defective one.  Condition 4 reads everything off
-the record's origin split, the same move and solve for the cluster at s = 0:
-the order of the origin pole (S0^2 = 0) and lim s^2 G(s) = Re C0 S0 B0
-(``SchurSplit.G2``), the G2 that ``freebody.laurent_coefficients`` returns
-too.  Whether a pole is at the origin or on the imaginary axis is decided
-with the one tolerance ``_Spectral.ztol`` that ``freebody`` uses too.
+an index set on diag(T): T's eigenvectors, kept by the record for the PBH
+test, give a single eigenvalue's residue (:func:`_simple_residues`); a
+larger cluster is moved to the top of T and decoupled by a triangular
+Sylvester solve, the only route that tells a semisimple cluster from a
+defective one.  Condition 4 reads everything off the record's origin split,
+the same move and solve for the cluster at s = 0: the order of the origin
+pole (S0^2 = 0) and lim s^2 G(s) = Re C0 S0 B0 (``SchurSplit.G2``), the G2
+that ``freebody.laurent_coefficients`` returns too.  ``_Spectral.ztol``, as
+in ``freebody``, decides whether a pole is at the origin or on the axis.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
 from .ltimodel import (
     TRANSFORM_COND_LIMIT,
     StateSpaceModel,
+    _eigvecs,
     _schur_response,
     _schur_solve,
     _spectral,
@@ -200,14 +201,10 @@ def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.nd
     """Positive-frequency imaginary-axis eigenvalue clusters (w0, indices into eigs)."""
     axis = np.flatnonzero((np.abs(eigs.real) <= tol) & (eigs.imag > tol))
     axis = axis[np.argsort(eigs.imag[axis], kind="stable")]
-    clusters: list[list[int]] = []
-    for i in axis:
-        w = eigs.imag[i]
-        if clusters and abs(w - eigs.imag[clusters[-1][-1]]) <= POLE_CLUSTER_RTOL * max(1.0, w):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [(float(np.mean(eigs.imag[c])), np.array(c)) for c in clusters]
+    w = eigs.imag[axis]
+    # a cluster ends where the next frequency is more than the radius above
+    cuts = np.flatnonzero(np.diff(w) > POLE_CLUSTER_RTOL * np.maximum(1.0, w[1:])) + 1
+    return [(float(np.mean(w[c])), axis[c]) for c in np.split(np.arange(w.size), cuts) if c.size]
 
 
 def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
@@ -313,26 +310,14 @@ def _beyond_floor(T: np.ndarray, norm2: float, omegas: np.ndarray, z, G, c: floa
 
 
 def _simple_residues(spec: _Spectral, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = j (C Z x)(u Z^H B) at each simple eigenvalue t_ii, i in ``idx``, of A = Z T Z^H,
-    and the eigenvalue's Wilkinson condition number ||x||_2 ||u||_2.
-
-    x and u are T's right and left eigenvectors with x_i = u_i = 1, x zero below row i and u left
-    of it, so u x = 1 and Z x u Z^H is the spectral projector, with no reorder or Sylvester solve.
-    One back substitution serves all i (u^H on T^H reversed), row k updating columns i > k."""
-    T, Z = spec.schur
-    order = np.argsort(idx)
-    vecs, flip = [], np.ascontiguousarray(T.conj().T[::-1, ::-1])
-    for M, i in ((T, idx[order]), (flip, spec.n - 1 - idx[order][::-1])):
-        X = np.eye(spec.n, dtype=complex)[:, i]
-        lam, starts = M[i, i], np.searchsorted(i, np.arange(spec.n), side="right")
-        for k in range(i.max(initial=0) - 1, -1, -1):
-            X[k, starts[k]:] = M[k, k + 1:] @ X[k + 1:, starts[k]:] / (lam[starts[k]:] - M[k, k])
-        vecs.append(X)
-    U = vecs[1][::-1, ::-1]
-    CX, UB = spec.C @ Z @ vecs[0], U.conj().T @ (Z.conj().T @ spec.B)
-    kappa = np.linalg.norm(vecs[0], axis=0) * np.linalg.norm(U, axis=0)
-    back = np.argsort(order)
-    return 1j * np.einsum("ik,kj->kij", CX, UB)[back], kappa[back]
+    """K = j (C Z x)(u^H Z^H B) at each simple eigenvalue t_ii, i in ``idx``, of A = Z T Z^H,
+    and its Wilkinson condition number ||x||_2 ||u||_2, from T's eigenvectors x and u: read off
+    the PBH test's record (``_Spectral.eigvecs``) where it holds every i, else by its kernel."""
+    rec = vars(spec).get("eigvecs")   # built by the PBH test, if that ran
+    if rec is None or not np.isin(idx, rec.idx).all():
+        rec = _eigvecs(spec, np.unique(idx))
+    pos = np.searchsorted(rec.idx, idx)
+    return 1j * np.einsum("ik,kj->kij", rec.CX[:, pos], rec.UB[pos]), rec.kappa[pos]
 
 
 def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> tuple[np.ndarray, float]:
@@ -388,9 +373,8 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     if not idx.size:
         raise NotAPoleError(f"no pole within {radius:.2e} of j*{omega0}; nearest at "
                             f"distance {dist.min(initial=np.inf):.2e}")
-    if idx.size == 1:
-        return _simple_residues(spec, idx)[0][0]
-    return _cluster_residue(spec, idx, omega0)[0]
+    one = idx.size == 1
+    return (_simple_residues(spec, idx)[0] if one else _cluster_residue(spec, idx, omega0))[0]
 
 
 def classify_ni(model: StateSpaceModel) -> NiReport:

@@ -254,7 +254,9 @@ class TestPbhBound:
             return out
 
         monkeypatch.setattr(lapack, "ztpqrt", kept)
-        for seed in range(3):
+        # each distinct shift is folded once, so it takes ten seeds of draws
+        # (three before) to keep more than 5000 triangles
+        for seed in range(10):
             seed_rng = np.random.default_rng(seed)
             for trial in range(200):
                 _draw_minimal_plant(np.random.default_rng(seed_rng.integers(0, 2 ** 63)),
@@ -314,17 +316,18 @@ class TestPbhBound:
 
     @staticmethod
     def _deflated_excess(model):
-        """Largest (bound - sigma_min) over the sides ``_deflated_bounds`` bounds, in
-        units of the cutoff (n + m) eps ||.||_F, and the number of such sides."""
-        from nistab.ltimodel import _deflated_bounds, _pbh_shifts, _spectral
+        """Largest (bound - sigma_min) over the sides ``_deflated_bounds`` bounds, each at the
+        t_ii of its record entry, in units of the cutoff (n + m) eps ||.||_F, and the number
+        of such sides."""
+        from nistab.ltimodel import _deflated_bounds, _spectral
 
         spec = _spectral(model)
-        lams = _pbh_shifts(spec)
-        lower = _deflated_bounds(
-            spec, lams, np.abs(np.diag(spec.schur[0])[None, :] - lams[:, None]))
+        rec = spec.eigvecs
+        lower = _deflated_bounds(rec, np.array([[np.linalg.norm(model.C)],
+                                                [np.linalg.norm(model.B)]]))
         n, worst, sides = model.n, -np.inf, 0
-        for k in np.flatnonzero(~np.isnan(lower[0])):
-            shifted = model.A - lams[k] * np.eye(n)
+        for k, i in enumerate(rec.idx):
+            shifted = model.A - spec.eigs[i] * np.eye(n)
             for M, b in ((np.vstack([shifted, model.C]), lower[0, k]),
                          (np.hstack([shifted, model.B]), lower[1, k])):
                 smin = np.linalg.svd(M, compute_uv=False)[n - 1]
@@ -333,11 +336,12 @@ class TestPbhBound:
         return worst, sides
 
     def test_deflated_bound_below_smallest_singular_value(self, rng):
-        # at every shift with one Schur diagonal entry in the cluster radius,
-        # on both sides: minimal plants under cond(T) up to 1e7, plants with a
-        # zeroed B row (a lost mode, whose gamma is rounding: a Gram form of it
-        # would clear the cutoff) at cond 1, 1e2 and 1e4, the ladder rungs,
-        # the Jordan triple and the split modes, rotated too
+        # at every record entry (one Schur diagonal entry in the cluster
+        # radius of a shift), on both sides: minimal plants under cond(T) up
+        # to 1e7, plants with a zeroed B row (a lost mode, whose gamma is
+        # rounding: a Gram form of it would clear the cutoff) at cond 1, 1e2
+        # and 1e4, the ladder rungs, the Jordan triple and the split modes,
+        # rotated too
         plants = list(TestIsMinimal._transformed(rng, 400))
         for cond in (1.0, 1e2, 1e4):
             plants += [ns.similarity_transform(_zeroed_b_row(model),
@@ -354,10 +358,32 @@ class TestPbhBound:
         assert max(worst for worst, _ in results) <= 1.0
         assert sum(sides for _, sides in results) > 5000
 
+    def test_real_eigenvalue_below_the_axis_is_tested(self):
+        # a simple real eigenvalue whose complex Schur diagonal entry has a
+        # negative rounding imaginary part: its shift, real from the real
+        # eigensolver, still maps to that t_ii and is bounded there
+        from nistab.ltimodel import _spectral
+
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            Q = rng.normal(size=(5, 5))
+            A = Q @ np.diag([-1.0, -2.0, -3.0, -4.0, -5.0]) @ np.linalg.inv(Q)
+            model = ns.StateSpaceModel(A, rng.normal(size=(5, 2)), rng.normal(size=(2, 5)))
+            spec = _spectral(model)
+            below = np.flatnonzero(spec.eigs.imag < 0.0)
+            if below.size:
+                break
+        assert below.size, "no draw put a real eigenvalue below the axis"
+        assert np.isin(below, spec.eigvecs.idx).all()
+        worst, sides = self._deflated_excess(model)
+        assert worst <= 1.0 and sides == 2 * spec.eigvecs.idx.size
+        assert ns.is_minimal(model)
+
     def test_ladder_folds_only_the_origin_cluster(self, monkeypatch):
         # every modal frequency of a ladder rung is a simple eigenvalue pair,
-        # bounded by deflation; only the 4 shifts of the origin's two Jordan
-        # pairs take the ztpqrt fold, 2 per shift (2 per shift everywhere before)
+        # bounded by deflation; only the origin, one shift for the 4 exact
+        # zeros of its two Jordan pairs, takes the ztpqrt fold, once per side
+        # (2 per shift everywhere, and 4 copies of the zero shift, before)
         from scipy.linalg import lapack
 
         from nistab import ltimodel
@@ -369,7 +395,7 @@ class TestPbhBound:
                 del folds[:]
                 spec = ltimodel._spectral(ns.modal_to_ss(mm))
                 assert spec.pbh_bound > ltimodel.PBH_CLEARANCE
-                assert len(folds) == 8
+                assert len(folds) == 2
 
     def test_overflow_never_clears(self):
         # scaled by 1e160 or more, ||T||_F^2 overflows: the bound is 0 or

@@ -694,8 +694,99 @@ def _residue_plants(beam_params):
                      for n in (1, 2, 5, 10)]
 
 
+def _simple_residues_row_loops(spec, idx):
+    """``niclass._simple_residues`` before the shared eigenvector record: its own
+    back substitution on T and on T^H reversed, row k updating the columns i > k."""
+    T, Z = spec.schur
+    order = np.argsort(idx)
+    vecs, flip = [], np.ascontiguousarray(T.conj().T[::-1, ::-1])
+    for M, i in ((T, idx[order]), (flip, spec.n - 1 - idx[order][::-1])):
+        X = np.eye(spec.n, dtype=complex)[:, i]
+        lam, starts = M[i, i], np.searchsorted(i, np.arange(spec.n), side="right")
+        for k in range(i.max(initial=0) - 1, -1, -1):
+            X[k, starts[k]:] = M[k, k + 1:] @ X[k + 1:, starts[k]:] / (lam[starts[k]:] - M[k, k])
+        vecs.append(X)
+    U = vecs[1][::-1, ::-1]
+    CX, UB = spec.C @ Z @ vecs[0], U.conj().T @ (Z.conj().T @ spec.B)
+    kappa = np.linalg.norm(vecs[0], axis=0) * np.linalg.norm(U, axis=0)
+    back = np.argsort(order)
+    return 1j * np.einsum("ik,kj->kij", CX, UB)[back], kappa[back]
+
+
+def _rank_two_plants():
+    """Modal plants whose rank-2 coefficients put exact copies of an eigenvalue
+    on the Schur diagonal, beside simple modes."""
+    from nistab.freebody import random_ni_plant
+
+    mm = ns.ModalModel(m=2, terms=((1.0, np.eye(2)), (2.5, [[2.0, 1.0], [1.0, 1.0]]),
+                                   (4.0, np.outer([1.0, 2.0], [1.0, 2.0]))), g2=np.eye(2))
+    draws = [random_ni_plant(np.random.default_rng(t), fam, m=3)[0]
+             for t, fam in enumerate(("dc_gain", "single", "double", "mixed") * 5)]
+    return [ns.modal_to_ss(mm)] + draws
+
+
 class TestSimpleResidues:
-    """A single-eigenvalue axis cluster takes the batched eigenvector kernel."""
+    """A single-eigenvalue axis cluster reads the record's eigenvectors."""
+
+    def test_record_residues_equal_the_row_loops(self):
+        # the ladder rungs, the scrambled modes and draws under cond(T) = 1e4
+        from nistab.freebody import _FAMILIES, random_ni_plant
+
+        plants = [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                  for mm in ladder_modal_models(seed, (10, 25, 50, 100))]
+        plants += _scrambled_modes()
+        plants += [_conditioned(random_ni_plant(np.random.default_rng(t),
+                                                _FAMILIES[t % len(_FAMILIES)])[0], 1e4, t)
+                   for t in range(80)]
+        read, checked = [], 0
+        for model in plants:
+            spec = _spectral(model)
+            rec = spec.eigvecs   # the record the PBH test builds
+            idx = np.array([i[0] for _w, i in niclass._axis_pole_clusters(spec.eigs, spec.ztol)
+                            if i.size == 1], int)
+            got, kappa = niclass._simple_residues(spec, idx)
+            ref, ref_kappa = _simple_residues_row_loops(spec, idx)
+            # the rounding scale of K = j (C Z x)(u^H Z^H B): a residue under
+            # cond(T) = 1e4 can be 1e-7 and carry 1e-11 relative rounding
+            scale = np.linalg.norm(model.C, 2) * np.linalg.norm(model.B, 2) * ref_kappa
+            for K, R, unit in zip(got, ref, scale, strict=True):
+                assert np.linalg.norm(K - R) <= 1e-14 * unit, model.n
+            np.testing.assert_allclose(kappa, ref_kappa, rtol=1e-12)
+            read.append(np.isin(idx, rec.idx).all())
+            checked += idx.size
+        # every rung reads the record; a few ill-conditioned draws have an
+        # axis pole that was no simple PBH shift, which takes the kernel anew
+        assert all(read[:12]) and not all(read) and checked > 600
+
+    def test_record_is_read_where_the_pbh_test_built_it(self, beam_params, monkeypatch):
+        # classify_ni reads the record; imaginary_axis_residue on a plain
+        # model solves for its one eigenvalue, not for every simple PBH shift
+        sizes, kernel = [], niclass._eigvecs
+        monkeypatch.setattr(niclass, "_eigvecs",
+                            lambda spec, idx: sizes.append(idx.size) or kernel(spec, idx))
+        model = ns.modal_to_ss(ns.finite_dim_approx(beam_params, 5))
+        rep = ns.classify_ni(model)
+        assert rep.is_ni and not sizes
+        K = ns.imaginary_axis_residue(model, rep.cond3_residues[0][0])
+        assert sizes == [1]
+        np.testing.assert_allclose(K, rep.cond3_residues[0][1], rtol=1e-12)
+
+    def test_repeated_diagonal_entries_divide_by_no_zero(self):
+        # the kernel divides by t_jj - t_ii; the record and the residues never
+        # hand it an i with a copy of t_ii elsewhere on the diagonal (the row
+        # loops above divide by zero when they are handed one)
+        import warnings
+
+        plants = _rank_two_plants()
+        copies = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for model in plants:
+                spec = _spectral(model)
+                copies += spec.eigs.size - np.unique(spec.eigs).size
+                assert spec.pbh_bound > ltimodel.PBH_CLEARANCE
+                assert ns.classify_ni(model).is_ni
+        assert copies
 
     def test_batched_kernel_matches_split_route(self, beam_params):
         from nistab.freebody import _FAMILIES, random_ni_plant
