@@ -62,6 +62,10 @@ S0_RANK_RTOL = 1e-11
 #: whole model instead of a worse remainder
 TRANSFORM_COND_LIMIT = 1e8
 
+#: fewest states whose Schur triangle is walked per diagonal block (``_Spectral.blocks``):
+#: below, the stacked walk per block size costs more array calls than the rows it skips
+BLOCK_WALK_MIN_N = 32
+
 #: relative radius linking eigenvalues into one PBH cluster (:func:`_pbh_shifts`):
 #: a Jordan triple's computed eigenvalues lie about eps^1/3 ||A|| apart
 PBH_CLUSTER_RTOL = 4.0 * np.finfo(float).eps ** (1.0 / 3.0)
@@ -239,7 +243,7 @@ class SchurSplit:
     def n2(self) -> int:
         return self.n0 - 2 * self.k
 
-    @property
+    @cached_property
     def order_excess(self) -> float:
         """||T0^2||_2 / (ztol max(1, ||T0||_2)^2); above one, a pole of order >= 3."""
         if not self.n0:
@@ -248,7 +252,7 @@ class SchurSplit:
         ztol = ZERO_EIG_RTOL * self.scale
         return float(top / (ztol * max(1.0, np.linalg.norm(self.T0, 2)) ** 2))
 
-    @property
+    @cached_property
     def cond(self) -> float:
         """Condition number of the decoupling [[I, X], [0, I]], ((x + (x^2 + 4)^1/2) / 2)^2
         for x = ||X||_2."""
@@ -340,6 +344,17 @@ class _Spectral(StateSpaceModel):
         return lams[~simple], np.unique(np.argmin(dist[simple], axis=1))
 
     @cached_property
+    def blocks(self) -> tuple[tuple[int, np.ndarray], ...] | None:
+        """:func:`_blocks` of the Schur triangle T, the partition :func:`_eigvecs` and
+        :func:`freq_response` walk, or None for one walk over all rows: for a T of one
+        block, and below BLOCK_WALK_MIN_N states.  Only exact zeros split blocks, so a walk
+        on either gives the same results up to summation order."""
+        if self.n < BLOCK_WALK_MIN_N:
+            return None
+        blocks = _blocks(self.schur[0])
+        return None if blocks[0][0] == self.n else blocks
+
+    @cached_property
     def eigvecs(self) -> _Eigvecs:
         """:func:`_eigvecs` at the simple PBH shifts, for the PBH bound and the residues."""
         return _eigvecs(self, self.pbh_shifts[1])
@@ -379,12 +394,36 @@ def eval_tf(model: StateSpaceModel, s: complex) -> np.ndarray:
     return model.C @ X + model.D
 
 
-def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _blocks(T: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+    """The diagonal blocks of an upper triangular T, as (b, starts) per block size b, b rising.
+
+    A block ends after row i where T[:i+1, i+1:] is exactly zero: where the running maximum
+    over rows 0 to i of each row's last nonzero column is i.  Only exact zeros split blocks,
+    so a coupling of any size, 1e-17 too, keeps its rows in one block, and a dense T is one
+    block of n rows.  LAPACK's complex Schur form of a modal realization keeps the exact
+    zeros between its modes: blocks of 2 rows, and one for the origin cluster.
+    """
+    n = T.shape[0]
+    cols = np.arange(n)
+    # each row's last nonzero column right of the diagonal, else its own index
+    last = np.where(np.triu(T, 1) != 0, cols, cols[:, None]).max(axis=1, initial=0)
+    ends = np.flatnonzero(np.maximum.accumulate(last) == cols) + 1
+    sizes = np.diff(ends, prepend=0)
+    return tuple((int(b), (ends - b)[sizes == b]) for b in np.unique(sizes))
+
+
+def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray,
+                 blocks: tuple[tuple[int, np.ndarray], ...] | None = None) -> np.ndarray:
     """X[:, k] = (s_k I - T)^-1 R for upper triangular T at every point s_k.
 
     One back substitution for all points at once, row by row of T:
-    X[i] = (R[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]).  Returns shape
-    (n, K, r) for R of shape (n, r).
+    X[i] = (R[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]).  With ``blocks``, T's
+    partition into diagonal blocks decoupled by exact zeros (:func:`_blocks`),
+    each block is walked on its own rows, all blocks of one size b in one
+    stacked loop of b steps: O(sum b^2) per point in place of O(n^2).  A
+    product with an exactly zero coupling adds exactly zero, so this equals
+    the walk over all n rows, the one taken without ``blocks``.  Returns
+    shape (n, K, r) for R of shape (n, r).
 
     Raises
     ------
@@ -397,23 +436,40 @@ def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray) -> np.ndarray:
         k = int(np.flatnonzero(~np.all(pivots, axis=0))[0])
         raise SingularAtSError(f"sI - A singular at s = {s[k]}")
     r = R.shape[1]
-    X = np.empty((n, K * r), dtype=complex)
-    Xk = X.reshape(n, K, r)
-    for i in range(n - 1, -1, -1):
-        Xk[i] = (R[i] + (T[i, i + 1:] @ X[i + 1:]).reshape(K, r)) / pivots[i][:, None]
-    return Xk
+    if blocks is None:
+        X = np.empty((n, K * r), dtype=complex)
+        Xk = X.reshape(n, K, r)
+        for i in range(n - 1, -1, -1):
+            Xk[i] = (R[i] + (T[i, i + 1:] @ X[i + 1:]).reshape(K, r)) / pivots[i][:, None]
+        return Xk
+    X = np.empty((n, K, r), dtype=complex)
+    for b, starts in blocks:
+        rows = starts[:, None] + np.arange(b)
+        # each block in Fortran order, as LAPACK's T: a row of it is then summed as in
+        # the walk over all n rows
+        Tb = T[rows[:, None], rows[:, :, None]].transpose(0, 2, 1)
+        Rb, Pb = R[rows][:, :, None], pivots[rows][..., None]
+        Xb = np.empty((starts.size, b, K * r), dtype=complex)
+        Xk = Xb.reshape(starts.size, b, K, r)
+        for i in range(b - 1, -1, -1):
+            Xk[:, i] = (Rb[:, i] + (Tb[:, i, None, i + 1:] @ Xb[:, i + 1:]).reshape(-1, K, r)
+                        ) / Pb[:, i]
+        X[rows] = Xk
+    return X
 
 
 def freq_response(model: StateSpaceModel, s) -> np.ndarray:
     """G(s_k) = C (s_k I - A)^-1 B + D at every point of ``s``, shape (K, m, m).
 
     One complex Schur form A = Z T Z^H is taken per call; each point then
-    costs an O(n^2) back substitution with s_k I - T, done for all points at
-    once (:func:`_schur_solve` with right-hand side Z^H B).  This is Laub's
-    scheme (1981, IEEE TAC, "Efficient multivariable frequency response
-    computations") with the triangular Schur factor in place of the
-    Hessenberg one, which makes the per-point solve a plain back
-    substitution.
+    costs a back substitution with s_k I - T, done for all points at once
+    (:func:`_schur_solve` with right-hand side Z^H B).  From BLOCK_WALK_MIN_N
+    states on it walks each diagonal block of T that exact zeros decouple
+    (``_Spectral.blocks``) on its own rows: O(sum b^2) per point for blocks
+    of b rows, O(n^2) for a dense T.  This is Laub's scheme (1981, IEEE TAC, "Efficient
+    multivariable frequency response computations") with the triangular
+    Schur factor in place of the Hessenberg one, which makes the per-point
+    solve a plain back substitution.
 
     Raises
     ------
@@ -423,18 +479,21 @@ def freq_response(model: StateSpaceModel, s) -> np.ndarray:
     s = np.asarray(s, dtype=complex).ravel()
     if model.n == 0 or s.size == 0:
         return np.repeat(model.D.astype(complex)[None], s.size, axis=0)
-    T, Z = _spectral(model).schur
-    return _schur_response(T, Z.conj().T @ model.B, model.C @ Z, model.D, s)
+    spec = _spectral(model)
+    T, Z = spec.schur
+    return _schur_response(T, Z.conj().T @ model.B, model.C @ Z, model.D, s, spec.blocks)
 
 
 def _schur_response(T: np.ndarray, Bt: np.ndarray, Ct: np.ndarray, D: np.ndarray,
-                    s: np.ndarray) -> np.ndarray:
+                    s: np.ndarray,
+                    blocks: tuple[tuple[int, np.ndarray], ...] | None = None) -> np.ndarray:
     """Ct (s_k I - T)^-1 Bt + D at every point of ``s`` for upper triangular T,
-    shape (K, m, m): one :func:`_schur_solve` for all points.  For T the
-    Schur factor of A = Z T Z^H, Bt = Z^H B and Ct = C Z, this is G(s_k)."""
+    shape (K, m, m): one :func:`_schur_solve` for all points, on ``blocks``
+    if given.  For T the Schur factor of A = Z T Z^H, Bt = Z^H B and Ct =
+    C Z, this is G(s_k)."""
     G = np.repeat(D.astype(complex)[None], s.size, axis=0)
     if T.shape[0]:
-        X = _schur_solve(T, s, Bt)
+        X = _schur_solve(T, s, Bt, blocks)
         G += np.tensordot(Ct, X, axes=(1, 0)).transpose(1, 0, 2)
     return G
 
@@ -558,23 +617,84 @@ def _inv_norm_bound(R: np.ndarray) -> float:
     return np.sqrt(blas.dtrsv(M, e).max() * blas.dtrsv(M, e, trans=1).max())
 
 
-#: T's eigenvectors at the t_ii, i in ``idx``, and what they give (:func:`_eigvecs`)
-_Eigvecs = namedtuple("_Eigvecs", "idx X U CX UB res head kappa beta")
+#: what T's eigenvectors at the t_ii, i in ``idx``, give (:func:`_eigvecs`)
+_Eigvecs = namedtuple("_Eigvecs", "idx CX UB res head kappa beta")
+
+
+def _walk(S: np.ndarray, W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Back substitution in place on stacks of b x b upper triangles S: for k = b - 1 to 0,
+    W[..., k, :] = (W[..., k, :] - S[..., k, k+1:] W[..., k+1:, :]) / P[..., k, :]."""
+    for k in range(S.shape[-1] - 1, -1, -1):
+        W[..., k, :] = (W[..., k, :] - (S[..., k:k + 1, k + 1:] @ W[..., k + 1:, :])[..., 0, :]
+                        ) / P[..., k, :]
+    return W
 
 
 def _eigvecs(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
-    """T's right and left eigenvectors x and u at each t_ii, i in ``idx`` (no t_jj equal to it).
+    """What T's right and left eigenvectors x and u at each t_ii, i in ``idx`` (no t_jj equal
+    to it), give.
 
     (T - t_ii I) x = 0 = u^H (T - t_ii I), x_i = u_i = 1, x zero below row i and u above it, so
-    u^H x = 1 and Z x u^H Z^H is the spectral projector.  Beside X and U: C Z X, U^H Z^H B, the
+    u^H x = 1 and Z x u^H Z^H is the spectral projector.  The record holds C Z x, u^H Z^H B, the
     explicit residual norms of x and u, ``head`` = (||x[:i]||, ||u[i+1:]||), ``kappa`` = ||x||
     ||u|| (Wilkinson's), and ``beta`` >= ||M~^-1||_2, M~ = T - t_ii I without row and column i.
-    One back substitution over the rows of T serves every i and four systems: W x = e_i (W = T -
-    t_ii I with w_ii = 1), the same for u on T^H reversed, and N y = e (e all ones) on the
-    comparison matrix N of M~ (|w_jj| on the diagonal, -|w_jk| above, row and column i dropped by
-    an infinite n_ii) and on N^T reversed.  0 <= |M~^-1| <= N^-1 (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., Thm 8.12), so beta = (||N^-1 e||_inf ||N^-T e||_inf)^1/2.
+    Four systems are solved by back substitution: W x = e_i (W = T - t_ii I with w_ii = 1), the
+    same for u on T^H reversed, and N y = e (e all ones) on the comparison matrix N of M~ (|w_jj|
+    on the diagonal, -|w_jk| above, row and column i dropped by an infinite n_ii) and on N^T
+    reversed.  0 <= |M~^-1| <= N^-1 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 8.12), so beta = (||N^-1 e||_inf ||N^-T e||_inf)^1/2.
+
+    Where the record has a partition (``_Spectral.blocks``), each system is walked per diagonal
+    block of T that exact zeros decouple, all blocks of one size b in one stacked loop of b
+    steps.  x and u vanish off the block of i, so they are solved on that block alone, and
+    N^-1 e is the concatenation of the blocks' solves for every i: O(sum b^2 p) work for p
+    shifts, in place of the O(n^2 p) of :func:`_eigvecs_one_walk`, whose results these are up
+    to summation order.
     """
+    if spec.blocks is None:
+        return _eigvecs_one_walk(spec, idx)
+    T, Z = spec.schur
+    n, p, diag = T.shape[0], idx.size, np.diag(T)
+    lam, CZ, ZB = diag[idx], spec.C @ Z, Z.conj().T @ spec.B
+    CX, UB = np.zeros((spec.m, p), dtype=complex), np.zeros((p, spec.m), dtype=complex)
+    # rows 0 and 1: the x and the u side; ``ymax`` the largest N^-1 e and N^-T e entries
+    res, head, norm, ymax = np.zeros((4, 2, p))
+    for b, starts in spec.blocks if p else ():
+        # a block's rows of T and of T^H reversed, each in walk order
+        rows = starts[:, None] + np.arange(b)
+        Tb = T[rows[:, :, None], rows[:, None]]
+        S = np.array([Tb, Tb.conj().transpose(0, 2, 1)[:, ::-1, ::-1]])
+        own = rows[..., None] == idx
+        gap = np.where(own, np.inf, np.abs(diag[rows][..., None] - lam))
+        Y = _walk(-np.abs(S), np.ones((2,) + own.shape), np.array([gap, gap[:, ::-1]]))
+        ymax = np.maximum(ymax, Y.max(axis=(1, 2)))
+        # x and u on the blocks that hold an i, for its columns; a block with fewer than
+        # ``width`` of them repeats its first
+        g, j, c = np.nonzero(own)
+        if not c.size:
+            continue
+        sel, first, count = np.unique(g, return_index=True, return_counts=True)
+        width = count.max()
+        cols = c[first[:, None] + np.minimum(np.arange(width), count[:, None] - 1)]
+        rows, S = rows[sel], S[:, sel]
+        own = rows[..., None] == idx[cols][:, None]
+        gap = diag[rows][..., None] - lam[cols][:, None]
+        shift = np.array([lam[cols], lam[cols].conj()])[:, :, None]
+        V = _walk(S, np.array([own, own[:, ::-1]], dtype=complex),
+                  np.array([np.where(own, 1.0, gap), np.where(own, 1.0, gap)[:, ::-1].conj()]))
+        E, sq = S @ V - V * shift, np.abs(V) ** 2
+        res[:, cols] = np.sqrt((E.conj() * E).real.sum(axis=2))
+        head[:, cols] = np.sqrt(np.where(np.array([own, own[:, ::-1]]), 0.0, sq).sum(axis=2))
+        norm[:, cols] = sq.sum(axis=2)
+        CX[:, cols] = (CZ[:, rows].transpose(1, 0, 2) @ V[0]).transpose(1, 0, 2)
+        UB[cols] = V[1][:, ::-1].conj().transpose(0, 2, 1) @ ZB[rows]
+    return _Eigvecs(idx, CX, UB, res, head, kappa=np.sqrt(norm.prod(axis=0)),
+                    beta=np.sqrt(ymax.prod(axis=0)))
+
+
+def _eigvecs_one_walk(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
+    """:func:`_eigvecs` by one back substitution over all n rows of T that serves every i and
+    the four systems at once, one stacked matmul per row."""
     T, Z = spec.schur
     n, p, lam = T.shape[0], idx.size, np.diag(T)[idx]
     own, gap = np.arange(n)[:, None] == idx, np.diag(T)[:, None] - lam
@@ -584,11 +704,11 @@ def _eigvecs(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
     W = np.concatenate([own, np.ones((2, n, p))], dtype=complex)
     S = np.array([T, T.conj().T[::-1, ::-1]])
     S = np.concatenate([S, -np.abs(S)])
-    for k in range(n - 1, -1, -1) if p else ():
-        W[:, k] = (W[:, k] - (S[:, k:k + 1, k + 1:] @ W[:, k + 1:])[:, 0]) / P[:, k]
+    if p:
+        _walk(S, W, P)
     V, X, U, sq = W[:2], W[0], W[1][::-1], np.abs(W[:2]) ** 2
     res = np.linalg.norm(S[:2] @ V - V * np.array([lam, lam.conj()])[:, None], axis=1)
-    return _Eigvecs(idx, X, U, spec.C @ Z @ X, U.conj().T @ (Z.conj().T @ spec.B), res,
+    return _Eigvecs(idx, spec.C @ Z @ X, U.conj().T @ (Z.conj().T @ spec.B), res,
                     head=np.sqrt(np.where(own, 0.0, sq).sum(axis=1)),
                     kappa=np.sqrt(sq.sum(axis=1).prod(axis=0)),
                     beta=np.sqrt(W[2:].real.max(axis=1, initial=0.0).prod(axis=0)))
@@ -703,13 +823,14 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> ClosedLoop:
 
 
 def is_hurwitz(M: np.ndarray) -> bool:
-    """True iff every eigenvalue satisfies Re(lambda) < -HURWITZ_MARGIN."""
+    """True iff every eigenvalue satisfies Re(lambda) < -HURWITZ_MARGIN (so for 0 x 0 M)."""
     return spectral_abscissa(_as_matrix(M, "M")) < -HURWITZ_MARGIN
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
-    """Largest eigenvalue real part; the quantity is_hurwitz thresholds."""
-    return float(np.max(np.linalg.eigvals(np.asarray(M)).real))
+    """Largest eigenvalue real part, -inf for an empty spectrum; the quantity is_hurwitz
+    thresholds."""
+    return float(np.max(np.linalg.eigvals(np.asarray(M)).real, initial=-np.inf))
 
 
 def _factor_symmetric(M: np.ndarray, rtol: float = 1e-12, floor: float = 0.0):

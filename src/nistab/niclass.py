@@ -235,16 +235,17 @@ def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
     return T, Z.conj().T @ spec.B, spec.C @ Z, spec.norm2, _sweep_grid(axis_poles)
 
 
-def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray):
+def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
     """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
     G = Ct (jwI - T)^-1 Bt + D comes from one ``ltimodel._schur_response``
-    call over the whole grid, and the eigenvalues are taken for all points
-    at once.  ||G||_2 and cond2(jwI - T) are not taken here:
-    :func:`_beyond_floor` needs them only at the few points where their
-    bounds cannot decide the test.
+    call over the whole grid, walked per diagonal block on ``blocks`` (the
+    record's ``_Spectral.blocks``, given for the record's own triangle), and
+    the eigenvalues are taken for all points at once.  ||G||_2 and
+    cond2(jwI - T) are not taken here: :func:`_beyond_floor` needs them only
+    at the few points where their bounds cannot decide the test.
     """
-    G = _schur_response(T, Bt, Ct, D, 1j * omegas)
+    G = _schur_response(T, Bt, Ct, D, 1j * omegas, blocks)
     M = 1j * (G - G.conj().transpose(0, 2, 1))
     min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
     return min_eig, G
@@ -460,7 +461,8 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
         herm_defect <= COND2_RTOL * scale and eigs.real[idx].max() <= growth * kappa
         for (_w0, idx), kappa, (herm_defect, _, scale) in zip(clusters, kappas, margins))
     T, Bt, Ct, norm2, omegas = _remainder(spec, tuple(w for w, _ in clusters), drop)
-    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
+    blocks = spec.blocks if T is spec.schur[0] else None   # a split's T0 is walked whole
+    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas, blocks)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
     beyond = _beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL)
     viol = [cond2[k] for k in np.flatnonzero(beyond)]
@@ -528,7 +530,8 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
         # a point fails where min_eig is not beyond the strict floor and the noise floor
         omegas = _sweep_grid()
         T, Z = spec.schur
-        min_eig, G = _sweep_min_eigs(T, Z.conj().T @ spec.B, spec.C @ Z, spec.D, omegas)
+        min_eig, G = _sweep_min_eigs(T, Z.conj().T @ spec.B, spec.C @ Z, spec.D, omegas,
+                                     spec.blocks)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = min(cond2, key=lambda t: t[1]) if cond2 else None
         passes = _beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR)

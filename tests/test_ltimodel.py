@@ -454,6 +454,18 @@ class TestHurwitz:
         cl = ns.closed_loop(arm_plant, paper_irc.realization)
         assert ns.is_hurwitz(cl.Abreve)
 
+    def test_empty_spectrum(self):
+        # no eigenvalue violates the margin: two static models close a
+        # loop with no state, and the oracle answers for it
+        from nistab.freebody import direct_stability
+        from nistab.ltimodel import spectral_abscissa
+
+        assert spectral_abscissa(np.zeros((0, 0))) == -np.inf
+        assert ns.is_hurwitz(np.zeros((0, 0)))
+        gain = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.5]])
+        gbar = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])
+        assert direct_stability(gain, gbar)
+
 
 class TestModalToSs:
     def test_pure_double_integrator_term(self):
@@ -686,6 +698,117 @@ class TestFreqResponse:
                                  [[1.0, 1.0]], [[0.0]])
         with pytest.raises(SingularAtSError):
             ns.freq_response(lag, [-2.0])
+
+
+def _one_block_record(model):
+    """A record of ``model`` whose Schur triangle is walked as one block of n rows."""
+    from nistab.ltimodel import _Spectral
+
+    spec = _Spectral(model.A, model.B, model.C, model.D)
+    vars(spec)["blocks"] = None
+    return spec
+
+
+def _mixed_block_plant(rng, sizes):
+    """A real block-diagonal A with dense blocks of the given sizes (distinct eigenvalues),
+    random B and C: its Schur triangle has blocks of several sizes, interleaved."""
+    blocks = [rng.normal(size=(b, b)) + 3.0 * k * np.eye(b) for k, b in enumerate(sizes)]
+    n = sum(sizes)
+    return ns.StateSpaceModel(block_diag(*blocks), rng.normal(size=(n, 2)), rng.normal(size=(2, n)))
+
+
+class TestDiagonalBlocks:
+    """The Schur triangle walked per diagonal block (``_Spectral.blocks``) as in one walk."""
+
+    def test_ladder_rung_partition(self):
+        # a lossless mode is a 2-row block, the origin cluster of the two
+        # double poles one block of 4; the exact zeros between them survive
+        # LAPACK's Schur form (one 100-mode rung splits a mode's two rows).
+        # The record walks them from BLOCK_WALK_MIN_N states on
+        from nistab.ltimodel import BLOCK_WALK_MIN_N, _blocks, _spectral
+
+        for seed in (1, 2, 3):
+            for modes, mm in zip((10, 25, 50, 100), ladder_modal_models(seed, (10, 25, 50, 100))):
+                spec = _spectral(ns.modal_to_ss(mm))
+                got = {b: starts.size for b, starts in _blocks(spec.schur[0])}
+                assert (spec.blocks is None) == (spec.n < BLOCK_WALK_MIN_N)
+                if modes < 100:
+                    assert got == {2: modes, 4: 1}
+                else:
+                    assert got.pop(4) == 1 and got.get(1, 0) + 2 * got[2] == 2 * modes
+
+    def test_partition_of_constructed_triangles(self, rng):
+        from nistab.ltimodel import _blocks
+
+        def sizes(T):
+            got = sorted((int(a), b) for b, starts in _blocks(T) for a in starts)
+            return [b for _, b in got]
+
+        T = block_diag(*(np.triu(rng.normal(size=(b, b)) + 1.0) for b in (2, 1, 3, 2)))
+        assert sizes(T) == [2, 1, 3, 2]
+        # one tiny coupling is still a coupling: the two blocks it joins are one
+        T[1, 2] = 1e-17
+        assert sizes(T) == [3, 3, 2]
+        # a nilpotent origin block: its last row is zero, and so is a middle
+        # row spanned by the coupling above it
+        N = np.zeros((3, 3))
+        N[0, 2] = 1.0
+        assert sizes(block_diag([[0.0, 1.0], [0.0, 0.0]], N, [[-1.0]])) == [2, 3, 1]
+        assert sizes(np.zeros((3, 3))) == [1, 1, 1]
+        assert sizes(np.triu(rng.normal(size=(5, 5)))) == [5]
+        assert _blocks(np.zeros((0, 0))) == ()
+
+    def test_solve_per_block_equals_one_walk(self, rng):
+        from nistab.ltimodel import _blocks, _schur_solve
+
+        s = np.concatenate([1j * np.geomspace(1e-2, 1e2, 9), [0.3 + 2.0j]])
+        for sizes in ((1, 2, 3), (4, 1, 1, 2, 4, 3), (5,)):
+            T = block_diag(*(np.triu(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+                             for b in sizes))
+            R = rng.normal(size=(T.shape[0], 3))
+            got, ref = _schur_solve(T, s, R, _blocks(T)), _schur_solve(T, s, R)
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    def test_kernels_equal_the_one_block_walk(self, rng, beam_params):
+        # _eigvecs, _schur_solve and freq_response per diagonal block against
+        # the walk over all rows: the ladder rungs, the arm truncations, 400
+        # Monte-Carlo draws and mixed block sizes, each walked per block
+        # whatever its size
+        from nistab.freebody import _FAMILIES, random_ni_plant
+        from nistab.ltimodel import _blocks, _eigvecs, _schur_solve, _Spectral
+
+        models = [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                  for mm in ladder_modal_models(seed, (10, 25, 50, 100))]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 2, 5, 10)]
+        models += [random_ni_plant(np.random.default_rng(t), _FAMILIES[t % len(_FAMILIES)])[0]
+                   for t in range(400)]
+        models += [_mixed_block_plant(rng, (1, 3, 2, 1, 3, 4)) for _ in range(5)]
+        s = np.concatenate([1j * np.geomspace(1e-3, 1e4, 30), [0.3 + 2.0j, -0.7 - 1.1j]])
+        split = []
+        for model in models:
+            spec, whole = _Spectral(model.A, model.B, model.C, model.D), _one_block_record(model)
+            blocks = _blocks(spec.schur[0])
+            split.append(blocks[0][0] < model.n)
+            vars(spec)["blocks"] = blocks if split[-1] else None
+            idx = spec.pbh_shifts[1]
+            got, ref = _eigvecs(spec, idx), _eigvecs(whole, idx)
+            assert np.array_equal(got.idx, ref.idx)
+            kappa = ref.kappa.max(initial=1.0)
+            for field, side in (("CX", model.C), ("UB", model.B)):
+                unit = 1e-14 * np.linalg.norm(side) * kappa
+                assert np.abs(getattr(got, field) - getattr(ref, field)).max(initial=0.0) <= unit
+            T, Z = spec.schur
+            unit = 1e-14 * np.linalg.norm(T) * kappa
+            assert np.abs(got.res - ref.res).max(initial=0.0) <= unit
+            for field in ("head", "kappa", "beta"):
+                np.testing.assert_allclose(getattr(got, field), getattr(ref, field), rtol=1e-14)
+            R = Z.conj().T @ model.B
+            X, Y = _schur_solve(T, s, R, spec.blocks), _schur_solve(T, s, R)
+            np.testing.assert_allclose(X, Y, rtol=1e-14, atol=1e-14 * np.abs(Y).max())
+            G, H = ns.freq_response(spec, s), ns.freq_response(whole, s)
+            np.testing.assert_allclose(G, H, rtol=1e-14, atol=1e-14 * np.abs(H).max())
+        # every rung, truncation and mixed plant is split, and most draws
+        assert all(split[:16]) and all(split[-5:]) and sum(split[16:-5]) > 200
 
 
 def _margin_every_eigenvalue(model):

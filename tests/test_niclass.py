@@ -410,9 +410,9 @@ class TestRemainderSweep:
         sweeps = []
         sweep = niclass._sweep_min_eigs
 
-        def counted(T, Bt, Ct, D, omegas):
+        def counted(T, Bt, Ct, D, omegas, blocks=None):
             sweeps.append((T.shape[0], omegas.size))
-            return sweep(T, Bt, Ct, D, omegas)
+            return sweep(T, Bt, Ct, D, omegas, blocks)
 
         monkeypatch.setattr(niclass, "_sweep_min_eigs", counted)
         return sweeps
@@ -757,6 +757,23 @@ class TestSimpleResidues:
         # every rung reads the record; a few ill-conditioned draws have an
         # axis pole that was no simple PBH shift, which takes the kernel anew
         assert all(read[:12]) and not all(read) and checked > 600
+
+    def test_scrambled_twins_are_one_block(self):
+        # under cond(T) = 1e4 the Schur triangle is dense: one block, so the
+        # record, the response and the report are the one-block walk's, bit
+        # for bit
+        s = np.concatenate([1j * niclass._sweep_grid(), [0.3 + 2.0j]])
+        for model in _scrambled_modes():
+            spec = ltimodel._Spectral(model.A, model.B, model.C, model.D)
+            whole = ltimodel._Spectral(model.A, model.B, model.C, model.D)
+            vars(whole)["blocks"] = None
+            assert [(b, starts.tolist()) for b, starts in ltimodel._blocks(spec.schur[0])] == [
+                (model.n, [0])]
+            assert spec.blocks is None
+            for got, ref in zip(spec.eigvecs, whole.eigvecs, strict=True):
+                assert got.tobytes() == ref.tobytes()
+            assert ns.freq_response(spec, s).tobytes() == ns.freq_response(whole, s).tobytes()
+            assert ns.classify_ni(spec).to_dict() == ns.classify_ni(whole).to_dict()
 
     def test_record_is_read_where_the_pbh_test_built_it(self, beam_params, monkeypatch):
         # classify_ni reads the record; imaginary_axis_residue on a plain
