@@ -30,6 +30,10 @@ class SingularAtSError(NistabError):
     """Transfer matrix evaluation requested at (or too close to) a pole."""
 
 
+class NonFiniteResponseError(NistabError):
+    """Transfer matrix evaluated to a non-finite value (overflow) on a sweep."""
+
+
 class IllPosedError(NistabError):
     """Feedback interconnection is ill posed (I - D*Dbar singular)."""
 

@@ -279,6 +279,14 @@ class _Spectral(StateSpaceModel):
         return scipy.linalg.schur(self.A, output="complex")
 
     @cached_property
+    def maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Z^H B, C Z): the input and output maps in the coordinates of :attr:`schur`, formed
+        once for :func:`freq_response`, the eigenvector record, the PBH bound, the NI and SNI
+        sweeps and the splits that do not reorder T."""
+        Z = self.schur[1]
+        return Z.conj().T @ self.B, self.C @ Z
+
+    @cached_property
     def eigs(self) -> np.ndarray:
         """Eigenvalues of A, the diagonal of T: the one eigenvalue source of the
         NI tests and the Laurent routes.  The PBH test finds its shifts with a
@@ -317,10 +325,10 @@ class _Spectral(StateSpaceModel):
             T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
             X, scale, _info = lapack.ztrsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
             X = X / scale
+            Bt, CZ = Z.conj().T @ self.B, self.C @ Z   # the maps of the reordered Z
         else:
             X = np.zeros((k, self.n - k), dtype=complex)
-        Bt = Z.conj().T @ self.B
-        CZ = self.C @ Z
+            Bt, CZ = self.maps
         return SchurSplit(T0=T[:k, :k], T1=T[k:, k:], B0=Bt[:k] + X @ Bt[k:],
                           B1=Bt[k:], C0=CZ[:, :k], C1=CZ[:, k:] - CZ[:, :k] @ X,
                           X=X, scale=max(1.0, self.norm2))
@@ -480,8 +488,7 @@ def freq_response(model: StateSpaceModel, s) -> np.ndarray:
     if model.n == 0 or s.size == 0:
         return np.repeat(model.D.astype(complex)[None], s.size, axis=0)
     spec = _spectral(model)
-    T, Z = spec.schur
-    return _schur_response(T, Z.conj().T @ model.B, model.C @ Z, model.D, s, spec.blocks)
+    return _schur_response(spec.schur[0], *spec.maps, model.D, s, spec.blocks)
 
 
 def _schur_response(T: np.ndarray, Bt: np.ndarray, Ct: np.ndarray, D: np.ndarray,
@@ -653,9 +660,9 @@ def _eigvecs(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
     """
     if spec.blocks is None:
         return _eigvecs_one_walk(spec, idx)
-    T, Z = spec.schur
-    n, p, diag = T.shape[0], idx.size, np.diag(T)
-    lam, CZ, ZB = diag[idx], spec.C @ Z, Z.conj().T @ spec.B
+    T = spec.schur[0]
+    p, diag = idx.size, np.diag(T)
+    (ZB, CZ), lam = spec.maps, diag[idx]
     CX, UB = np.zeros((spec.m, p), dtype=complex), np.zeros((p, spec.m), dtype=complex)
     # rows 0 and 1: the x and the u side; ``ymax`` the largest N^-1 e and N^-T e entries
     res, head, norm, ymax = np.zeros((4, 2, p))
@@ -695,7 +702,7 @@ def _eigvecs(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
 def _eigvecs_one_walk(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
     """:func:`_eigvecs` by one back substitution over all n rows of T that serves every i and
     the four systems at once, one stacked matmul per row."""
-    T, Z = spec.schur
+    T = spec.schur[0]
     n, p, lam = T.shape[0], idx.size, np.diag(T)[idx]
     own, gap = np.arange(n)[:, None] == idx, np.diag(T)[:, None] - lam
     own, gap = np.array([own, own[::-1]]), np.array([gap, gap[::-1].conj()])
@@ -708,7 +715,8 @@ def _eigvecs_one_walk(spec: _Spectral, idx: np.ndarray) -> _Eigvecs:
         _walk(S, W, P)
     V, X, U, sq = W[:2], W[0], W[1][::-1], np.abs(W[:2]) ** 2
     res = np.linalg.norm(S[:2] @ V - V * np.array([lam, lam.conj()])[:, None], axis=1)
-    return _Eigvecs(idx, spec.C @ Z @ X, U.conj().T @ (Z.conj().T @ spec.B), res,
+    ZB, CZ = spec.maps
+    return _Eigvecs(idx, CZ @ X, U.conj().T @ ZB, res,
                     head=np.sqrt(np.where(own, 0.0, sq).sum(axis=1)),
                     kappa=np.sqrt(sq.sum(axis=1).prod(axis=0)),
                     beta=np.sqrt(W[2:].real.max(axis=1, initial=0.0).prod(axis=0)))
@@ -763,7 +771,7 @@ def _pbh_bound(spec: _Spectral) -> float:
         b[:, lams.size:] = _deflated_bounds(spec.eigvecs, frob) / cutoff[:, lams.size:]
     for side, k in zip(*np.nonzero(~(b > PBH_CLEARANCE))):   # NaN too
         upper, rows = ((T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1]) if side
-                       else (T, spec.C @ Z))
+                       else (T, spec.maps[1]))
         a = upper.copy(order="F")   # for ztpqrt to overwrite
         a.ravel(order="K")[:: n + 1] -= shifts[k].conj() if side else shifts[k]
         # LAPACK block size 8 (at most n): the fastest at n = 104

@@ -32,13 +32,21 @@ SWEEP_WMAX] alone.  Otherwise, or when the split is ill-conditioned
 G itself is swept, on that grid plus BRACKET_POINTS beside each axis pole,
 none within POLE_GUARD of one (``_sweep_grid``); the SNI test, whose model has
 no axis pole, always sweeps G.  A sweep evaluates its model on the whole grid
-from one Schur triangle (``ltimodel._schur_response``).  Both tests judge a
-point by one rule, :func:`_beyond_floor`: is a margin z above (1 + ||G||_2)
-max(c, 200 eps cond2(jwI - T)), T the swept triangle, the second term the
-noise floor of the resolvent solve?  NI fails where z = -min_eig is above it with c =
-COND2_RTOL, SNI where z = min_eig is not, with c = SNI_STRICT_FLOOR.  The
-exact ||G||_2 and cond2 (an n x n SVD) are taken only at the points that
-cheap bounds cannot decide, so the decisions are those of the exact values.
+from one Schur triangle (``ltimodel._schur_response``), and min_eig, the
+least eigenvalue of j(G - G*), at every point from one :func:`_least_eig`
+call: in closed form for m <= 2 (the paper's colocated pair, every ladder
+rung, the IRC), with no LAPACK call per point.  A point where j(G - G*) is
+not finite (G overflows) raises ``NonFiniteResponseError``.  Both tests
+judge a point by one rule, :func:`_beyond_floor`: is a margin z above
+(1 + ||G||_2) max(c, 200 eps cond2(jwI - T)), T the swept triangle, the
+second term the noise floor of the resolvent solve?  NI fails where z =
+-min_eig is above it with c = COND2_RTOL, SNI where z = min_eig is not, with
+c = SNI_STRICT_FLOOR.  The exact ||G||_2 and cond2 (an n x n SVD) are taken
+only at the points that cheap bounds cannot decide, so the decisions are
+those of the exact values.  The bound and the SVDs are stacked over chunks
+of at most FLOOR_ENTRIES = points x n^2 entries: a triangle of up to 51
+rows (a controller, an origin remainder) takes its bound in one back
+substitution over the whole grid.
 
 Every eigenvalue of A is read off the diagonal of one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
@@ -60,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAPoleError, NotMinimalError, NotSimplePoleError
+from .errors import NonFiniteResponseError, NotAPoleError, NotMinimalError, NotSimplePoleError
 from .ltimodel import (
     TRANSFORM_COND_LIMIT,
     StateSpaceModel,
@@ -83,8 +91,10 @@ __all__ = [
 #: relative radius used to cluster eigenvalues onto a target imaginary pole
 POLE_CLUSTER_RTOL = 1e-7
 
-#: sweep points whose cond2(jwI - A), or its bound, is found in one stacked solve
-FLOOR_CHUNK = 64
+#: entries (points x n^2) of one stacked solve or SVD for cond2(jwI - T), or its
+#: bound, 16 MB of complex entries: one chunk holds the 400-point grid up to
+#: n = 51, 96 points at n = 104 and 6 at n = 404
+FLOOR_ENTRIES = 2 ** 20
 
 #: ``_beyond_floor`` decides a point from its bounds alone when the margin
 #: exceeds this many times the bound floor; the factor absorbs the rounding of
@@ -131,6 +141,8 @@ def _sweep_grid(axis_poles: tuple[float, ...] = ()) -> np.ndarray:
     or below 10 POLE_GUARD), so those rows are spaced in a call of their own:
     each bracket is then bitwise the one a call for its pole alone gives.
     """
+    if not len(axis_poles):
+        return _BASE_GRID
     poles = np.asarray(axis_poles, dtype=float)
     guard = POLE_GUARD * np.maximum(1.0, poles)
     w0, g = poles[poles > 0.0], guard[poles > 0.0]
@@ -231,8 +243,32 @@ def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
         if split.cond <= TRANSFORM_COND_LIMIT:
             norm2 = float(np.linalg.norm(split.T0, 2)) if split.n0 else 0.0
             return split.T0, split.B0, split.C0, norm2, _BASE_GRID
-    T, Z = spec.schur
-    return T, Z.conj().T @ spec.B, spec.C @ Z, spec.norm2, _sweep_grid(axis_poles)
+    return spec.schur[0], *spec.maps, spec.norm2, _sweep_grid(axis_poles)
+
+
+def _least_eig(M: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of the Hermitian part (M + M^H) / 2 of each matrix of a (K, m, m) stack.
+
+    For m = 1 it is the real diagonal, for m = 2 (a + d)/2 - hypot((a - d)/2, |b|), with a
+    and d the real diagonal and b = (m_01 + conj(m_10)) / 2: no LAPACK call per matrix, and no
+    overflow before the eigenvalue itself overflows.  Larger m takes stacked
+    ``np.linalg.eigvalsh``.  A matrix with a non-finite entry gives NaN.
+    """
+    finite = np.isfinite(M).all(axis=(1, 2))
+    m = M.shape[-1]
+    if m == 1:
+        lam = M[:, 0, 0].real.astype(float)
+    elif m == 2:
+        a, d = M[:, 0, 0].real, M[:, 1, 1].real
+        with np.errstate(invalid="ignore"):   # inf - inf where an entry is not finite
+            b = 0.5 * M[:, 0, 1] + 0.5 * M[:, 1, 0].conj()
+            lam = (0.5 * a + 0.5 * d) - np.hypot(0.5 * a - 0.5 * d, np.abs(b))
+    else:
+        lam = np.empty(M.shape[0])
+        H = M[finite]
+        lam[finite] = np.linalg.eigvalsh(0.5 * (H + H.conj().transpose(0, 2, 1)))[:, 0]
+    lam[~finite] = np.nan
+    return lam
 
 
 def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
@@ -241,26 +277,39 @@ def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
     G = Ct (jwI - T)^-1 Bt + D comes from one ``ltimodel._schur_response``
     call over the whole grid, walked per diagonal block on ``blocks`` (the
     record's ``_Spectral.blocks``, given for the record's own triangle), and
-    the eigenvalues are taken for all points at once.  ||G||_2 and
-    cond2(jwI - T) are not taken here: :func:`_beyond_floor` needs them only
-    at the few points where their bounds cannot decide the test.
+    the eigenvalues from one :func:`_least_eig` call for all points, in
+    closed form for m <= 2.  ||G||_2 and cond2(jwI - T) are not taken here:
+    :func:`_beyond_floor` needs them only at the few points where their
+    bounds cannot decide the test.
+
+    Raises
+    ------
+    NonFiniteResponseError
+        If j(G - G*) is not finite at a sweep point (G overflows): a NaN
+        margin would pass every test against it.
     """
-    G = _schur_response(T, Bt, Ct, D, 1j * omegas, blocks)
-    M = 1j * (G - G.conj().transpose(0, 2, 1))
-    min_eig = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _schur_response(T, Bt, Ct, D, 1j * omegas, blocks)
+        min_eig = _least_eig(1j * (G - G.conj().transpose(0, 2, 1)))
+    bad = np.flatnonzero(np.isnan(min_eig))
+    if bad.size:
+        raise NonFiniteResponseError(
+            f"j(G - G*) is not finite at omega = {omegas[bad[0]]:.6g}")
     return min_eig, G
 
 
 def _cond2(T: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """cond2(jwI - T) at ``omegas`` for a Schur triangle T (for the record's,
-    cond2(jwI - A)), from stacked n x n SVDs of FLOOR_CHUNK points each."""
+    cond2(jwI - A)), from stacked n x n SVDs of at most FLOOR_ENTRIES entries
+    (and at least one point) each."""
     kappa = np.ones(omegas.size)
-    if T.shape[0]:
-        eye = np.eye(T.shape[0])
-        for k in range(0, omegas.size, FLOOR_CHUNK):
-            jw = 1j * omegas[k:k + FLOOR_CHUNK, None, None]
+    n = T.shape[0]
+    if n:
+        eye, step = np.eye(n), max(1, FLOOR_ENTRIES // (n * n))
+        for k in range(0, omegas.size, step):
+            jw = 1j * omegas[k:k + step, None, None]
             sv = np.linalg.svd(jw * eye - T, compute_uv=False)
-            kappa[k:k + FLOOR_CHUNK] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
+            kappa[k:k + step] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
     return kappa
 
 
@@ -269,15 +318,18 @@ def _cond2_bound(T: np.ndarray, norm2: float, omegas: np.ndarray) -> np.ndarray:
 
     cond2(jwI - T) <= (|w| + ||T||_2) ||(jwI - T)^-1||_F, and the inverse is
     one back substitution with an identity right-hand side
-    (``ltimodel._schur_solve``), for FLOOR_CHUNK points at a time.
+    (``ltimodel._schur_solve``) per chunk of at most FLOOR_ENTRIES entries
+    (and at least one point): one solve over the whole grid for a triangle
+    of up to 51 rows, such as a controller's or an origin remainder's.
     """
     kappa = np.ones(omegas.size)
-    if T.shape[0]:
-        eye = np.eye(T.shape[0])
-        for k in range(0, omegas.size, FLOOR_CHUNK):
-            w = omegas[k:k + FLOOR_CHUNK]
+    n = T.shape[0]
+    if n:
+        eye, step = np.eye(n), max(1, FLOOR_ENTRIES // (n * n))
+        for k in range(0, omegas.size, step):
+            w = omegas[k:k + step]
             inv = _schur_solve(T, 1j * w, eye)
-            kappa[k:k + FLOOR_CHUNK] = (w + norm2) * np.linalg.norm(inv, axis=(0, 2))
+            kappa[k:k + step] = (w + norm2) * np.linalg.norm(inv, axis=(0, 2))
     return kappa
 
 
@@ -297,6 +349,8 @@ def _beyond_floor(T: np.ndarray, norm2: float, omegas: np.ndarray, z, G, c: floa
     """
     beyond = np.zeros(z.size, dtype=bool)
     idx = np.flatnonzero(z > c)
+    if not idx.size:
+        return beyond
     noise = 200.0 * np.finfo(float).eps
     bound = (1.0 + np.linalg.norm(G[idx], axis=(1, 2))) * np.maximum(
         c, noise * _cond2_bound(T, norm2, omegas[idx]))
@@ -436,7 +490,7 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
     stack = np.array(Ks).reshape(-1, spec.m, spec.m)
     Kh = stack.conj().transpose(0, 2, 1)
     margins = list(zip(np.linalg.norm(stack - Kh, axis=(1, 2)).tolist(),
-                       np.linalg.eigvalsh(0.5 * (stack + Kh))[:, 0].tolist(),
+                       _least_eig(stack).tolist(),
                        np.linalg.norm(stack, axis=(1, 2)).tolist()))
     residues, reasons3 = [], []
     ok3 = not defective
@@ -464,12 +518,11 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
     blocks = spec.blocks if T is spec.schur[0] else None   # a split's T0 is walked whole
     min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas, blocks)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    beyond = _beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL)
-    viol = [cond2[k] for k in np.flatnonzero(beyond)]
-    worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-    ok2 = not viol
+    worst = cond2[np.argmin(min_eig)]
+    viol = np.flatnonzero(_beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL))
+    ok2 = not viol.size
     if not ok2:
-        w, me = min(viol, key=lambda t: t[1])
+        w, me = cond2[viol[np.argmin(min_eig[viol])]]
         reasons.append(f"j(G - G*) has eigenvalue {me:.3e} at omega = {w:.6g}")
     reasons += reasons3
 
@@ -528,17 +581,14 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
     ok2 = True
     if ok1:
         # a point fails where min_eig is not beyond the strict floor and the noise floor
-        omegas = _sweep_grid()
-        T, Z = spec.schur
-        min_eig, G = _sweep_min_eigs(T, Z.conj().T @ spec.B, spec.C @ Z, spec.D, omegas,
-                                     spec.blocks)
+        omegas, T = _sweep_grid(), spec.schur[0]
+        min_eig, G = _sweep_min_eigs(T, *spec.maps, spec.D, omegas, spec.blocks)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-        worst = min(cond2, key=lambda t: t[1]) if cond2 else None
-        passes = _beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR)
-        bad = [cond2[k] for k in np.flatnonzero(~passes)]
-        ok2 = not bad
+        worst = cond2[np.argmin(min_eig)]
+        bad = np.flatnonzero(~_beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR))
+        ok2 = not bad.size
         if not ok2:
-            w, me = min(bad, key=lambda t: t[1])
+            w, me = cond2[bad[np.argmin(min_eig[bad])]]
             reasons.append(f"j(G - G*) not strictly positive: {me:.3e} at omega = {w:.6g}")
 
     return SniReport(

@@ -811,6 +811,54 @@ class TestDiagonalBlocks:
         assert all(split[:16]) and all(split[-5:]) and sum(split[16:-5]) > 200
 
 
+def _split_fresh_maps(spec, idx):
+    """``_Spectral.split`` with Z^H B and C Z formed anew from the Z it ends with:
+    (T0, T1, B0, B1, C0, C1, X)."""
+    from scipy.linalg import lapack
+
+    T, Z = spec.schur
+    k = idx.size
+    if 0 < k < spec.n:
+        select = np.zeros(spec.n, dtype=np.int32)
+        select[idx] = 1
+        T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
+        X, scale, _info = lapack.ztrsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+        X = X / scale
+    else:
+        X = np.zeros((k, spec.n - k), dtype=complex)
+    Bt, CZ = Z.conj().T @ spec.B, spec.C @ Z
+    return (T[:k, :k], T[k:, k:], Bt[:k] + X @ Bt[k:], Bt[k:], CZ[:, :k],
+            CZ[:, k:] - CZ[:, :k] @ X, X)
+
+
+class TestSchurMaps:
+    """The record's one (Z^H B, C Z) pair gives the products it replaced, bit for bit."""
+
+    def test_splits_equal_fresh_products(self, beam_params):
+        # none and all of the eigenvalues (the splits that read the record's
+        # maps) and the origin cluster, on the ladder rungs, the arm and
+        # Monte-Carlo draws
+        from nistab.freebody import _FAMILIES, random_ni_plant
+        from nistab.ltimodel import _spectral
+
+        models = [ns.modal_to_ss(mm) for mm in ladder_modal_models(1, (10, 25))]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 5)]
+        models += [random_ni_plant(np.random.default_rng(t), _FAMILIES[t % 8])[0]
+                   for t in range(40)]
+        for model in models:
+            spec = _spectral(model)
+            T, Z = spec.schur
+            Bt, CZ = spec.maps
+            _assert_same_bits(Bt, Z.conj().T @ model.B)
+            _assert_same_bits(CZ, model.C @ Z)
+            for idx in (np.arange(0), np.arange(spec.n),
+                        np.flatnonzero(np.abs(spec.eigs) <= spec.ztol)):
+                split = spec.split(idx)
+                got = (split.T0, split.T1, split.B0, split.B1, split.C0, split.C1, split.X)
+                for a, b in zip(got, _split_fresh_maps(spec, idx)):
+                    _assert_same_bits(a, b)
+
+
 def _margin_every_eigenvalue(model):
     """The PBH margin taken at every eigenvalue, conjugates included."""
     n = model.n

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import nistab as ns
 from nistab import ltimodel, niclass
-from nistab.errors import NotAPoleError, NotMinimalError, NotSimplePoleError
+from nistab.errors import (NonFiniteResponseError, NotAPoleError, NotMinimalError,
+                           NotSimplePoleError)
 from nistab.ltimodel import _spectral
 
 from conftest import double_integrator, first_order_lag_minus, ladder_modal_models
+
+EPS = np.finfo(float).eps
 
 
 class TestClassifyNi:
@@ -344,6 +349,162 @@ class TestSweepBounds:
         monkeypatch.setattr(niclass, "_cond2", lambda T, omegas: np.full(omegas.size, np.inf))
         assert ns.classify_ni(lossy).to_dict() == want
         assert not want["is_ni"] and "j(G - G*) has eigenvalue" in want["reasons"][0]
+
+
+class TestLeastEig:
+    """The stacked least eigenvalue of the Hermitian part, closed form for m <= 2."""
+
+    @staticmethod
+    def _stacks(rng, m, count=200):
+        """Random, diagonal, Hermitian part diagonal (b = 0 for m = 2, skew-Hermitian
+        off-diagonal part), rank-deficient PSD (rank m - 1, so 0 for m = 1) and scalar
+        stacks of (count, m, m) complex matrices."""
+        def cnormal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        diag = np.zeros((count, m, m), dtype=complex)
+        diag[:, range(m), range(m)] = rng.normal(size=(count, m))
+        S = cnormal(count, m, m)
+        skew = diag + (S - S.conj().transpose(0, 2, 1))
+        skew[:, range(m), range(m)] = diag[:, range(m), range(m)]
+        V = cnormal(count, m, m - 1)
+        scalar = rng.normal(size=(count, 1, 1)) * np.eye(m)
+        return [cnormal(count, m, m), diag, skew, V @ V.conj().transpose(0, 2, 1), scalar]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_agrees_with_eigvalsh(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (1.0, 1e150, 1e-150):
+            for M in self._stacks(rng, m):
+                M = scale * M
+                w = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))
+                err = np.abs(niclass._least_eig(M) - w[:, 0])
+                assert np.all(err <= 4.0 * EPS * np.abs(w).max(axis=1)), (m, scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_non_finite_entry_gives_nan(self, m):
+        # NaN, +-inf and an infinite imaginary part in each position in turn,
+        # the Hermitian part's diagonal included; the last matrix is finite
+        bad = (np.nan, np.inf, -np.inf, complex(1.0, np.inf))
+        M = np.tile(np.eye(m, dtype=complex), (len(bad) * m * m + 1, 1, 1))
+        for k, (x, (i, j)) in enumerate(itertools.product(bad, itertools.product(range(m),
+                                                                                   repeat=2))):
+            M[k, i, j] = x
+        got = niclass._least_eig(M)
+        assert np.isnan(got[:-1]).all() and got[-1] == 1.0
+        assert niclass._least_eig(np.zeros((0, m, m))).shape == (0,)
+
+    def test_sweep_is_eigvalsh_of_the_hermitian_part(self, paper_irc, beam_params):
+        # the profiles of the paper IRC (m = 2), the arm (m = 2) and a scalar
+        # plant agree with stacked eigvalsh to rounding of their largest eigenvalue
+        arm = ns.modal_to_ss(ns.finite_dim_approx(beam_params, 5))
+        for model in (paper_irc.realization, arm, first_order_lag_minus(0.5)):
+            spec = _spectral(model)
+            T, (Bt, Ct) = spec.schur[0], spec.maps
+            omegas = niclass._sweep_grid(tuple(
+                w for w, _ in niclass._axis_pole_clusters(spec.eigs, spec.ztol)))
+            min_eig, G = niclass._sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
+            M = 1j * (G - G.conj().transpose(0, 2, 1))
+            w = np.linalg.eigvalsh(0.5 * (M + M.conj().transpose(0, 2, 1)))
+            assert np.all(np.abs(min_eig - w[:, 0]) <= 4.0 * EPS * np.abs(w).max(axis=1))
+
+
+class TestFloorChunks:
+    """The floor bound and the exact floor in chunks of at most FLOOR_ENTRIES entries."""
+
+    @staticmethod
+    def _record_sweeps(paper_irc, beam_params):
+        """(T, ||T||_2, omegas) of the paper IRC, the 10-mode arm and the 104-state
+        rung on their sweep grids, every eighth point of the rung's 800."""
+        models = [paper_irc.realization, ns.modal_to_ss(ns.finite_dim_approx(beam_params, 10)),
+                  ns.modal_to_ss(ladder_modal_models(1, (50,))[0])]
+        out = []
+        for model in models:
+            spec = _spectral(model)
+            omegas = niclass._sweep_grid(tuple(
+                w for w, _ in niclass._axis_pole_clusters(spec.eigs, spec.ztol)))
+            out.append((spec.schur[0], spec.norm2, omegas[::8] if model.n > 100 else omegas))
+        assert [T.shape[0] for T, _, _ in out] == [2, 22, 104]
+        return out
+
+    def test_chunking_leaves_the_floor(self, paper_irc, beam_params, monkeypatch):
+        # one point a chunk against the whole grid in one chunk
+        for T, norm2, omegas in self._record_sweeps(paper_irc, beam_params):
+            got = []
+            for entries in (1, omegas.size * T.shape[0] ** 2):
+                monkeypatch.setattr(niclass, "FLOOR_ENTRIES", entries)
+                got.append((niclass._cond2_bound(T, norm2, omegas), niclass._cond2(T, omegas)))
+            for one, whole in zip(*got):
+                np.testing.assert_allclose(one, whole, rtol=1e-15, atol=0.0)
+
+    def test_chunks_stay_within_the_budget(self, monkeypatch):
+        # a 404-state rung takes chunks of 6 points (979,616 entries); the
+        # 104-state rung at least the 64 points of the former fixed chunk
+        assert niclass.FLOOR_ENTRIES // 104 ** 2 >= 64
+        T = _spectral(ns.modal_to_ss(ladder_modal_models(1, (200,))[0])).schur[0]
+        entries = []
+        solve, svd = niclass._schur_solve, np.linalg.svd
+
+        def counted_solve(T, s, R, blocks=None):
+            entries.append(s.size * R.size)
+            return solve(T, s, R, blocks)
+
+        def counted_svd(a, *args, **kwargs):
+            entries.append(a.size)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(niclass, "_schur_solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        omegas = niclass._BASE_GRID[::57]
+        niclass._cond2_bound(T, 1.0, omegas)
+        niclass._cond2(T, omegas)
+        assert T.shape[0] == 404 and omegas.size == 8
+        assert entries == 2 * [6 * 404 ** 2, 2 * 404 ** 2]
+        assert max(entries) <= niclass.FLOOR_ENTRIES
+
+    def test_irc_floor_bound_is_one_solve(self, paper_irc, monkeypatch):
+        # every point of the paper IRC is above SNI_STRICT_FLOOR, so the floor
+        # bound is taken on the whole grid, in one back substitution
+        calls = []
+        solve = niclass._schur_solve
+
+        def counted(T, s, R, blocks=None):
+            calls.append((T.shape[0], s.size))
+            return solve(T, s, R, blocks)
+
+        monkeypatch.setattr(niclass, "_schur_solve", counted)
+        assert ns.classify_sni(paper_irc.realization).is_sni
+        assert calls == [(2, niclass.SWEEP_POINTS)]
+
+
+class TestNonFiniteSweep:
+    """A sweep point whose j(G - G*) is not finite is an error, never a pass."""
+
+    @staticmethod
+    def _overflowing(paper_irc):
+        """-1/(s + 1) and the paper IRC, each with B and C scaled to overflow G."""
+        irc = paper_irc.realization
+        return (ns.StateSpaceModel([[-1.0]], [[1e200]], [[-1e200]]),
+                ns.StateSpaceModel(irc.A, 1e200 * irc.B, 1e200 * irc.C, irc.D))
+
+    def test_classifiers_raise(self, paper_irc):
+        plant, ctrl = self._overflowing(paper_irc)
+        message = r"^j\(G - G\*\) is not finite at omega = 0\.001$"
+        # the PBH bound's norms of B and C overflow as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResponseError, match=message):
+                ns.classify_ni(plant)
+            with pytest.raises(NonFiniteResponseError, match=message):
+                ns.classify_sni(ctrl)
+
+    def test_verdict_is_inconclusive(self, paper_irc):
+        plant, ctrl = self._overflowing(paper_irc)
+        want = ("classification unavailable: NonFiniteResponseError: "
+                "j(G - G*) is not finite at omega = 0.001")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for G, Gbar in ((plant, first_order_lag_minus(0.0)), (double_integrator(), ctrl)):
+                v = ns.stability_verdict(G, Gbar)
+                assert v.outcome is ns.Outcome.INCONCLUSIVE and v.reason == want
 
 
 #: damping-ratio ranges of the damped corpus; the last straddles ztol, so a
