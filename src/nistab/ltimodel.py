@@ -281,8 +281,8 @@ class _Spectral(StateSpaceModel):
     @cached_property
     def maps(self) -> tuple[np.ndarray, np.ndarray]:
         """(Z^H B, C Z): the input and output maps in the coordinates of :attr:`schur`, formed
-        once for :func:`freq_response`, the eigenvector record, the PBH bound, the NI and SNI
-        sweeps and the splits that do not reorder T."""
+        once for :func:`freq_response`, the eigenvector record, the [T - lambda I; C Z] side
+        of the PBH fold, the NI and SNI sweeps and the splits of none or all eigenvalues."""
         Z = self.schur[1]
         return Z.conj().T @ self.B, self.C @ Z
 

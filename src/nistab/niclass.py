@@ -34,7 +34,7 @@ none within POLE_GUARD of one (``_sweep_grid``); the SNI test, whose model has
 no axis pole, always sweeps G.  A sweep evaluates its model on the whole grid
 from one Schur triangle (``ltimodel._schur_response``), and min_eig, the
 least eigenvalue of j(G - G*), at every point from one :func:`_least_eig`
-call: in closed form for m <= 2 (the paper's colocated pair, every ladder
+call: in closed form for m = 2 (the paper's colocated pair, every ladder
 rung, the IRC), with no LAPACK call per point.  A point where j(G - G*) is
 not finite (G overflows) raises ``NonFiniteResponseError``.  Both tests
 judge a point by one rule, :func:`_beyond_floor`: is a margin z above
@@ -249,16 +249,13 @@ def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
 def _least_eig(M: np.ndarray) -> np.ndarray:
     """Least eigenvalue of the Hermitian part (M + M^H) / 2 of each matrix of a (K, m, m) stack.
 
-    For m = 1 it is the real diagonal, for m = 2 (a + d)/2 - hypot((a - d)/2, |b|), with a
-    and d the real diagonal and b = (m_01 + conj(m_10)) / 2: no LAPACK call per matrix, and no
-    overflow before the eigenvalue itself overflows.  Larger m takes stacked
-    ``np.linalg.eigvalsh``.  A matrix with a non-finite entry gives NaN.
+    For m = 2 it is (a + d)/2 - hypot((a - d)/2, |b|), with a and d the real diagonal and
+    b = (m_01 + conj(m_10)) / 2: no LAPACK call per matrix, and no overflow before the
+    eigenvalue itself overflows.  Every other m takes stacked ``np.linalg.eigvalsh``.  A
+    matrix with a non-finite entry gives NaN.
     """
     finite = np.isfinite(M).all(axis=(1, 2))
-    m = M.shape[-1]
-    if m == 1:
-        lam = M[:, 0, 0].real.astype(float)
-    elif m == 2:
+    if M.shape[-1] == 2:
         a, d = M[:, 0, 0].real, M[:, 1, 1].real
         with np.errstate(invalid="ignore"):   # inf - inf where an entry is not finite
             b = 0.5 * M[:, 0, 1] + 0.5 * M[:, 1, 0].conj()
@@ -278,7 +275,7 @@ def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
     call over the whole grid, walked per diagonal block on ``blocks`` (the
     record's ``_Spectral.blocks``, given for the record's own triangle), and
     the eigenvalues from one :func:`_least_eig` call for all points, in
-    closed form for m <= 2.  ||G||_2 and cond2(jwI - T) are not taken here:
+    closed form for m = 2.  ||G||_2 and cond2(jwI - T) are not taken here:
     :func:`_beyond_floor` needs them only at the few points where their
     bounds cannot decide the test.
 

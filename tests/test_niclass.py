@@ -352,7 +352,7 @@ class TestSweepBounds:
 
 
 class TestLeastEig:
-    """The stacked least eigenvalue of the Hermitian part, closed form for m <= 2."""
+    """The stacked least eigenvalue of the Hermitian part, closed form for m = 2."""
 
     @staticmethod
     def _stacks(rng, m, count=200):
