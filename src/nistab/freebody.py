@@ -445,7 +445,9 @@ def _vanishing(L: LaurentCoefficients) -> tuple[bool, bool]:
 
 def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
     """The NI/SNI, channel-count, strictly-proper and Laurent preconditions,
-    then :func:`_decide`; a plant without origin poles enters as G0 = G(0)."""
+    then :func:`_decide`; a plant without origin poles enters as G0 = G(0).
+    Gbar(0), G(0) or Laurent data that are not finite (a model that
+    overflows) give INCONCLUSIVE."""
     failed = Outcome.PRECONDITION_FAILED
     if ni is not None and not ni.is_ni:
         return StabilityVerdict(
@@ -456,19 +458,25 @@ def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
     if G.m != Gbar.m:
         return StabilityVerdict(failed, reason=f"channel counts differ: plant {G.m}, "
                                 f"controller {Gbar.m}; the loop cannot be closed")
-    Gbar0 = eval_tf(Gbar, 0.0).real
-    if not G.origin_split.n0:
-        G0 = eval_tf(G, 0.0).real
+    origin = G.origin_split.n0
+    with np.errstate(over="ignore", invalid="ignore"):   # tested for below
+        Gbar0 = eval_tf(Gbar, 0.0).real
+        G0 = None if origin else eval_tf(G, 0.0).real
+    if not origin:
         zero = np.zeros_like(G0)
-        return _decide(LaurentCoefficients(G0, zero, zero), Gbar0, band)
-    if not G.strictly_proper():
+        L = LaurentCoefficients(G0, zero, zero)
+    elif not G.strictly_proper():
         return StabilityVerdict(
             failed, reason="free-body analysis requires a strictly proper plant")
-    try:
-        L = laurent_coefficients(G)
-    except NistabError as exc:
-        return _inconclusive("Laurent data", exc)
-    if all(_vanishing(L)):
+    else:
+        try:
+            L = laurent_coefficients(G)
+        except NistabError as exc:
+            return _inconclusive("Laurent data", exc)
+    if not np.isfinite([Gbar0, L.G0, L.G1, L.G2]).all():
+        return StabilityVerdict(Outcome.INCONCLUSIVE, reason="Gbar(0), G(0) or the Laurent "
+                                "data are not finite: the model overflows")
+    if origin and all(_vanishing(L)):
         return StabilityVerdict(failed, reason="origin pole detected but both Laurent "
                                 "coefficients vanish (numerically inconsistent model)",
                                 laurent=L)
@@ -518,18 +526,21 @@ def _decide(L: LaurentCoefficients, Gbar0: np.ndarray, band: float) -> Stability
 def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
     """Record the closed-loop Hurwitz test and whether a decisive verdict agrees.
 
-    A loop that cannot be closed (channel counts differ) or is ill-posed
-    leaves the test unset; an ill-posed loop raises IllPosedError only when
-    the verdict is decisive.
+    A loop that cannot be closed (channel counts differ), whose state matrix
+    is not finite, or that is ill-posed leaves the test unset; an ill-posed
+    loop raises IllPosedError only when the verdict is decisive.
     """
     if G.m != Gbar.m:
         return
     decisive = verdict.outcome in (Outcome.STABLE, Outcome.UNSTABLE)
     try:
-        verdict.oracle_hurwitz = direct_stability(G, Gbar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict.oracle_hurwitz = direct_stability(G, Gbar)
     except IllPosedError:
         if decisive:
             raise
+        return
+    except NistabError:   # is_hurwitz's DimensionError: the state matrix is not finite
         return
     if decisive:
         verdict.oracle_agrees = bool(

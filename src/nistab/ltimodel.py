@@ -424,14 +424,14 @@ def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray,
                  blocks: tuple[tuple[int, np.ndarray], ...] | None = None) -> np.ndarray:
     """X[:, k] = (s_k I - T)^-1 R for upper triangular T at every point s_k.
 
-    One back substitution for all points at once, row by row of T:
-    X[i] = (R[i] + T[i, i+1:] X[i+1:]) / (s - T[i, i]).  With ``blocks``, T's
-    partition into diagonal blocks decoupled by exact zeros (:func:`_blocks`),
-    each block is walked on its own rows, all blocks of one size b in one
-    stacked loop of b steps: O(sum b^2) per point in place of O(n^2).  A
-    product with an exactly zero coupling adds exactly zero, so this equals
-    the walk over all n rows, the one taken without ``blocks``.  Returns
-    shape (n, K, r) for R of shape (n, r).
+    One back substitution for all points at once, :func:`_walk` on -T with the K
+    points' right-hand sides side by side: X[i] = (R[i] + T[i, i+1:] X[i+1:]) /
+    (s - T[i, i]).  With ``blocks``, T's partition into diagonal blocks decoupled
+    by exact zeros (:func:`_blocks`), each block is walked on its own rows, all
+    blocks of one size b in one stacked walk of b steps: O(sum b^2) per point in
+    place of O(n^2).  A product with an exactly zero coupling adds exactly zero,
+    so this equals the walk over all n rows, the one taken without ``blocks``.
+    Returns shape (n, K, r) for R of shape (n, r).
 
     Raises
     ------
@@ -444,25 +444,16 @@ def _schur_solve(T: np.ndarray, s: np.ndarray, R: np.ndarray,
         k = int(np.flatnonzero(~np.all(pivots, axis=0))[0])
         raise SingularAtSError(f"sI - A singular at s = {s[k]}")
     r = R.shape[1]
+    W, P = np.tile(R.astype(complex), (1, K)), np.repeat(pivots, r, axis=1)
     if blocks is None:
-        X = np.empty((n, K * r), dtype=complex)
-        Xk = X.reshape(n, K, r)
-        for i in range(n - 1, -1, -1):
-            Xk[i] = (R[i] + (T[i, i + 1:] @ X[i + 1:]).reshape(K, r)) / pivots[i][:, None]
-        return Xk
+        return _walk(-T, W, P).reshape(n, K, r)
     X = np.empty((n, K, r), dtype=complex)
     for b, starts in blocks:
         rows = starts[:, None] + np.arange(b)
         # each block in Fortran order, as LAPACK's T: a row of it is then summed as in
         # the walk over all n rows
         Tb = T[rows[:, None], rows[:, :, None]].transpose(0, 2, 1)
-        Rb, Pb = R[rows][:, :, None], pivots[rows][..., None]
-        Xb = np.empty((starts.size, b, K * r), dtype=complex)
-        Xk = Xb.reshape(starts.size, b, K, r)
-        for i in range(b - 1, -1, -1):
-            Xk[:, i] = (Rb[:, i] + (Tb[:, i, None, i + 1:] @ Xb[:, i + 1:]).reshape(-1, K, r)
-                        ) / Pb[:, i]
-        X[rows] = Xk
+        X[rows] = _walk(-Tb, W[rows], P[rows]).reshape(starts.size, b, K, r)
     return X
 
 

@@ -32,11 +32,13 @@ SWEEP_WMAX] alone.  Otherwise, or when the split is ill-conditioned
 G itself is swept, on that grid plus BRACKET_POINTS beside each axis pole,
 none within POLE_GUARD of one (``_sweep_grid``); the SNI test, whose model has
 no axis pole, always sweeps G.  A sweep evaluates its model on the whole grid
-from one Schur triangle (``ltimodel._schur_response``), and min_eig, the
-least eigenvalue of j(G - G*), at every point from one :func:`_least_eig`
-call: in closed form for m = 2 (the paper's colocated pair, every ladder
-rung, the IRC), with no LAPACK call per point.  A point where j(G - G*) is
-not finite (G overflows) raises ``NonFiniteResponseError``.  Both tests
+from one Schur triangle (``ltimodel._schur_response``) in one walk over all
+its rows (the triangle swept on every analysis is small: a 2-4 state origin
+remainder, a controller), and min_eig, the least eigenvalue of j(G - G*), at
+every point from one :func:`_least_eig` call: in closed form for m = 2 (the
+paper's colocated pair, every ladder rung, the IRC), with no LAPACK call per
+point.  A point where j(G - G*) is not finite (G overflows) raises
+``NonFiniteResponseError``.  Both tests
 judge a point by one rule, :func:`_beyond_floor`: is a margin z above
 (1 + ||G||_2) max(c, 200 eps cond2(jwI - T)), T the swept triangle, the
 second term the noise floor of the resolvent solve?  NI fails where z =
@@ -135,26 +137,18 @@ _BASE_GRID.setflags(write=False)
 def _sweep_grid(axis_poles: tuple[float, ...] = ()) -> np.ndarray:
     """The sweep frequencies; none lies within POLE_GUARD max(1, w0) of a pole w0.
 
-    The BRACKET_POINTS // 2 offsets on each side of every positive pole come
-    from np.geomspace over all poles at once.  That call takes another
-    formula for every row once any row's span is a single point (a pole at
-    or below 10 POLE_GUARD), so those rows are spaced in a call of their own:
-    each bracket is then bitwise the one a call for its pole alone gives.
+    Each positive pole w0 adds BRACKET_POINTS // 2 offsets on each side, one
+    np.geomspace over [2 g, 0.2 max(w0, 10 g)] for its guard g.
     """
     if not len(axis_poles):
         return _BASE_GRID
     poles = np.asarray(axis_poles, dtype=float)
     guard = POLE_GUARD * np.maximum(1.0, poles)
-    w0, g = poles[poles > 0.0], guard[poles > 0.0]
-    lo, hi = 2.0 * g, 0.2 * np.maximum(w0, 10.0 * g)
-    flat = np.log10(lo) == np.log10(hi)
-    span = np.empty((w0.size, BRACKET_POINTS // 2))
-    for rows in (flat, ~flat):
-        if rows.any():
-            span[rows] = np.geomspace(lo[rows], hi[rows], BRACKET_POINTS // 2, axis=1)
-    w0, g = w0[:, None], g[:, None]
-    w = np.concatenate([_BASE_GRID, (w0 + span).ravel(),
-                        np.clip(w0 - span, 0.5 * g, None).ravel()])
+    w = [_BASE_GRID]
+    for w0, g in zip(poles[poles > 0.0], guard[poles > 0.0]):
+        span = np.geomspace(2.0 * g, 0.2 * max(w0, 10.0 * g), BRACKET_POINTS // 2)
+        w += [w0 + span, np.clip(w0 - span, 0.5 * g, None)]
+    w = np.concatenate(w)
     keep = np.all(np.abs(w[:, None] - poles[None, :]) > guard[None, :], axis=1)
     return np.unique(w[keep])
 
@@ -268,14 +262,13 @@ def _least_eig(M: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
+def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray):
     """Minimum eigenvalue of j(G - G*), and G itself, at every sweep frequency.
 
     G = Ct (jwI - T)^-1 Bt + D comes from one ``ltimodel._schur_response``
-    call over the whole grid, walked per diagonal block on ``blocks`` (the
-    record's ``_Spectral.blocks``, given for the record's own triangle), and
-    the eigenvalues from one :func:`_least_eig` call for all points, in
-    closed form for m = 2.  ||G||_2 and cond2(jwI - T) are not taken here:
+    call over the whole grid, one walk over all rows of T, and the
+    eigenvalues from one :func:`_least_eig` call for all points, in closed
+    form for m = 2.  ||G||_2 and cond2(jwI - T) are not taken here:
     :func:`_beyond_floor` needs them only at the few points where their
     bounds cannot decide the test.
 
@@ -286,7 +279,7 @@ def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
         margin would pass every test against it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _schur_response(T, Bt, Ct, D, 1j * omegas, blocks)
+        G = _schur_response(T, Bt, Ct, D, 1j * omegas)
         min_eig = _least_eig(1j * (G - G.conj().transpose(0, 2, 1)))
     bad = np.flatnonzero(np.isnan(min_eig))
     if bad.size:
@@ -295,19 +288,21 @@ def _sweep_min_eigs(T, Bt, Ct, D, omegas: np.ndarray, blocks=None):
     return min_eig, G
 
 
+def _by_chunks(T: np.ndarray, omegas: np.ndarray, chunk) -> np.ndarray:
+    """``chunk(w)`` on ``omegas`` in chunks of at most FLOOR_ENTRIES = points x n^2
+    entries (and at least one point) each, for the n x n triangle T; ones for n = 0."""
+    step = max(1, FLOOR_ENTRIES // max(1, T.size))
+    parts = [chunk(omegas[k:k + step]) for k in range(0, omegas.size, step)] if T.size else []
+    return np.concatenate(parts) if parts else np.ones(omegas.size)
+
+
 def _cond2(T: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """cond2(jwI - T) at ``omegas`` for a Schur triangle T (for the record's,
-    cond2(jwI - A)), from stacked n x n SVDs of at most FLOOR_ENTRIES entries
-    (and at least one point) each."""
-    kappa = np.ones(omegas.size)
-    n = T.shape[0]
-    if n:
-        eye, step = np.eye(n), max(1, FLOOR_ENTRIES // (n * n))
-        for k in range(0, omegas.size, step):
-            jw = 1j * omegas[k:k + step, None, None]
-            sv = np.linalg.svd(jw * eye - T, compute_uv=False)
-            kappa[k:k + step] = sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
-    return kappa
+    cond2(jwI - A)), from one stacked n x n SVD per chunk of :func:`_by_chunks`."""
+    def chunk(w):
+        sv = np.linalg.svd(1j * w[:, None, None] * np.eye(T.shape[0]) - T, compute_uv=False)
+        return sv[:, 0] / np.maximum(sv[:, -1], 1e-300)
+    return _by_chunks(T, omegas, chunk)
 
 
 def _cond2_bound(T: np.ndarray, norm2: float, omegas: np.ndarray) -> np.ndarray:
@@ -315,19 +310,12 @@ def _cond2_bound(T: np.ndarray, norm2: float, omegas: np.ndarray) -> np.ndarray:
 
     cond2(jwI - T) <= (|w| + ||T||_2) ||(jwI - T)^-1||_F, and the inverse is
     one back substitution with an identity right-hand side
-    (``ltimodel._schur_solve``) per chunk of at most FLOOR_ENTRIES entries
-    (and at least one point): one solve over the whole grid for a triangle
-    of up to 51 rows, such as a controller's or an origin remainder's.
+    (``ltimodel._schur_solve``) per chunk of :func:`_by_chunks`: one solve
+    over the whole grid for a triangle of up to 51 rows, such as a
+    controller's or an origin remainder's.
     """
-    kappa = np.ones(omegas.size)
-    n = T.shape[0]
-    if n:
-        eye, step = np.eye(n), max(1, FLOOR_ENTRIES // (n * n))
-        for k in range(0, omegas.size, step):
-            w = omegas[k:k + step]
-            inv = _schur_solve(T, 1j * w, eye)
-            kappa[k:k + step] = (w + norm2) * np.linalg.norm(inv, axis=(0, 2))
-    return kappa
+    return _by_chunks(T, omegas, lambda w: (w + norm2) * np.linalg.norm(
+        _schur_solve(T, 1j * w, np.eye(T.shape[0])), axis=(0, 2)))
 
 
 def _beyond_floor(T: np.ndarray, norm2: float, omegas: np.ndarray, z, G, c: float) -> np.ndarray:
@@ -512,8 +500,7 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
         herm_defect <= COND2_RTOL * scale and eigs.real[idx].max() <= growth * kappa
         for (_w0, idx), kappa, (herm_defect, _, scale) in zip(clusters, kappas, margins))
     T, Bt, Ct, norm2, omegas = _remainder(spec, tuple(w for w, _ in clusters), drop)
-    blocks = spec.blocks if T is spec.schur[0] else None   # a split's T0 is walked whole
-    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas, blocks)
+    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
     worst = cond2[np.argmin(min_eig)]
     viol = np.flatnonzero(_beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL))
@@ -579,7 +566,7 @@ def classify_sni(model: StateSpaceModel) -> SniReport:
     if ok1:
         # a point fails where min_eig is not beyond the strict floor and the noise floor
         omegas, T = _sweep_grid(), spec.schur[0]
-        min_eig, G = _sweep_min_eigs(T, *spec.maps, spec.D, omegas, spec.blocks)
+        min_eig, G = _sweep_min_eigs(T, *spec.maps, spec.D, omegas)
         cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
         worst = cond2[np.argmin(min_eig)]
         bad = np.flatnonzero(~_beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR))

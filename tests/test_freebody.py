@@ -333,6 +333,34 @@ class TestStabilityVerdict:
             assert v.ni is None
             assert v.oracle_hurwitz is True and v.oracle_agrees is None
 
+    def test_overflowing_plant_data_is_inconclusive(self):
+        # G(0) of the first plant and G1 of the second (1e400/s) overflow to
+        # infinity; neither may reach the decision, which raised or decided
+        ctrl = ns.make_irc([[1.0]], [[1.0]], [[2.0]]).realization
+        opts = VerdictOptions(skip_ni_check=True)
+        v = ns.stability_verdict(ns.StateSpaceModel([[-1.0]], [[1e200]], [[-1e200]]), ctrl, opts)
+        assert v.outcome is ns.Outcome.INCONCLUSIVE and "not finite" in v.reason
+        # the PBH bound of the origin route overflows in ||B||_F (a known fault
+        # apart from this one), so its warnings are silenced here
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = ns.stability_verdict(ns.StateSpaceModel([[0.0]], [[1e200]], [[1e200]]),
+                                     ctrl, opts)
+        assert v.outcome is ns.Outcome.INCONCLUSIVE and "not finite" in v.reason
+
+    def test_overflowing_loop_leaves_the_oracle_unset(self):
+        # the closed-loop matrix holds B Dbar C = -inf: the oracle has nothing
+        # to test, and the analysis reports the classification's error
+        plant = ns.StateSpaceModel([[-1.0]], [[1e200]], [[-1e200]])
+        ctrl = ns.make_irc([[1.0]], [[1.0]], [[2.0]]).realization
+        v = ns.stability_verdict(plant, ctrl, VerdictOptions(skip_ni_check=True, run_oracle=True))
+        assert v.outcome is ns.Outcome.INCONCLUSIVE
+        assert v.oracle_hurwitz is None and v.oracle_agrees is None
+        with np.errstate(over="ignore", invalid="ignore"):   # the PBH bound, as above
+            rep = ns.run_analysis(plant, ctrl)
+        assert rep.verdict.outcome is ns.Outcome.INCONCLUSIVE
+        assert "NonFiniteResponseError" in rep.verdict.reason
+        assert rep.oracle_hurwitz is None
+
     def test_fast_mode_beside_double_integrator_is_decisive(self):
         # 1/s^2 + w^2/(s^2 + w^2): the contour route must not mistake the
         # mode's aliased Taylor terms for a higher-order origin pole

@@ -717,6 +717,32 @@ def _mixed_block_plant(rng, sizes):
     return ns.StateSpaceModel(block_diag(*blocks), rng.normal(size=(n, 2)), rng.normal(size=(2, n)))
 
 
+def _schur_solve_row_loops(T, s, R, blocks=None):
+    """_schur_solve as written before it walked through ``_walk``: one row loop over all n
+    rows, and one stacked row loop per block size on ``blocks``."""
+    n, K = T.shape[0], s.size
+    pivots = s[None, :] - np.diag(T)[:, None]
+    r = R.shape[1]
+    if blocks is None:
+        X = np.empty((n, K * r), dtype=complex)
+        Xk = X.reshape(n, K, r)
+        for i in range(n - 1, -1, -1):
+            Xk[i] = (R[i] + (T[i, i + 1:] @ X[i + 1:]).reshape(K, r)) / pivots[i][:, None]
+        return Xk
+    X = np.empty((n, K, r), dtype=complex)
+    for b, starts in blocks:
+        rows = starts[:, None] + np.arange(b)
+        Tb = T[rows[:, None], rows[:, :, None]].transpose(0, 2, 1)
+        Rb, Pb = R[rows][:, :, None], pivots[rows][..., None]
+        Xb = np.empty((starts.size, b, K * r), dtype=complex)
+        Xk = Xb.reshape(starts.size, b, K, r)
+        for i in range(b - 1, -1, -1):
+            Xk[:, i] = (Rb[:, i] + (Tb[:, i, None, i + 1:] @ Xb[:, i + 1:]).reshape(-1, K, r)
+                        ) / Pb[:, i]
+        X[rows] = Xk
+    return X
+
+
 class TestDiagonalBlocks:
     """The Schur triangle walked per diagonal block (``_Spectral.blocks``) as in one walk."""
 
@@ -768,6 +794,29 @@ class TestDiagonalBlocks:
             R = rng.normal(size=(T.shape[0], 3))
             got, ref = _schur_solve(T, s, R, _blocks(T)), _schur_solve(T, s, R)
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    def test_solve_equals_the_row_loops(self, rng, beam_params):
+        # the walk through _walk on -T against the two row loops it replaced,
+        # bit for bit: Z^H B and identity right-hand sides, on the whole
+        # triangle and per diagonal block, and the origin remainder (T0, B0)
+        from nistab.freebody import _FAMILIES, random_ni_plant
+        from nistab.ltimodel import _blocks, _schur_solve, _spectral
+
+        models = [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                  for mm in ladder_modal_models(seed, (10, 25, 50, 100))]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 2, 5, 10)]
+        models += [random_ni_plant(np.random.default_rng(t), _FAMILIES[t % len(_FAMILIES)])[0]
+                   for t in range(400)]
+        models += [_mixed_block_plant(rng, (1, 3, 2, 1, 3, 4)) for _ in range(5)]
+        s = np.concatenate([1j * np.geomspace(1e-3, 1e4, 30), [0.3 + 2.0j, -0.7 - 1.1j]])
+        for model in models:
+            spec = _spectral(model)
+            T, split = spec.schur[0], spec.origin_split
+            cases = [(T, R, blocks) for R in (spec.maps[0], np.eye(model.n))
+                     for blocks in (None, _blocks(T))]
+            for T, R, blocks in cases + [(split.T0, split.B0, None)]:
+                got = _schur_solve(T, s, R, blocks)
+                assert got.tobytes() == _schur_solve_row_loops(T, s, R, blocks).tobytes()
 
     def test_kernels_equal_the_one_block_walk(self, rng, beam_params):
         # _eigvecs, _schur_solve and freq_response per diagonal block against

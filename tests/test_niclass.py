@@ -462,6 +462,14 @@ class TestFloorChunks:
         assert entries == 2 * [6 * 404 ** 2, 2 * 404 ** 2]
         assert max(entries) <= niclass.FLOOR_ENTRIES
 
+    def test_empty_grid_and_empty_triangle(self, paper_irc):
+        # no points give no values; a triangle of no rows gives cond2 = 1 at every point
+        T, none = _spectral(paper_irc.realization).schur[0], np.zeros(0)
+        for T, omegas, want in ((T, none, none), (np.zeros((0, 0)), niclass._BASE_GRID[:5],
+                                                  np.ones(5))):
+            for got in (niclass._cond2(T, omegas), niclass._cond2_bound(T, 1.0, omegas)):
+                assert got.dtype == float and np.array_equal(got, want)
+
     def test_irc_floor_bound_is_one_solve(self, paper_irc, monkeypatch):
         # every point of the paper IRC is above SNI_STRICT_FLOOR, so the floor
         # bound is taken on the whole grid, in one back substitution
@@ -571,9 +579,9 @@ class TestRemainderSweep:
         sweeps = []
         sweep = niclass._sweep_min_eigs
 
-        def counted(T, Bt, Ct, D, omegas, blocks=None):
+        def counted(T, Bt, Ct, D, omegas):
             sweeps.append((T.shape[0], omegas.size))
-            return sweep(T, Bt, Ct, D, omegas, blocks)
+            return sweep(T, Bt, Ct, D, omegas)
 
         monkeypatch.setattr(niclass, "_sweep_min_eigs", counted)
         return sweeps
