@@ -40,6 +40,7 @@ from .ltimodel import (
     StateSpaceModel,
     _balance_radius,
     _laurent_numeric_limits,
+    _norm,
     _spectral,
     closed_loop,
     eval_tf,
@@ -96,8 +97,10 @@ def to_block_diagonal(model: StateSpaceModel) -> SchurSplit:
     """Origin split of a minimal strictly proper model: A = W diag(S0, T1) W^-1.
 
     The record's origin split (``_Spectral.origin_split``): the eigenvalues
-    within ``ztol`` of the origin are moved to the top of the one complex
-    Schur form and decoupled from the rest by a triangular Sylvester solve.
+    within ``ztol`` of the origin are split off the one complex Schur form,
+    by indexing where they are whole diagonal blocks of it (the origin block
+    of a modal realization of 32 states or more), else moved to the top and
+    decoupled from the rest by a triangular Sylvester solve.
     S0 (the record's ``T0``) carries the k = rank S0 double and the
     n2 = n0 - 2k simple origin poles; T1 (n1 x n1) is nonsingular.  Zero eigenvalues with Jordan blocks
     of order three or more are rejected, since no NI transfer matrix can
@@ -438,16 +441,18 @@ def _inconclusive(stage: str, exc: NistabError) -> StabilityVerdict:
 
 
 def _vanishing(L: LaurentCoefficients) -> tuple[bool, bool]:
-    """Whether G2 and G1 vanish: ||Gi|| <= ZERO_COEFF_RTOL (1 + ||G0||)."""
-    tol = ZERO_COEFF_RTOL * (1.0 + np.linalg.norm(L.G0))
-    return np.linalg.norm(L.G2) <= tol, np.linalg.norm(L.G1) <= tol
+    """Whether G2 and G1 vanish: ||Gi|| <= ZERO_COEFF_RTOL (1 + ||G0||), the norms taken with
+    no entry squared (``ltimodel._norm``), so finite data give finite norms."""
+    tol = ZERO_COEFF_RTOL * (1.0 + _norm(L.G0))
+    return _norm(L.G2) <= tol, _norm(L.G1) <= tol
 
 
 def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
     """The NI/SNI, channel-count, strictly-proper and Laurent preconditions,
     then :func:`_decide`; a plant without origin poles enters as G0 = G(0).
     Gbar(0), G(0) or Laurent data that are not finite (a model that
-    overflows) give INCONCLUSIVE."""
+    overflows), or a norm or product of them that overflows in the decision,
+    give INCONCLUSIVE."""
     failed = Outcome.PRECONDITION_FAILED
     if ni is not None and not ni.is_ni:
         return StabilityVerdict(
@@ -476,11 +481,18 @@ def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
     if not np.isfinite([Gbar0, L.G0, L.G1, L.G2]).all():
         return StabilityVerdict(Outcome.INCONCLUSIVE, reason="Gbar(0), G(0) or the Laurent "
                                 "data are not finite: the model overflows")
-    if origin and all(_vanishing(L)):
-        return StabilityVerdict(failed, reason="origin pole detected but both Laurent "
-                                "coefficients vanish (numerically inconsistent model)",
-                                laurent=L)
-    return _decide(L, Gbar0, band)
+    try:
+        # finite data can still overflow in a norm or product the decision forms
+        with np.errstate(over="raise", invalid="raise"):
+            if origin and all(_vanishing(L)):
+                return StabilityVerdict(failed, reason="origin pole detected but both Laurent "
+                                        "coefficients vanish (numerically inconsistent model)",
+                                        laurent=L)
+            return _decide(L, Gbar0, band)
+    except FloatingPointError as exc:
+        return StabilityVerdict(Outcome.INCONCLUSIVE, reason="a quantity the decision forms "
+                                f"from Gbar(0) and the Laurent data is not finite ({exc}): "
+                                "the model overflows")
 
 
 def _decide(L: LaurentCoefficients, Gbar0: np.ndarray, band: float) -> StabilityVerdict:

@@ -194,6 +194,11 @@ class SchurSplit:
     A = W diag(T0, T1) W^-1 with W = Z [[I, -X], [0, I]]; B0 = (Z^H B)_0 +
     X (Z^H B)_1 and C1 = (C Z)_1 - (C Z)_0 X are the decoupled maps.
 
+    A split by indexing (a cluster of whole diagonal blocks of T, see
+    ``_Spectral.split``) takes Z with its columns permuted, cluster first, and
+    X = 0: the blocks' coupling is exactly zero, so B0, B1, C0 and C1 are rows
+    and columns of the record's maps.
+
     Of the origin split (``_Spectral.origin_split``), T0 = S0 is A on its
     origin cluster: ``k`` = rank S0 counts the double poles at s = 0 and
     ``n2`` = n0 - 2k the simple ones, and ``order_excess`` tests S0^2 = 0.
@@ -282,20 +287,32 @@ class _Spectral(StateSpaceModel):
     def maps(self) -> tuple[np.ndarray, np.ndarray]:
         """(Z^H B, C Z): the input and output maps in the coordinates of :attr:`schur`, formed
         once for :func:`freq_response`, the eigenvector record, the [T - lambda I; C Z] side
-        of the PBH fold, the NI and SNI sweeps and the splits of none or all eigenvalues."""
+        of the PBH fold, the NI and SNI sweeps and every split taken by indexing (a cluster of
+        whole diagonal blocks, none or all eigenvalues), whose maps are their rows and
+        columns."""
         Z = self.schur[1]
         return Z.conj().T @ self.B, self.C @ Z
 
     @cached_property
     def eigs(self) -> np.ndarray:
         """Eigenvalues of A, the diagonal of T: the one eigenvalue source of the
-        NI tests and the Laurent routes.  The PBH test finds its shifts with a
-        real eigensolver (:func:`_pbh_shifts`), then tests on this Schur form."""
+        NI tests, the Laurent routes and the PBH shifts (:func:`_pbh_shifts`)."""
         return np.diag(self.schur[0])
 
     @cached_property
     def norm2(self) -> float:
-        return float(np.linalg.norm(self.A, 2))
+        """||A||_2 = ||T||_2.  With a partition (:attr:`blocks`) T is block diagonal up to a
+        permutation, so this is the largest singular value over its diagonal blocks, one
+        stacked SVD per block size; without one, the SVD of A."""
+        if self.blocks is None:
+            return float(np.linalg.norm(self.A, 2))
+        T = self.schur[0]
+        top = 0.0
+        for b, starts in self.blocks:
+            rows = starts[:, None] + np.arange(b)
+            sv = np.linalg.svd(T[rows[:, :, None], rows[:, None]], compute_uv=False)
+            top = max(top, float(sv[:, 0].max()))
+        return top
 
     @cached_property
     def ztol(self) -> float:
@@ -312,23 +329,33 @@ class _Spectral(StateSpaceModel):
     def split(self, idx: np.ndarray) -> SchurSplit:
         """The eigenvalues diag(T)[idx] of the Schur form split off the rest.
 
-        The cluster is moved to the top of the one Schur form A = Z T Z^H
-        (LAPACK ztrsen), T = [[T0, T01], [0, T1]], and decoupled by the
-        triangular Sylvester solve T0 X - X T1 = T01 (ztrsyl): O(n^2 m) work
-        beside the shared O(n^3) Schur form.  See :class:`SchurSplit`.
+        A cluster of none or all eigenvalues, or one that is a union of whole
+        diagonal blocks of the record's partition (:attr:`blocks`), is split by
+        indexing: T0 = T[idx, idx], T1 the rest's rows and columns, B0, B1 the
+        rows of Z^H B and C0, C1 the columns of C Z (:attr:`maps`), and X = 0,
+        exact as the blocks' coupling is exactly zero.  Any other cluster (a
+        dense T, an axis cluster inside a block) is moved to the top of the one
+        Schur form A = Z T Z^H (LAPACK ztrsen), T = [[T0, T01], [0, T1]], and
+        decoupled by the triangular Sylvester solve T0 X - X T1 = T01 (ztrsyl):
+        O(n^2 m) work beside the shared O(n^3) Schur form.  See :class:`SchurSplit`.
         """
         T, Z = self.schur
-        k = idx.size
-        if 0 < k < self.n:
-            select = np.zeros(self.n, dtype=np.int32)
-            select[idx] = 1
-            T, Z, *_rest = lapack.ztrsen(select, T, Z, job="N")
-            X, scale, _info = lapack.ztrsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
-            X = X / scale
-            Bt, CZ = Z.conj().T @ self.B, self.C @ Z   # the maps of the reordered Z
-        else:
-            X = np.zeros((k, self.n - k), dtype=complex)
+        n, k = self.n, idx.size
+        own = np.zeros(n, dtype=bool)
+        own[idx] = True
+        # the cluster is whole blocks where it begins and ends at block starts only
+        if k in (0, n) or self.blocks is not None and np.isin(
+                np.flatnonzero(own[1:] != own[:-1]) + 1,
+                np.concatenate([starts for _b, starts in self.blocks])).all():
+            i, r = np.flatnonzero(own), np.flatnonzero(~own)
             Bt, CZ = self.maps
+            return SchurSplit(T0=T[np.ix_(i, i)], T1=T[np.ix_(r, r)], B0=Bt[i], B1=Bt[r],
+                              C0=CZ[:, i], C1=CZ[:, r], X=np.zeros((k, n - k), dtype=complex),
+                              scale=max(1.0, self.norm2))
+        T, Z, *_rest = lapack.ztrsen(own.astype(np.int32), T, Z, job="N")
+        X, scale, _info = lapack.ztrsyl(T[:k, :k], T[k:, k:], T[:k, k:], isgn=-1)
+        X = X / scale
+        Bt, CZ = Z.conj().T @ self.B, self.C @ Z   # the maps of the reordered Z
         return SchurSplit(T0=T[:k, :k], T1=T[k:, k:], B0=Bt[:k] + X @ Bt[k:],
                           B1=Bt[k:], C0=CZ[:, :k], C1=CZ[:, k:] - CZ[:, :k] @ X,
                           X=X, scale=max(1.0, self.norm2))
@@ -344,12 +371,9 @@ class _Spectral(StateSpaceModel):
 
     @cached_property
     def pbh_shifts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lams, idx): the :func:`_pbh_shifts` with other than one t_ii in their
-        cluster radius, and the one i of every other shift, each i once."""
-        lams = _pbh_shifts(self)
-        dist = np.abs(self.eigs[None, :] - lams[:, None])
-        simple = (dist <= PBH_CLUSTER_RTOL * max(1.0, self.norm2)).sum(axis=1) == 1
-        return lams[~simple], np.unique(np.argmin(dist[simple], axis=1))
+        """(lams, idx): :func:`_pbh_shifts`, the cluster shifts and the i of every simple
+        shift t_ii, each i once."""
+        return _pbh_shifts(self)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, np.ndarray], ...] | None:
@@ -536,27 +560,32 @@ def _balance_radius(G2: np.ndarray, G0: np.ndarray) -> float:
     return float(np.sqrt(g2 / g0)) if g2 > 0.0 and g0 > 0.0 else np.inf
 
 
-def _pbh_shifts(spec: _Spectral) -> np.ndarray:
-    """The eigenvalues the PBH test is taken at, one of each conjugate pair,
-    and one shift at the mean of each cluster, each distinct value once.
+def _pbh_shifts(spec: _Spectral) -> tuple[np.ndarray, np.ndarray]:
+    """(lams, idx): the shifts the PBH test is taken at, read off the Schur diagonal.
 
-    A, B, C are real, so the test matrices at conj(lambda) are the complex
-    conjugates of those at lambda and have the same singular values.  The
-    eigenvalues come from a real eigensolver, not from a complex Schur
-    diagonal, so that a conjugate pair, or the copies of a multiple
-    eigenvalue (a rank-r modal coefficient), are exact and tested once.  A
-    defective eigenvalue with a Jordan block of size k comes back as a
-    cluster about eps^1/k ||A|| wide, and the test at each computed member
-    can clear the cutoff by 1e6 though a mode is lost; the mean of the
-    cluster, the distinct eigenvalues linked pairwise within
-    PBH_CLUSTER_RTOL max(1, ||A||_2), is within rounding of the exact
-    eigenvalue.  That radius spans the spread of a pair and of a triple.  A
-    cluster that meets the real axis is its own conjugate, and its mean is real.
+    The distinct t_ii, each exact copy of a multiple eigenvalue once, are
+    linked pairwise within PBH_CLUSTER_RTOL max(1, ||A||_2) into clusters.  A
+    t_ii alone in its cluster and on the diagonal is a simple eigenvalue,
+    tested at t_ii: its i is in ``idx``.  Every other distinct t_ii is a shift
+    in ``lams``, and so is the mean of each cluster of two or more: a defective
+    eigenvalue with a Jordan block of size k comes back as a cluster about
+    eps^1/k ||A|| wide, and the test at each computed member can clear the
+    cutoff by 1e6 though a mode is lost, while the mean is within rounding of
+    the exact eigenvalue.  The radius spans the spread of a pair and of a
+    triple.  A, B, C are real, so the test matrices at conj(lambda) are the
+    complex conjugates of those at lambda and have the same singular values:
+    a shift more than the radius below the real axis is not taken, its
+    conjugate above is.  diag(T) holds no exact conjugates, so a t_ii within
+    the radius of the axis is taken, a real eigenvalue computed as x - 1e-17j
+    too, and the mean of a cluster with such a member is taken real.
     """
-    eigs = np.unique(np.linalg.eigvals(spec.A))
-    shifts = [eigs[eigs.imag >= 0.0]]
-    near = np.abs(eigs[:, None] - eigs[None, :]) <= PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
-    linked = np.flatnonzero(near.sum(axis=1) > 1)
+    radius = PBH_CLUSTER_RTOL * max(1.0, spec.norm2)
+    eigs, first, count = np.unique(spec.eigs, return_index=True, return_counts=True)
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= radius
+    alone, up = near.sum(axis=1) == 1, eigs.imag >= -radius
+    simple = alone & (count == 1)
+    shifts = [eigs[up & ~simple]]
+    linked = np.flatnonzero(~alone)
     if linked.size:
         eigs, near = eigs[linked], near[np.ix_(linked, linked)]
         # each eigenvalue takes the least index in its cluster
@@ -568,12 +597,11 @@ def _pbh_shifts(spec: _Spectral) -> np.ndarray:
             label = least
         for root in np.unique(label):
             members = eigs[label == root]
-            # the conjugate of a cluster above the axis is not tested
-            if members.imag.max() >= 0.0:
+            if members.imag.max() >= -radius:
                 mean = members.mean()
-                shifts.append([mean.real if members.imag.min() <= 0.0 else mean])
+                shifts.append([mean.real if np.abs(members.imag).min() <= radius else mean])
     # the mean of two eigenvalues an ulp apart is one of them
-    return np.unique(np.concatenate(shifts))
+    return np.unique(np.concatenate(shifts)), np.sort(first[simple & up])
 
 
 def minimality_margin(model: StateSpaceModel) -> float:
@@ -591,8 +619,10 @@ def minimality_margin(model: StateSpaceModel) -> float:
     n = model.n
     if n == 0:
         return np.inf
+    spec = _spectral(model)
+    lams, idx = spec.pbh_shifts
     margin = np.inf
-    for lam in _pbh_shifts(_spectral(model)):
+    for lam in np.concatenate([lams, spec.eigs[idx]]):
         shifted = model.A - lam * np.eye(n)
         for M in (np.hstack([shifted, model.B]),
                   np.vstack([shifted, model.C])):
@@ -605,6 +635,12 @@ def minimality_margin(model: StateSpaceModel) -> float:
 #: :func:`is_minimal` takes "minimal" from :func:`_pbh_bound` only above
 #: this; near the cutoff 1 the bound is rounding, and the SVD decides
 PBH_CLEARANCE = 100.0
+
+
+def _norm(M: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The 2-norm of M's entries (along ``axis``) as a hypot reduction: no entry is squared,
+    so entries up to the largest float give a finite norm."""
+    return np.hypot.reduce(np.abs(M), axis=axis)
 
 
 def _inv_norm_bound(R: np.ndarray) -> float:
@@ -722,8 +758,9 @@ def _deflated_bounds(rec: _Eigvecs, frob: np.ndarray) -> np.ndarray:
     gamma = ||C Z x||, leave [[M~, rho], [g, gamma]], ||rho|| = r the residual of x, ||g|| <=
     ||C||_F: sigma_min >= (gamma / (beta^2 (gamma^2 + ||C||_F^2) + 1)^1/2 - r) / ||E||_2, and u
     gives the other side.  gamma is a norm, never a Gram form: a lost mode's gamma is rounding.
+    Neither it nor ||C||_F squares an entry (:func:`_norm`, np.hypot).
     """
-    gamma = np.array([np.linalg.norm(rec.CX, axis=0), np.linalg.norm(rec.UB, axis=1)])
+    gamma = np.array([_norm(rec.CX, axis=0), _norm(rec.UB, axis=1)])
     lower = gamma / np.hypot(rec.beta * np.hypot(gamma, frob), 1.0)
     return (lower - rec.res) * 2.0 / (rec.head + np.hypot(rec.head, 2.0))
 
@@ -744,7 +781,8 @@ def _pbh_bound(spec: _Spectral) -> float:
     PBH_CLEARANCE (it can be loose by a factor exponential in n), the bound
     by 1/||R^-1||_F (ztrtri) is taken too and the larger kept: it clears any
     threshold up to PBH_CLEARANCE wherever the ztrtri one does.  0 if an R is
-    singular, 0 or NaN on overflow.
+    singular, 0 or NaN where ||T||_F^2 overflows; huge B or C alone leave it
+    finite (:func:`_norm`, np.hypot).
     """
     n, m = spec.n, spec.m
     if n == 0:
@@ -754,8 +792,8 @@ def _pbh_bound(spec: _Spectral) -> float:
     shifts = np.concatenate([lams, spec.eigs[idx]])
     # ||T - lambda I||_F^2 = off-diagonal part + sum_i |t_ii - lambda|^2
     tri = np.linalg.norm(np.triu(T, 1)) ** 2 + (np.abs(spec.eigs - shifts[:, None]) ** 2).sum(1)
-    frob = np.array([[np.linalg.norm(spec.C)], [np.linalg.norm(spec.B)]])
-    cutoff = (n + m) * np.finfo(float).eps * np.sqrt(tri + frob ** 2)
+    frob = np.array([[_norm(spec.C)], [_norm(spec.B)]])
+    cutoff = (n + m) * np.finfo(float).eps * np.hypot(np.sqrt(tri), frob)
     # rows 0 and 1: [A - lambda I; C] and [A - lambda I, B]; NaN at a cluster shift
     b = np.full((2, shifts.size), np.nan)
     if idx.size:

@@ -55,12 +55,13 @@ form A = Z T Z^H, held with the rest of A's spectral data by the per-call
 record ``ltimodel._Spectral``.  Condition 3 takes each axis-pole cluster as
 an index set on diag(T): T's eigenvectors, kept by the record for the PBH
 test, give a single eigenvalue's residue (:func:`_simple_residues`); a
-larger cluster is moved to the top of T and decoupled by a triangular
-Sylvester solve, the only route that tells a semisimple cluster from a
-defective one.  Condition 4 reads everything off the record's origin split,
-the same move and solve for the cluster at s = 0: the order of the origin
-pole (S0^2 = 0) and lim s^2 G(s) = Re C0 S0 B0 (``SchurSplit.G2``), the G2
-that ``freebody.laurent_coefficients`` returns too.  ``_Spectral.ztol``, as
+larger cluster is split off T (``_Spectral.split``: by indexing where it is
+whole diagonal blocks of T, else moved to the top and decoupled by a
+triangular Sylvester solve), the only route that tells a semisimple cluster
+from a defective one.  Condition 4 reads everything off the record's origin
+split, the same split of the cluster at s = 0: the order of the origin pole
+(S0^2 = 0) and lim s^2 G(s) = Re C0 S0 B0 (``SchurSplit.G2``), the G2 that
+``freebody.laurent_coefficients`` returns too.  ``_Spectral.ztol``, as
 in ``freebody``, decides whether a pole is at the origin or on the axis.
 """
 
@@ -204,13 +205,23 @@ class SniReport:
 
 
 def _axis_pole_clusters(eigs: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
-    """Positive-frequency imaginary-axis eigenvalue clusters (w0, indices into eigs)."""
+    """Positive-frequency imaginary-axis eigenvalue clusters (w0, indices into eigs), w0 rising.
+
+    All clusters are cut at once, each a slice of one sorted index array, and w0, the mean
+    frequency, is summed by one np.add.reduceat.  That sums a cluster of three or more in
+    another order than np.mean; such a cluster takes np.mean, so w0 is np.mean's value.
+    """
     axis = np.flatnonzero((np.abs(eigs.real) <= tol) & (eigs.imag > tol))
     axis = axis[np.argsort(eigs.imag[axis], kind="stable")]
     w = eigs.imag[axis]
-    # a cluster ends where the next frequency is more than the radius above
-    cuts = np.flatnonzero(np.diff(w) > POLE_CLUSTER_RTOL * np.maximum(1.0, w[1:])) + 1
-    return [(float(np.mean(w[c])), axis[c]) for c in np.split(np.arange(w.size), cuts) if c.size]
+    # a cluster starts where its frequency is more than the radius above the last
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > POLE_CLUSTER_RTOL * np.maximum(1.0, w))
+    sizes = np.diff(starts, append=w.size)
+    w0 = np.add.reduceat(w, starts) / sizes
+    for j in np.flatnonzero(sizes > 2):
+        w0[j] = np.mean(w[starts[j]:starts[j] + sizes[j]])
+    ends = (starts + sizes).tolist()
+    return [(m, axis[a:b]) for m, a, b in zip(w0.tolist(), starts.tolist(), ends)]
 
 
 def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
@@ -365,7 +376,7 @@ def _cluster_residue(spec: _Spectral, idx: np.ndarray, omega0: float) -> tuple[n
     and a bound on the cluster's condition number ||P||_2.
 
     The cluster is split off the one Schur form A = Z T Z^H by
-    ``_Spectral.split`` (ztrsen, then ztrsyl), so K = j C0 B0, the cluster's
+    ``_Spectral.split`` (by indexing, or ztrsen then ztrsyl), so K = j C0 B0, the cluster's
     decoupled output and input maps: O(n^2 m) work beside the shared O(n^3)
     Schur form.  ||P||_2 = (1 + ||X||_2^2)^1/2 for the coupling X is at most
     ||[[I, X], [0, I]]||_2 = ``SchurSplit.cond`` ^ 1/2, the bound returned.
@@ -495,10 +506,13 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
     # condition 2: frequency sweep of the remainder, where every axis pole
     # drops out of j(G - G*), else of the whole model; a point violates it
     # where -min_eig is beyond both floors
-    growth = AXIS_GROWTH_RTOL * spec.norm2
-    drop = not defective and all(
-        herm_defect <= COND2_RTOL * scale and eigs.real[idx].max() <= growth * kappa
-        for (_w0, idx), kappa, (herm_defect, _, scale) in zip(clusters, kappas, margins))
+    # each cluster's largest real part, over all clusters' indices end to end
+    sizes = np.array([idx.size for _w0, idx in clusters], dtype=int)
+    members = np.concatenate([idx for _w0, idx in clusters] + [np.zeros(0, dtype=int)])
+    top = np.maximum.reduceat(eigs.real[members], np.cumsum(sizes) - sizes)
+    herm_defect, _, scale = np.reshape(margins, (-1, 3)).T
+    growth = AXIS_GROWTH_RTOL * spec.norm2 * np.array(kappas)
+    drop = not defective and bool(np.all((herm_defect <= COND2_RTOL * scale) & (top <= growth)))
     T, Bt, Ct, norm2, omegas = _remainder(spec, tuple(w for w, _ in clusters), drop)
     min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
     cond2 = list(zip(omegas.tolist(), min_eig.tolist()))

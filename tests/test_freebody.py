@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -340,12 +342,29 @@ class TestStabilityVerdict:
         opts = VerdictOptions(skip_ni_check=True)
         v = ns.stability_verdict(ns.StateSpaceModel([[-1.0]], [[1e200]], [[-1e200]]), ctrl, opts)
         assert v.outcome is ns.Outcome.INCONCLUSIVE and "not finite" in v.reason
-        # the PBH bound of the origin route overflows in ||B||_F (a known fault
-        # apart from this one), so its warnings are silenced here
+        # the Laurent routes overflow on the second (G1 = C0 B0, the contour
+        # coefficients), which they do not test for
         with np.errstate(over="ignore", invalid="ignore"):
             v = ns.stability_verdict(ns.StateSpaceModel([[0.0]], [[1e200]], [[1e200]]),
                                      ctrl, opts)
         assert v.outcome is ns.Outcome.INCONCLUSIVE and "not finite" in v.reason
+
+    def test_overflowing_decision_is_inconclusive(self):
+        # G(0) = -1e300 and Gbar(0) are finite, but with the gain -1e10 the
+        # DC-gain product G(0) Gbar(0) overflows: eigvals raised LinAlgError on
+        # it.  With the gain 2 nothing the decision forms overflows (||G(0)||
+        # is taken without squaring), and the verdict stays UNSTABLE
+        plant = ns.StateSpaceModel([[-1.0]], [[1e150]], [[-1e150]])
+        opts = VerdictOptions(skip_ni_check=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = ns.stability_verdict(plant, ns.make_irc([[1.0]], [[1.0]], [[-1e10]]).realization,
+                                     opts)
+            assert v.outcome is ns.Outcome.INCONCLUSIVE and "not finite" in v.reason
+            v = ns.stability_verdict(plant, ns.make_irc([[1.0]], [[1.0]], [[2.0]]).realization,
+                                     opts)
+            assert v.outcome is ns.Outcome.UNSTABLE
+            assert v.condition_values["dc_gain_lambda_max"] == pytest.approx(1e300)
 
     def test_overflowing_loop_leaves_the_oracle_unset(self):
         # the closed-loop matrix holds B Dbar C = -inf: the oracle has nothing
@@ -355,8 +374,7 @@ class TestStabilityVerdict:
         v = ns.stability_verdict(plant, ctrl, VerdictOptions(skip_ni_check=True, run_oracle=True))
         assert v.outcome is ns.Outcome.INCONCLUSIVE
         assert v.oracle_hurwitz is None and v.oracle_agrees is None
-        with np.errstate(over="ignore", invalid="ignore"):   # the PBH bound, as above
-            rep = ns.run_analysis(plant, ctrl)
+        rep = ns.run_analysis(plant, ctrl)
         assert rep.verdict.outcome is ns.Outcome.INCONCLUSIVE
         assert "NonFiniteResponseError" in rep.verdict.reason
         assert rep.oracle_hurwitz is None

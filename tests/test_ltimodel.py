@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,7 +207,8 @@ def _pbh_bound_ztrtri(spec):
 
     n, m = spec.n, spec.m
     T, Z = spec.schur
-    lams = _pbh_shifts(spec)
+    lams, idx = _pbh_shifts(spec)
+    lams = np.concatenate([lams, spec.eigs[idx]])
     tri = (np.linalg.norm(np.triu(T, 1)) ** 2
            + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
     eye = np.eye(n)
@@ -396,6 +398,22 @@ class TestPbhBound:
                 spec = ltimodel._spectral(ns.modal_to_ss(mm))
                 assert spec.pbh_bound > ltimodel.PBH_CLEARANCE
                 assert len(folds) == 2
+
+    def test_huge_b_and_c_keep_the_bound_finite(self, monkeypatch):
+        # ||C||_F, ||B||_F and the gamma norms are 1e200: none is squared, so
+        # the bound clears with no warning and no SVD margin is taken (it
+        # overflowed to NaN, and the margin decided)
+        from nistab import ltimodel
+
+        margins = []
+        _count_calls(monkeypatch, ltimodel, "minimality_margin", margins)
+        model = ns.StateSpaceModel([[-1.0]], [[1e200]], [[-1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            spec = ltimodel._spectral(model)
+            assert np.isfinite(spec.pbh_bound) and spec.pbh_bound > ltimodel.PBH_CLEARANCE
+            assert ns.is_minimal(spec)
+        assert not margins
 
     def test_overflow_never_clears(self):
         # scaled by 1e160 or more, ||T||_F^2 overflows: the bound is 0 or
@@ -860,13 +878,30 @@ class TestDiagonalBlocks:
         assert all(split[:16]) and all(split[-5:]) and sum(split[16:-5]) > 200
 
 
-def _split_fresh_maps(spec, idx):
-    """``_Spectral.split`` with Z^H B and C Z formed anew from the Z it ends with:
-    (T0, T1, B0, B1, C0, C1, X)."""
+def _whole_blocks(spec, idx):
+    """Whether the cluster ``idx`` is none or all rows, or a union of whole diagonal blocks of
+    the record's partition: the clusters ``_Spectral.split`` takes by indexing."""
+    own = np.isin(np.arange(spec.n), idx)
+    if spec.blocks is None:
+        return own.all() or not own.any()
+    return all((own[rows].all(axis=1) | ~own[rows].any(axis=1)).all()
+               for rows in (starts[:, None] + np.arange(b) for b, starts in spec.blocks))
+
+
+def _split_fresh_maps(spec, idx, reorder=True):
+    """``_Spectral.split`` with Z^H B and C Z formed anew: by the reorder route (ztrsen, then
+    ztrsyl) from the Z it ends with, or, without ``reorder``, by indexing T and the products
+    of the record's Z: (T0, T1, B0, B1, C0, C1, X)."""
     from scipy.linalg import lapack
 
     T, Z = spec.schur
     k = idx.size
+    if not reorder:
+        own = np.isin(np.arange(spec.n), idx)
+        i, r = np.flatnonzero(own), np.flatnonzero(~own)
+        Bt, CZ = Z.conj().T @ spec.B, spec.C @ Z
+        return (T[np.ix_(i, i)], T[np.ix_(r, r)], Bt[i], Bt[r], CZ[:, i], CZ[:, r],
+                np.zeros((k, spec.n - k), dtype=complex))
     if 0 < k < spec.n:
         select = np.zeros(spec.n, dtype=np.int32)
         select[idx] = 1
@@ -880,20 +915,42 @@ def _split_fresh_maps(spec, idx):
             CZ[:, k:] - CZ[:, :k] @ X, X)
 
 
+def _parts(split, s):
+    """C0 (s_k I - T0)^-1 B0 and C1 (s_k I - T1)^-1 B1 at every point of ``s``."""
+    from nistab.ltimodel import _schur_response
+
+    zero = np.zeros((split.C0.shape[0],) * 2)
+    return (_schur_response(split.T0, split.B0, split.C0, zero, s),
+            _schur_response(split.T1, split.B1, split.C1, zero, s))
+
+
+def _assert_same_parts(got, ref, s):
+    """Two splits of one cluster give its part and the rest's of G to rounding."""
+    for a, b in zip(_parts(got, s), _parts(ref, s)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.abs(b).max())
+    assert np.allclose(np.sort_complex(np.diag(got.T0)), np.sort_complex(np.diag(ref.T0)),
+                       rtol=1e-12, atol=1e-12 * got.scale)
+
+
 class TestSchurMaps:
     """The record's one (Z^H B, C Z) pair gives the products it replaced, bit for bit."""
 
     def test_splits_equal_fresh_products(self, beam_params):
-        # none and all of the eigenvalues (the splits that read the record's
-        # maps) and the origin cluster, on the ladder rungs, the arm and
-        # Monte-Carlo draws
+        # none and all of the eigenvalues and the origin cluster, on the ladder
+        # rungs, the arm and Monte-Carlo draws.  A cluster of whole diagonal
+        # blocks (none, all, and the origin cluster of a rung of 32 states or
+        # more) is split by indexing the record's maps; its reference indexes
+        # fresh products, and the reorder route gives the same G2, G1, cond and
+        # parts of G.  Every other cluster is bitwise the reorder route
         from nistab.freebody import _FAMILIES, random_ni_plant
-        from nistab.ltimodel import _spectral
+        from nistab.ltimodel import SchurSplit, _spectral
 
         models = [ns.modal_to_ss(mm) for mm in ladder_modal_models(1, (10, 25))]
         models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 5)]
         models += [random_ni_plant(np.random.default_rng(t), _FAMILIES[t % 8])[0]
                    for t in range(40)]
+        s = np.array([0.3 + 2.0j, 1j * 7.0])
+        routes = []
         for model in models:
             spec = _spectral(model)
             T, Z = spec.schur
@@ -904,8 +961,226 @@ class TestSchurMaps:
                         np.flatnonzero(np.abs(spec.eigs) <= spec.ztol)):
                 split = spec.split(idx)
                 got = (split.T0, split.T1, split.B0, split.B1, split.C0, split.C1, split.X)
-                for a, b in zip(got, _split_fresh_maps(spec, idx)):
+                indexed = _whole_blocks(spec, idx)
+                routes.append(indexed and 0 < idx.size < spec.n)
+                for a, b in zip(got, _split_fresh_maps(spec, idx, reorder=not indexed)):
                     _assert_same_bits(a, b)
+                if indexed and 0 < idx.size < spec.n:
+                    ref = SchurSplit(*_split_fresh_maps(spec, idx), scale=split.scale)
+                    np.testing.assert_array_equal(split.G2, ref.G2)
+                    np.testing.assert_array_equal(np.real(split.C0 @ split.B0),
+                                                  np.real(ref.C0 @ ref.B0))
+                    assert split.cond == pytest.approx(ref.cond, rel=1e-12)
+                    _assert_same_parts(split, ref, s)
+        # the n = 54 rung's origin cluster is the one proper cluster split by indexing
+        assert sum(routes) == 1
+
+
+def _scrambled(model, seed=0):
+    """``model`` under a random orthogonal change of coordinates: its Schur triangle is dense."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(model.n, model.n)))
+    return ns.similarity_transform(model, Q)
+
+
+class TestIndexedSplit:
+    """A cluster of whole diagonal blocks is split by indexing the one Schur form."""
+
+    def test_origin_split_equals_the_reorder_route(self, monkeypatch):
+        # every ladder rung of 25, 50 and 100 modes: no ztrsen call, X = 0,
+        # and the reorder route's G2 and G1 bit for bit, its G0 and cond to
+        # rounding
+        import scipy.linalg
+        from scipy.linalg import lapack
+
+        from nistab.ltimodel import SchurSplit, _spectral
+
+        reorders = []
+        _count_calls(monkeypatch, lapack, "ztrsen", reorders)
+        for seed in (1, 2, 3):
+            for mm in ladder_modal_models(seed, (25, 50, 100)):
+                spec = _spectral(ns.modal_to_ss(mm))
+                split = spec.origin_split
+                assert not reorders and split.n0 == 4
+                assert not split.X.any()
+                idx = np.flatnonzero(np.abs(spec.eigs) <= spec.ztol)
+                ref = SchurSplit(*_split_fresh_maps(spec, idx), scale=split.scale)
+                del reorders[:]
+                np.testing.assert_array_equal(split.G2, ref.G2)
+                np.testing.assert_array_equal(np.real(split.C0 @ split.B0),
+                                              np.real(ref.C0 @ ref.B0))
+                G0, G0_ref = (-np.real(sp.C1 @ scipy.linalg.solve_triangular(sp.T1, sp.B1))
+                              for sp in (split, ref))
+                np.testing.assert_allclose(G0, G0_ref, rtol=0.0, atol=1e-14 * np.abs(G0_ref).max())
+                assert split.cond == pytest.approx(ref.cond, rel=1e-14)
+
+    def test_scrambled_rung_reorders(self, monkeypatch):
+        # a dense Schur triangle is one block: the origin cluster inside it is
+        # moved by ztrsen, and gives the structured rung's G2
+        from scipy.linalg import lapack
+
+        from nistab.ltimodel import _spectral
+
+        reorders = []
+        _count_calls(monkeypatch, lapack, "ztrsen", reorders)
+        model = ns.modal_to_ss(ladder_modal_models(1, (25,))[0])
+        spec = _spectral(_scrambled(model))
+        assert spec.blocks is None
+        split = spec.origin_split
+        assert len(reorders) == 1 and split.n0 == 4
+        ref = _spectral(model).origin_split
+        np.testing.assert_allclose(split.G2, ref.G2, rtol=0.0, atol=1e-9 * np.abs(ref.G2).max())
+
+    def test_cluster_in_the_middle_of_t(self, rng, monkeypatch):
+        # whole blocks that neither start nor end T, on a ladder rung and on
+        # triangles with blocks of several sizes: the split's two parts sum to
+        # G and equal the reorder route's, with no ztrsen call
+        from scipy.linalg import lapack
+
+        from nistab.ltimodel import SchurSplit, _Spectral
+
+        reorders = []
+        _count_calls(monkeypatch, lapack, "ztrsen", reorders)
+        models = [ns.modal_to_ss(ladder_modal_models(2, (25,))[0])]
+        models += [_mixed_block_plant(rng, (1, 3, 2, 1, 3, 4) * 3) for _ in range(3)]
+        s = np.array([0.3 + 2.0j, 1j * 0.7, 1j * 40.0])
+        for model in models:
+            spec = _Spectral(model.A, model.B, model.C, model.D)
+            groups = sorted((int(a), b) for b, starts in spec.blocks for a in starts)
+            assert len(groups) > 6
+            for picks in ((2,), (3, 5), (1, len(groups) - 3)):
+                idx = np.concatenate([np.arange(a, a + b) for a, b in (groups[j] for j in picks)])
+                split = spec.split(idx)
+                assert not reorders and not split.X.any()
+                assert np.array_equal(np.diag(split.T0), spec.eigs[idx])
+                assert np.array_equal(split.T0, np.triu(split.T0))
+                G = sum(_parts(split, s)) + model.D
+                H = ns.freq_response(model, s)
+                np.testing.assert_allclose(G, H, rtol=0.0, atol=1e-12 * np.abs(H).max())
+                _assert_same_parts(split, SchurSplit(*_split_fresh_maps(spec, idx),
+                                                     scale=split.scale), s)
+                del reorders[:]
+
+    def test_norm2_from_blocks(self, rng, beam_params):
+        # ||A||_2 as the largest singular value over T's diagonal blocks, on
+        # every record with a partition; the SVD of A on the others
+        from nistab.ltimodel import _spectral
+
+        models = [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                  for mm in ladder_modal_models(seed, (10, 25, 50, 100))]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (2, 10, 20)]
+        models += [_mixed_block_plant(rng, (1, 3, 2, 1, 3, 4) * 3) for _ in range(5)]
+        models += [_scrambled(models[1])]
+        partitioned = 0
+        for model in models:
+            spec = _spectral(model)
+            partitioned += spec.blocks is not None
+            ref = np.linalg.norm(model.A, 2)
+            assert spec.norm2 == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert partitioned == sum(model.n >= 32 for model in models) - 1
+
+
+def _pbh_shifts_eigvals(spec):
+    """The PBH shift values as they were taken from a real eigensolver: one of each
+    conjugate pair, each distinct value once, and the mean of each cluster of distinct
+    eigenvalues linked within PBH_CLUSTER_RTOL max(1, ||A||_2)."""
+    from nistab.ltimodel import PBH_CLUSTER_RTOL
+
+    eigs = np.unique(np.linalg.eigvals(spec.A))
+    shifts = [eigs[eigs.imag >= 0.0]]
+    near = np.abs(eigs[:, None] - eigs[None, :]) <= PBH_CLUSTER_RTOL * max(
+        1.0, np.linalg.norm(spec.A, 2))
+    linked = np.flatnonzero(near.sum(axis=1) > 1)
+    if linked.size:
+        eigs, near = eigs[linked], near[np.ix_(linked, linked)]
+        label = np.arange(linked.size)
+        while True:
+            least = np.where(near, label[None, :], linked.size).min(axis=1)
+            if np.array_equal(least, label):
+                break
+            label = least
+        for root in np.unique(label):
+            members = eigs[label == root]
+            if members.imag.max() >= 0.0:
+                mean = members.mean()
+                shifts.append([mean.real if members.imag.min() <= 0.0 else mean])
+    return np.unique(np.concatenate(shifts))
+
+
+def _eigvals_record(model):
+    """A record of ``model`` whose PBH shifts are those of :func:`_pbh_shifts_eigvals`, split
+    as the record split them: the shifts with one t_ii in their cluster radius are simple,
+    tested at that t_ii; and those shift values."""
+    from nistab.ltimodel import PBH_CLUSTER_RTOL, _Spectral
+
+    spec = _Spectral(model.A, model.B, model.C, model.D)
+    lams = _pbh_shifts_eigvals(spec)
+    dist = np.abs(spec.eigs[None, :] - lams[:, None])
+    simple = (dist <= PBH_CLUSTER_RTOL * max(1.0, np.linalg.norm(model.A, 2))).sum(axis=1) == 1
+    vars(spec)["pbh_shifts"] = (lams[~simple], np.unique(np.argmin(dist[simple], axis=1)))
+    return spec, lams
+
+
+def _margin_at(model, shifts):
+    """``minimality_margin`` taken at the given shift values."""
+    n, margin = model.n, np.inf
+    for lam in shifts:
+        shifted = model.A - lam * np.eye(n)
+        for M in (np.hstack([shifted, model.B]), np.vstack([shifted, model.C])):
+            sv = np.linalg.svd(M, compute_uv=False)
+            margin = min(margin, sv[n - 1] / (max(M.shape) * np.finfo(float).eps * sv[0]))
+    return margin
+
+
+class TestPbhShifts:
+    """The PBH shifts read off diag(T), each eigenvalue tested once."""
+
+    @staticmethod
+    def _shifts(model):
+        from nistab.ltimodel import _spectral
+
+        spec = _spectral(model)
+        lams, idx = spec.pbh_shifts
+        return np.concatenate([lams, spec.eigs[idx]])
+
+    def test_each_eigenvalue_tested_once(self):
+        # in their own coordinates and rotated: a simple eigenvalue, real or
+        # one of a conjugate pair, is tested once, at its t_ii, on whichever
+        # side of the real axis rounding put a real one; a multiple eigenvalue
+        # (a modal frequency of rank 2 or 3, a Jordan pair or triple) at each
+        # distinct computed member and at their mean, which is within rounding
+        # of the exact eigenvalue; nothing more than the radius below the axis
+        rank3 = ns.modal_to_ss(ns.ModalModel(3, terms=((2.0, np.eye(3)), (5.0, np.ones((3, 3))))))
+        jordan_pair = ns.StateSpaceModel(block_diag([[0.0, 1.0], [0.0, 0.0]], -3.0),
+                                         [[0.0], [1.0], [1.0]], [[1.0, 0.0, 1.0]])
+        cases = [(_jordan_triple(), [-2.0], [(-1.0, 3)]), (jordan_pair, [-3.0], [(0.0, 2)]),
+                 (rank3, [5j], [(2j, 3)]), (_split_mode(0.5), [], [(2j, 2)])]
+        for model, simple, multiple in cases:
+            for seed in range(10):
+                shifts = self._shifts(_scrambled(model, seed) if seed else model)
+                assert shifts.imag.min() > -1e-4
+                for lam in simple:
+                    got = shifts[np.abs(shifts - lam) < 1e-4]
+                    assert got.size == 1 and abs(got[0] - lam) < 1e-12 * (1 + abs(lam)), seed
+                for lam, copies in multiple:
+                    assert np.sum(np.abs(shifts - lam) < 1e-10) >= 1, (seed, lam)
+                    assert np.sum(np.abs(shifts - lam) < 1e-4) <= copies + 1, (seed, lam)
+
+    def test_decisions_match_the_eigensolver_shifts(self, rng):
+        # the bound's clearing and is_minimal on 400 Monte-Carlo draws under
+        # similarity transforms of cond 1 to 1e7, against the shifts of the
+        # real eigensolver
+        from nistab.ltimodel import PBH_CLEARANCE, _spectral
+
+        clears = minimal = 0
+        for model in TestIsMinimal._transformed(rng, 400):
+            old, shifts = _eigvals_record(model)
+            new = _spectral(model)
+            assert (new.pbh_bound > PBH_CLEARANCE) == (old.pbh_bound > PBH_CLEARANCE)
+            decided = old.pbh_bound > PBH_CLEARANCE or _margin_at(model, shifts) > 1.0
+            assert ns.is_minimal(model) == decided
+            clears += old.pbh_bound > PBH_CLEARANCE
+            minimal += decided
+        assert 0 < clears < 400 and 0 < minimal < 400
 
 
 def _margin_every_eigenvalue(model):

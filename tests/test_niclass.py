@@ -498,21 +498,18 @@ class TestNonFiniteSweep:
     def test_classifiers_raise(self, paper_irc):
         plant, ctrl = self._overflowing(paper_irc)
         message = r"^j\(G - G\*\) is not finite at omega = 0\.001$"
-        # the PBH bound's norms of B and C overflow as well
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteResponseError, match=message):
-                ns.classify_ni(plant)
-            with pytest.raises(NonFiniteResponseError, match=message):
-                ns.classify_sni(ctrl)
+        with pytest.raises(NonFiniteResponseError, match=message):
+            ns.classify_ni(plant)
+        with pytest.raises(NonFiniteResponseError, match=message):
+            ns.classify_sni(ctrl)
 
     def test_verdict_is_inconclusive(self, paper_irc):
         plant, ctrl = self._overflowing(paper_irc)
         want = ("classification unavailable: NonFiniteResponseError: "
                 "j(G - G*) is not finite at omega = 0.001")
-        with np.errstate(over="ignore", invalid="ignore"):
-            for G, Gbar in ((plant, first_order_lag_minus(0.0)), (double_integrator(), ctrl)):
-                v = ns.stability_verdict(G, Gbar)
-                assert v.outcome is ns.Outcome.INCONCLUSIVE and v.reason == want
+        for G, Gbar in ((plant, first_order_lag_minus(0.0)), (double_integrator(), ctrl)):
+            v = ns.stability_verdict(G, Gbar)
+            assert v.outcome is ns.Outcome.INCONCLUSIVE and v.reason == want
 
 
 #: damping-ratio ranges of the damped corpus; the last straddles ztol, so a
@@ -880,6 +877,48 @@ def _simple_residues_row_loops(spec, idx):
     kappa = np.linalg.norm(vecs[0], axis=0) * np.linalg.norm(U, axis=0)
     back = np.argsort(order)
     return 1j * np.einsum("ik,kj->kij", CX, UB)[back], kappa[back]
+
+
+def _axis_pole_clusters_split(eigs, tol):
+    """``niclass._axis_pole_clusters`` as written before it cut all clusters at once: np.split
+    and one np.mean per cluster."""
+    axis = np.flatnonzero((np.abs(eigs.real) <= tol) & (eigs.imag > tol))
+    axis = axis[np.argsort(eigs.imag[axis], kind="stable")]
+    w = eigs.imag[axis]
+    cuts = np.flatnonzero(np.diff(w) > niclass.POLE_CLUSTER_RTOL * np.maximum(1.0, w[1:])) + 1
+    return [(float(np.mean(w[c])), axis[c]) for c in np.split(np.arange(w.size), cuts) if c.size]
+
+
+class TestAxisPoleClusters:
+    def test_equals_the_per_cluster_loop(self, rng, beam_params):
+        # w0 bit for bit and the same index arrays: the ladder rungs, the arm,
+        # Monte-Carlo draws (clusters of up to 3), and constructed clusters of
+        # 1 to 12 copies a rounding apart, with their conjugates and off-axis
+        # eigenvalues mixed in
+        from nistab.freebody import _FAMILIES, random_ni_plant
+
+        models = [ns.modal_to_ss(mm) for mm in ladder_modal_models(1, (10, 25, 50, 100))]
+        models += [ns.modal_to_ss(ns.finite_dim_approx(beam_params, k)) for k in (1, 5, 10)]
+        models += [random_ni_plant(np.random.default_rng(t), _FAMILIES[t % 8])[0]
+                   for t in range(200)]
+        cases = [(_spectral(model).eigs, _spectral(model).ztol) for model in models]
+        for _ in range(300):
+            sizes = rng.integers(1, 13, rng.integers(1, 6))
+            centers = np.cumsum(rng.uniform(1.0, 10.0, sizes.size))
+            w = np.concatenate([c * (1.0 + 1e-9 * rng.normal(size=k))
+                                for c, k in zip(centers, sizes)])
+            eigs = np.concatenate([1e-12 * rng.normal(size=w.size) + 1j * w, -1j * w, [-1.0, 0.0]])
+            cases.append((rng.permutation(eigs), 1e-7))
+        sizes = []
+        for eigs, tol in cases:
+            got, ref = niclass._axis_pole_clusters(eigs, tol), _axis_pole_clusters_split(eigs, tol)
+            assert len(got) == len(ref)
+            for (w0, idx), (w_ref, idx_ref) in zip(got, ref):
+                assert type(w0) is float and np.float64(w0).tobytes() == np.float64(w_ref).tobytes()
+                assert np.array_equal(idx, idx_ref)
+                sizes.append(idx.size)
+        assert max(sizes) == 12 and sizes.count(3) > 50
+        assert niclass._axis_pole_clusters(np.array([-1.0 + 0j, 0j]), 1e-7) == []
 
 
 def _rank_two_plants():
