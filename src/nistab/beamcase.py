@@ -135,12 +135,23 @@ class BeamParameters:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BeamParameters":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        """Parameters from a JSON object of finite real numbers (no bools) keyed by field
+        name; the hub inertia, the beam's length, density, area, modulus, moment and the
+        two calibration factors must be positive.  DimensionError otherwise."""
+        if not isinstance(d, dict):
+            raise DimensionError(f"beam parameters must be a JSON object, got {type(d).__name__}")
+        bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
-            raise DimensionError(f"unknown beam parameter keys: {sorted(bad)}")
-        vals = {k: float(v) for k, v in d.items()}
-        return cls(**vals)
+            raise DimensionError(f"unknown beam parameter keys: {sorted(bad, key=str)}")
+        positive = ("Ih", "l", "rho", "A", "E", "I", "inertia_scale", "stiffness_correction")
+        big = float(np.finfo(float).max)
+        for k, v in d.items():
+            # abs(v) <= big also refuses NaN, infinity and an int too large for a float
+            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            if not (real and abs(v) <= big and (k not in positive or v > 0.0)):
+                need = "finite positive" if k in positive else "finite real"
+                raise DimensionError(f"beam parameter {k!r} must be a {need} number, got {v!r}")
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 @dataclass(frozen=True)

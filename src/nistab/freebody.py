@@ -705,7 +705,7 @@ def _draw_ni_plant(rng: np.random.Generator, family: str, m: int | None = None):
         g1 = W @ W.T
         terms = modal_coeffs(inside=W)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise NistabError(f"unknown family {family!r}")
     mm = ModalModel(m=m, terms=tuple(terms), g1=g1, g2=g2,
                     meta={"family": family})
     return modal_to_ss(mm), mm

@@ -31,24 +31,21 @@ SWEEP_WMAX] alone.  Otherwise, or when the split is ill-conditioned
 (``SchurSplit.cond`` above ``ltimodel.TRANSFORM_COND_LIMIT``, or not finite),
 G itself is swept, on that grid plus BRACKET_POINTS beside each axis pole,
 none within POLE_GUARD of one (``_sweep_grid``); the SNI test, whose model has
-no axis pole, always sweeps G.  A sweep evaluates its model on the whole grid
-from one Schur triangle (``ltimodel._schur_response``) in one walk over all
-its rows (the triangle swept on every analysis is small: a 2-4 state origin
-remainder, a controller), and min_eig, the least eigenvalue of j(G - G*), at
-every point from one :func:`_least_eig` call: in closed form for m = 2 (the
-paper's colocated pair, every ladder rung, the IRC), with no LAPACK call per
-point.  A point where j(G - G*) is not finite (G overflows) raises
-``NonFiniteResponseError``.  Both tests
-judge a point by one rule, :func:`_beyond_floor`: is a margin z above
-(1 + ||G||_2) max(c, 200 eps cond2(jwI - T)), T the swept triangle, the
-second term the noise floor of the resolvent solve?  NI fails where z =
--min_eig is above it with c = COND2_RTOL, SNI where z = min_eig is not, with
-c = SNI_STRICT_FLOOR.  The exact ||G||_2 and cond2 (an n x n SVD) are taken
-only at the points that cheap bounds cannot decide, so the decisions are
-those of the exact values.  The bound and the SVDs are stacked over chunks
-of at most FLOOR_ENTRIES = points x n^2 entries: a triangle of up to 51
-rows (a controller, an origin remainder) takes its bound in one back
-substitution over the whole grid.
+no axis pole, always sweeps G.  Both tests decide condition 2 by one routine,
+:func:`_condition2`: one walk over all rows of the swept Schur triangle T
+evaluates G on the whole grid (``ltimodel._schur_response``; the triangle
+swept on every analysis is small, a 2-4 state origin remainder or a
+controller), one :func:`_least_eig` call gives min_eig, the least eigenvalue
+of j(G - G*), at every point (in closed form for m = 2: the paper's colocated
+pair, every ladder rung, the IRC), and a point where j(G - G*) is not finite
+(G overflows) raises ``NonFiniteResponseError``.  A point is judged by
+:func:`_beyond_floor`: is a margin z above (1 + ||G||_2) max(c, 200 eps
+cond2(jwI - T)), the second term the noise floor of the resolvent solve?  NI
+fails where z = -min_eig is above it with c = COND2_RTOL, SNI where z =
+min_eig is not, with c = SNI_STRICT_FLOOR; the exact ||G||_2 and cond2 are
+taken only where cheap bounds cannot decide.  Every failed condition of
+either test gives a reason and no passing one does: the verdict is ``not
+reasons``.
 
 Every eigenvalue of A is read off the diagonal of one complex Schur
 form A = Z T Z^H, held with the rest of A's spectral data by the per-call
@@ -239,15 +236,15 @@ def _remainder(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool):
     TRANSFORM_COND_LIMIT (or not finite), it is the record's whole Schur form
     (T, Z^H B, C Z) on ``_sweep_grid(axis_poles)``.
     """
-    eigs = spec.eigs
-    rest = (np.abs(eigs.real) > spec.ztol) | (np.abs(eigs.imag) <= spec.ztol)
-    if drop and not rest.all():
-        # the origin cluster is part of the rest, so equal sizes mean equal sets
-        split = (spec.origin_split if rest.sum() == spec.origin_split.n0
-                 else spec.split(np.flatnonzero(rest)))
-        if split.cond <= TRANSFORM_COND_LIMIT:
-            norm2 = float(np.linalg.norm(split.T0, 2)) if split.n0 else 0.0
-            return split.T0, split.B0, split.C0, norm2, _BASE_GRID
+    if drop:
+        rest = (np.abs(spec.eigs.real) > spec.ztol) | (np.abs(spec.eigs.imag) <= spec.ztol)
+        if not rest.all():
+            # the origin cluster is part of the rest, so equal sizes mean equal sets
+            split = (spec.origin_split if rest.sum() == spec.origin_split.n0
+                     else spec.split(np.flatnonzero(rest)))
+            if split.cond <= TRANSFORM_COND_LIMIT:
+                norm2 = float(np.linalg.norm(split.T0, 2)) if split.n0 else 0.0
+                return split.T0, split.B0, split.C0, norm2, _BASE_GRID
     return spec.schur[0], *spec.maps, spec.norm2, _sweep_grid(axis_poles)
 
 
@@ -428,27 +425,49 @@ def imaginary_axis_residue(model: StateSpaceModel, omega0: float) -> np.ndarray:
     return (_simple_residues(spec, idx)[0] if one else _cluster_residue(spec, idx, omega0))[0]
 
 
+def _condition2(spec: _Spectral, axis_poles: tuple[float, ...], drop: bool, strict: bool):
+    """Condition 2 on the model of ``_remainder(spec, axis_poles, drop)``: its profile
+    [(w, min_eig)], worst point and lowest failing point (None where none fails).
+
+    Swept by :func:`_sweep_min_eigs`, refuted by :func:`_beyond_floor`: NI fails where
+    -min_eig is beyond the COND2_RTOL floor, SNI (``strict``) where min_eig is not
+    beyond the SNI_STRICT_FLOOR floor.
+    """
+    T, Bt, Ct, norm2, omegas = _remainder(spec, axis_poles, drop)
+    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
+    profile = list(zip(omegas.tolist(), min_eig.tolist()))
+    if strict:
+        fails = ~_beyond_floor(T, norm2, omegas, min_eig, G, SNI_STRICT_FLOOR)
+    else:
+        fails = _beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL)
+    bad = np.flatnonzero(fails)
+    lowest = profile[bad[np.argmin(min_eig[bad])]] if bad.size else None
+    return profile, profile[np.argmin(min_eig)], lowest
+
+
 def classify_ni(model: StateSpaceModel) -> NiReport:
     """Test the four NI conditions for a minimal state-space model.
 
-    Condition 2 is swept on the remainder R of :func:`_remainder`, the model
-    without its imaginary-axis poles, where every axis pole drops out of
-    j(G - G*); ``cond2_min_eig_by_freq`` is then R's profile.  An axis pole
-    drops out when condition 3 finds it simple (or a semisimple cluster) with
-    a residue K Hermitian to COND2_RTOL ||K||_F, and its real part is at
-    most AXIS_GROWTH_RTOL kappa ||A||_2, ten times the rounding of the
-    computed eigenvalue (kappa its Wilkinson condition number, or the
-    cluster's ||P||_2).  Leaving out an axis pole with Hermitian residue K
-    changes j(G - G*) by exactly 0.  An eigenvalue -eps + jw_i with 0 < eps
-    <= ztol, a damped pole taken as an axis pole, drops the term 2 eps K /
-    ((w - w_i)^2 + eps^2) (and its mirror at -jw_i), which is PSD where K
-    is, as condition 3 requires: so the test on R is sufficient, never
-    optimistic.  A growing mode eps + jw_i would drop the NSD term -2 eps K /
-    ((w - w_i)^2 + eps^2); the bound on the real part keeps every eps that
-    the full sweep's brackets can see (about 100 kappa eps ||A||_2 and up,
-    where the near-pole noise floor stops hiding it) in that sweep.  When an
-    axis pole does not drop out, or the split is ill-conditioned, G itself is
-    swept, on the grid with brackets beside each axis pole.
+    Condition 2 (:func:`_condition2`, as for SNI) is swept on the remainder
+    R of :func:`_remainder`, the model without its imaginary-axis poles,
+    where every axis pole drops out of j(G - G*); ``cond2_min_eig_by_freq``
+    is then R's profile.  An axis pole drops out when condition 3 finds it
+    simple (or a semisimple cluster) with a residue K Hermitian to
+    COND2_RTOL ||K||_F, and its real part is at most AXIS_GROWTH_RTOL kappa
+    ||A||_2, ten times the rounding of the computed eigenvalue (kappa its
+    Wilkinson condition number, or the cluster's ||P||_2).  Leaving out an
+    axis pole with Hermitian residue K changes j(G - G*) by exactly 0.  An
+    eigenvalue -eps + jw_i with 0 < eps <= ztol, a damped pole taken as an
+    axis pole, drops the term 2 eps K / ((w - w_i)^2 + eps^2) (and its
+    mirror at -jw_i), which is PSD where K is, as condition 3 requires: so
+    the test on R is sufficient, never optimistic.  A growing mode
+    eps + jw_i would drop the NSD term -2 eps K / ((w - w_i)^2 + eps^2);
+    the bound on the real part keeps every eps that the full sweep's
+    brackets can see (about 100 kappa eps ||A||_2 and up, where the
+    near-pole noise floor stops hiding it) in that sweep.  When an axis
+    pole does not drop out, or the split is ill-conditioned, G itself is
+    swept, on the grid with brackets beside each axis pole.  The model is
+    NI exactly when ``reasons`` is empty: each failed condition adds one.
 
     Raises
     ------
@@ -460,97 +479,77 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
     if not spec.minimal:
         raise NotMinimalError("classify_ni requires a minimal realization")
     reasons: list[str] = []
-    atol = spec.ztol
-    eigs = spec.eigs
 
     # condition 1: no pole in the open right half plane
-    rhp = [z for z in eigs if z.real > atol]
-    ok1 = not rhp
-    if not ok1:
+    rhp = [z for z in spec.eigs if z.real > spec.ztol]
+    if rhp:
         reasons.append(f"{len(rhp)} pole(s) with positive real part")
 
-    clusters = _axis_pole_clusters(eigs, atol)
-
-    # condition 3 (taken first: it decides condition 2's route): simple
-    # (semisimple-cluster) PSD residues at axis poles; margins stacked
-    one = zip(*_simple_residues(spec, np.array([i[0] for _, i in clusters if i.size == 1], int)))
-    Ks, kappas, defective = [], [], {}
-    for w0, idx in clusters:
-        try:
-            K, kappa = next(one) if idx.size == 1 else _cluster_residue(spec, idx, w0)
-        except NotSimplePoleError as exc:
-            K, kappa = np.zeros((spec.m, spec.m)), np.inf
-            defective[w0] = str(exc)
-        Ks.append(K)
-        kappas.append(kappa)
-    stack = np.array(Ks).reshape(-1, spec.m, spec.m)
-    Kh = stack.conj().transpose(0, 2, 1)
-    margins = list(zip(np.linalg.norm(stack - Kh, axis=(1, 2)).tolist(),
-                       _least_eig(stack).tolist(),
-                       np.linalg.norm(stack, axis=(1, 2)).tolist()))
-    residues, reasons3 = [], []
-    ok3 = not defective
-    for (w0, _idx), K, (herm_defect, min_eig, scale) in zip(clusters, Ks, margins):
-        if w0 in defective:
-            residues.append((w0, None, None, None, False))
-            reasons3.append(defective[w0])
-            continue
-        residues.append((w0, K, min_eig, herm_defect, True))
-        if not herm_defect <= RESIDUE_HERM_RTOL * scale:
-            ok3 = False
-            reasons3.append(f"residue at j*{w0:.6g} has Hermitian defect {herm_defect:.3e}")
-        if not min_eig >= -COND2_RTOL * (1.0 + scale):
-            ok3 = False
-            reasons3.append(f"residue at j*{w0:.6g} has eigenvalue {min_eig:.3e}")
-
-    # condition 2: frequency sweep of the remainder, where every axis pole
-    # drops out of j(G - G*), else of the whole model; a point violates it
-    # where -min_eig is beyond both floors
-    # each cluster's largest real part, over all clusters' indices end to end
+    clusters = _axis_pole_clusters(spec.eigs, spec.ztol)
     sizes = np.array([idx.size for _w0, idx in clusters], dtype=int)
     members = np.concatenate([idx for _w0, idx in clusters] + [np.zeros(0, dtype=int)])
-    top = np.maximum.reduceat(eigs.real[members], np.cumsum(sizes) - sizes)
-    herm_defect, _, scale = np.reshape(margins, (-1, 3)).T
-    growth = AXIS_GROWTH_RTOL * spec.norm2 * np.array(kappas)
-    drop = not defective and bool(np.all((herm_defect <= COND2_RTOL * scale) & (top <= growth)))
-    T, Bt, Ct, norm2, omegas = _remainder(spec, tuple(w for w, _ in clusters), drop)
-    min_eig, G = _sweep_min_eigs(T, Bt, Ct, spec.D, omegas)
-    cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-    worst = cond2[np.argmin(min_eig)]
-    viol = np.flatnonzero(_beyond_floor(T, norm2, omegas, -min_eig, G, COND2_RTOL))
-    ok2 = not viol.size
-    if not ok2:
-        w, me = cond2[viol[np.argmin(min_eig[viol])]]
-        reasons.append(f"j(G - G*) has eigenvalue {me:.3e} at omega = {w:.6g}")
+    starts = np.cumsum(sizes) - sizes
+
+    # condition 3 (taken first: it decides condition 2's route): simple
+    # (semisimple-cluster) PSD residues at axis poles, every margin an array
+    # indexed by cluster; a defective cluster keeps K = 0 and kappa = inf
+    single = np.flatnonzero(sizes == 1)
+    Ks = np.zeros((sizes.size, spec.m, spec.m), dtype=complex)
+    kappas = np.full(sizes.size, np.inf)
+    Ks[single], kappas[single] = _simple_residues(spec, members[starts[single]])
+    defective = {}
+    for j in np.flatnonzero(sizes > 1).tolist():
+        try:
+            Ks[j], kappas[j] = _cluster_residue(spec, clusters[j][1], clusters[j][0])
+        except NotSimplePoleError as exc:
+            defective[j] = str(exc)
+    herm = np.linalg.norm(Ks - Ks.conj().transpose(0, 2, 1), axis=(1, 2))
+    least = _least_eig(Ks)
+    scale = np.linalg.norm(Ks, axis=(1, 2))
+    residues, reasons3 = [], []
+    w0s = [w0 for w0, _idx in clusters]
+    for j, (w0, K, hd, me, sc) in enumerate(zip(w0s, Ks, herm.tolist(), least.tolist(),
+                                                 scale.tolist())):
+        if j in defective:
+            residues.append((w0, None, None, None, False))
+            reasons3.append(defective[j])
+            continue
+        residues.append((w0, K, me, hd, True))
+        if not hd <= RESIDUE_HERM_RTOL * sc:
+            reasons3.append(f"residue at j*{w0:.6g} has Hermitian defect {hd:.3e}")
+        if not me >= -COND2_RTOL * (1.0 + sc):
+            reasons3.append(f"residue at j*{w0:.6g} has eigenvalue {me:.3e}")
+
+    # condition 2: sweep of the remainder where every axis pole drops out of
+    # j(G - G*) (none defective, each K Hermitian to COND2_RTOL, each cluster's
+    # largest real part within the growth bound), else of the whole model
+    top = np.maximum.reduceat(spec.eigs.real[members], starts)
+    growth = AXIS_GROWTH_RTOL * spec.norm2 * kappas
+    drop = not defective and bool(np.all((herm <= COND2_RTOL * scale) & (top <= growth)))
+    cond2, worst, fail = _condition2(spec, tuple(w0s), drop, False)
+    if fail:
+        reasons.append(f"j(G - G*) has eigenvalue {fail[1]:.3e} at omega = {fail[0]:.6g}")
     reasons += reasons3
 
     # condition 4: origin pole of order at most two with PSD s^2 G limit,
     # both read off the record's origin split: A restricted to its origin
     # cluster, S0, must square to zero, and G2 = Re C0 S0 B0
-    G2 = None
-    G2_def = None
-    higher_ok = True
-    ok4 = True
+    G2 = G2_def = None
     split = spec.origin_split
-    if split.n0:
-        higher_ok = split.order_excess <= 1.0
-        if not higher_ok:
-            ok4 = False
-            reasons.append("zero eigenvalue has a Jordan block of order >= 3")
-        else:
-            G2 = split.G2
-            herm_defect = np.linalg.norm(G2 - G2.T)
-            G2r = 0.5 * (G2 + G2.T)
-            G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))
-            if herm_defect > RESIDUE_HERM_RTOL * max(1.0, np.linalg.norm(G2)):
-                ok4 = False
-                reasons.append("lim s^2 G(s) is not Hermitian")
-            elif not G2_def.is_psd:
-                ok4 = False
-                reasons.append(f"lim s^2 G(s) has eigenvalue {G2_def.min_eig:.3e}")
+    higher_ok = not split.n0 or split.order_excess <= 1.0
+    if not higher_ok:
+        reasons.append("zero eigenvalue has a Jordan block of order >= 3")
+    elif split.n0:
+        G2 = split.G2
+        G2r = 0.5 * (G2 + G2.T)
+        G2_def = classify_definiteness(G2r, tol=max(1e-9, 1e-6 * np.linalg.norm(G2r)))
+        if np.linalg.norm(G2 - G2.T) > RESIDUE_HERM_RTOL * max(1.0, np.linalg.norm(G2)):
+            reasons.append("lim s^2 G(s) is not Hermitian")
+        elif not G2_def.is_psd:
+            reasons.append(f"lim s^2 G(s) has eigenvalue {G2_def.min_eig:.3e}")
 
     return NiReport(
-        is_ni=bool(ok1 and ok2 and ok3 and ok4),
+        is_ni=not reasons,
         cond1_rhp_poles=rhp,
         cond2_min_eig_by_freq=cond2,
         cond2_worst=worst,
@@ -563,34 +562,25 @@ def classify_ni(model: StateSpaceModel) -> NiReport:
 
 
 def classify_sni(model: StateSpaceModel) -> SniReport:
-    """Test the SNI conditions: Hurwitz poles and strict positivity on the sweep."""
+    """Test the SNI conditions: Hurwitz poles and strict positivity on the sweep.
+
+    Condition 2, swept only when no pole lies in Re[s] >= 0, is :func:`_condition2`
+    with the strict floor on the whole model.  SNI exactly when ``reasons`` is empty.
+    """
     reasons: list[str] = []
     spec = _spectral(model)
-    atol = spec.ztol
-    eigs = spec.eigs
-
-    closed_rhp = [z for z in eigs if z.real >= -atol]
-    ok1 = not closed_rhp
-    if not ok1:
+    closed_rhp = [z for z in spec.eigs if z.real >= -spec.ztol]
+    cond2, worst = [], None
+    if closed_rhp:
         reasons.append(f"{len(closed_rhp)} pole(s) in Re[s] >= 0")
-
-    cond2: list[tuple[float, float]] = []
-    worst = None
-    ok2 = True
-    if ok1:
-        # a point fails where min_eig is not beyond the strict floor and the noise floor
-        omegas, T = _sweep_grid(), spec.schur[0]
-        min_eig, G = _sweep_min_eigs(T, *spec.maps, spec.D, omegas)
-        cond2 = list(zip(omegas.tolist(), min_eig.tolist()))
-        worst = cond2[np.argmin(min_eig)]
-        bad = np.flatnonzero(~_beyond_floor(T, spec.norm2, omegas, min_eig, G, SNI_STRICT_FLOOR))
-        ok2 = not bad.size
-        if not ok2:
-            w, me = cond2[bad[np.argmin(min_eig[bad])]]
-            reasons.append(f"j(G - G*) not strictly positive: {me:.3e} at omega = {w:.6g}")
+    else:
+        cond2, worst, fail = _condition2(spec, (), False, True)
+        if fail:
+            reasons.append(
+                f"j(G - G*) not strictly positive: {fail[1]:.3e} at omega = {fail[0]:.6g}")
 
     return SniReport(
-        is_sni=bool(ok1 and ok2),
+        is_sni=not reasons,
         closed_rhp_poles=closed_rhp,
         cond2_min_eig_by_freq=cond2,
         cond2_worst=worst,

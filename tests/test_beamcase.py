@@ -11,6 +11,7 @@ import nistab as ns
 from nistab import beamcase
 from nistab.beamcase import _beam_response, _beta, _d_prime, _numerator_at
 from nistab.errors import (
+    DimensionError,
     InsufficientRangeError,
     NistabError,
     NotARootError,
@@ -369,6 +370,19 @@ def test_parameter_json_round_trip(beam_params):
     with pytest.raises(Exception):
         ns.BeamParameters.from_dict({"bogus": 1.0})
 
+
+
+def test_parameters_are_finite_reals(beam_params):
+    # ints and numpy scalars are real numbers, stored as floats; a negative
+    # piezo coefficient is allowed, a negative length, a bool or a string not
+    got = ns.BeamParameters.from_dict({"l": 2, "E": np.float64(69.0e9), "ts": np.int64(1),
+                                       "k31": -0.5})
+    assert (got.l, got.E, got.ts, got.k31) == (2.0, 69.0e9, 1.0, -0.5)
+    assert type(got.l) is float and type(got.ts) is float
+    for bad in ({"l": -1.0}, {"I": 0.0}, {"C": True}, {"C": np.bool_(True)}, {"C": "1"},
+                {"ts": np.nan}, {"voltage_gain": -np.inf}, {"rho": 10 ** 400}, [("l", 1.0)]):
+        with pytest.raises(DimensionError):
+            ns.BeamParameters.from_dict(bad)
 
 def test_beta_principal_branch(beam_params):
     for s in (1j * 2.0, 3.0 + 0j, 1.0 + 1.0j, -2.0 + 0.5j):

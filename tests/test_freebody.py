@@ -9,14 +9,18 @@ from nistab.errors import (
     IllConditionedTransformError,
     JordanBlockTooLargeError,
     LimitDivergentError,
+    NistabError,
     NotMinimalError,
     NotStrictlyProperError,
     SingularInnerError,
 )
+from nistab import freebody
 from nistab.freebody import (
     _FAMILIES,
+    _decide,
     _draw_ni_plant,
     _reduced_gain,
+    SETTLE_RTOL,
     VerdictOptions,
     random_ni_plant,
     random_sni_controller,
@@ -321,6 +325,43 @@ class TestStabilityVerdict:
         assert v.outcome is ns.Outcome.INCONCLUSIVE
         assert "LimitDivergentError" in v.reason and "failed to settle" in v.reason
         assert v.oracle_agrees is None and v.oracle_hurwitz is True
+
+    @pytest.mark.parametrize("settle, shift, outcome, reason", [
+        (0.5 * SETTLE_RTOL, 2 * 5e-4, ns.Outcome.STABLE, ""),
+        (2.0 * SETTLE_RTOL, 0.0, ns.Outcome.INCONCLUSIVE,
+         "Laurent data unavailable: LimitDivergentError: numeric Laurent limits failed to settle"),
+        (0.0, 2 * 2e-3, ns.Outcome.INCONCLUSIVE,
+         "Laurent data unavailable: NistabError: Laurent routes disagree by 2.00e-03"),
+    ], ids=["within", "unsettled", "disagreeing"])
+    def test_contour_cross_check_detects_failure(self, monkeypatch, settle, shift, outcome,
+                                                 reason):
+        # the contour route's own result, perturbed: a settle share above
+        # SETTLE_RTOL, or a G0 that differs from the split's by more than 1e-3
+        # relative (scale 1 + ||G2|| = 2 for 1/s^2), makes laurent_coefficients
+        # raise, and the verdict is INCONCLUSIVE with that error as its reason
+        limits = freebody._laurent_numeric_limits
+
+        def perturbed(spec, r):
+            G0n, G1n, G2n, _settle = limits(spec, r)
+            return G0n + shift, G1n, G2n, settle
+
+        monkeypatch.setattr(freebody, "_laurent_numeric_limits", perturbed)
+        v = ns.stability_verdict(double_integrator(), first_order_lag_minus(2.0),
+                                 VerdictOptions(run_oracle=True))
+        assert v.outcome is outcome
+        assert v.reason.startswith(reason)
+        assert v.oracle_hurwitz is True
+
+    def test_indefinite_reduced_gain_is_inconclusive(self):
+        # G2 = diag(1, 0, 0), G1 = 0: Y = J = e1, Y' Gbar(0) Y = -1 < 0, and
+        # N = P(Gbar(0), Y) = diag(0, 1, -1) is indefinite (m = 3 at least)
+        L = ns.LaurentCoefficients(G0=np.eye(3), G1=np.zeros((3, 3)), G2=np.diag([1.0, 0.0, 0.0]))
+        v = _decide(L, np.diag([-1.0, 1.0, -1.0]), VerdictOptions().boundary_band)
+        assert v.outcome is ns.Outcome.INCONCLUSIVE
+        assert v.theorem_used is ns.Theorem.DOUBLE_POLE
+        assert v.reason == ("reduced controller gain is indefinite "
+                            "(eigenvalues in [-1.000e+00, 1.000e+00])")
+        assert v.condition_values["j_gram_max_eig"] == pytest.approx(-1.0)
 
     def test_non_minimal_plant_is_inconclusive(self):
         # the classification cannot run on a non-minimal plant; its error is
@@ -646,6 +687,13 @@ class TestMonteCarlo:
         assert rep.agreement_fraction == 1.0
         assert not rep.disagreements
         assert rep.applicable >= 100
+
+    def test_unknown_family_is_a_contract_violation(self):
+        # a bare ValueError escaped the NistabError hierarchy; the error is
+        # still a ValueError for callers that catch that
+        for draw in (random_ni_plant, _draw_ni_plant):
+            with pytest.raises(NistabError, match="unknown family 'bogus'"):
+                draw(np.random.default_rng(0), "bogus")
 
     def test_dc_gain_only_generator(self):
         rep = ns.montecarlo_agreement(40, seed=3, families=("dc_gain",))

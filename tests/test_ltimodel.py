@@ -28,6 +28,22 @@ class TestStateSpaceModel:
         assert not model.A.flags.writeable
 
 
+    @pytest.mark.parametrize("A, B, C, D, text", [
+        (np.zeros((2, 2, 1)), np.zeros((2, 1)), np.zeros((1, 2)), None, "A must be a 2-D array"),
+        (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), None, r"A must be square"),
+        (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)), None, "B has 3 rows, expected 2"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)), None,
+         "C has 3 columns, expected 2"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2)), None,
+         "square transfer matrix required: 2 outputs vs 1 inputs"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)),
+         r"D must be 1x1, got \(2, 2\)"),
+    ], ids=["A_ndim", "A_square", "B_rows", "C_columns", "square", "D_shape"])
+    def test_dimension_checks(self, A, B, C, D, text):
+        with pytest.raises(DimensionError, match=text):
+            ns.StateSpaceModel(A, B, C, D)
+
+
 class TestEvalTf:
     def test_double_integrator(self):
         G = ns.eval_tf(double_integrator(), 2j)
@@ -449,6 +465,10 @@ class TestClosedLoop:
                                 np.zeros((1, 0)), [[2.0]])
         with pytest.raises(IllPosedError):
             ns.closed_loop(g, gb)
+
+    def test_channel_counts_must_agree(self, paper_irc):
+        with pytest.raises(DimensionError, match="channel counts differ: 1 vs 2"):
+            ns.closed_loop(double_integrator(), paper_irc.realization)
 
     def test_spectrum_invariant_under_similarity(self, rng):
         g = double_integrator()

@@ -65,6 +65,29 @@ class TestClassifyNi:
         assert rep.reasons[0].endswith("is defective (Jordan structure of size >= 2)")
         assert [r["simple"] for r in rep.to_dict()["cond3_residues"]] == [False]
 
+    def test_non_hermitian_axis_residue_fails_condition3(self):
+        # [1 1; 0 0]/(s^2 + 1): residue K = [1 1; 0 0]/2 at s = j, whose
+        # Hermitian defect is 1/2^1/2; the residue is not dropped from the
+        # sweep, which sees j(G - G*) = j(K - K^T) 2/(1 - w^2) beside the pole
+        m = ns.StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]],
+                               [[1.0, 0.0], [0.0, 0.0]])
+        rep = ns.classify_ni(m)
+        assert not rep.is_ni
+        assert rep.reasons == ["j(G - G*) has eigenvalue -2.500e+03 at omega = 0.9998",
+                               "residue at j*1 has Hermitian defect 7.071e-01",
+                               "residue at j*1 has eigenvalue -1.036e-01"]
+
+    def test_non_hermitian_double_pole_fails_condition4(self):
+        # [1 e; 0 0]/s^2: lim s^2 G(s) is not Hermitian, whatever the sign of
+        # its Hermitian part
+        for e, worst in ((1.0, "-1.000e+06"), (1e-3, "-1.000e+03")):
+            m = ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, e]],
+                                   [[1.0, 0.0], [0.0, 0.0]])
+            rep = ns.classify_ni(m)
+            assert not rep.is_ni and rep.cond4_higher_order
+            assert rep.reasons == [f"j(G - G*) has eigenvalue {worst} at omega = 0.001",
+                                   "lim s^2 G(s) is not Hermitian"]
+
     def test_triple_origin_pole_fails(self):
         A = np.diag(np.ones(2), 1)
         m = ns.StateSpaceModel(A, [[0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0]], [[0.0]])
@@ -234,6 +257,75 @@ class TestClassifySni:
         gbar = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)),
                                   np.zeros((1, 0)), [[-2.0]])
         assert not ns.classify_sni(gbar).is_sni
+
+
+def _refuted_ni():
+    """One model refuted by each NI condition, some by several."""
+    lossy = _scrambled_modes()[1]
+    neg_residue = ns.StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[-1.0, 0.0]])
+    A = np.diag(np.ones(3), 1)
+    A[3, 0], A[3, 2] = -1.0, -2.0
+    defective = ns.StateSpaceModel(A, [[0.0], [0.0], [0.0], [1.0]], [[1.0, 0.0, 0.0, 0.0]])
+    skew_residue = ns.StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]],
+                                      [[1.0, 0.0], [0.0, 0.0]])
+    triple = ns.StateSpaceModel(np.diag(np.ones(2), 1), [[0.0], [0.0], [1.0]],
+                                [[1.0, 0.0, 0.0]])
+    skew_g2 = ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]],
+                                 [[1.0, 0.0], [0.0, 0.0]])
+    negated = ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[-1.0, 0.0]])
+    rhp = ns.StateSpaceModel([[1.0]], [[1.0]], [[1.0]])
+    return [lossy, neg_residue, defective, skew_residue, triple, skew_g2, negated, rhp]
+
+
+class TestConditionTwoRoutine:
+    """Both tests decide condition 2 by ``_condition2``; each verdict is ``not reasons``."""
+
+    def test_each_test_makes_one_call_on_a_ladder_rung(self, monkeypatch, paper_irc):
+        # the NI test calls it once, not strict, on the rung's origin block;
+        # the SNI test once, strict, on the controller's whole Schur triangle
+        # on the base grid, ``_remainder(spec, (), False)``
+        calls = []
+        routine, remainder = niclass._condition2, niclass._remainder
+
+        def counted(spec, poles, drop, strict):
+            calls.append(strict)
+            return routine(spec, poles, drop, strict)
+
+        def swept(spec, poles, drop):
+            got = remainder(spec, poles, drop)
+            calls.append((got[0].shape[0], got[0] is spec.schur[0], got[4] is niclass._BASE_GRID))
+            return got
+
+        monkeypatch.setattr(niclass, "_condition2", counted)
+        monkeypatch.setattr(niclass, "_remainder", swept)
+        plant = ns.modal_to_ss(ladder_modal_models(1, (25,))[0])
+        assert ns.classify_ni(plant).is_ni
+        assert calls == [False, (4, False, True)]
+        calls.clear()
+        assert ns.classify_sni(paper_irc.realization).is_sni
+        assert calls == [True, (2, True, True)]
+        calls.clear()
+        v = ns.run_analysis(plant, paper_irc.realization).verdict
+        assert v.outcome is ns.Outcome.STABLE
+        assert calls == [True, (2, True, True), False, (4, False, True)]
+
+    def test_verdict_is_no_reason(self, arm_plant, paper_irc):
+        # every report either test builds, passing or failing
+        ni_models = [double_integrator(), arm_plant] + _refuted_ni()
+        ni = [ns.classify_ni(m) for m in ni_models]
+        assert [r.is_ni for r in ni] == [True, True] + [False] * (len(ni_models) - 2)
+        static = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                                    [[-2.0]])
+        lag = ns.StateSpaceModel([[-1.0]], [[1.0]], [[-1.0]])
+        sni_models = [first_order_lag_minus(2.0), paper_irc.realization, static, lag] + ni_models
+        sni = [ns.classify_sni(m) for m in sni_models]
+        assert [r.is_sni for r in sni] == [True, True] + [False] * (len(sni_models) - 2)
+        assert all(r.is_ni is (not r.reasons) for r in ni)
+        assert all(r.is_sni is (not r.reasons) for r in sni)
+        # the static gain and -1/(s + 1) are refuted by the sweep alone
+        assert [r.reasons[0].split(":")[0] for r in sni[2:4]] == [
+            "j(G - G*) not strictly positive"] * 2
+        assert [r.closed_rhp_poles for r in sni[2:4]] == [[], []]
 
 
 def _conditioned(model, cond, seed):

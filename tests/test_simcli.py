@@ -435,3 +435,66 @@ class TestCli:
         assert main(["beam", "modes", "--count", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "3.39532644" in out
+
+    def test_classify_text_output(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        assert main(["classify", plant]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "negative imaginary: True",
+            "strictly negative imaginary: False",
+            "  - 2 pole(s) in Re[s] >= 0",
+        ]
+
+    def test_laurent_text_output(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        assert main(["laurent", plant]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["G2 = [[1.]]", "G1 = [[0.]]", "G0 = [[0.]]"]
+        assert lines[3].startswith("route disagreement: ") and len(lines) == 4
+
+    def test_beam_approx_command(self, capsys, beam_params):
+        assert main(["beam", "approx", "--modes", "2"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        mm = ns.finite_dim_approx(beam_params, 2)
+        assert data["poles"] == [0.0] + [t[0] for t in mm.terms]
+        np.testing.assert_array_equal(data["C0"], mm.g2)
+        np.testing.assert_array_equal(data["coefficients"], [t[1] for t in mm.terms])
+
+    def test_beam_modes_csv(self, tmp_path, capsys):
+        assert main(["--csv", "beam", "modes", "--count", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "omega,min_residue_eig" and len(lines) == 4
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "3.395326443", "9.501801888", "17.082100721"]
+        # a parameter file: the roots of a 1-m arm
+        params = self._write(tmp_path, "beam.json", {"l": 1.0})
+        assert main(["--csv", "beam", "modes", "--count", "3", "--params", params]) == EXIT_OK
+        short = capsys.readouterr().out.splitlines()
+        assert short[0] == lines[0] and len(short) == 4
+        want = ns.find_modal_roots(ns.BeamParameters(l=1.0), 3)
+        assert [float(line.split(",")[0]) for line in short[1:]] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"l": "abc"}', "beam parameter 'l' must be a finite positive number, got 'abc'"),
+        ('{"Ih": null}', "beam parameter 'Ih' must be a finite positive number, got None"),
+        ('{"l": 0}', "beam parameter 'l' must be a finite positive number, got 0"),
+        ('{"l": -2.0}', "beam parameter 'l' must be a finite positive number, got -2.0"),
+        ('{"E": NaN}', "beam parameter 'E' must be a finite positive number, got nan"),
+        ('{"k31": Infinity}', "beam parameter 'k31' must be a finite real number, got inf"),
+        ('{"l": 1' + "0" * 400 + "}", "beam parameter 'l' must be a finite positive number"),
+        ('{"inertia_scale": true}',
+         "beam parameter 'inertia_scale' must be a finite positive number, got True"),
+        ("[1, 2]", "beam parameters must be a JSON object, got list"),
+        ('{"length": 2.0}', "unknown beam parameter keys: ['length']"),
+    ], ids=["string", "null", "zero", "negative", "nan", "infinite", "huge_int", "bool",
+            "list", "unknown_key"])
+    def test_invalid_beam_params_exit_2(self, tmp_path, capsys, text, message):
+        # each once exited 1 with a traceback (string, null), raised
+        # ZeroDivisionError (zero), printed negative residues and exited 0
+        # (negative), was accepted (NaN) or named list items as keys
+        params = tmp_path / "beam.json"
+        params.write_text(text)
+        for cmd in (["modes", "--count", "1"], ["approx"], ["scan", "--points", "2"]):
+            assert main(["beam", *cmd, "--params", str(params)]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {message}")
