@@ -274,8 +274,8 @@ class _Spectral(StateSpaceModel):
     ||A||_2, one origin split and one PBH test.  A public function handed a
     plain model builds a record of its own (:func:`_spectral`); nothing is
     kept on the caller's model.  Inside ``freebody.montecarlo_agreement``,
-    still one public call, a record spans one trial: the draw filter's PBH
-    bound is the verdict's minimality test.
+    still one public call, a record spans one trial: the draw filter's
+    minimality margin is the verdict's minimality test.
     """
 
     @cached_property
@@ -395,6 +395,21 @@ class _Spectral(StateSpaceModel):
     def pbh_bound(self) -> float:
         """:func:`_pbh_bound` on this record's Schur form."""
         return _pbh_bound(self)
+
+    @cached_property
+    def margin(self) -> float:
+        """:func:`minimality_margin` (n > 0): [A - lambda I, B] at every PBH shift as one
+        (K, n, n+m) stack and [A - lambda I; C] as one (K, n+m, n) stack, one SVD call each."""
+        n, (lams, idx) = self.n, self.pbh_shifts
+        shifted = self.A - np.concatenate([lams, self.eigs[idx]])[:, None, None] * np.eye(n)
+        K, margins = shifted.shape[0], []
+        for M in (np.concatenate([shifted, np.broadcast_to(self.B, (K, n, self.m))], axis=2),
+                  np.concatenate([shifted, np.broadcast_to(self.C, (K, self.m, n))], axis=1)):
+            sv = np.linalg.svd(M, compute_uv=False)
+            cutoff = max(M.shape[1:]) * np.finfo(float).eps * np.maximum(sv[:, 0], 1e-300)
+            margins.append(sv[:, n - 1] / cutoff)
+        # np.min, not min: a NaN must reach the caller and fail its test
+        return float(np.min(margins))
 
     @cached_property
     def minimal(self) -> bool:
@@ -612,24 +627,11 @@ def minimality_margin(model: StateSpaceModel) -> float:
     eigenvalue lambda and cluster mean (:func:`_pbh_shifts`).  This is
     numerically far better behaved than ranks of the stacked Kalman
     matrices, whose high powers of A swamp the cutoff.  Values above 1 mean
-    minimal.  Two dense SVDs per shift, O(n^4) in all: :func:`is_minimal`
-    runs it only where the bound of :func:`_pbh_bound` (O(n^2) per simple
-    eigenvalue, O(n^2 m) or more per cluster shift) cannot decide.
+    minimal.  One SVD call per side on the shifts' stacked test matrices
+    (``_Spectral.margin``, cached on the record), O(n^4) in all: :func:`is_minimal`
+    runs it only where :func:`_pbh_bound` cannot decide, if the record lacks it.
     """
-    n = model.n
-    if n == 0:
-        return np.inf
-    spec = _spectral(model)
-    lams, idx = spec.pbh_shifts
-    margin = np.inf
-    for lam in np.concatenate([lams, spec.eigs[idx]]):
-        shifted = model.A - lam * np.eye(n)
-        for M in (np.hstack([shifted, model.B]),
-                  np.vstack([shifted, model.C])):
-            sv = np.linalg.svd(M, compute_uv=False)
-            cutoff = max(M.shape) * np.finfo(float).eps * max(sv[0], 1e-300)
-            margin = min(margin, sv[n - 1] / cutoff)
-    return float(margin)
+    return _spectral(model).margin if model.n else np.inf
 
 
 #: :func:`is_minimal` takes "minimal" from :func:`_pbh_bound` only above
@@ -817,13 +819,16 @@ def _pbh_bound(spec: _Spectral) -> float:
 def is_minimal(model: StateSpaceModel) -> bool:
     """Controllability and observability at every eigenvalue (numerical).
 
-    The decision is ``minimality_margin(model) > 1``: the O(n^3) lower bound
-    of :func:`_pbh_bound` on the record's Schur form (eigenvector deflation at
+    The decision is ``minimality_margin(model) > 1``, read off a record that
+    holds the margin (a Monte-Carlo draw's); else the O(n^3) lower bound of
+    :func:`_pbh_bound` on the record's Schur form (eigenvector deflation at
     each simple eigenvalue, the ztpqrt triangles at the rest) decides it above
     ``PBH_CLEARANCE`` (wherever the ztrtri bound would), the SVDs of
     :func:`minimality_margin` otherwise; the bound never says "not minimal".
     """
     spec = _spectral(model)
+    if "margin" in vars(spec):
+        return spec.margin > 1.0
     return spec.pbh_bound > PBH_CLEARANCE or minimality_margin(spec) > 1.0
 
 

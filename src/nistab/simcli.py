@@ -440,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability analysis of negative-imaginary systems with free body dynamics",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--csv", action="store_true", help="CSV output for tables")
-    ap.add_argument("--tol", type=float, default=None,
-                    help="override the boundary tolerance band")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("classify", help="NI/SNI classification of one model")
@@ -490,6 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=float, default=1.0)
     c.add_argument("--wiring", choices=WIRINGS, default="additive")
     c.set_defaults(func=_cmd_simulate)
+
+    # the output flags, before a subcommand or after it: a subcommand's SUPPRESS default
+    # keeps a flag given before it
+    for parser in (ap, *sub.choices.values(), *bsub.choices.values()):
+        kw = {} if parser is ap else {"default": argparse.SUPPRESS}
+        parser.add_argument("--json", action="store_true", help="machine-readable output", **kw)
+        parser.add_argument("--csv", action="store_true", help="CSV output for tables", **kw)
+        parser.add_argument("--tol", type=float, help="override the boundary tolerance band", **kw)
     return ap
 
 

@@ -186,6 +186,24 @@ class TestLaurent:
                 np.testing.assert_allclose(G, ref, rtol=0.0, atol=1e-13 * size)
             assert settle == pytest.approx(tail / size, rel=1e-12, abs=1e-14)
 
+    def test_singular_remainder_raises(self):
+        # G0 = -Re C1 T1^-1 B1 is a triangular solve on T1, which raises on a
+        # zero pivot; the remainder of a real split never has one, so it is
+        # put in by hand
+        import dataclasses
+
+        from nistab.ltimodel import _spectral
+
+        spec = _spectral(ns.modal_to_ss(ns.ModalModel(1, terms=((2.0, [[1.0]]),), g2=[[1.0]])))
+        split = spec.origin_split
+        assert split.n0 == 2 and split.n1 == 2
+        T1 = split.T1.copy()
+        T1[1, 1] = 0.0
+        vars(spec)["origin_split"] = dataclasses.replace(split, T1=T1)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular matrix: resolution failed at diagonal 1"):
+            ns.laurent_coefficients(spec)
+
     def test_case_study_range_shortcut_not_applicable(self, arm_plant):
         # G2 is rank one but G0' does not kill its null space, so the
         # range-shortcut dispatch must not fire for the benchmark plant
@@ -708,13 +726,17 @@ class TestMonteCarlo:
 
     def test_one_spectral_pass_per_trial(self, monkeypatch):
         # the draw filter's record serves the verdict: one Schur form and one
-        # PBH bound per plant, and no SVD margin when every bound clears
+        # minimality margin (two stacked SVD calls) per plant, which the
+        # verdict's minimality test reads; no PBH bound, no ztpqrt fold and no
+        # eigenvector record
         import scipy.linalg
+        from scipy.linalg import lapack
 
-        from nistab import freebody, ltimodel
+        from nistab import ltimodel
 
-        plants, forms, bounds, margins = [], [], [], []
-        draw, schur, bound = freebody._draw_ni_plant, scipy.linalg.schur, ltimodel._pbh_bound
+        plants, forms, margins, stacks, machinery = [], [], [], [], []
+        draw, schur, svd = freebody._draw_ni_plant, scipy.linalg.schur, np.linalg.svd
+        margin = ltimodel.minimality_margin
 
         def drawn(*args, **kwargs):
             model, mm = draw(*args, **kwargs)
@@ -725,28 +747,65 @@ class TestMonteCarlo:
             forms.append(next((i for i, A in enumerate(plants) if np.array_equal(a, A)), None))
             return schur(a, *args, **kwargs)
 
-        def counted_bound(spec):
-            bounds.append(spec)
-            return bound(spec)
+        def counted_margin(model):
+            margins.append(margin(model))
+            return margins[-1]
 
-        def no_margin(model):
-            margins.append(model)
-            return np.inf
+        def counted_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def forbidden(name, fn):
+            def called(*args, **kwargs):
+                machinery.append(name)
+                return fn(*args, **kwargs)
+            return called
 
         monkeypatch.setattr(freebody, "_draw_ni_plant", drawn)
         monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-        monkeypatch.setattr(ltimodel, "_pbh_bound", counted_bound)
-        monkeypatch.setattr(ltimodel, "minimality_margin", no_margin)
-        monkeypatch.setattr(freebody, "minimality_margin", no_margin)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(ltimodel, "minimality_margin", counted_margin)
+        monkeypatch.setattr(freebody, "minimality_margin", counted_margin)
+        for module, name in ((ltimodel, "_pbh_bound"), (ltimodel, "_eigvecs"),
+                             (lapack, "ztpqrt")):
+            monkeypatch.setattr(module, name, forbidden(name, getattr(module, name)))
         rep = ns.montecarlo_agreement(16, seed=0)
         assert rep.count == 16 and not rep.disagreements
         assert len(plants) == 16
         assert sorted(i for i in forms if i is not None) == list(range(16))
-        assert len(bounds) == 16
-        assert not margins
+        assert len(margins) == 16 and min(margins) > 50.0
+        assert len(stacks) == 32
+        assert not machinery
+
+    def test_marginal_oracle_decided_by_the_two_norm(self, monkeypatch):
+        # the oracle is marginal where |alpha| <= 1e-7 max(1, ||Abreve||_2);
+        # the Frobenius pre-test (||.||_2 <= ||.||_F) may only skip the SVD
+        # above 1e-7 max(1, ||Abreve||_F).  Every decisive trial's |alpha| is
+        # put strictly between the two thresholds, where the loop is decided,
+        # then on the 2-norm threshold, where it is marginal; alpha keeps its
+        # sign, so the verdicts still agree
+        abscissa, placed = freebody.spectral_abscissa, []
+
+        def at(share):
+            def fake(M):
+                two, fro = max(1.0, np.linalg.norm(M, 2)), max(1.0, np.linalg.norm(M))
+                assert two < fro
+                placed.append(M.shape)
+                return np.sign(abscissa(M)) * 1e-7 * (two ** (1.0 - share) * fro ** share)
+            return fake
+
+        monkeypatch.setattr(freebody, "spectral_abscissa", at(0.5))
+        between = ns.montecarlo_agreement(16, seed=0)
+        assert placed and between.applicable == between.agreements == len(placed)
+        del placed[:]
+        monkeypatch.setattr(freebody, "spectral_abscissa", at(0.0))
+        on_two = ns.montecarlo_agreement(16, seed=0)
+        assert placed and on_two.applicable == 0
+        assert on_two.boundary == between.boundary + len(placed)
 
     def test_filter_keeps_the_margin_draws(self):
-        # the bound-first filter keeps exactly the draws of "margin > 50"
+        # the filter keeps exactly the draws of "margin > 50" and returns a plain model
         def reference(rng, family):
             for _ in range(50):
                 model, mm = _draw_ni_plant(rng, family)

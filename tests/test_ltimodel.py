@@ -273,12 +273,15 @@ class TestPbhBound:
 
         monkeypatch.setattr(lapack, "ztpqrt", kept)
         # each distinct shift is folded once, so it takes ten seeds of draws
-        # (three before) to keep more than 5000 triangles
+        # (three before) to keep more than 5000 triangles; the draw filter
+        # takes no bound, so each draw's is taken here
         for seed in range(10):
             seed_rng = np.random.default_rng(seed)
             for trial in range(200):
-                _draw_minimal_plant(np.random.default_rng(seed_rng.integers(0, 2 ** 63)),
-                                    _FAMILIES[trial % len(_FAMILIES)])
+                spec, _ = _draw_minimal_plant(
+                    np.random.default_rng(seed_rng.integers(0, 2 ** 63)),
+                    _FAMILIES[trial % len(_FAMILIES)])
+                _pbh_bound(spec)
         plants = list(TestIsMinimal._transformed(rng, 64))
         for model in plants + [_jordan_triple(), _split_mode(1e-9)]:
             _pbh_bound(_spectral(model))
@@ -1231,6 +1234,44 @@ class TestMinimalityMargin:
             margin = minimality_margin(model)
             assert margin == pytest.approx(_margin_every_eigenvalue(model), rel=1e-9)
             assert ns.is_minimal(model) == (margin > 1.0)
+
+    def test_stacked_margin_is_the_per_shift_loop(self, rng):
+        # bitwise: the two stacked SVD calls give the margins of one SVD per
+        # shift and side, on raw Monte-Carlo draws, ladder rungs of 10 and 25
+        # modes, ill-conditioned similarity transforms, the Jordan triple and
+        # a nearly split mode; n = 0 has no shift and reads inf
+        from nistab.freebody import _FAMILIES, _draw_ni_plant
+        from nistab.ltimodel import _spectral, minimality_margin
+
+        models = [_draw_ni_plant(np.random.default_rng(rng.integers(0, 2 ** 63)),
+                                 _FAMILIES[trial % len(_FAMILIES)])[0] for trial in range(800)]
+        models += [ns.modal_to_ss(mm) for seed in (1, 2, 3)
+                   for mm in ladder_modal_models(seed, (10, 25))]
+        models += list(TestIsMinimal._transformed(rng, 64))
+        models += [_jordan_triple(), _split_mode(1e-9)]
+        for model in models:
+            spec = _spectral(model)
+            lams, idx = spec.pbh_shifts
+            shifts = np.concatenate([lams, spec.eigs[idx]])
+            assert minimality_margin(model) == _margin_at(model, shifts)
+        empty = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+        assert minimality_margin(empty) == np.inf and ns.is_minimal(empty)
+
+    def test_is_minimal_reads_a_taken_margin(self, monkeypatch):
+        # a record holding its margin is decided on it, with no PBH bound; a
+        # record without one keeps the bound-first order
+        from nistab import ltimodel
+
+        bounds = []
+        _count_calls(monkeypatch, ltimodel, "_pbh_bound", bounds)
+        near = ltimodel._spectral(_split_mode(1e-12))
+        assert 1.0 < ltimodel.minimality_margin(near) < ltimodel.PBH_CLEARANCE
+        assert ns.is_minimal(near) and not bounds
+        for model in (_split_mode(1e-12), _jordan_triple()):
+            fresh = ltimodel._spectral(model)
+            assert ns.is_minimal(fresh) == (ltimodel.minimality_margin(model) > 1.0)
+            assert len(bounds) == 1
+            del bounds[:]
 
     def test_random_plant_draws_unchanged(self):
         from nistab.freebody import _FAMILIES, _draw_ni_plant

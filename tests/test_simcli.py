@@ -474,6 +474,31 @@ class TestCli:
         want = ns.find_modal_roots(ns.BeamParameters(l=1.0), 3)
         assert [float(line.split(",")[0]) for line in short[1:]] == pytest.approx(want, rel=1e-9)
 
+    def test_output_flags_before_or_after_the_subcommand(self, tmp_path, capsys):
+        # --json, --csv and --tol read the same wherever they stand; a flag
+        # given before the subcommand is kept when none follows it
+        placements = [(["--csv", "beam", "modes", "--count", "3"],
+                       ["beam", "modes", "--count", "3", "--csv"],
+                       ["beam", "--csv", "modes", "--count", "3"])]
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json",
+                           {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
+        placements.append((["--json", "--tol", "1e-3", "stability", plant, ctrl],
+                           ["stability", plant, ctrl, "--json", "--tol", "1e-3"],
+                           ["--json", "stability", "--tol", "1e-3", plant, ctrl]))
+        placements.append((["--json", "classify", plant], ["classify", plant, "--json"]))
+        for argvs in placements:
+            outs = []
+            for argv in argvs:
+                assert main(argv) == EXIT_OK, argv
+                outs.append(capsys.readouterr().out)
+            assert all(out == outs[0] for out in outs), argvs
+        assert outs[0].startswith("{")
+        assert main(["stability", plant, ctrl, "--json", "--tol", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tolerances"]["boundary_band"] == 0.0
+        assert main(["beam", "modes", "--count", "3"]) == EXIT_OK
+        assert not capsys.readouterr().out.startswith("omega,")
+
     @pytest.mark.parametrize("text, message", [
         ('{"l": "abc"}', "beam parameter 'l' must be a finite positive number, got 'abc'"),
         ('{"Ih": null}', "beam parameter 'Ih' must be a finite positive number, got None"),
