@@ -36,7 +36,7 @@ def main():
 
     # 2. free-body content --------------------------------------------------
     eps = 1e-4
-    G2 = np.real(eps ** 2 * ns.beam_tf(p, eps + 0j).G)
+    G2 = np.real(eps ** 2 * ns.beam_tf(p, eps + 0j))
     print("\nlim s^2 G(s) =")
     print(np.array_str(G2, precision=5, suppress_small=True))
     print(f"(equals 1/total inertia = {1.0 / p.total_inertia:.6f} on the torque channel)")

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .beamcase import (            # noqa: F401
     BeamParameters,
-    BeamTransferSample,
     beam_tf,
     d_of_s,
     emit_residue_scan,
@@ -41,7 +40,6 @@ from .freebody import (            # noqa: F401
 )
 from .ircsynth import IrcController, make_irc  # noqa: F401
 from .ltimodel import (            # noqa: F401
-    ClosedLoop,
     ModalModel,
     SchurSplit,
     StateSpaceModel,

@@ -49,7 +49,6 @@ from .ltimodel import ModalModel
 
 __all__ = [
     "BeamParameters",
-    "BeamTransferSample",
     "beam_tf",
     "d_of_s",
     "find_modal_roots",
@@ -152,15 +151,6 @@ class BeamParameters:
                 need = "finite positive" if k in positive else "finite real"
                 raise DimensionError(f"beam parameter {k!r} must be a {need} number, got {v!r}")
         return cls(**{k: float(v) for k, v in d.items()})
-
-
-@dataclass(frozen=True)
-class BeamTransferSample:
-    """One frequency-response sample of the 2x2 arm transfer matrix."""
-
-    s: complex
-    G: np.ndarray          # inputs (tau, V_a) -> outputs (theta, V_s)
-    D_value: complex       # closed-form characteristic function at s
 
 
 def _beta(p: BeamParameters, s):
@@ -293,8 +283,9 @@ def _nonsingular(G: np.ndarray) -> np.ndarray:
     return G
 
 
-def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
-    """Evaluate the 2x2 arm transfer matrix at s by solving the beam BVP.
+def beam_tf(p: BeamParameters, s: complex) -> np.ndarray:
+    """The 2x2 arm transfer matrix G(s), inputs (tau, V_a) to outputs
+    (theta, V_s), by solving the beam BVP.
 
     The actuator/sensor pair spans the whole beam, the configuration the
     benchmark fixes.
@@ -306,8 +297,7 @@ def beam_tf(p: BeamParameters, s: complex) -> BeamTransferSample:
     """
     if s == 0:
         raise SingularAtSError("s = 0 is the rigid-body double pole")
-    G = _nonsingular(_beam_response(p, np.array([s])))[0]
-    return BeamTransferSample(s=s, G=G, D_value=d_of_s(p, s))
+    return _nonsingular(_beam_response(p, np.array([s])))[0]
 
 
 def _refine_roots(p: BeamParameters, a, b, fa, fb) -> np.ndarray:
@@ -337,13 +327,13 @@ def _refine_roots(p: BeamParameters, a, b, fa, fb) -> np.ndarray:
     return b
 
 
-def find_modal_roots(p: BeamParameters, count: int,
-                     omega_max: float | None = None) -> np.ndarray:
+def find_modal_roots(p: BeamParameters, count: int) -> np.ndarray:
     """First `count` positive imaginary-axis roots of D, ascending.
 
     Sign changes of D(jw) are bracketed on a uniform grid in beta l (step
     ROOT_SCAN_STEP; w = k (beta l)^2 with k = sqrt(EI / mu) / l^2), scanned
-    in windows that start at beta l <= 8 and double.  The first `count`
+    in windows that start at beta l <= 8 and double up to beta l = 2048
+    (about 650 roots).  The first `count`
     brackets are refined together by Illinois regula falsi until a step
     moves a root by at most 1e-14 relative.  The roots in beta l do not
     depend on EI, so the scan is the same for a slow arm and a stiff one.
@@ -352,18 +342,15 @@ def find_modal_roots(p: BeamParameters, count: int,
     Raises
     ------
     InsufficientRangeError
-        If fewer than `count` roots lie below `omega_max`, or below
-        beta l = 2048 when no `omega_max` is given.
+        If fewer than `count` roots lie below beta l = 2048.
     """
     if count < 1:
         raise DimensionError("count must be at least 1")
     k = _rad_per_bl2(p)
-    top = _SCAN_LIMIT if omega_max is None else min(
-        _SCAN_LIMIT, (max(omega_max, 0.0) / k) ** 0.5)
     hi, first = _FIRST_WINDOW, 1        # grid point 0 is the rigid root
     brackets, found = [], 0
     while True:
-        last = int(min(hi, top) / ROOT_SCAN_STEP)
+        last = int(min(hi, _SCAN_LIMIT) / ROOT_SCAN_STEP)
         bl = ROOT_SCAN_STEP * np.arange(first, last + 1)
         f = _d_reduced(p, bl)
         i = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
@@ -371,9 +358,9 @@ def find_modal_roots(p: BeamParameters, count: int,
         found += i.size
         if found >= count:
             break
-        if hi >= top:
+        if hi >= _SCAN_LIMIT:
             raise InsufficientRangeError(
-                f"only {found} roots below {k * top ** 2:.6g} rad/s")
+                f"only {found} roots below {k * _SCAN_LIMIT ** 2:.6g} rad/s")
         first, hi = last, 2.0 * hi
     a, b, fa, fb = (np.concatenate(v)[:count] for v in zip(*brackets))
     return k * _refine_roots(p, a, b, fa, fb) ** 2

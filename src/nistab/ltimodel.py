@@ -28,7 +28,6 @@ from .matrixcore import full_rank_factor, symmetrize
 __all__ = [
     "StateSpaceModel",
     "ModalModel",
-    "ClosedLoop",
     "SchurSplit",
     "eval_tf",
     "freq_response",
@@ -126,13 +125,6 @@ class StateSpaceModel:
 
     def strictly_proper(self) -> bool:
         return bool(np.linalg.norm(self.D) <= STRICT_PROPER_TOL)
-
-
-@dataclass(frozen=True)
-class ClosedLoop:
-    """Positive-feedback interconnection state matrix (plant states first)."""
-
-    Abreve: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -635,7 +627,8 @@ def minimality_margin(model: StateSpaceModel) -> float:
 
 
 #: :func:`is_minimal` takes "minimal" from :func:`_pbh_bound` only above
-#: this; near the cutoff 1 the bound is rounding, and the SVD decides
+#: this; near the cutoff 1 the bound is rounding (the comparison-matrix bound
+#: can be loose by a factor exponential in n), and the SVD margin decides
 PBH_CLEARANCE = 100.0
 
 
@@ -778,13 +771,11 @@ def _pbh_bound(spec: _Spectral) -> float:
     where that bound does not clear PBH_CLEARANCE, takes the upper triangle
     with m rows below, which LAPACK ztpqrt folds into a triangle R in
     O(n^2 m), and 1/sigma_min <= (||M^-1 e||_inf ||M^-T e||_inf)^1/2 for R's
-    comparison matrix M (as in :func:`_eigvecs`), two dtrsv solves.  Where
-    that margin sigma_min / ((n + m) eps sigma_max) is not above
-    PBH_CLEARANCE (it can be loose by a factor exponential in n), the bound
-    by 1/||R^-1||_F (ztrtri) is taken too and the larger kept: it clears any
-    threshold up to PBH_CLEARANCE wherever the ztrtri one does.  0 if an R is
-    singular, 0 or NaN where ||T||_F^2 overflows; huge B or C alone leave it
-    finite (:func:`_norm`, np.hypot).
+    comparison matrix M (as in :func:`_eigvecs`), two dtrsv solves.  That
+    bound can be loose by a factor exponential in n; where it does not clear
+    PBH_CLEARANCE, :func:`is_minimal` takes the SVD margin.  0 or NaN if an R
+    is singular or where ||T||_F^2 overflows, so it clears nothing; huge B
+    or C alone leave it finite (:func:`_norm`, np.hypot).
     """
     n, m = spec.n, spec.m
     if n == 0:
@@ -808,10 +799,6 @@ def _pbh_bound(spec: _Spectral) -> float:
         # LAPACK block size 8 (at most n): the fastest at n = 104
         R = lapack.ztpqrt(0, min(8, n), a, rows, overwrite_a=1)[0]
         b[side, k] = 1.0 / (_inv_norm_bound(R) * cutoff[side, k])
-        if not b[side, k] > PBH_CLEARANCE:   # NaN too: np.maximum, not max, keeps it
-            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
-            b[side, k] = 0.0 if info else np.maximum(
-                b[side, k], 1.0 / (np.linalg.norm(Rinv) * cutoff[side, k]))
     # np.min, not min: a NaN must reach the caller and fail its test
     return float(np.min(b, initial=np.inf))
 
@@ -823,8 +810,8 @@ def is_minimal(model: StateSpaceModel) -> bool:
     holds the margin (a Monte-Carlo draw's); else the O(n^3) lower bound of
     :func:`_pbh_bound` on the record's Schur form (eigenvector deflation at
     each simple eigenvalue, the ztpqrt triangles at the rest) decides it above
-    ``PBH_CLEARANCE`` (wherever the ztrtri bound would), the SVDs of
-    :func:`minimality_margin` otherwise; the bound never says "not minimal".
+    ``PBH_CLEARANCE``, the SVDs of :func:`minimality_margin` otherwise; the
+    bound never says "not minimal", so the decision is the margin's.
     """
     spec = _spectral(model)
     if "margin" in vars(spec):
@@ -832,8 +819,8 @@ def is_minimal(model: StateSpaceModel) -> bool:
     return spec.pbh_bound > PBH_CLEARANCE or minimality_margin(spec) > 1.0
 
 
-def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> ClosedLoop:
-    """Positive-feedback closed-loop state matrix.
+def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> np.ndarray:
+    """Positive-feedback closed-loop state matrix, plant states first.
 
     For plant (A, B, C, D) and controller (Abar, Bbar, Cbar, Dbar) with
     I - D Dbar nonsingular the combined state matrix is
@@ -861,7 +848,7 @@ def closed_loop(G: StateSpaceModel, Gbar: StateSpaceModel) -> ClosedLoop:
     L = np.linalg.solve(W, np.eye(m))
     top = np.hstack([A + B @ Db @ L @ C, B @ Cb + B @ Db @ L @ D @ Cb])
     bot = np.hstack([Bb @ L @ C, Ab + Bb @ L @ D @ Cb])
-    return ClosedLoop(Abreve=np.vstack([top, bot]))
+    return np.vstack([top, bot])
 
 
 def is_hurwitz(M: np.ndarray) -> bool:
@@ -1009,5 +996,5 @@ def model_from_json(text: str) -> StateSpaceModel:
     return model_from_dict(json.loads(text))
 
 
-def model_to_json(model: StateSpaceModel, indent: int | None = None) -> str:
-    return json.dumps(model_to_dict(model), indent=indent)
+def model_to_json(model: StateSpaceModel) -> str:
+    return json.dumps(model_to_dict(model))

@@ -161,31 +161,32 @@ def classify_definiteness(M: np.ndarray, tol: float | None = None) -> Definitene
     return Definiteness(kind=kind, min_eig=lo, max_eig=hi)
 
 
-def psd_sqrt(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root S with S @ S = M.
 
-    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything below ``-tol``
-    raises :class:`NotPSDError`.
+    Eigenvalues in ``[-t, 0)``, t = max(1e-9, 1e-9 ||M||_2), are clipped to
+    zero; anything below ``-t`` raises :class:`NotPSDError`.
     """
     Ms = symmetrize(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(Ms)
-    t = _eig_tol(max(abs(w[0]), abs(w[-1])) if w.size else 0.0, tol)
+    t = _eig_tol(max(abs(w[0]), abs(w[-1])) if w.size else 0.0, None)
     if w.size and w[0] < -t:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{t:.1e}")
     S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
     return 0.5 * (S + S.T)
 
 
-def full_rank_factor(M: np.ndarray, tol: float | None = None) -> FullRankFactor:
+def full_rank_factor(M: np.ndarray) -> FullRankFactor:
     """Factor a symmetric PSD matrix as M = J J' with J of full column rank.
 
     The number of columns of J equals the numerical rank of M (eigenvalues
-    above ``max(dims) * eps * lambda_max`` are kept).
+    above ``max(dims) * eps * lambda_max`` are kept); an eigenvalue below
+    -max(1e-9, 1e-9 ||M||_2) raises :class:`NotPSDError`.
     """
     Ms = symmetrize(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(Ms)
     scale = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
-    t = _eig_tol(scale, tol)
+    t = _eig_tol(scale, None)
     if w.size and w[0] < -t:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{t:.1e}")
     cutoff = max(Ms.shape) * np.finfo(float).eps * max(scale, 0.0)
@@ -201,11 +202,11 @@ def full_rank_factor(M: np.ndarray, tol: float | None = None) -> FullRankFactor:
     return FullRankFactor(J=J, residual=residual)
 
 
-def nullspace_contained(M1: np.ndarray, M2: np.ndarray, tol: float = 1e-8) -> bool:
+def nullspace_contained(M1: np.ndarray, M2: np.ndarray) -> bool:
     """True iff null(M1) is contained in null(M2), both by SVD.
 
     Each right null-space basis vector v of M1 must satisfy
-    ``||M2 v|| <= tol * ||M2||``.  A zero M2 contains every null space.
+    ``||M2 v|| <= 1e-8 ||M2||_2``.  A zero M2 contains every null space.
     """
     M1 = np.atleast_2d(np.asarray(M1, dtype=float))
     M2 = np.atleast_2d(np.asarray(M2, dtype=float))
@@ -221,4 +222,4 @@ def nullspace_contained(M1: np.ndarray, M2: np.ndarray, tol: float = 1e-8) -> bo
     null_basis = Vt[np.sum(s > cutoff):].T
     if null_basis.shape[1] == 0:
         return True
-    return bool(np.all(np.linalg.norm(M2 @ null_basis, axis=0) <= tol * norm2))
+    return bool(np.all(np.linalg.norm(M2 @ null_basis, axis=0) <= 1e-8 * norm2))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,7 @@ from .beamcase import BeamParameters, emit_residue_scan, find_modal_roots, \
     finite_dim_approx, modal_residue
 from .errors import IllPosedError, NistabError
 from .freebody import (
+    BOUNDARY_BAND,
     ZERO_COEFF_RTOL,
     Outcome,
     VerdictOptions,
@@ -106,7 +107,7 @@ def _reference_wiring(G: StateSpaceModel, Gbar: StateSpaceModel, wiring: str):
     elif wiring != "additive":
         raise NistabError(f"unknown wiring {wiring!r}; options: {WIRINGS}")
     # x' = Ax + B(Cb xb + Db (S C x + e1 r));  xb' = Ab xb + Bb (S C x + e1 r)
-    A_cl = closed_loop(StateSpaceModel(G.A, G.B, S @ G.C), Gbar).Abreve
+    A_cl = closed_loop(StateSpaceModel(G.A, G.B, S @ G.C), Gbar)
     B_cl = np.vstack([G.B @ Gbar.D @ e1, Gbar.B @ e1])
     C_cl = np.hstack([G.C, np.zeros((m, Gbar.n))])
     return A_cl, B_cl, C_cl
@@ -252,10 +253,11 @@ def load_model(source) -> StateSpaceModel:
 
 
 def run_analysis(plant_source, controller_source,
-                 opts: VerdictOptions | None = None) -> AnalysisReport:
+                 band: float = BOUNDARY_BAND) -> AnalysisReport:
     """Decide stability once and report everything the decision computed.
 
-    The NI and SNI classification and the eigenvalue oracle always run.
+    ``band`` is the verdict's boundary band (the CLI's ``--tol``).  The NI
+    and SNI classification and the eigenvalue oracle always run.
     The verdict reads no Laurent data for a plant without origin poles or a
     controller that is not SNI; for a strictly proper NI plant the report
     extracts them anyway, from the verdict's spectral record of the plant.
@@ -264,9 +266,7 @@ def run_analysis(plant_source, controller_source,
     """
     G = _spectral(load_model(plant_source))
     Gbar = load_model(controller_source)
-    opts = replace(opts or VerdictOptions(), run_oracle=True, skip_ni_check=False)
-
-    verdict = stability_verdict(G, Gbar, opts)
+    verdict = stability_verdict(G, Gbar, VerdictOptions(boundary_band=band, run_oracle=True))
     laurent = verdict.laurent
     if laurent is None and verdict.ni is not None and verdict.ni.is_ni \
             and G.strictly_proper():
@@ -278,7 +278,7 @@ def run_analysis(plant_source, controller_source,
         ni_report=verdict.ni, sni_report=verdict.sni, laurent=laurent,
         verdict=verdict, oracle_hurwitz=verdict.oracle_hurwitz,
         tolerances={
-            "boundary_band": opts.boundary_band,
+            "boundary_band": band,
             "zero_coeff_rtol": ZERO_COEFF_RTOL,
             "hurwitz_margin": HURWITZ_MARGIN,
         },
@@ -296,7 +296,7 @@ EXIT_PRECONDITION = 3
 
 
 def _emit(obj: dict, args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj, indent=2))
     else:
         for key, val in obj.items():
@@ -342,8 +342,8 @@ def _cmd_laurent(args) -> int:
 def _cmd_stability(args) -> int:
     if args.tol is not None and not args.tol >= 0.0:
         raise NistabError(f"--tol must be a nonnegative band, got {args.tol}")
-    opts = VerdictOptions(boundary_band=args.tol) if args.tol is not None else None
-    report = run_analysis(args.plant, args.controller, opts)
+    band = BOUNDARY_BAND if args.tol is None else args.tol
+    report = run_analysis(args.plant, args.controller, band)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -487,13 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--wiring", choices=WIRINGS, default="additive")
     c.set_defaults(func=_cmd_simulate)
 
-    # the output flags, before a subcommand or after it: a subcommand's SUPPRESS default
-    # keeps a flag given before it
-    for parser in (ap, *sub.choices.values(), *bsub.choices.values()):
+    # the output flags, before a subcommand or after one that reads them: a subcommand's
+    # SUPPRESS default keeps a flag given before it
+    flags = {"--json": dict(action="store_true", help="machine-readable output"),
+             "--csv": dict(action="store_true", help="CSV output for tables"),
+             "--tol": dict(type=float, help="override the boundary tolerance band")}
+    cmds, json_only = sub.choices, ("--json",)
+    for parser, names in ((ap, flags), (cmds["classify"], json_only),
+                          (cmds["laurent"], json_only), (cmds["stability"], ("--json", "--tol")),
+                          (cmds["verify"], json_only), (cmds["beam"], ("--json", "--csv")),
+                          (bsub.choices["modes"], ("--json", "--csv"))):
         kw = {} if parser is ap else {"default": argparse.SUPPRESS}
-        parser.add_argument("--json", action="store_true", help="machine-readable output", **kw)
-        parser.add_argument("--csv", action="store_true", help="CSV output for tables", **kw)
-        parser.add_argument("--tol", type=float, help="override the boundary tolerance band", **kw)
+        for name in names:
+            parser.add_argument(name, **flags[name], **kw)
     return ap
 
 

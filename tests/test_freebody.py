@@ -7,6 +7,7 @@ import nistab as ns
 from nistab.errors import (
     G2ZeroError,
     IllConditionedTransformError,
+    IllPosedError,
     JordanBlockTooLargeError,
     LimitDivergentError,
     NistabError,
@@ -249,6 +250,15 @@ class TestProjector:
         X = np.diag([1.0, -2.0])
         np.testing.assert_array_equal(ns.projector_p(X, np.zeros((2, 0))), X)
 
+    def test_vector_y_is_one_column(self):
+        X = np.diag([2.0, -3.0])
+        y = np.array([1.0, 1.0])
+        np.testing.assert_array_equal(ns.projector_p(X, y), ns.projector_p(X, y[:, None]))
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(SingularInnerError, match="Y has 3 rows, X is 2x2"):
+            ns.projector_p(np.eye(2), np.ones((3, 1)))
+
     def test_singular_inner_rejected(self):
         X = np.diag([1.0, -1.0])
         Y = np.array([[1.0], [1.0]])
@@ -332,6 +342,41 @@ class TestStabilityVerdict:
         v = ns.stability_verdict(double_integrator(), bad_ctrl)
         assert v.outcome is ns.Outcome.PRECONDITION_FAILED
         assert "strictly negative imaginary" in v.reason
+
+    @pytest.mark.parametrize("run_oracle", [False, True])
+    def test_integrator_controller_is_a_precondition_failure(self, run_oracle):
+        # Gbar = -1/s has no Gbar(0): under skip_ni_check the verdict once
+        # raised SingularAtSError from eval_tf(Gbar, 0); the NI check already
+        # refuses the pair, as -1/s is not SNI
+        plant = ns.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]])
+        ctrl = ns.StateSpaceModel([[0.0]], [[1.0]], [[-1.0]])
+        v = ns.stability_verdict(plant, ctrl, VerdictOptions(run_oracle=run_oracle,
+                                                             skip_ni_check=True))
+        assert v.outcome is ns.Outcome.PRECONDITION_FAILED
+        assert v.reason == "controller has a pole at s = 0: Gbar(0) does not exist"
+        assert v.oracle_hurwitz is (True if run_oracle else None)
+        assert v.oracle_agrees is None
+        checked = ns.stability_verdict(plant, ctrl, VerdictOptions(run_oracle=run_oracle))
+        assert checked.outcome is ns.Outcome.PRECONDITION_FAILED
+
+    def test_ill_posed_loop_raises_only_for_a_decisive_verdict(self):
+        # G = 1/(s+1) - 0.5 and Gbar = 1/(s+1) - 2: D Dbar = 1, so I - D Dbar
+        # is singular; the DC-gain verdict (lambda = -0.5) is STABLE, and the
+        # oracle raises; a band that makes it BOUNDARY leaves the oracle unset
+        plant = first_order_lag_minus(0.5)
+        ctrl = first_order_lag_minus(2.0)
+        with pytest.raises(IllPosedError):
+            ns.stability_verdict(plant, ctrl, VerdictOptions(run_oracle=True))
+        v = ns.stability_verdict(plant, ctrl, VerdictOptions(boundary_band=10.0,
+                                                             run_oracle=True))
+        assert v.outcome is ns.Outcome.BOUNDARY
+        assert v.oracle_hurwitz is None and v.oracle_agrees is None
+
+    def test_empty_gram_records_minus_infinity(self):
+        conds = freebody._Conditions(1e-7)
+        conds.negative_definite("f_gram_max_eig", np.zeros((0, 0)))
+        assert conds.values == {"f_gram_max_eig": -np.inf}
+        assert conds.outcome is ns.Outcome.STABLE
 
     def test_laurent_failure_is_inconclusive(self, monkeypatch):
         def fail(model):
@@ -713,10 +758,29 @@ class TestMonteCarlo:
             with pytest.raises(NistabError, match="unknown family 'bogus'"):
                 draw(np.random.default_rng(0), "bogus")
 
-    def test_dc_gain_only_generator(self):
-        rep = ns.montecarlo_agreement(40, seed=3, families=("dc_gain",))
+    def test_dc_gain_only_generator(self, monkeypatch):
+        monkeypatch.setattr(freebody, "_FAMILIES", ("dc_gain",))
+        rep = ns.montecarlo_agreement(40, seed=3)
         assert rep.agreement_fraction == 1.0
         assert all(k.startswith("dc_gain") for k in rep.by_theorem)
+
+    def test_draw_gives_up_after_50_tries(self, monkeypatch):
+        monkeypatch.setattr(freebody, "minimality_margin", lambda spec: 0.0)
+        with pytest.raises(NistabError, match="could not draw a comfortably minimal 'single'"):
+            freebody._draw_minimal_plant(np.random.default_rng(0), "single")
+
+    def test_disagreement_recorded(self, monkeypatch):
+        # an oracle whose sign is flipped contradicts every decisive verdict
+        abscissa = freebody.spectral_abscissa
+        monkeypatch.setattr(freebody, "spectral_abscissa", lambda M: -abscissa(M))
+        rep = ns.montecarlo_agreement(8, seed=0)
+        assert rep.applicable and rep.agreements == 0
+        assert len(rep.disagreements) == rep.applicable
+        trial, family, outcome = rep.disagreements[0]
+        assert family == _FAMILIES[trial % len(_FAMILIES)]
+        assert outcome in ("stable", "unstable")
+        assert rep.to_dict()["disagreements"][0] == {
+            "trial": trial, "family": family, "outcome": outcome}
 
     def test_report_serializable(self):
         import json

@@ -20,6 +20,7 @@ def test_scalar_controller_transfer_function():
         np.testing.assert_allclose(
             ns.eval_tf(irc.realization, s), [[1.0 / (s + 1.0) - 2.0]], atol=1e-12)
     np.testing.assert_allclose(irc.dc_gain(), [[-1.0]], atol=1e-14)
+    assert irc.m == 1
 
 
 def test_indefinite_gamma_rejected():
@@ -42,6 +43,14 @@ def test_asymmetric_matrix_is_named(name):
     mats = {"Gamma": np.eye(2), "Phi": np.eye(2), "Delta": np.zeros((2, 2))}
     mats[name] = mats[name] + [[0.0, 1.0], [0.0, 0.0]]
     with pytest.raises(NonSymmetricError, match=f"^{name}: asymmetry"):
+        ns.make_irc(**mats)
+
+
+@pytest.mark.parametrize("name", ["Gamma", "Phi", "Delta"])
+def test_non_square_matrix_is_named(name):
+    mats = {"Gamma": np.eye(2), "Phi": np.eye(2), "Delta": np.zeros((2, 2))}
+    mats[name] = np.ones((2, 3))
+    with pytest.raises(DimensionError, match=rf"^{name} must be square, got shape \(2, 3\)"):
         ns.make_irc(**mats)
 
 

@@ -38,7 +38,9 @@ class TestStateSpaceModel:
          "square transfer matrix required: 2 outputs vs 1 inputs"),
         (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)),
          r"D must be 1x1, got \(2, 2\)"),
-    ], ids=["A_ndim", "A_square", "B_rows", "C_columns", "square", "D_shape"])
+        # a 1-D array is a column: a C of two entries is a 2 x 1 output map
+        (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2), None, "C has 1 columns, expected 2"),
+    ], ids=["A_ndim", "A_square", "B_rows", "C_columns", "square", "D_shape", "C_1d"])
     def test_dimension_checks(self, A, B, C, D, text):
         with pytest.raises(DimensionError, match=text):
             ns.StateSpaceModel(A, B, C, D)
@@ -214,32 +216,6 @@ class TestIsMinimal:
         assert len(calls) == 1
 
 
-def _pbh_bound_ztrtri(spec):
-    """``ltimodel._pbh_bound`` as first written: ||R^-1||_F by ztrtri at
-    every shift, O(n^4) in all."""
-    from scipy.linalg import lapack
-
-    from nistab.ltimodel import _pbh_shifts
-
-    n, m = spec.n, spec.m
-    T, Z = spec.schur
-    lams, idx = _pbh_shifts(spec)
-    lams = np.concatenate([lams, spec.eigs[idx]])
-    tri = (np.linalg.norm(np.triu(T, 1)) ** 2
-           + np.sum(np.abs(np.diag(T)[None, :] - lams[:, None]) ** 2, axis=1))
-    eye = np.eye(n)
-    bounds = []
-    for upper, rows, shifts in ((T, spec.C @ Z, lams),
-                                (T.conj().T[::-1, ::-1], (spec.B.T @ Z)[:, ::-1],
-                                 lams.conj())):
-        fro = np.sqrt(tri + np.linalg.norm(rows) ** 2)
-        for lam, f in zip(shifts, fro):
-            R = lapack.ztpqrt(0, min(8, n), upper - lam * eye, rows, overwrite_a=1)[0]
-            Rinv, info = lapack.ztrtri(R, overwrite_c=1)
-            bounds.append(0.0 if info else 1.0 / (np.linalg.norm(Rinv) * f))
-    return float(np.min(bounds, initial=np.inf) / ((n + m) * np.finfo(float).eps))
-
-
 def _count_calls(monkeypatch, module, name, log):
     """Replace ``module.name`` by a wrapper that appends its result to ``log``."""
     fn = getattr(module, name)
@@ -252,7 +228,7 @@ def _count_calls(monkeypatch, module, name, log):
 
 
 class TestPbhBound:
-    """The comparison-matrix bound of ``_pbh_bound`` and its ztrtri tier."""
+    """The comparison-matrix bound of ``_pbh_bound`` and the margin behind it."""
 
     def test_comparison_bound_below_smallest_singular_value(self, rng, monkeypatch):
         # 1 / (||M^-1 e||_inf ||M^-T e||_inf)^1/2 <= sigma_min(R) at every
@@ -267,8 +243,7 @@ class TestPbhBound:
 
         def kept(*args, **kwargs):
             out = fold(*args, **kwargs)
-            # a copy: the ztrtri tier overwrites R with its inverse
-            triangles.append(out[0].copy())
+            triangles.append(out[0])
             return out
 
         monkeypatch.setattr(lapack, "ztpqrt", kept)
@@ -293,15 +268,14 @@ class TestPbhBound:
             if np.all(np.diag(R)):
                 assert lower <= smin * (1.0 + 1e-12)
             else:
-                # a zero pivot gives NaN or 0, which clears nothing; the
-                # ztrtri tier then returns 0
+                # a zero pivot gives NaN or 0, which clears nothing
                 singular += 1
                 assert not lower > 0.0
         assert singular
 
-    def test_fallback_parity_with_the_ztrtri_bound(self, rng, monkeypatch):
-        # the SVD margin runs on exactly the plants where the ztrtri bound
-        # does not clear PBH_CLEARANCE, and the decisions are the same
+    def test_fallback_runs_where_the_bound_does_not_clear(self, rng, monkeypatch):
+        # the SVD margin runs on exactly the plants where the comparison bound
+        # does not clear PBH_CLEARANCE, and every decision is margin > 1
         from nistab import ltimodel
 
         margin = ltimodel.minimality_margin
@@ -309,23 +283,33 @@ class TestPbhBound:
         _count_calls(monkeypatch, ltimodel, "minimality_margin", calls)
         fallbacks = 0
         for model in TestIsMinimal._transformed(rng, 400):
-            old = _pbh_bound_ztrtri(ltimodel._spectral(model))
+            bound = ltimodel._pbh_bound(ltimodel._spectral(model))
             del calls[:]
             minimal = ns.is_minimal(model)
-            assert len(calls) == (not old > ltimodel.PBH_CLEARANCE)
-            assert minimal == (old > ltimodel.PBH_CLEARANCE or margin(model) > 1.0)
+            assert len(calls) == (not bound > ltimodel.PBH_CLEARANCE)
+            assert minimal == (margin(model) > 1.0)
             fallbacks += len(calls)
         assert 0 < fallbacks < 400
 
+    def test_singular_triangle_clears_nothing(self):
+        # the mode at 2 is uncontrollable: B has an exact zero on it, so the
+        # [A - 2I, B] triangle has a zero pivot; the bound is 0 or NaN, with
+        # no RuntimeWarning, and the margin decides
+        from nistab import ltimodel
+
+        model = ns.StateSpaceModel(np.diag([1.0, 2.0]), [[1.0], [0.0]], [[1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = ltimodel._pbh_bound(ltimodel._spectral(model))
+            assert not bound > 0.0
+            assert not ns.is_minimal(model)
+
     def test_ladder_takes_the_comparison_bound_alone(self, paper_irc, monkeypatch):
         # the benchmark ladder's rungs and a 100-mode rung (n = 24 to 204):
-        # no shift takes the ztrtri tier, and no plant the SVD margin
-        from scipy.linalg import lapack
-
+        # no plant takes the SVD margin
         from nistab import freebody, ltimodel
 
-        tier, margins = [], []
-        _count_calls(monkeypatch, lapack, "ztrtri", tier)
+        margins = []
         _count_calls(monkeypatch, ltimodel, "minimality_margin", margins)
         _count_calls(monkeypatch, freebody, "minimality_margin", margins)
         for seed in (1, 2, 3):
@@ -333,7 +317,7 @@ class TestPbhBound:
                 v = ns.run_analysis(ns.modal_to_ss(mm), paper_irc.realization).verdict
                 assert (v.outcome.value, v.theorem_used.value, v.branch.value) == (
                     "stable", "full_rank_free_body", "invertible")
-        assert not tier and not margins
+        assert not margins
 
     @staticmethod
     def _deflated_excess(model):
@@ -454,11 +438,11 @@ class TestClosedLoop:
         G, Gb = arm_plant, paper_irc.realization
         top = np.hstack([G.A + G.B @ Gb.D @ G.C, G.B @ Gb.C])
         bot = np.hstack([Gb.B @ G.C, Gb.A])
-        np.testing.assert_allclose(cl.Abreve, np.vstack([top, bot]), atol=1e-13)
+        np.testing.assert_allclose(cl, np.vstack([top, bot]), atol=1e-13)
 
     def test_characteristic_polynomial(self):
         cl = ns.closed_loop(double_integrator(), first_order_lag_minus(2.0))
-        coeffs = np.poly(cl.Abreve)
+        coeffs = np.poly(cl)
         np.testing.assert_allclose(coeffs, [1.0, 1.0, 2.0, 1.0], atol=1e-10)
 
     def test_ill_posed_static_loop(self):
@@ -476,11 +460,11 @@ class TestClosedLoop:
     def test_spectrum_invariant_under_similarity(self, rng):
         g = double_integrator()
         gb = first_order_lag_minus(2.0)
-        ref = np.sort_complex(np.linalg.eigvals(ns.closed_loop(g, gb).Abreve))
+        ref = np.sort_complex(np.linalg.eigvals(ns.closed_loop(g, gb)))
         for _ in range(10):
             T = np.eye(2) + 0.4 * rng.normal(size=(2, 2))
             g2 = ns.similarity_transform(g, T)
-            got = np.sort_complex(np.linalg.eigvals(ns.closed_loop(g2, gb).Abreve))
+            got = np.sort_complex(np.linalg.eigvals(ns.closed_loop(g2, gb)))
             np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
@@ -493,7 +477,7 @@ class TestHurwitz:
 
     def test_case_study_loop(self, arm_plant, paper_irc):
         cl = ns.closed_loop(arm_plant, paper_irc.realization)
-        assert ns.is_hurwitz(cl.Abreve)
+        assert ns.is_hurwitz(cl)
 
     def test_empty_spectrum(self):
         # no eigenvalue violates the margin: two static models close a
@@ -556,6 +540,19 @@ class TestModalToSs:
     def test_decreasing_poles_rejected(self):
         with pytest.raises(DimensionError):
             ns.ModalModel(m=1, terms=((2.0, [[1.0]]), (1.0, [[1.0]])))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"terms": ((2.0, np.eye(2)),)}, "mode coefficient must be 1x1"),
+        ({"g1": np.eye(2)}, "g1 must be 1x1"),
+        ({"g2": 2.0 * np.eye(3)}, "g2 must be 1x1"),
+    ], ids=["term", "g1", "g2"])
+    def test_coefficient_shapes_checked(self, kwargs, message):
+        with pytest.raises(DimensionError, match=message):
+            ns.ModalModel(m=1, **kwargs)
+
+    def test_similarity_transform_shape_checked(self):
+        with pytest.raises(DimensionError, match="T must be 2x2"):
+            ns.similarity_transform(double_integrator(), np.eye(3))
 
 
 def _modal_to_ss_by_blocks(mm):
@@ -1189,19 +1186,21 @@ class TestPbhShifts:
                     assert np.sum(np.abs(shifts - lam) < 1e-4) <= copies + 1, (seed, lam)
 
     def test_decisions_match_the_eigensolver_shifts(self, rng):
-        # the bound's clearing and is_minimal on 400 Monte-Carlo draws under
-        # similarity transforms of cond 1 to 1e7, against the shifts of the
-        # real eigensolver
+        # the bound and is_minimal on 400 Monte-Carlo draws under similarity
+        # transforms of cond 1 to 1e7, against the shifts of the real
+        # eigensolver: each source's bound stays below the margin at its own
+        # shifts, so whichever of them clears, the decisions are the same
         from nistab.ltimodel import PBH_CLEARANCE, _spectral
 
         clears = minimal = 0
         for model in TestIsMinimal._transformed(rng, 400):
             old, shifts = _eigvals_record(model)
             new = _spectral(model)
-            assert (new.pbh_bound > PBH_CLEARANCE) == (old.pbh_bound > PBH_CLEARANCE)
-            decided = old.pbh_bound > PBH_CLEARANCE or _margin_at(model, shifts) > 1.0
-            assert ns.is_minimal(model) == decided
-            clears += old.pbh_bound > PBH_CLEARANCE
+            margin = _margin_at(model, shifts)
+            assert old.pbh_bound <= margin + 1.0 and new.pbh_bound <= new.margin + 1.0
+            decided = old.pbh_bound > PBH_CLEARANCE or margin > 1.0
+            assert ns.is_minimal(model) == decided == (new.margin > 1.0)
+            clears += new.pbh_bound > PBH_CLEARANCE
             minimal += decided
         assert 0 < clears < 400 and 0 < minimal < 400
 

@@ -128,6 +128,12 @@ class TestFullRankFactor:
             full_rank_factor(np.diag([1.0, -0.5]))
 
 
+def test_numerical_rank_of_empty_and_zero_matrices():
+    assert numerical_rank(np.zeros((0, 3))) == 0
+    assert numerical_rank(np.zeros((3, 2))) == 0
+    assert numerical_rank(np.ones((3, 2))) == 1
+
+
 class TestNullspaceContained:
     def test_shared_nullspace(self):
         assert nullspace_contained(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))

@@ -860,6 +860,11 @@ class TestImaginaryAxisResidue:
         with pytest.raises(NotAPoleError):
             ns.imaginary_axis_residue(first_order_lag_minus(0.0), 1.0)
 
+    @pytest.mark.parametrize("omega0", [0.0, -1.0])
+    def test_non_positive_frequency_rejected(self, arm_plant, omega0):
+        with pytest.raises(NotAPoleError, match="omega0 must be positive"):
+            ns.imaginary_axis_residue(arm_plant, omega0)
+
     def test_model_without_states_is_not_a_pole(self):
         # the distance to no eigenvalue once raised numpy's ValueError
         gain = ns.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-2.0]])

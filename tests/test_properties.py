@@ -154,10 +154,10 @@ def test_hurwitz_closed_loop_spectrum_similarity_invariant(seed):
     plant, _ = random_ni_plant(rng, "double")
     ctrl = random_sni_controller(rng, plant.m)
     cl = ns.closed_loop(plant, ctrl.realization)
-    ref = np.sort_complex(np.linalg.eigvals(cl.Abreve))
+    ref = np.sort_complex(np.linalg.eigvals(cl))
     T = np.eye(plant.n) + 0.25 * rng.normal(size=(plant.n,) * 2)
     cl2 = ns.closed_loop(ns.similarity_transform(plant, T), ctrl.realization)
-    got = np.sort_complex(np.linalg.eigvals(cl2.Abreve))
+    got = np.sort_complex(np.linalg.eigvals(cl2))
     assert np.allclose(got, ref, atol=1e-8 * max(1.0, np.abs(ref).max()))
 
 

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import nistab as ns
+from nistab.errors import IllPosedError, LimitDivergentError
 from nistab.simcli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -179,6 +180,16 @@ class TestStepResponse:
                                wiring="replace", T_end=1.0, dt=0.01)
         assert res.config["wiring"] == "replace"
 
+    @pytest.mark.parametrize("plant, ctrl, message", [
+        (double_integrator(), ns.make_irc(np.eye(2), np.eye(2), 2.0 * np.eye(2)).realization,
+         "plant and controller channel counts differ"),
+        (first_order_lag_minus(0.5), first_order_lag_minus(2.0),
+         "step_response assumes a strictly proper plant"),
+    ], ids=["channels", "not_strictly_proper"])
+    def test_wiring_guards(self, plant, ctrl, message):
+        with pytest.raises(IllPosedError, match=message):
+            ns.step_response(plant, ctrl, T_end=1.0, dt=0.1)
+
     def test_unknown_wiring_rejected(self, arm_plant, paper_irc):
         with pytest.raises(ns.NistabError):
             ns.step_response(arm_plant, paper_irc.realization, wiring="bogus")
@@ -251,6 +262,20 @@ class TestRunAnalysis:
         out = json.loads(json.dumps(rep.to_dict()))
         assert out["ni_report"] is None and out["laurent"] is None
         assert out["sni_report"]["is_sni"] is True
+
+    def test_report_laurent_failure_leaves_it_null(self, monkeypatch):
+        # the controller is not SNI, so the verdict reads no Laurent data; the
+        # report's own extraction fails and the report keeps laurent null
+        from nistab import simcli
+
+        def fail(model):
+            raise LimitDivergentError("numeric Laurent limits failed to settle")
+
+        monkeypatch.setattr(simcli, "laurent_coefficients", fail)
+        integrator = ns.StateSpaceModel([[0.0]], [[1.0]], [[1.0]])
+        rep = ns.run_analysis(double_integrator(), integrator)
+        assert rep.verdict.outcome is ns.Outcome.PRECONDITION_FAILED
+        assert rep.ni_report.is_ni and rep.laurent is None
 
     def test_ni_violating_plant_reported(self):
         plant = {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -423,13 +448,37 @@ class TestCli:
         ["verify", "--seed", "-1"],
         ["beam", "scan", "--gamma", "nan", "--points", "3"],
         ["beam", "scan", "--gamma", "inf", "--points", "3"],
+        ["beam", "modes", "--count", "0"],
+        ["beam", "approx", "--modes", "0"],
     ], ids=["count_negative", "count_zero", "points_zero", "wmin_negative",
             "wmax_equal", "wmax_below", "wmax_infinite", "modes_overflow",
-            "seed_negative", "gamma_nan", "gamma_infinite"])
+            "seed_negative", "gamma_nan", "gamma_infinite", "roots_zero", "modes_zero"])
     def test_out_of_range_numbers_exit_2(self, capsys, argv):
         assert main(argv) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
+
+    def test_non_object_model_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        assert main(["classify", str(path)]) == EXIT_INPUT_ERROR
+        assert "model source must be a dict" in capsys.readouterr().err
+
+    def test_classify_text_lists_ni_reasons(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json",
+                            {"A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]})
+        assert main(["classify", plant]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "negative imaginary: False"
+        assert lines[1].startswith("  - ")
+
+    def test_simulate_notes_divergence(self, tmp_path, capsys):
+        plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
+        ctrl = self._write(tmp_path, "c.json", ns.model_to_dict(first_order_lag_minus(0.5)))
+        assert main(["simulate", plant, ctrl, "--tend", "200", "--dt", "0.05"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "# trajectory divergent\n"
+        assert captured.out.startswith("t,theta,Vs\n")
 
     def test_beam_modes_command(self, capsys):
         assert main(["beam", "modes", "--count", "1"]) == EXIT_OK
@@ -475,8 +524,8 @@ class TestCli:
         assert [float(line.split(",")[0]) for line in short[1:]] == pytest.approx(want, rel=1e-9)
 
     def test_output_flags_before_or_after_the_subcommand(self, tmp_path, capsys):
-        # --json, --csv and --tol read the same wherever they stand; a flag
-        # given before the subcommand is kept when none follows it
+        # --json, --csv and --tol read the same before the subcommand or after
+        # one that reads them; a flag given before it is kept when none follows
         placements = [(["--csv", "beam", "modes", "--count", "3"],
                        ["beam", "modes", "--count", "3", "--csv"],
                        ["beam", "--csv", "modes", "--count", "3"])]
@@ -498,6 +547,19 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["tolerances"]["boundary_band"] == 0.0
         assert main(["beam", "modes", "--count", "3"]) == EXIT_OK
         assert not capsys.readouterr().out.startswith("omega,")
+        # after a subcommand, only a flag it reads is accepted; before one, any
+        refused = [["simulate", plant, ctrl, "--json"], ["beam", "scan", "--tol", "3"],
+                   ["beam", "scan", "--points", "2", "--json"],
+                   ["beam", "approx", "--modes", "1", "--tol", "1"],
+                   ["classify", plant, "--csv"], ["laurent", plant, "--tol", "1"],
+                   ["stability", plant, ctrl, "--csv"], ["verify", "--count", "1", "--tol", "1"]]
+        for argv in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INPUT_ERROR, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+        assert main(["--json", "beam", "scan", "--points", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("omega,value")
 
     @pytest.mark.parametrize("text, message", [
         ('{"l": "abc"}', "beam parameter 'l' must be a finite positive number, got 'abc'"),
