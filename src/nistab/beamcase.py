@@ -27,8 +27,9 @@ inertial quantities.  The defaults below therefore apply two documented
 calibration factors (`inertia_scale`, applied to rho*A, I_h and EI alike,
 and the extra 1/100 on EI); with them the model reproduces the benchmark
 frequencies to better than 1e-5 relative.  The voltage channel gain (equal
-actuator and sensor constants) is calibrated against the published first
-flexible-mode coefficient.  All factors can be overridden.
+actuator and sensor constants) was calibrated against the published first
+flexible-mode coefficient while the truncations still used a partial-fraction
+rule (see the README).  All factors can be overridden.
 """
 
 from __future__ import annotations
@@ -391,23 +392,32 @@ def _nearest_root(p: BeamParameters, omega0: float) -> float:
 _STENCIL = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _numerator_at(p: BeamParameters, w, h) -> np.ndarray:
-    """N(jw) = G(jw) D(jw) extrapolated onto w (which may be a root) by one
-    h^2 Richardson step of two-sided evaluations; elementwise over w, h."""
-    w = w + np.multiply.outer(_STENCIL, h)
-    s = 1j * w.ravel()
-    N = _nonsingular(_beam_response(p, s)) * d_of_s(p, s)[:, None, None]
-    N = np.real(N).reshape(w.shape + (2, 2))
-    N1, N2 = 0.5 * (N[0] + N[1]), 0.5 * (N[2] + N[3])
-    return (4.0 * N2 - N1) / 3.0
-
-
-def _d_prime(p: BeamParameters, w, h):
-    """dD(jw)/dw by central differences of the closed form, elementwise."""
-    d = d_of_s(p, 1j * (w + np.multiply.outer(_STENCIL, h)))
+def _d_prime(p: BeamParameters, w, h, d=None):
+    """dD(jw)/dw by central differences of D, elementwise; d, if given, is D at the stencil."""
+    if d is None:
+        d = d_of_s(p, 1j * (w + np.multiply.outer(_STENCIL, h)))
     d1 = (d[0] - d[1]) / (2.0 * h)
     d2 = (d[2] - d[3]) / h
     return np.real((4.0 * d2 - d1) / 3.0)
+
+
+def _numerator_at(p: BeamParameters, w, h):
+    """N(jw) = G(jw) D(jw) extrapolated onto w (which may be a root) by one
+    h^2 Richardson step of two-sided evaluations, and D'(w) from the same D
+    values; elementwise over w, h."""
+    x = w + np.multiply.outer(_STENCIL, h)
+    s = 1j * x.ravel()
+    d = d_of_s(p, s)
+    N = _nonsingular(_beam_response(p, s)) * d[:, None, None]
+    N = np.real(N).reshape(x.shape + (2, 2))
+    N1, N2 = 0.5 * (N[0] + N[1]), 0.5 * (N[2] + N[3])
+    return (4.0 * N2 - N1) / 3.0, _d_prime(p, w, h, d.reshape(x.shape))
+
+
+def _residues(N, dp) -> np.ndarray:
+    """Symmetrized residues K = -N(jw) / D'(w) from `_numerator_at` at roots w."""
+    K = -N / dp[..., None, None]
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
 
 
 def modal_residue(p: BeamParameters, omega0: float) -> np.ndarray:
@@ -415,8 +425,8 @@ def modal_residue(p: BeamParameters, omega0: float) -> np.ndarray:
 
     Computed as K = -N(jw0) / D'(w0) with the numerator matrix
     N = G * D extrapolated onto the root and D' a central difference of the
-    closed form.  For this colocated lossless model K is real symmetric PSD
-    of rank one.
+    closed form at the same points.  For this colocated lossless model K is
+    real symmetric PSD of rank one.
 
     Raises
     ------
@@ -424,9 +434,7 @@ def modal_residue(p: BeamParameters, omega0: float) -> np.ndarray:
         If omega0 is not (within 1e-6 relative) a root of D.
     """
     w = _nearest_root(p, omega0)
-    h = 1e-5 * w
-    K = -_numerator_at(p, w, h) / _d_prime(p, w, h)
-    return 0.5 * (K + K.T)
+    return _residues(*_numerator_at(p, w, 1e-5 * w))
 
 
 def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
@@ -434,45 +442,35 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
 
         G_f(s) = C_0 / s^2 + sum_{i=1..n} C_i / (s^2 + p_i^2)
 
-    with coefficients from the partial-fraction rule
-    C_i = N(j p_i) / (k prod_{j != i} (p_j^2 - p_i^2)).  The scalar k matches
-    the product denominator to D at a reference frequency w0 = p_1 / 100 in
-    the rigid-body-dominated band, which pins the double-pole coefficient C_0
-    to the true lim s^2 G(s) up to O((w0/p_1)^2); w0 is recorded in ``meta``.
-    k cancels against the products: each coefficient is formed from the
-    ratios (1 - w0^2/p_j^2) and (p_j^2 - w0^2)/(p_j^2 - p_i^2), which stay
-    finite where the bare products overflow; NistabError where N = G D does.
+    with the true modal coefficients, which do not depend on n: C_i = 2 p_i K_i
+    from the residue K_i of `modal_residue`, and C_0 = lim s^2 G(s) =
+    N(0) / (8 mu I_total), since D(s) = 8 mu I_total s^2 + O(s^4).  N(0) is
+    one Richardson step on w0 = p_1 / 100 and 2 w0; w0 is recorded in
+    ``meta``.  NistabError names the first mode whose N = G D or D'
+    overflows (mode 221 on the default arm).
     """
     if n < 1:
         raise DimensionError("need at least one flexible mode")
     poles = find_modal_roots(p, n)
     w0 = float(poles[0] / 100.0)
-    # 1/k = -w0^2 prod_j (p_j^2 - w0^2) / D(j w0)
-    scale = -w0 ** 2 / float(np.real(d_of_s(p, 1j * w0)))
-
     # N(jw) = G D is even and analytic through w = 0, so its stencil about
     # w = 0 with h = 2 w0 is one Richardson step on the root-free pair w0,
     # 2 w0 (~1e-7 relative); the poles' numerators come in the same solve
     with np.errstate(over="ignore", invalid="ignore"):
-        N = _numerator_at(p, np.concatenate([[0.0], poles]),
-                          np.concatenate([[2.0 * w0], 1e-5 * poles]))
-    C0 = N[0] * (scale * np.prod(1.0 - (w0 / poles) ** 2))
-    C0 = 0.5 * (C0 + C0.T)
+        N, dp = _numerator_at(p, np.concatenate([[0.0], poles]),
+                              np.concatenate([[2.0 * w0], 1e-5 * poles]))
+        # N/D' before the factor 2 p_i, which would overflow N sooner
+        C = 2.0 * poles[:, None, None] * _residues(N[1:], dp[1:])
+    bad = np.flatnonzero(~np.isfinite(C).all(axis=(1, 2)))
+    if bad.size:
+        what = "D'" if np.isfinite(N[bad[0] + 1]).all() else "N = G D"
+        raise NistabError(f"coefficient of mode {bad[0] + 1} is not finite ({what} overflows)")
+    C0 = (N[0] + N[0].T) / (16.0 * p.mu * p.total_inertia)
     # the rigid coefficient is PSD of rank one; shave extrapolation dust
     ew, V = np.linalg.eigh(C0)
     if ew[0] < 0.0 and abs(ew[0]) <= 1e-6 * max(abs(ew[-1]), 1e-300):
         C0 = (V * np.clip(ew, 0.0, None)) @ V.T
-        C0 = 0.5 * (C0 + C0.T)
-
-    sq = poles ** 2
-    gaps = sq - sq[:, None]                  # row i: p_j^2 - p_i^2, and -p_i^2 at j = i
-    np.fill_diagonal(gaps, -sq)
-    C = N[1:] * (scale * np.prod((sq - w0 ** 2) / gaps, axis=1))[:, None, None]
-    bad = np.flatnonzero(~np.isfinite(C).all(axis=(1, 2)))
-    if bad.size:
-        raise NistabError(f"coefficient of mode {bad[0] + 1} is not finite (N = G D overflows)")
-    terms = tuple((float(pi), 0.5 * (Ci + Ci.T)) for pi, Ci in zip(poles, C))
-    return ModalModel(m=2, terms=terms, g2=C0, meta={"omega0": w0, "n_modes": n})
+    return ModalModel(m=2, terms=tuple(zip(poles, C)), g2=C0, meta={"omega0": w0, "n_modes": n})
 
 
 def emit_residue_scan(p: BeamParameters, gamma: float,

@@ -487,19 +487,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--wiring", choices=WIRINGS, default="additive")
     c.set_defaults(func=_cmd_simulate)
 
-    # the output flags, before a subcommand or after one that reads them: a subcommand's
-    # SUPPRESS default keeps a flag given before it
+    # each output flag is declared on the subcommands that read it, and only there
     flags = {"--json": dict(action="store_true", help="machine-readable output"),
              "--csv": dict(action="store_true", help="CSV output for tables"),
              "--tol": dict(type=float, help="override the boundary tolerance band")}
     cmds, json_only = sub.choices, ("--json",)
-    for parser, names in ((ap, flags), (cmds["classify"], json_only),
-                          (cmds["laurent"], json_only), (cmds["stability"], ("--json", "--tol")),
-                          (cmds["verify"], json_only), (cmds["beam"], ("--json", "--csv")),
+    for parser, names in ((cmds["classify"], json_only), (cmds["laurent"], json_only),
+                          (cmds["stability"], ("--json", "--tol")), (cmds["verify"], json_only),
                           (bsub.choices["modes"], ("--json", "--csv"))):
-        kw = {} if parser is ap else {"default": argparse.SUPPRESS}
         for name in names:
-            parser.add_argument(name, **flags[name], **kw)
+            parser.add_argument(name, **flags[name])
     return ap
 
 

@@ -264,50 +264,54 @@ class TestFiniteDimApprox:
         assert sups[0] <= 0.04
         assert sups[2] < sups[1] < sups[0]
 
-    @pytest.mark.parametrize("n", [10, 40])
-    def test_ratio_form_matches_bare_products(self, beam_params, n):
-        """Reference: the partial-fraction rule with k and the bare products,
-        finite below 44 modes; the ratio form regroups the same factors."""
-        mm = ns.finite_dim_approx(beam_params, n)
-        poles = np.array([pi for pi, _C in mm.terms])
-        w0 = mm.meta["omega0"]
-        k = float(np.real(ns.d_of_s(beam_params, 1j * w0))) / (
-            -w0 ** 2 * np.prod(poles ** 2 - w0 ** 2))
-        N = _numerator_at(beam_params, np.concatenate([[0.0], poles]),
-                          np.concatenate([[2.0 * w0], 1e-5 * poles]))
-        gaps = poles ** 2 - poles[:, None] ** 2
-        np.fill_diagonal(gaps, 1.0)
-        ref = [Ni / (k * np.prod(g) * -pi ** 2) for Ni, g, pi in zip(N[1:], gaps, poles)]
-        for (_p, Ci), R in zip(mm.terms, ref):
-            np.testing.assert_allclose(Ci, 0.5 * (R + R.T), rtol=0,
-                                       atol=1e-13 * np.abs(R).max())
-        # C0 also loses the negative eigenvalue dust (within 1e-6 of its norm)
-        R0 = N[0] / (k * np.prod(poles ** 2))
-        np.testing.assert_allclose(mm.g2, 0.5 * (R0 + R0.T), rtol=0,
-                                   atol=1e-6 * np.abs(R0).max())
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sixty_modes_stay_finite(self, beam_params):
-        """The bare products prod p_j^2 and prod (p_j^2 - p_i^2) overflow from
-        44 modes; the coefficients are formed from ratios instead."""
         mm = ns.finite_dim_approx(beam_params, 60)
         coeffs = [mm.g2] + [Ci for _p, Ci in mm.terms]
         assert all(np.isfinite(Ci).all() for Ci in coeffs)
         for Ci in coeffs:
             assert np.linalg.eigvalsh(Ci)[0] >= -1e-8 * np.linalg.norm(Ci)
-        # the rigid pair and 59 oscillatory pairs: the 60th coefficient
-        # (1.4e-9) is below modal_to_ss's rank floor 1e-10 (1 + max ||C_i||)
-        assert ns.modal_to_ss(mm).n == 120
+        # the rigid pair and all 60 oscillatory pairs
+        assert ns.modal_to_ss(mm).n == 122
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_coefficient_rejected(self, beam_params):
-        """From 222 modes N = G D overflows at the top modes (29 NaN terms at
-        250): the first non-finite coefficient is named, not returned."""
-        mm = ns.finite_dim_approx(beam_params, 221)
+        """From 221 modes D' (and N = G D a little later) overflows at the top
+        modes: the first non-finite coefficient is named, not returned."""
+        mm = ns.finite_dim_approx(beam_params, 220)
         assert all(np.isfinite(Ci).all() for _p, Ci in mm.terms)
-        for n in (222, 250):
-            with pytest.raises(NistabError, match="mode 222 "):
+        for n in (221, 250):
+            with pytest.raises(NistabError, match=r"mode 221 is not finite \(D' overflows\)"):
                 ns.finite_dim_approx(beam_params, n)
+
+    def test_terms_do_not_depend_on_the_mode_count(self, beam_params):
+        small, big = (ns.finite_dim_approx(beam_params, n) for n in (40, 60))
+        assert_close_rel(big.g2, small.g2, rtol=1e-12)
+        for (p40, C40), (p60, C60) in zip(small.terms, big.terms[:40]):
+            assert p60 == pytest.approx(p40, rel=1e-12)
+            assert_close_rel(C60, C40, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_many_mode_arm_stable_and_oracle_agrees(self, beam_params, paper_irc, n):
+        rep = ns.run_analysis(ns.modal_to_ss(ns.finite_dim_approx(beam_params, n)),
+                              paper_irc.realization)
+        v = rep.verdict
+        assert (v.outcome, v.theorem_used.value, v.branch.value) == (
+            ns.Outcome.STABLE, "double_pole", "nsd")
+        assert v.oracle_agrees is True
+
+    @pytest.mark.parametrize("change", [{}, {"Ih": 0.1, "l": 1.3},
+                                        {"rho": 5000.0, "E": 2e11, "I": 3e-9}])
+    def test_d_of_s_rigid_limit(self, beam_params, change):
+        """D(s) = 8 mu I_total s^2 + O(s^4), which gives C_0 = N(0) / (8 mu I_total)."""
+        p = replace(beam_params, **change)
+        w0 = float(ns.find_modal_roots(p, 1)[0]) / 100.0
+
+        def ratio(w):
+            return -float(np.real(ns.d_of_s(p, 1j * w))) / w ** 2
+
+        limit = (4.0 * ratio(w0 / 2.0) - ratio(w0)) / 3.0
+        assert limit == pytest.approx(8.0 * p.mu * p.total_inertia, rel=1e-9)
 
 
 class TestResidueScan:
@@ -517,11 +521,11 @@ class TestBatchedEvaluation:
     def test_stencils_match_scalar_calls(self, beam_params, beam_roots):
         w = np.array([0.7, 3.0, float(beam_roots[0]), 9.0, 60.0])
         h = 1e-5 * np.maximum(1.0, w)
-        N, dp = _numerator_at(beam_params, w, h), _d_prime(beam_params, w, h)
+        N, dp = _numerator_at(beam_params, w, h)
         assert N.shape == (w.size, 2, 2) and dp.shape == w.shape
+        np.testing.assert_array_equal(dp, _d_prime(beam_params, w, h))
         for k in range(w.size):
-            Nk = _numerator_at(beam_params, float(w[k]), float(h[k]))
-            dk = _d_prime(beam_params, float(w[k]), float(h[k]))
+            Nk, dk = _numerator_at(beam_params, float(w[k]), float(h[k]))
             assert Nk.shape == (2, 2) and np.ndim(dk) == 0
             assert np.linalg.norm(N[k] - Nk) <= 1e-9 * np.linalg.norm(Nk)
             assert abs(dp[k] - dk) <= 1e-9 * abs(dk)
@@ -544,19 +548,6 @@ PER_POINT_RESIDUES = [
     (2.062916918972256e+02, (5.375177926002366e-05, 2.540190651384899e-03, 1.200438131390699e-01)),
     (2.519431144318073e+02, (2.934596575646642e-05, -1.915138850018760e-03, 1.249833399687301e-01)),
 ]
-PER_POINT_G2_10 = (1.406822129313448e-01, 2.481357488064629e-08, 4.376626479837354e-15)
-PER_POINT_TERMS_10 = [
-    (3.395326443354295e+00, (1.443922332471856e+00, -1.841393250071524e+00, 2.348276652529066e+00)),
-    (9.501801888145696e+00, (5.453979823167052e+00, 2.317389438321572e-02, 9.846559709864870e-05)),
-    (1.708210072055826e+01, (4.654708088345511e+00, -6.346969145871170e+00, 8.654466955619485e+00)),
-    (2.932863977778106e+01, (1.406331243636739e+00, 2.204954212653135e+00, 3.457096684650378e+00)),
-    (4.701240954371963e+01, (4.342552875289684e-01, -2.298062233802177e+00, 1.216125671256456e+01)),
-    (6.958326479743525e+01, (1.546938206509476e-01, 1.298260996629448e+00, 1.089559756347707e+01)),
-    (9.684550721577511e+01, (5.651042792955158e-02, -8.794474779685204e-01, 1.368646274437878e+01)),
-    (1.287332004588261e+02, (1.870973252345631e-02, 4.255586615338835e-01, 9.679463572206307e+00)),
-    (1.652194936117822e+02, (4.797756764083495e-03, -1.662907221681785e-01, 5.763652815038041e+00)),
-    (2.062916918972256e+02, (6.949730659110701e-04, 3.284289579423355e-02, 1.552082889337239e+00)),
-]
 
 
 def sym(entries):
@@ -575,9 +566,10 @@ def test_residues_match_per_point_values(beam_params, beam_roots):
 
 
 def test_ten_mode_approximation_matches_per_point_values(beam_params):
+    """C_i = 2 p_i K_i, and C_0 = lim s^2 G(s) = diag(1/total_inertia, 0)."""
     mm = ns.finite_dim_approx(beam_params, 10)
-    assert_close_rel(mm.g2, sym(PER_POINT_G2_10))
-    assert len(mm.terms) == len(PER_POINT_TERMS_10)
-    for (pole, C), (pole_ref, C_ref) in zip(mm.terms, PER_POINT_TERMS_10):
+    assert_close_rel(mm.g2, np.diag([1.0 / beam_params.total_inertia, 0.0]), rtol=1e-6)
+    assert len(mm.terms) == 10
+    for (pole, C), (pole_ref, K_ref) in zip(mm.terms, PER_POINT_RESIDUES):
         assert isinstance(pole, float) and pole == pytest.approx(pole_ref, rel=1e-12)
-        assert_close_rel(C, sym(C_ref))
+        assert_close_rel(C, 2.0 * pole_ref * sym(K_ref))

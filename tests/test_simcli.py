@@ -302,7 +302,7 @@ class TestCli:
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
         ctrl = self._write(tmp_path, "c.json",
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
-        assert main(["--json", "--tol", "1e-3", "stability", plant, ctrl]) == EXIT_OK
+        assert main(["stability", plant, ctrl, "--json", "--tol", "1e-3"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["tolerances"]["boundary_band"] == 1e-3
         assert data["tolerances"]["boundary_band"] == 1e-3
@@ -311,7 +311,7 @@ class TestCli:
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
         ctrl = self._write(tmp_path, "c.json",
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
-        assert main(["--json", "--tol", "0", "stability", plant, ctrl]) == EXIT_OK
+        assert main(["stability", plant, ctrl, "--json", "--tol", "0"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["tolerances"]["boundary_band"] == 0.0
         assert data["tolerances"]["boundary_band"] == 0.0
@@ -320,7 +320,7 @@ class TestCli:
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
         ctrl = self._write(tmp_path, "c.json",
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
-        assert main(["--tol=-1e-3", "stability", plant, ctrl]) == EXIT_INPUT_ERROR
+        assert main(["stability", plant, ctrl, "--tol=-1e-3"]) == EXIT_INPUT_ERROR
         assert "--tol" in capsys.readouterr().err
 
     def test_malformed_json_exit_2(self, tmp_path):
@@ -355,19 +355,19 @@ class TestCli:
 
     def test_classify_json_output(self, tmp_path, capsys):
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
-        assert main(["--json", "classify", plant]) == EXIT_OK
+        assert main(["classify", plant, "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["ni"]["is_ni"] is True
         assert data["sni"]["is_sni"] is False
 
     def test_laurent_command(self, tmp_path, capsys):
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
-        assert main(["--json", "laurent", plant]) == EXIT_OK
+        assert main(["laurent", plant, "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(data["G2"], [[1.0]], atol=1e-9)
 
     def test_verify_command(self, capsys):
-        assert main(["--json", "verify", "--count", "16", "--seed", "5"]) == EXIT_OK
+        assert main(["verify", "--count", "16", "--seed", "5", "--json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["agreement_fraction"] == 1.0
 
@@ -379,7 +379,7 @@ class TestCli:
                    PYTHONPATH=os.pathsep.join(
                        filter(None, (src, os.environ.get("PYTHONPATH")))))
         run = subprocess.run(
-            [sys.executable, "-m", "nistab", "--json", "verify", "--count", "4", "--seed", "8"],
+            [sys.executable, "-m", "nistab", "verify", "--count", "4", "--seed", "8", "--json"],
             capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == EXIT_OK, run.stderr
         assert "Warning" not in run.stderr
@@ -398,7 +398,7 @@ class TestCli:
                           (report([], 1), EXIT_VERIFY_FAILED)):
             monkeypatch.setattr(ns.simcli, "montecarlo_agreement",
                                 lambda count, seed, rep=rep: rep)
-            assert main(["--json", "verify", "--count", "4"]) == code
+            assert main(["verify", "--count", "4", "--json"]) == code
             capsys.readouterr()
 
     def test_beam_scan_csv(self, capsys):
@@ -510,32 +510,30 @@ class TestCli:
         np.testing.assert_array_equal(data["coefficients"], [t[1] for t in mm.terms])
 
     def test_beam_modes_csv(self, tmp_path, capsys):
-        assert main(["--csv", "beam", "modes", "--count", "3"]) == EXIT_OK
+        assert main(["beam", "modes", "--count", "3", "--csv"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "omega,min_residue_eig" and len(lines) == 4
         assert [line.split(",")[0] for line in lines[1:]] == [
             "3.395326443", "9.501801888", "17.082100721"]
         # a parameter file: the roots of a 1-m arm
         params = self._write(tmp_path, "beam.json", {"l": 1.0})
-        assert main(["--csv", "beam", "modes", "--count", "3", "--params", params]) == EXIT_OK
+        assert main(["beam", "modes", "--count", "3", "--params", params, "--csv"]) == EXIT_OK
         short = capsys.readouterr().out.splitlines()
         assert short[0] == lines[0] and len(short) == 4
         want = ns.find_modal_roots(ns.BeamParameters(l=1.0), 3)
         assert [float(line.split(",")[0]) for line in short[1:]] == pytest.approx(want, rel=1e-9)
 
     def test_output_flags_before_or_after_the_subcommand(self, tmp_path, capsys):
-        # --json, --csv and --tol read the same before the subcommand or after
-        # one that reads them; a flag given before it is kept when none follows
-        placements = [(["--csv", "beam", "modes", "--count", "3"],
-                       ["beam", "modes", "--count", "3", "--csv"],
-                       ["beam", "--csv", "modes", "--count", "3"])]
+        # --json, --csv and --tol are read after a subcommand that reads them,
+        # in any order among its arguments; anywhere else they are refused
+        placements = [(["beam", "modes", "--count", "3", "--csv"],
+                       ["beam", "modes", "--csv", "--count", "3"])]
         plant = self._write(tmp_path, "p.json", ns.model_to_dict(double_integrator()))
         ctrl = self._write(tmp_path, "c.json",
                            {"irc": {"Gamma": [[1.0]], "Phi": [[1.0]], "Delta": [[2.0]]}})
-        placements.append((["--json", "--tol", "1e-3", "stability", plant, ctrl],
-                           ["stability", plant, ctrl, "--json", "--tol", "1e-3"],
-                           ["--json", "stability", "--tol", "1e-3", plant, ctrl]))
-        placements.append((["--json", "classify", plant], ["classify", plant, "--json"]))
+        placements.append((["stability", plant, ctrl, "--json", "--tol", "1e-3"],
+                           ["stability", "--tol", "1e-3", plant, ctrl, "--json"]))
+        placements.append((["classify", plant, "--json"], ["classify", "--json", plant]))
         for argvs in placements:
             outs = []
             for argv in argvs:
@@ -547,19 +545,28 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["tolerances"]["boundary_band"] == 0.0
         assert main(["beam", "modes", "--count", "3"]) == EXIT_OK
         assert not capsys.readouterr().out.startswith("omega,")
-        # after a subcommand, only a flag it reads is accepted; before one, any
+        # before a subcommand, between beam and its subcommand, or after a
+        # subcommand that does not read it, a flag is refused
         refused = [["simulate", plant, ctrl, "--json"], ["beam", "scan", "--tol", "3"],
                    ["beam", "scan", "--points", "2", "--json"],
                    ["beam", "approx", "--modes", "1", "--tol", "1"],
                    ["classify", plant, "--csv"], ["laurent", plant, "--tol", "1"],
-                   ["stability", plant, ctrl, "--csv"], ["verify", "--count", "1", "--tol", "1"]]
+                   ["stability", plant, ctrl, "--csv"], ["verify", "--count", "1", "--tol", "1"],
+                   ["--json", "simulate", plant, ctrl], ["--json", "classify", plant],
+                   ["--csv", "beam", "modes", "--count", "3"],
+                   ["beam", "--csv", "modes", "--count", "3"],
+                   ["beam", "--json", "scan", "--points", "2"],
+                   ["beam", "--csv", "approx", "--modes", "1"]]
         for argv in refused:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == EXIT_INPUT_ERROR, argv
             assert "unrecognized arguments" in capsys.readouterr().err, argv
-        assert main(["--json", "beam", "scan", "--points", "2"]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("omega,value")
+        # a value-taking flag before the subcommand leaves its value as one
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", "3", "beam", "scan", "--points", "2"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "invalid choice: '3'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ('{"l": "abc"}', "beam parameter 'l' must be a finite positive number, got 'abc'"),
