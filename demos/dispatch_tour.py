@@ -2,24 +2,24 @@
 
 For a negative-imaginary plant G and a strictly-negative-imaginary
 controller Gbar in positive feedback, internal stability is decided from
-the Laurent data G(s) = G2/s^2 + G1/s + G0 + O(s) and Gbar(0) alone.  Every
-free-body case is one test on a basis Y of the free-body outputs:
+the Laurent data G(s) = G2/s^2 + G1/s + G0 + O(s) and Gbar(0) alone.  The
+data pick a basis Y of the free-body outputs, which names the theorem:
 
-  G2 = 0, G1 = 0        dc-gain test          lambda_max(G(0) Gbar(0)) < 1
-  G2 > 0 (or G1 full    Y = I                 Gbar(0) < 0 (N = 0, branch
-  rank)                                        invertible)
-  G2 != 0 singular      Y = J, G2 = J J'      J' Gbar(0) J < 0, then the
-                                               range rule or the PSD/NSD
-                                               branch of N = P(Gbar(0), J)
-  G2 = 0, G1 != 0       Y = F1, the thin      F1' Gbar(0) F1 < 0, then as
-                        factor of G1           for J
-  G1 != 0 and G2 != 0   Y = F, the Hankel     F' Gbar(0) F < 0, then the
-                        subspace matrix        branch with the friction term
+  G2 = 0, G1 = 0        dc_gain               no Y
+  G2 > 0 (or G1 full    full_rank_free_body   Y = I
+  rank)
+  G2 != 0 singular      double_pole           Y = J, G2 = J J'
+  G2 = 0, G1 != 0       single_pole           Y = F1, the thin factor of G1
+  G1 != 0 and G2 != 0   double_pole_general   Y = F, the Hankel subspace
+                                              matrix, with a friction term
 
-The range rule (J and F1 only): when G0 vanishes off range(Y), both branch
-terms vanish and the verdict is the *_range theorem, branch
-nullspace_shortcut.  A failed Gram condition Y' Gbar(0) Y < 0 is UNSTABLE
-whatever the sign of N.
+One rule then decides every theorem: with a free body, Y' Gbar(0) Y < 0;
+then every eigenvalue of (G0 + extra) N below 1, for the reduced gain
+N = P(Gbar(0), Y) (N = Gbar(0) without free body, the DC-gain test; N = 0
+when Y has m columns).  The branch printed after the theorem is N's sign:
+nsd, psd, none (indefinite, or the DC-gain theorem) or invertible (N = 0).
+The last example, a damped free mass beside two sprung ones, has an
+indefinite G0 and an indefinite N.
 
 Each example below is checked against the closed-loop eigenvalue oracle.
 
@@ -79,6 +79,19 @@ def main():
                          g2=np.array([[0.8, 0.0], [0.0, 0.0]]))
     show("mixed 1/s and 1/s^2 content vs MIMO IRC",
          ns.modal_to_ss(mm12), irc.realization)
+
+    # a damped free mass beside two sprung ones: G = (I s^2 + D s + K)^-1
+    # with K = diag(0, 2, 2) has one origin pole, an indefinite G0 and, under
+    # this IRC (Gbar(0) = I - Delta), an indefinite reduced gain N
+    K = np.diag([0.0, 2.0, 2.0])
+    D = np.array([[2.5, 2.0, 2.0], [2.0, 3.0, 1.0], [2.0, 1.0, 2.0]])
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    damped = ns.StateSpaceModel(np.block([[zero, eye], [-K, -D]]), np.vstack([zero, eye]),
+                                np.hstack([eye, zero]))
+    irc3 = ns.make_irc(eye, eye, np.diag([3.0, 0.0, 2.0]))
+    v = show("indefinite N: damped free mass vs MIMO IRC", damped, irc3.realization)
+    print(f"{'':<46}    largest eigenvalue of (G0 + extra) N: "
+          f"{v.condition_values['dc_gain_lambda_max']:.3f}")
 
     print("\nevery verdict above was confirmed by the eigenvalue oracle")
 

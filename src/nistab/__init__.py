@@ -61,8 +61,6 @@ from .matrixcore import (          # noqa: F401
     FullRankFactor,
     classify_definiteness,
     full_rank_factor,
-    nullspace_contained,
-    psd_sqrt,
 )
 from .niclass import (             # noqa: F401
     NiReport,

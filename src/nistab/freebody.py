@@ -6,9 +6,11 @@ G(s) = G2/s^2 + G1/s + G0 + O(s) about s = 0 and the controller DC gain
 Gbar(0) alone.  :func:`stability_verdict` reads the models into that data (a
 plant without origin poles enters as G0 = G(0), G1 = G2 = 0); the pure
 ``_decide`` picks the free-body basis Y (F1 from G1, J from G2, the Hankel
-subspace matrix F when both are nonzero, I for a full-rank coefficient), and
-one ``_reduced_gain`` routine decides every free-body theorem: the Gram test
-Y' Gbar(0) Y < 0, then the branch on the reduced gain N = P(Gbar(0), Y).
+subspace matrix F when both are nonzero, I for a full-rank coefficient, none
+without free body), and one ``_reduced_gain`` rule decides every theorem:
+the Gram test Y' Gbar(0) Y < 0 (with a free body), then every eigenvalue of
+(G0 + extra) N below 1 for the reduced gain N = P(Gbar(0), Y), which is
+Gbar(0) without free body and 0 for a basis of m columns.
 :func:`direct_stability` is the independent eigenvalue oracle, and
 :func:`montecarlo_agreement` drives both against random NI/SNI pairs.
 """
@@ -50,13 +52,7 @@ from .ltimodel import (
     modal_to_ss,
     spectral_abscissa,
 )
-from .matrixcore import (
-    classify_definiteness,
-    full_rank_factor,
-    nullspace_contained,
-    psd_sqrt,
-    symmetrize,
-)
+from .matrixcore import classify_definiteness, full_rank_factor, symmetrize
 from .niclass import NiReport, SniReport, classify_ni, classify_sni
 
 __all__ = [
@@ -296,17 +292,16 @@ class Theorem(enum.Enum):
     DC_GAIN = "dc_gain"                          # no free body motion
     DOUBLE_POLE_GENERAL = "double_pole_general"  # G2 != 0, any G1
     DOUBLE_POLE = "double_pole"                  # G2 != 0, G1 = 0
-    DOUBLE_POLE_RANGE = "double_pole_range"      # null(G2) inside null(G0')
     SINGLE_POLE = "single_pole"                  # G1 != 0, G2 = 0
-    SINGLE_POLE_RANGE = "single_pole_range"      # null(G1') inside null(G0')
     FULL_RANK_FREE_BODY = "full_rank_free_body"  # Gbar(0) < 0 test
     NONE = "none"
 
 
 class Branch(enum.Enum):
+    """The sign of the reduced gain N; INVERTIBLE when the basis has m columns."""
+
     PSD = "psd"
     NSD = "nsd"
-    NULLSPACE_SHORTCUT = "nullspace_shortcut"
     INVERTIBLE = "invertible"
     NONE = "none"
 
@@ -407,13 +402,16 @@ def stability_verdict(G: StateSpaceModel, Gbar: StateSpaceModel,
     """Decide internal stability of the positive feedback loop [G, Gbar].
 
     G must be NI and Gbar SNI (checked unless ``opts.skip_ni_check``); free
-    body content additionally requires G strictly proper.  The decision is
-    exact (necessary and sufficient) whenever the relevant reduced matrix is
-    sign semidefinite or the necessary Gram condition fails; an indefinite
-    reduction otherwise yields INCONCLUSIVE, and any decisive quantity inside
-    the tolerance band yields BOUNDARY rather than a guess.  A classification that cannot run (a non-minimal plant) and
-    Laurent data that cannot be extracted reliably also yield INCONCLUSIVE,
-    with the error as the reason.
+    body content additionally requires G strictly proper.  One rule decides
+    every theorem (``_reduced_gain``): the Gram test Y' Gbar(0) Y < 0, then
+    every eigenvalue of (G0 + extra) N below 1.  It is the theorem family's
+    necessary and sufficient condition when the reduced gain N is sign
+    semidefinite; for an indefinite N it rests on the argument in the README,
+    part of which is checked on corpora rather than proved.  Any decisive
+    quantity inside the tolerance band yields BOUNDARY rather than a guess.
+    A classification that cannot run (a non-minimal plant) and Laurent data
+    that cannot be extracted reliably yield INCONCLUSIVE, with the error as
+    the reason.
 
     Only :func:`_front_end` reads the models; :func:`_decide` sees (G2, G1,
     G0, Gbar(0)).  The verdict carries everything the analysis computed: the
@@ -510,41 +508,35 @@ def _front_end(G, Gbar, ni, sni, band: float) -> StabilityVerdict:
 def _decide(L: LaurentCoefficients, Gbar0: np.ndarray, band: float) -> StabilityVerdict:
     """The verdict from the Laurent data (G2, G1, G0) and Gbar(0) alone.
 
-    G2 = G1 = 0 is the DC-gain theorem (a verdict without Laurent data).  Else
-    this picks the basis Y for :func:`_reduced_gain`: F1, the thin SVD factor
-    of G1, when G2 = 0; J (G2 = J J') when G1 = 0; Y = I for a full-rank G1
-    or G2; else the Hankel subspace matrix F, with friction G1 J (J'J)^-2 J' G1'.
+    This picks the free-body basis Y for :func:`_reduced_gain`: none when
+    G2 = G1 = 0 (the DC-gain theorem, a verdict without Laurent data); F1,
+    the thin SVD factor of G1, when G2 = 0; J (G2 = J J') when G1 = 0; Y = I
+    for a full-rank G1 or G2; else the Hankel subspace matrix F, with
+    friction G1 J (J'J)^-2 J' G1'.
     """
     m = L.G0.shape[0]
     g2_zero, g1_zero = _vanishing(L)
-    if g2_zero and g1_zero:
-        conds = _Conditions(band)
-        eigs = np.linalg.eigvals(L.G0 @ Gbar0)
-        if np.max(np.abs(eigs.imag)) > 1e-7 * (1.0 + np.max(np.abs(eigs))):
-            return StabilityVerdict(Outcome.PRECONDITION_FAILED, reason="dc gain product "
-                                    "has non-real eigenvalues; models are not NI/SNI consistent")
-        lam = float(np.max(eigs.real))
-        conds.require("dc_gain_lambda_max", lam, lam - 1.0, 1.0 + abs(lam))
-        return conds.verdict(Theorem.DC_GAIN, Branch.NONE, None)
     extra = np.zeros((m, m))
+    if g2_zero and g1_zero:
+        return _reduced_gain(L, Gbar0, None, extra, band, Theorem.DC_GAIN, None)
     if g2_zero:
         U, sv, _Vt = np.linalg.svd(L.G1)
         r = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
         Y, full = U[:, :r] * sv[:r], r == m
-        labels = Theorem.SINGLE_POLE, "f1_gram_max_eig", Theorem.SINGLE_POLE_RANGE
+        theorem, key = Theorem.SINGLE_POLE, "f1_gram_max_eig"
     else:
         J = full_rank_factor(L.G2).J
         if g1_zero:
             Y, full = J, classify_definiteness(L.G2).is_pd
-            labels = Theorem.DOUBLE_POLE, "j_gram_max_eig", Theorem.DOUBLE_POLE_RANGE
+            theorem, key = Theorem.DOUBLE_POLE, "j_gram_max_eig"
         else:
             JtJ = J.T @ J
             extra = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
             Y, full = build_f_matrix(L), False
-            labels = Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig", None
+            theorem, key = Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig"
     if full:
-        Y, labels = None, (Theorem.FULL_RANK_FREE_BODY, "controller_dc_max_eig", None)
-    return _reduced_gain(L, Gbar0, Y, extra, band, *labels)
+        Y, theorem, key = np.eye(m), Theorem.FULL_RANK_FREE_BODY, "controller_dc_max_eig"
+    return _reduced_gain(L, Gbar0, Y, extra, band, theorem, key)
 
 
 def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
@@ -571,57 +563,46 @@ def _attach_oracle(verdict: StabilityVerdict, G, Gbar) -> None:
             verdict.oracle_hurwitz == (verdict.outcome is Outcome.STABLE))
 
 
-def _reduced_gain(L, Gbar0, Y, extra, band, theorem, key,
-                  range_theorem) -> StabilityVerdict:
-    """Reduced-gain conditions on the free-body basis Y (J, F, F1; None is I).
+def _reduced_gain(L, Gbar0, Y, extra, band, theorem, key) -> StabilityVerdict:
+    """One rule on the free-body basis Y (J, F, F1 or I; None without free body).
 
-    Y' Gbar(0) Y < 0 is required, under ``key``, whatever the sign of the
-    reduced gain N = P(Gbar(0), Y).  It is necessary: for real s > 0, G(s)
-    and Gbar(s) are symmetric (colocated pairs) and G(s) >= (G2 + s G1)/s^2,
-    so for y = Y v with v' Y' Gbar(0) Y v > 0 the Rayleigh quotient
-    y' Gbar(s) y / y' G(s)^-1 y of G^1/2 Gbar G^1/2 grows without bound as
-    s -> 0+, while the real top eigenvalue of G(s) Gbar(s) tends to 0 as
-    s -> oo: it passes 1 at a real closed-loop pole s > 0.  Then, in order:
-    Y = I makes N = 0 (INVERTIBLE); with a ``range_theorem`` (J and F1),
-    null(Y') inside null(G0') gives G0 = Y W, and N Y = 0 makes both branch
-    terms vanish on range(N) (NULLSPACE_SHORTCUT); a singular Gram matrix,
-    failed or banded, leaves N unformed (no branch); N <= 0 requires
-    I + Nt G0 Nt + Nt extra Nt, Nt = (-N)^1/2, nonsingular (NSD); N >= 0
-    requires I - Nh G0 Nh - Nh extra Nh, Nh = N^1/2, positive definite (PSD);
-    an indefinite N keeps a failed or banded Gram's outcome (no branch), else
-    is INCONCLUSIVE.  ``extra`` is the friction for Y = F, zero otherwise.
+    With a free body, Y' Gbar(0) Y < 0 is required, under ``key``.  It is
+    necessary: for real s > 0, G(s) and Gbar(s) are symmetric (colocated
+    pairs) and G(s) >= (G2 + s G1)/s^2, so for y = Y v with
+    v' Y' Gbar(0) Y v > 0 the Rayleigh quotient y' Gbar(s) y / y' G(s)^-1 y
+    of G^1/2 Gbar G^1/2 grows without bound as s -> 0+, while the real top
+    eigenvalue of G(s) Gbar(s) tends to 0 as s -> oo: it passes 1 at a real
+    closed-loop pole s > 0.  Then every eigenvalue of (G0 + extra) N must lie
+    below 1, under ``dc_gain_lambda_max``, for the reduced gain
+    N = P(Gbar(0), Y): N = Gbar(0) without free body, the DC-gain test; N = 0
+    when Y has m columns (branch INVERTIBLE).  The branch is N's sign (NSD, a
+    zero N included, PSD, or NONE when N is indefinite or not formed).  A
+    singular Gram matrix, failed or banded, leaves N unformed and the Gram
+    test decides alone.  ``extra`` is the friction for Y = F, zero otherwise.
     """
     m = L.G0.shape[0]
     conds = _Conditions(band)
-    conds.negative_definite(key, Gbar0 if Y is None else Y.T @ Gbar0 @ Y)
-    if Y is None:
-        return conds.verdict(theorem, Branch.INVERTIBLE, L)
-    if range_theorem is not None and nullspace_contained(Y.T, L.G0.T):
-        return conds.verdict(range_theorem, Branch.NULLSPACE_SHORTCUT, L)
-    try:
-        N = projector_p(Gbar0, Y)
-    except SingularInnerError:
-        return conds.verdict(theorem, Branch.NONE, L)
-    n_def = classify_definiteness(N)
-    if n_def.is_nsd:  # a zero N included
-        Nt = psd_sqrt(-N)
-        M = np.eye(m) + Nt @ L.G0 @ Nt + Nt @ extra @ Nt
-        smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-        conds.require("nsd_branch_min_sv", smin, -smin, max(1.0, np.linalg.norm(M, 2)))
-        return conds.verdict(theorem, Branch.NSD, L)
-    if n_def.is_psd:
-        Nh = psd_sqrt(N)
-        M = np.eye(m) - Nh @ L.G0 @ Nh - Nh @ extra @ Nh
-        bot = float(np.linalg.eigvalsh(symmetrize(M))[0])
-        conds.require("psd_branch_min_eig", bot, -bot, 1.0 + abs(bot) + np.linalg.norm(M))
-        return conds.verdict(theorem, Branch.PSD, L)
-    if conds.outcome is not Outcome.STABLE:
-        return conds.verdict(theorem, Branch.NONE, L)
-    return StabilityVerdict(
-        Outcome.INCONCLUSIVE, theorem, condition_values=conds.values,
-        reason=f"reduced controller gain is indefinite "
-               f"(eigenvalues in [{n_def.min_eig:.3e}, {n_def.max_eig:.3e}])",
-        laurent=L)
+    branch, E = Branch.NONE, L.G0 + extra
+    if Y is None:   # the DC-gain test: no Gram matrix, and no Laurent data to report
+        N, L = Gbar0, None
+    else:
+        conds.negative_definite(key, Y.T @ Gbar0 @ Y)
+        if Y.shape[1] == m:
+            N, branch = np.zeros((m, m)), Branch.INVERTIBLE
+        else:
+            try:
+                N = projector_p(Gbar0, Y)
+            except SingularInnerError:
+                return conds.verdict(theorem, branch, L)
+            sign = classify_definiteness(N)
+            branch = Branch.NSD if sign.is_nsd else Branch.PSD if sign.is_psd else branch
+    eigs = np.linalg.eigvals(E @ N)
+    if np.max(np.abs(eigs.imag)) > 1e-7 * (1.0 + np.max(np.abs(eigs))):
+        return StabilityVerdict(Outcome.PRECONDITION_FAILED, reason="dc gain product "
+                                "has non-real eigenvalues; models are not NI/SNI consistent")
+    lam = float(np.max(eigs.real))
+    conds.require("dc_gain_lambda_max", lam, lam - 1.0, 1.0 + abs(lam))
+    return conds.verdict(theorem, branch, L)
 
 
 def direct_stability(G: StateSpaceModel, Gbar: StateSpaceModel) -> bool:

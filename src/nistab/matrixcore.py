@@ -1,9 +1,9 @@
 """Dense symmetric-matrix utilities for the stability tests.
 
 Everything here is a thin, carefully-toleranced layer over ``numpy.linalg``:
-sign classification of symmetric matrices, PSD square roots, full-rank
-factorizations M = J J', and numerical null-space containment.  These are the
-scalar building blocks the feedback theorems are phrased in.
+sign classification of symmetric matrices, symmetrization and full-rank
+factorizations M = J J'.  These are the building blocks the feedback
+theorems are phrased in.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ __all__ = [
     "Definiteness",
     "FullRankFactor",
     "classify_definiteness",
-    "psd_sqrt",
     "full_rank_factor",
-    "nullspace_contained",
     "symmetrize",
-    "numerical_rank",
 ]
 
 #: absolute eigenvalue floor used when a matrix norm is tiny
@@ -104,18 +101,6 @@ def symmetrize(M: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def numerical_rank(M: np.ndarray) -> int:
-    """Rank via SVD with the standard max(dims)*eps*sigma_1 cutoff."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    cutoff = max(M.shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > cutoff))
-
-
 def _eig_tol(norm: float, tol: float | None) -> float:
     if tol is not None:
         return float(tol)
@@ -161,21 +146,6 @@ def classify_definiteness(M: np.ndarray, tol: float | None = None) -> Definitene
     return Definiteness(kind=kind, min_eig=lo, max_eig=hi)
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root S with S @ S = M.
-
-    Eigenvalues in ``[-t, 0)``, t = max(1e-9, 1e-9 ||M||_2), are clipped to
-    zero; anything below ``-t`` raises :class:`NotPSDError`.
-    """
-    Ms = symmetrize(np.asarray(M, dtype=float))
-    w, V = np.linalg.eigh(Ms)
-    t = _eig_tol(max(abs(w[0]), abs(w[-1])) if w.size else 0.0, None)
-    if w.size and w[0] < -t:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{t:.1e}")
-    S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    return 0.5 * (S + S.T)
-
-
 def full_rank_factor(M: np.ndarray) -> FullRankFactor:
     """Factor a symmetric PSD matrix as M = J J' with J of full column rank.
 
@@ -200,26 +170,3 @@ def full_rank_factor(M: np.ndarray) -> FullRankFactor:
             J[:, j] = -J[:, j]
     residual = float(np.linalg.norm(J @ J.T - Ms))
     return FullRankFactor(J=J, residual=residual)
-
-
-def nullspace_contained(M1: np.ndarray, M2: np.ndarray) -> bool:
-    """True iff null(M1) is contained in null(M2), both by SVD.
-
-    Each right null-space basis vector v of M1 must satisfy
-    ``||M2 v|| <= 1e-8 ||M2||_2``.  A zero M2 contains every null space.
-    """
-    M1 = np.atleast_2d(np.asarray(M1, dtype=float))
-    M2 = np.atleast_2d(np.asarray(M2, dtype=float))
-    if M1.shape[1] != M2.shape[1]:
-        raise DimensionError(
-            f"column counts differ: {M1.shape[1]} vs {M2.shape[1]}"
-        )
-    norm2 = np.linalg.norm(M2, 2)
-    if norm2 == 0.0:
-        return True
-    _, s, Vt = np.linalg.svd(M1)
-    cutoff = max(M1.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    null_basis = Vt[np.sum(s > cutoff):].T
-    if null_basis.shape[1] == 0:
-        return True
-    return bool(np.all(np.linalg.norm(M2 @ null_basis, axis=0) <= 1e-8 * norm2))

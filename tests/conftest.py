@@ -50,6 +50,16 @@ def non_minimal_double_integrator():
                               [[0.0], [1.0], [0.0]], [[1.0, 0.0, 1.0]], [[0.0]])
 
 
+def damped_three_dof(D, k=(2.0, 2.0)):
+    """G(s) = (I s^2 + D s + K)^-1, K = diag(0, k1, k2): three masses, the
+    first without a spring, colocated position outputs; realized as
+    A = [[0, I], [-K, -D]], B = [0; I], C = [I, 0]."""
+    K, D = np.diag(np.r_[0.0, k]), np.asarray(D, dtype=float)
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    return ns.StateSpaceModel(np.block([[zero, eye], [-K, -D]]), np.vstack([zero, eye]),
+                              np.hstack([eye, zero]))
+
+
 def ladder_modal_models(seed=1, rungs=(10, 25, 50)):
     """The modal models of the benchmark's seeded ladder rungs (m = 2, one
     rank-one PSD coefficient per mode, full-rank PSD G2)."""

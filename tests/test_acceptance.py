@@ -124,8 +124,8 @@ def test_criterion_05_theorem_vs_oracle():
     elapsed = time.perf_counter() - t0
     groups = {k.split("/")[0] for k in rep.by_theorem}
     spans_all = {"dc_gain", "full_rank_free_body"}.issubset(groups) and (
-        {"double_pole", "double_pole_general", "double_pole_range"} & groups) and (
-        {"single_pole", "single_pole_range"} & groups)
+        {"double_pole", "double_pole_general"} & groups) and (
+        {"single_pole"} & groups)
     ok = (rep.agreement_fraction == 1.0 and not rep.disagreements
           and bool(spans_all) and elapsed < 60.0)
     assert _report(

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nistab as ns
 from nistab.errors import (
@@ -26,9 +27,14 @@ from nistab.freebody import (
     random_ni_plant,
     random_sni_controller,
 )
-from nistab.ltimodel import _laurent_numeric_limits, minimality_margin
+from nistab.ltimodel import _laurent_numeric_limits, minimality_margin, spectral_abscissa
 
-from conftest import double_integrator, first_order_lag_minus, non_minimal_double_integrator
+from conftest import (
+    damped_three_dof,
+    double_integrator,
+    first_order_lag_minus,
+    non_minimal_double_integrator,
+)
 
 
 def _rebuilt(split, s):
@@ -204,12 +210,6 @@ class TestLaurent:
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular matrix: resolution failed at diagonal 1"):
             ns.laurent_coefficients(spec)
-
-    def test_case_study_range_shortcut_not_applicable(self, arm_plant):
-        # G2 is rank one but G0' does not kill its null space, so the
-        # range-shortcut dispatch must not fire for the benchmark plant
-        L = ns.laurent_coefficients(arm_plant)
-        assert not ns.nullspace_contained(L.G2, L.G0.T)
 
     def test_generator_g2_always_psd(self, rng):
         for trial in range(12):
@@ -415,16 +415,63 @@ class TestStabilityVerdict:
         assert v.reason.startswith(reason)
         assert v.oracle_hurwitz is True
 
-    def test_indefinite_reduced_gain_is_inconclusive(self):
+    @pytest.mark.parametrize("gain, outcome, lam", [
+        (1.0, ns.Outcome.BOUNDARY, 1.0), (0.5, ns.Outcome.STABLE, 0.5)],
+        ids=["boundary", "stable"])
+    def test_indefinite_reduced_gain_is_decided(self, gain, outcome, lam):
         # G2 = diag(1, 0, 0), G1 = 0: Y = J = e1, Y' Gbar(0) Y = -1 < 0, and
-        # N = P(Gbar(0), Y) = diag(0, 1, -1) is indefinite (m = 3 at least)
+        # N = P(Gbar(0), Y) = diag(0, gain, -1) is indefinite (m = 3 at
+        # least); G0 N = N has top eigenvalue `gain`
         L = ns.LaurentCoefficients(G0=np.eye(3), G1=np.zeros((3, 3)), G2=np.diag([1.0, 0.0, 0.0]))
-        v = _decide(L, np.diag([-1.0, 1.0, -1.0]), VerdictOptions().boundary_band)
-        assert v.outcome is ns.Outcome.INCONCLUSIVE
-        assert v.theorem_used is ns.Theorem.DOUBLE_POLE
-        assert v.reason == ("reduced controller gain is indefinite "
-                            "(eigenvalues in [-1.000e+00, 1.000e+00])")
-        assert v.condition_values["j_gram_max_eig"] == pytest.approx(-1.0)
+        v = _decide(L, np.diag([-1.0, gain, -1.0]), VerdictOptions().boundary_band)
+        assert (v.outcome, v.theorem_used, v.branch) == (
+            outcome, ns.Theorem.DOUBLE_POLE, ns.Branch.NONE)
+        assert v.condition_values == pytest.approx(
+            {"j_gram_max_eig": -1.0, "dc_gain_lambda_max": lam}, abs=1e-12)
+
+    @pytest.mark.parametrize("seed, trial, outcome, alpha", [
+        (1, 208, ns.Outcome.UNSTABLE, 0.92), (2, 104, ns.Outcome.STABLE, -4.9e-4)],
+        ids=["seed1-208", "seed2-104"])
+    def test_direct_sum_of_adjacent_trials_is_decided(self, seed, trial, outcome, alpha):
+        # trials `trial` and `trial` + 1 of montecarlo_agreement(400, seed),
+        # summed: each sums a DC-gain loop and a full-rank free-body loop, so
+        # G2 is singular (J spans the second part) and N is indefinite
+        def drawn(t):
+            rng = np.random.default_rng(seed)
+            for _ in range(t + 1):
+                trng = np.random.default_rng(rng.integers(0, 2 ** 63))
+            plant, _ = random_ni_plant(trng, _FAMILIES[t % len(_FAMILIES)])
+            return plant, random_sni_controller(trng, plant.m).realization
+
+        (g1, c1), (g2, c2) = drawn(trial), drawn(trial + 1)
+        plant, ctrl = (ns.StateSpaceModel(*(scipy.linalg.block_diag(getattr(a, k), getattr(b, k))
+                                            for k in "ABCD"))
+                       for a, b in ((g1, g2), (c1, c2)))
+        v = ns.stability_verdict(plant, ctrl, VerdictOptions(skip_ni_check=True, run_oracle=True))
+        assert (v.outcome, v.theorem_used, v.branch) == (
+            outcome, ns.Theorem.DOUBLE_POLE, ns.Branch.NONE)
+        assert v.oracle_agrees is True
+        assert spectral_abscissa(ns.closed_loop(plant, ctrl)) == pytest.approx(alpha, rel=0.05)
+
+    @pytest.mark.parametrize("D, delta, outcome, lam", [
+        ([[2.5, 2.0, 2.0], [2.0, 3.0, 1.0], [2.0, 1.0, 2.0]], [3.0, 0.0, 2.0],
+         ns.Outcome.STABLE, 0.5),
+        ([[2.0, 0.0, 1.0], [0.0, 2.5, 1.0], [1.0, 1.0, 1.0]], [2.0, 2.0, -3.0],
+         ns.Outcome.UNSTABLE, 2.0),
+    ], ids=["stable", "unstable"])
+    def test_damped_plant_with_indefinite_g0_is_decided(self, D, delta, outcome, lam):
+        # a damped free mass beside two sprung ones: one origin pole (G2 = 0),
+        # G0 indefinite, and an IRC with Gbar(0) = I - Delta that makes N
+        # indefinite
+        plant = damped_three_dof(D)
+        v = ns.stability_verdict(plant, ns.make_irc(np.eye(3), np.eye(3), np.diag(delta)).realization,
+                                 VerdictOptions(run_oracle=True))
+        w = np.linalg.eigvalsh(v.laurent.G0)
+        assert w[0] < 0.0 < w[-1]
+        assert (v.outcome, v.theorem_used, v.branch) == (
+            outcome, ns.Theorem.SINGLE_POLE, ns.Branch.NONE)
+        assert v.condition_values["dc_gain_lambda_max"] == pytest.approx(lam, abs=1e-9)
+        assert v.oracle_agrees is True
 
     def test_non_minimal_plant_is_inconclusive(self):
         # the classification cannot run on a non-minimal plant; its error is
@@ -590,16 +637,17 @@ class TestStabilityVerdict:
             JtJ = J.T @ J
             friction = L.G1 @ J @ np.linalg.solve(JtJ @ JtJ, J.T @ L.G1.T)
             va = _reduced_gain(L, Gbar0, J, np.zeros_like(L.G0), opts.boundary_band,
-                               ns.Theorem.DOUBLE_POLE, "j_gram_max_eig", None)
+                               ns.Theorem.DOUBLE_POLE, "j_gram_max_eig")
             vb = _reduced_gain(L, Gbar0, ns.build_f_matrix(L), friction, opts.boundary_band,
-                               ns.Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig", None)
+                               ns.Theorem.DOUBLE_POLE_GENERAL, "f_gram_max_eig")
             assert (va.outcome, va.branch) == (vb.outcome, vb.branch)
 
     def test_singular_failing_gram_is_unstable(self):
         # trial 4 of montecarlo_agreement(200, seed=8), a mixed plant (n = 11,
         # m = 2): F' Gbar(0) F has eigenvalues 1.1e-13 and 3.44, so the
         # necessary condition F' Gbar(0) F < 0 fails although the Gram matrix
-        # is singular; the loop's spectral abscissa is +2.16
+        # is singular; the loop's spectral abscissa is +2.16.  F has m
+        # columns, so N = 0 and the branch is invertible
         rng = np.random.default_rng(8)
         for _ in range(5):
             trng = np.random.default_rng(rng.integers(0, 2 ** 63))
@@ -609,7 +657,8 @@ class TestStabilityVerdict:
         v = ns.stability_verdict(plant, ctrl,
                                  VerdictOptions(skip_ni_check=True, run_oracle=True))
         assert v.outcome is ns.Outcome.UNSTABLE
-        assert (v.theorem_used, v.branch) == (ns.Theorem.DOUBLE_POLE_GENERAL, ns.Branch.NONE)
+        assert (v.theorem_used, v.branch) == (ns.Theorem.DOUBLE_POLE_GENERAL,
+                                              ns.Branch.INVERTIBLE)
         assert v.condition_values["f_gram_max_eig"] == pytest.approx(3.44, abs=0.01)
         assert v.oracle_agrees is True
 
@@ -635,7 +684,7 @@ class TestStabilityVerdict:
                                  VerdictOptions(skip_ni_check=True, run_oracle=True))
         assert (v.outcome, v.theorem_used, v.branch) == (
             ns.Outcome.UNSTABLE, theorem, ns.Branch.NONE)
-        assert list(v.condition_values) == [key]
+        assert list(v.condition_values) == [key, "dc_gain_lambda_max"]
         assert v.condition_values[key] == pytest.approx(top, abs=0.01)
         assert v.oracle_agrees is True
 
@@ -674,14 +723,14 @@ _VERDICT_PATHS = {
                                      g2=np.diag([1.0, 0.0]))),
         _irc([2.0, -1.0]), VerdictOptions(run_oracle=True),
         "boundary", "double_pole", "psd",
-        {"j_gram_max_eig": -1.0, "psd_branch_min_eig": 0.0}, _IN_BAND),
+        {"j_gram_max_eig": -1.0, "dc_gain_lambda_max": 1.0}, _IN_BAND),
     "nsd_branch_boundary": (  # [[1/s^2, 0], [0, -0.5/(s + 1)]]
         ns.StateSpaceModel([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
                            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                            [[1.0, 0.0, 0.0], [0.0, 0.0, -0.5]]),
         _irc([2.0, 3.0]), VerdictOptions(skip_ni_check=True),
         "boundary", "double_pole", "nsd",
-        {"j_gram_max_eig": -1.0, "nsd_branch_min_sv": 0.0}, _IN_BAND),
+        {"j_gram_max_eig": -1.0, "dc_gain_lambda_max": 1.0}, _IN_BAND),
     "not_strictly_proper": (  # 1/s^2 + 0.5
         ns.StateSpaceModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.5]]),
         _irc([2.0]), VerdictOptions(),

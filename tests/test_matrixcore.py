@@ -6,9 +6,6 @@ from nistab.matrixcore import (
     DefinitenessKind,
     classify_definiteness,
     full_rank_factor,
-    nullspace_contained,
-    numerical_rank,
-    psd_sqrt,
     symmetrize,
 )
 
@@ -64,35 +61,6 @@ class TestClassifyDefiniteness:
             classify_definiteness(np.zeros((2, 3)))
 
 
-class TestPsdSqrt:
-    def test_diagonal(self):
-        S = psd_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(S, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_case_study_block(self):
-        # sqrt of -N2: the only nonzero entry is sqrt(0.182252)
-        S = psd_sqrt(-N2_PAPER)
-        np.testing.assert_allclose(
-            S, [[0.0, 0.0], [0.0, 0.42691],], atol=5e-6)
-        np.testing.assert_allclose(S @ S, -N2_PAPER, atol=1e-14)
-
-    def test_zero(self):
-        np.testing.assert_array_equal(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_square_reconstructs(self, rng):
-        for _ in range(25):
-            m = rng.integers(1, 6)
-            W = rng.normal(size=(m, m + 1))
-            M = W @ W.T
-            S = psd_sqrt(M)
-            assert np.linalg.norm(S @ S - M) <= 1e-10 * max(1.0, np.linalg.norm(M))
-            np.testing.assert_allclose(S, S.T, atol=1e-12 * max(1, np.linalg.norm(M)))
-
-
 class TestFullRankFactor:
     def test_case_study_g2(self):
         f = full_rank_factor(np.array([[0.14, 0.0], [0.0, 0.0]]))
@@ -120,46 +88,12 @@ class TestFullRankFactor:
             W = rng.normal(size=(m, r))
             M = W @ W.T
             f = full_rank_factor(M)
-            assert f.rank == numerical_rank(M)
+            assert f.rank == np.linalg.matrix_rank(M)
             assert f.residual <= 1e-10 * max(1.0, np.linalg.norm(M))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             full_rank_factor(np.diag([1.0, -0.5]))
-
-
-def test_numerical_rank_of_empty_and_zero_matrices():
-    assert numerical_rank(np.zeros((0, 3))) == 0
-    assert numerical_rank(np.zeros((3, 2))) == 0
-    assert numerical_rank(np.ones((3, 2))) == 1
-
-
-class TestNullspaceContained:
-    def test_shared_nullspace(self):
-        assert nullspace_contained(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-
-    def test_not_contained(self):
-        assert not nullspace_contained(np.diag([1.0, 0.0]), np.eye(2))
-
-    def test_zero_target_contains_everything(self):
-        assert nullspace_contained(np.diag([1.0, 0.0]), np.zeros((2, 2)))
-
-    def test_full_rank_source_vacuous(self):
-        assert nullspace_contained(np.eye(3), np.ones((3, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            nullspace_contained(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_reflexive_transitive(self, rng):
-        # exact-arithmetic style: diagonal projections with nested supports
-        M1 = np.diag([1.0, 1.0, 0.0, 0.0])
-        M2 = np.diag([1.0, 0.0, 0.0, 0.0])
-        M3 = np.zeros((4, 4))
-        for M in (M1, M2, M3):
-            assert nullspace_contained(M, M)
-        assert nullspace_contained(M1, M2) and nullspace_contained(M2, M3)
-        assert nullspace_contained(M1, M3)
 
 
 def test_symmetrize_returns_average():

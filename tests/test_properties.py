@@ -1,24 +1,17 @@
 """Property-based checks over randomized inputs (hypothesis-driven seeds)."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nistab as ns
 from nistab.freebody import (
     _FAMILIES, LaurentCoefficients, _decide, random_ni_plant, random_sni_controller)
+from nistab.ltimodel import spectral_abscissa
+
+from conftest import damped_three_dof
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
-
-
-@given(SEEDS)
-@settings(max_examples=40, deadline=None)
-def test_psd_sqrt_squares_back(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 6))
-    W = rng.normal(size=(m, m + 1)) * 10.0 ** rng.integers(-2, 3)
-    M = W @ W.T
-    S = ns.psd_sqrt(M)
-    assert np.linalg.norm(S @ S - M) <= 1e-10 * max(1.0, np.linalg.norm(M))
 
 
 @given(SEEDS)
@@ -211,6 +204,41 @@ def test_decision_invariant_under_orthogonal_change_of_channels(seed):
     # may rest on a nearly singular Y' Gbar(0) Y, so only a passed one pins it
     if all(v < 0.0 for k, v in base.condition_values.items() if k.endswith("_max_eig")):
         assert moved.branch is base.branch
+
+
+@pytest.mark.parametrize("seed", [17784, 19882])
+def test_full_width_basis_is_invertible_in_any_channel_coordinates(seed):
+    # G1 and G2 both present, with a Hankel subspace matrix F of m columns:
+    # N = P(Gbar(0), F) is 0, and its rounding once read nsd on one side of
+    # the rotation and psd on the other
+    rng = np.random.default_rng(seed)
+    coeffs = _laurent_case(rng)
+    m = coeffs[0][0].shape[0]
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    band = ns.VerdictOptions().boundary_band
+    for R in (np.eye(m), Q):
+        v = _decide(*_rotated(coeffs, R), band)
+        assert (v.theorem_used, v.branch) == (ns.Theorem.DOUBLE_POLE_GENERAL,
+                                              ns.Branch.INVERTIBLE)
+        assert v.condition_values["dc_gain_lambda_max"] == 0.0
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_damped_free_mass_loop_is_decided(seed):
+    # a damped free mass beside two sprung ones, under an IRC with a random
+    # symmetric Delta: G0 and the reduced gain N are often indefinite, and
+    # every verdict agrees with the oracle outside its marginal band
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(0.5, 4.0, 2)
+    W, S = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    plant = damped_three_dof(W @ W.T / 2.0, k)
+    ctrl = ns.make_irc(np.eye(3), np.eye(3), S + S.T).realization
+    v = ns.stability_verdict(plant, ctrl, ns.VerdictOptions(run_oracle=True))
+    assert v.outcome is not ns.Outcome.INCONCLUSIVE, v.reason
+    cl = ns.closed_loop(plant, ctrl)
+    if abs(spectral_abscissa(cl)) > 1e-7 * max(1.0, np.linalg.norm(cl, 2)):
+        assert v.oracle_agrees is True
 
 
 @given(SEEDS)
