@@ -216,7 +216,8 @@ def _beam_response(p: BeamParameters, s: np.ndarray) -> np.ndarray:
 
     One stacked BVP solve per propagation basis, unit tau and unit V_a as two
     right-hand sides; each basis sees only its own members (the other would
-    overflow or lose precision).  A member on a modal root comes back NaN.
+    overflow or lose precision); the decaying-exponential system is assembled
+    in place, one column at a time.  A member on a modal root comes back NaN.
     """
     EI, Ih, L, ca = p.EI, p.hub_inertia, p.l, p.voltage_gain
     s = np.asarray(s, dtype=complex)
@@ -252,21 +253,20 @@ def _beam_response(p: BeamParameters, s: np.ndarray) -> np.ndarray:
         #                                 + pe e^{-bx} + qe e^{b(x-L)}
         sk, bk = s[big], beta[big]
         bl = bk * L
-        El = np.exp(-bl)
-        S, Co = np.sin(bl), np.cos(bl)
-
-        def row(*entries):
-            return np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
-
-        Yp0 = row(1, 0, -1, El)                                 # Y'(0)/b
-        YpL = row(Co, -S, -El, 1)                               # Y'(L)/b
-        M = np.stack([
-            row(0, 1, 1, El),                                   # Y(0)
-            (EI * bk ** 2)[:, None] * row(0, -1, 1, El)         # EI Y''(0)
-            - (Ih * sk * sk * bk)[:, None] * Yp0,               # - Ih s^2 Y'(0)
-            row(-S, -Co, El, 1),                                # Y''(L)/b^2
-            row(-Co, S, -El, 1),                                # Y'''(L)/b^3
-        ], axis=1)
+        El, S, Co = np.exp(-bl), np.sin(bl), np.cos(bl)
+        Yp0, YpL = np.empty((2, sk.size, 4), dtype=complex)
+        M = np.empty((sk.size, 4, 4), dtype=complex)
+        # each row over the coefficients (a, b0, pe, qe), column by column
+        for r, entries in ((Yp0, (1, 0, -1, El)),               # Y'(0)/b
+                           (YpL, (Co, -S, -El, 1)),             # Y'(L)/b
+                           (M[:, 0], (0, 1, 1, El)),            # Y(0)
+                           (M[:, 1], (0, -1, 1, El)),           # Y''(0)/b^2
+                           (M[:, 2], (-S, -Co, El, 1)),         # Y''(L)/b^2
+                           (M[:, 3], (-Co, S, -El, 1))):        # Y'''(L)/b^3
+            for j, v in enumerate(entries):
+                r[:, j] = v
+        # EI Y''(0) - Ih s^2 Y'(0)
+        M[:, 1] = (EI * bk ** 2)[:, None] * M[:, 1] - (Ih * sk * sk * bk)[:, None] * Yp0
         rhs = np.zeros((sk.size, 4, 2), dtype=complex)
         rhs[:, 1] = [-1.0, ca]
         rhs[:, 2, 1] = ca / (EI * bk ** 2)
@@ -338,15 +338,16 @@ def find_modal_roots(p: BeamParameters, count: int) -> np.ndarray:
     brackets are refined together by Illinois regula falsi until a step
     moves a root by at most 1e-14 relative.  The roots in beta l do not
     depend on EI, so the scan is the same for a slow arm and a stiff one.
-    The rigid pole at w = 0 is not included.
+    The rigid pole at w = 0 is not included.  A count that is a bool, or not
+    an integer of at least 1, is a DimensionError.
 
     Raises
     ------
     InsufficientRangeError
         If fewer than `count` roots lie below beta l = 2048.
     """
-    if count < 1:
-        raise DimensionError("count must be at least 1")
+    if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise DimensionError(f"mode count must be an integer of at least 1, got {count!r}")
     k = _rad_per_bl2(p)
     hi, first = _FIRST_WINDOW, 1        # grid point 0 is the rigid root
     brackets, found = [], 0
@@ -446,11 +447,9 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     from the residue K_i of `modal_residue`, and C_0 = lim s^2 G(s) =
     N(0) / (8 mu I_total), since D(s) = 8 mu I_total s^2 + O(s^4).  N(0) is
     one Richardson step on w0 = p_1 / 100 and 2 w0; w0 is recorded in
-    ``meta``.  NistabError names the first mode whose N = G D or D'
-    overflows (mode 221 on the default arm).
+    ``meta``.  An n that is not an integer of at least 1 is a DimensionError;
+    NistabError names the first mode whose N = G D or D' overflows (mode 221 on the default arm).
     """
-    if n < 1:
-        raise DimensionError("need at least one flexible mode")
     poles = find_modal_roots(p, n)
     w0 = float(poles[0] / 100.0)
     # N(jw) = G D is even and analytic through w = 0, so its stencil about
@@ -470,7 +469,8 @@ def finite_dim_approx(p: BeamParameters, n: int) -> ModalModel:
     ew, V = np.linalg.eigh(C0)
     if ew[0] < 0.0 and abs(ew[0]) <= 1e-6 * max(abs(ew[-1]), 1e-300):
         C0 = (V * np.clip(ew, 0.0, None)) @ V.T
-    return ModalModel(m=2, terms=tuple(zip(poles, C)), g2=C0, meta={"omega0": w0, "n_modes": n})
+    meta = {"omega0": w0, "n_modes": int(n)}
+    return ModalModel(m=2, terms=tuple(zip(poles, C)), g2=C0, meta=meta)
 
 
 def emit_residue_scan(p: BeamParameters, gamma: float,

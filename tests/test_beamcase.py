@@ -60,6 +60,19 @@ class TestModalRoots:
         with pytest.raises(InsufficientRangeError, match="only 6[0-9][0-9] roots below"):
             ns.find_modal_roots(beam_params, 700)
 
+    @pytest.mark.parametrize("count", [2.5, True, "3", 0, -1])
+    def test_count_must_be_a_positive_integer(self, beam_params, count):
+        with pytest.raises(DimensionError, match="mode count must be an integer"):
+            ns.find_modal_roots(beam_params, count)
+        with pytest.raises(DimensionError, match="mode count must be an integer"):
+            ns.finite_dim_approx(beam_params, count)
+
+    def test_numpy_integer_count_accepted(self, beam_params, beam_roots):
+        np.testing.assert_array_equal(ns.find_modal_roots(beam_params, np.int64(3)),
+                                      beam_roots[:3])
+        mm = ns.finite_dim_approx(beam_params, np.int64(3))
+        assert len(mm.terms) == 3 and type(mm.meta["n_modes"]) is int
+
 
 class TestRootScanScale:
     """D depends on the arm only through beta l and I_h / (mu l^3): scaling
@@ -529,6 +542,90 @@ class TestBatchedEvaluation:
             assert Nk.shape == (2, 2) and np.ndim(dk) == 0
             assert np.linalg.norm(N[k] - Nk) <= 1e-9 * np.linalg.norm(Nk)
             assert abs(dp[k] - dk) <= 1e-9 * abs(dk)
+
+
+def _beam_response_stacked(p, s):
+    """_beam_response as written before its decaying-exponential boundary
+    system was assembled in place: each row stacked from its broadcast
+    entries, and M stacked from the rows."""
+    EI, Ih, L, ca = p.EI, p.hub_inertia, p.l, p.voltage_gain
+    s = np.asarray(s, dtype=complex)
+    beta = _beta(p, s)
+    G = np.empty((s.size, 2, 2), dtype=complex)
+    small = np.abs(beta * L) <= beamcase._BASIS_SWITCH
+    if small.any():
+        sk = s[small]
+        Abar = np.zeros((sk.size, 4, 4), dtype=complex)
+        Abar[:, 0, 1] = Abar[:, 1, 2] = Abar[:, 2, 3] = 1.0
+        Abar[:, 3, 0] = beta[small] ** 4
+        Phi = scipy.linalg.expm(Abar * L)
+        M = np.zeros((sk.size, 3, 3), dtype=complex)
+        M[:, 0, 0], M[:, 0, 1] = -Ih * sk * sk, EI
+        M[:, 1:] = Phi[:, 2:, 1:]
+        rhs = np.zeros((sk.size, 3, 2), dtype=complex)
+        rhs[:, 0, 0] = -1.0
+        rhs[:, 1:, 1] = np.array([ca / EI, 0.0]) - Phi[:, 2:, 2] * ca / EI
+        z0 = np.zeros((sk.size, 4, 2), dtype=complex)
+        z0[:, 1:] = beamcase._solve_scaled(M, rhs)
+        z0[:, 2, 1] += ca / EI
+        G[small, 0] = z0[:, 1]
+        G[small, 1] = ca * ((Phi[:, 1:2] @ z0)[:, 0] - z0[:, 1])
+    big = ~small
+    if big.any():
+        sk, bk = s[big], beta[big]
+        bl = bk * L
+        El = np.exp(-bl)
+        S, Co = np.sin(bl), np.cos(bl)
+
+        def row(*entries):
+            return np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+
+        Yp0 = row(1, 0, -1, El)
+        YpL = row(Co, -S, -El, 1)
+        M = np.stack([
+            row(0, 1, 1, El),
+            (EI * bk ** 2)[:, None] * row(0, -1, 1, El)
+            - (Ih * sk * sk * bk)[:, None] * Yp0,
+            row(-S, -Co, El, 1),
+            row(-Co, S, -El, 1),
+        ], axis=1)
+        rhs = np.zeros((sk.size, 4, 2), dtype=complex)
+        rhs[:, 1] = [-1.0, ca]
+        rhs[:, 2, 1] = ca / (EI * bk ** 2)
+        c = beamcase._solve_scaled(M, rhs)
+        theta = bk[:, None] * np.einsum("kj,kjc->kc", Yp0, c)
+        G[big, 0] = theta
+        G[big, 1] = ca * (bk[:, None] * np.einsum("kj,kjc->kc", YpL, c) - theta)
+    return G
+
+
+def test_in_place_assembly_bitwise_equal_to_stacked_rows(beam_params, beam_roots):
+    """Every input the beam stages and the basis switch give: the stencils
+    about the first 11 roots, finite_dim_approx's combined stencil at 10 and
+    60 modes, the bench's 400-point scan grid, |beta l| a relative 1e-12 either
+    side of the switch, off-axis points in both bases, and no point at all."""
+    p = beam_params
+
+    def stencil(w, h):
+        return 1j * (w + np.multiply.outer(beamcase._STENCIL, h)).ravel()
+
+    inputs = [stencil(w, 1e-5 * w) for w in beam_roots]
+    for n in (10, 60):
+        poles = ns.find_modal_roots(p, n)
+        w0 = poles[0] / 100.0
+        inputs.append(stencil(np.concatenate([[0.0], poles]),
+                              np.concatenate([[2.0 * w0], 1e-5 * poles])))
+    inputs.append(1j * np.linspace(0.1, 260.0, 400))
+    bl = beamcase._BASIS_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+    inputs.append(1j * beamcase._rad_per_bl2(p) * bl ** 2)
+    ring = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    inputs += [3.0 * ring, 60.0 * ring, np.array([], dtype=complex)]
+    small = [(np.abs(_beta(p, s) * p.l) <= beamcase._BASIS_SWITCH).tolist() for s in inputs[-4:-1]]
+    assert small == [[True, True, False], [True] * 16, [False] * 16]
+    for s in inputs:
+        got, ref = _beam_response(p, s), _beam_response_stacked(p, s)
+        assert got.shape == (s.size, 2, 2)
+        assert got.tobytes() == ref.tobytes()
 
 
 # Values of the per-frequency solver that the batched one replaced (one
